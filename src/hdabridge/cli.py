@@ -1,7 +1,7 @@
 """Command-line driver: validate, translate, laws, export-dot.
 
-Each error class maps to its own exit code (see EXIT_CODES, printed in
---help).  Paths accept "-" for stdin/stdout.  The HDABRIDGE_SEED
+Each error class carries its own exit code (see errors.py; --help prints
+the table).  Paths accept "-" for stdin/stdout.  The HDABRIDGE_SEED
 environment variable seeds the law suites.
 """
 
@@ -27,41 +27,6 @@ from .functors import (
 )
 from .laws import GeneratorConfig, check_adjunction_pn_hda, check_comonad_identity, check_kleisli_lift
 from .models import validate_acr, validate_es, validate_lts, validate_pn, validate_ts
-
-EXIT_CODES = [
-    ("ParseError", 3),
-    ("UnknownKind", 4),
-    ("ValidationFailed", 5),
-    ("NoSuchFunctor", 6),
-    ("ExplosionLimit", 7),
-    ("DimensionCapExceeded", 8),
-    ("CapExceeded", 9),
-    ("LawCounterexample", 10),
-    ("NotLinear", 11),
-    ("NotOneDeterministic", 12),
-    ("SquareIncomplete", 13),
-    ("NotPartialOrder", 14),
-    ("StarClash", 15),
-    ("SizeLimit", 16),
-    ("OutOfReachableFragment", 17),
-    ("IoError", 18),
-]
-
-ERROR_CLASSES = {
-    errors.ParseError: 3,
-    errors.UnknownKind: 4,
-    errors.NoSuchFunctor: 6,
-    errors.ExplosionLimit: 7,
-    errors.DimensionCapExceeded: 8,
-    errors.CapExceeded: 9,
-    errors.NotLinear: 11,
-    errors.NotOneDeterministic: 12,
-    errors.SquareIncomplete: 13,
-    errors.NotPartialOrder: 14,
-    errors.StarClash: 15,
-    errors.SizeLimit: 16,
-    errors.OutOfReachableFragment: 17,
-}
 
 VALIDATION_FAILED = 5
 LAW_COUNTEREXAMPLE = 10
@@ -181,7 +146,15 @@ def cmd_export_dot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    codes = "\n".join(f"  {name:<24} {code}" for name, code in EXIT_CODES)
+    # every non-zero exit but usage, in code order: the error classes with
+    # a code of their own, and the outcomes that are not exceptions
+    classes = [k for k in vars(errors).values()
+               if isinstance(k, type) and issubclass(k, errors.HdaBridgeError)
+               and k is not errors.HdaBridgeError and "exit_code" in vars(k)]
+    outcomes = [("ValidationFailed", VALIDATION_FAILED), ("LawCounterexample", LAW_COUNTEREXAMPLE),
+                ("IoError", IO_ERROR)]
+    table = sorted([(k.__name__, k.exit_code) for k in classes] + outcomes, key=lambda nc: nc[1])
+    codes = "\n".join(f"  {name:<24} {code}" for name, code in table)
     parser = argparse.ArgumentParser(
         prog="hdabridge",
         description="Validate, translate and law-check concurrency models.",
@@ -232,10 +205,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except errors.HdaBridgeError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        for klass in type(err).__mro__:
-            if klass in ERROR_CLASSES:
-                return ERROR_CLASSES[klass]
-        return 1
+        return err.exit_code
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return VALIDATION_FAILED

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ArityMismatch, IndexOutOfRange
-from .util import ValidationReport, sorted_by_key
+from .util import ValidationReport, backtrack, sorted_by_key
 
 STAR = "*"
 
@@ -652,7 +652,7 @@ def _enumerate_shells(sk: PrecubicalComplex, faces_of, k: int):
 
     def compatible(partial, slot, cand):
         i, a = slot
-        for (j, b), other in partial.items():
+        for (j, b), other in zip(slots, partial):
             lo, hi = ((i, a, cand), (j, b, other)) if i < j else ((j, b, other), (i, a, cand))
             if lo[0] == hi[0]:
                 continue
@@ -666,21 +666,10 @@ def _enumerate_shells(sk: PrecubicalComplex, faces_of, k: int):
                 return False
         return True
 
-    shells: list[tuple] = []
+    def options(pos, partial):
+        return [cand for cand in lower if compatible(partial, slots[pos], cand)]
 
-    def extend(pos, partial):
-        if pos == len(slots):
-            shells.append(tuple(partial[s] for s in slots))
-            return
-        slot = slots[pos]
-        for cand in lower:
-            if compatible(partial, slot, cand):
-                partial[slot] = cand
-                extend(pos + 1, partial)
-                del partial[slot]
-
-    extend(0, {})
-    return slots, shells
+    return slots, list(backtrack(slots, options))
 
 
 def _folded(slots, sig, k: int) -> bool:

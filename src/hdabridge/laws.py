@@ -8,11 +8,12 @@ offending instance in serialized form.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .cubical import STAR, CellId, DegeneracyWitness, Hda, cell_face, zero_source
+from .cubical import STAR, DegeneracyWitness, Hda, cell_face
 from .errors import SizeLimit
 from .functors import (
     HdaMorphism,
@@ -45,7 +46,7 @@ from .models import (
     validate_pn_morphism,
     validate_ts,
 )
-from .util import canon_key, sorted_by_key
+from .util import backtrack, canon_key, sorted_by_key
 
 
 @dataclass(frozen=True)
@@ -223,9 +224,10 @@ VALIDATORS = {"sTS": validate_ts, "ACR": validate_acr, "ES": validate_es, "PN": 
 # Canonical renaming
 # ---------------------------------------------------------------------------
 
-def canonical_ts(t: TransitionSystem) -> TransitionSystem:
+def _canonical_renaming(t: TransitionSystem):
     """Rename states by breadth-first order from the initial state; events
-    are observable and stay fixed.  Unreached states follow in name order."""
+    are observable and stay fixed.  Unreached states follow in name order.
+    Returns the renamed system and the renaming."""
     order = {t.initial: 0}
     queue = [t.initial]
     while queue:
@@ -239,27 +241,19 @@ def canonical_ts(t: TransitionSystem) -> TransitionSystem:
         if s not in order:
             order[s] = len(order)
     rename = {s: f"q{i}" for s, i in order.items()}
-    return make_ts(
+    renamed = make_ts(
         [rename[s] for s in t.states], rename[t.initial], t.events,
         [(rename[s], e, rename[s2]) for (s, e, s2) in t.trans],
     )
+    return renamed, rename
+
+
+def canonical_ts(t: TransitionSystem) -> TransitionSystem:
+    return _canonical_renaming(t)[0]
 
 
 def canonical_acr(a: Acr) -> Acr:
-    base = canonical_ts(a.ts)
-    # recompute the rename map exactly as canonical_ts does
-    order = {a.ts.initial: 0}
-    queue = [a.ts.initial]
-    while queue:
-        s = queue.pop(0)
-        for _, s2 in sorted_by_key({(e, v) for (p, e, v) in a.ts.trans if p == s}):
-            if s2 not in order:
-                order[s2] = len(order)
-                queue.append(s2)
-    for s in sorted_by_key(a.ts.states):
-        if s not in order:
-            order[s] = len(order)
-    rename = {s: f"q{i}" for s, i in order.items()}
+    base, rename = _canonical_renaming(a.ts)
     return Acr(ts=base, indep=frozenset((rename[s], x, y) for (s, x, y) in a.indep))
 
 
@@ -351,102 +345,57 @@ def check_kleisli_lift(cfg: GeneratorConfig) -> LawReport:
 # ---------------------------------------------------------------------------
 
 def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet, budget: int = 200000):
-    """All net morphisms src -> dst, by brute force with per-place pruning."""
+    """All net morphisms src -> dst, by backtracking over the event map and
+    then the place map, with per-place pruning."""
     events = sorted_by_key(src.events)
     targets = [None] + sorted_by_key(dst.events)
-    out = []
+    places = sorted_by_key(dst.places)
+    src_places = sorted_by_key(src.places)
     combos = len(targets) ** len(events)
     if combos * max(1, len(src.places)) > budget:
         raise SizeLimit("event-map space too large")
-    for assignment in itertools.product(targets, repeat=len(events)):
-        psi = {e: v for e, v in zip(events, assignment) if v is not None}
-        candidates = []
-        feasible = True
-        for p in sorted_by_key(dst.places):
-            options = []
-            for q in sorted_by_key(src.places):
-                if src.m0.get(q) != dst.m0.get(p):
-                    continue
-                ok = True
-                for e in events:
-                    if e in psi:
-                        if src.pre[e].get(q) != dst.pre[psi[e]].get(p) or \
-                           src.post[e].get(q) != dst.post[psi[e]].get(p):
-                            ok = False
-                            break
-                    else:
-                        if src.pre[e].get(q) != 0 or src.post[e].get(q) != 0:
-                            ok = False
-                            break
-                if ok:
-                    options.append(q)
-            if not options:
-                feasible = False
-                break
-            candidates.append((p, options))
-        if not feasible:
-            continue
-        total = 1
-        for _, options in candidates:
-            total *= len(options)
-            if total > budget:
+
+    def fits(q, p, psi):
+        if src.m0.get(q) != dst.m0.get(p):
+            return False
+        for e in events:
+            if e in psi:
+                if src.pre[e].get(q) != dst.pre[psi[e]].get(p) or \
+                   src.post[e].get(q) != dst.post[psi[e]].get(p):
+                    return False
+            elif src.pre[e].get(q) != 0 or src.post[e].get(q) != 0:
+                return False
+        return True
+
+    # source places each target place may take under the current event map;
+    # recomputed whenever the search reaches the first place slot
+    candidates: list = []
+
+    def options(pos, partial):
+        if pos < len(events):
+            return targets
+        if pos == len(events):
+            psi = {e: v for e, v in zip(events, partial) if v is not None}
+            candidates[:] = [[q for q in src_places if fits(q, p, psi)]
+                             for p in places]
+            if all(candidates) and math.prod(map(len, candidates)) > budget:
                 raise SizeLimit("place-map space too large")
-        for choice in itertools.product(*(options for _, options in candidates)):
-            phi = {p: q for (p, _), q in zip(candidates, choice)}
-            m = PnMorphism(phi=phi, psi=psi)
-            if validate_pn_morphism(m, src, dst).ok:
-                out.append(m)
-    return out
+        return candidates[pos - len(events)]
 
-
-def enumerate_hda_morphisms_into_net_hda(source: Hda, net: PetriNet, target: Hda,
-                                         budget: int = 200000):
-    """All automaton morphisms source -> target when the target is a net's
-    automaton: the label map and the vertex map determine everything else."""
-    labels = sorted_by_key(source.alphabet)
-    label_targets = [STAR] + sorted_by_key(target.alphabet)
-    target_by_key = target.cells_by_key()
-    vertices = sorted_by_key(source.cells(0), )
-    vertex_targets = sorted_by_key([target.cell_keys[c][0] for c in target.cells(0)])
-    size = (len(label_targets) ** len(labels)) * (len(vertex_targets) ** max(0, len(vertices) - 1))
-    if size > budget:
-        raise SizeLimit("hom-set too large to enumerate")
     out = []
-    for lam_choice in itertools.product(label_targets, repeat=len(labels)):
-        lam = dict(zip(labels, lam_choice))
-        free_vertices = [v for v in vertices if v != source.initial]
-        for vt_choice in itertools.product(vertex_targets, repeat=len(free_vertices)):
-            vertex_map = dict(zip(free_vertices, vt_choice))
-            vertex_map[source.initial] = net.m0
-            cell_map = {}
-            ok = True
-            for v in vertices:
-                key = (vertex_map[v], ())
-                if key not in target_by_key:
-                    ok = False
-                    break
-                cell_map[v] = DegeneracyWitness(target_by_key[key])
-            if not ok:
-                continue
-            for n in range(1, source.max_dim + 1):
-                for cell in source.cells(n):
-                    word = tuple(lam[e] for e in source.labeling[cell])
-                    stars = tuple(i for i, e in enumerate(word) if e == STAR)
-                    kept = tuple(e for e in word if e != STAR)
-                    base_state = vertex_map[zero_source(source.complex, cell)]
-                    key = (base_state, kept)
-                    if key not in target_by_key:
-                        ok = False
-                        break
-                    cell_map[cell] = DegeneracyWitness(target_by_key[key], stars)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            m = HdaMorphism(cell_map=cell_map, label_map=lam)
-            if validate_hda_morphism(m, source, target).ok:
-                out.append(m)
+    for values in backtrack(events + places, options):
+        m = PnMorphism(phi=dict(zip(places, values[len(events):])),
+                       psi={e: v for e, v in zip(events, values) if v is not None})
+        if validate_pn_morphism(m, src, dst).ok:
+            out.append(m)
     return out
+
+
+def enumerate_hda_morphisms_into_net_hda(source: Hda, net: PetriNet, target: Hda):
+    """The hom-set source -> target, where target is ``net``'s automaton.
+    Only a name for ``enumerate_hda_morphisms``, which perfbench/spans.py
+    still looks up."""
+    return enumerate_hda_morphisms(source, target)
 
 
 def enumerate_hda_morphisms(src: Hda, dst: Hda, budget: int = 100000):
@@ -456,58 +405,36 @@ def enumerate_hda_morphisms(src: Hda, dst: Hda, budget: int = 100000):
     label_targets = [STAR] + sorted_by_key(dst.alphabet)
     if len(label_targets) ** len(labels) > budget:
         raise SizeLimit("label-map space too large")
-    cells_in_order = [c for n in range(src.max_dim + 1) for c in src.cells(n)]
-    out = []
+    cells = [c for n in range(src.max_dim + 1) for c in src.cells(n)]
+    slot_of = {c: len(labels) + k for k, c in enumerate(cells)}
 
     dst_by_label: dict = {}
     for n in range(dst.max_dim + 1):
         for cell in dst.cells(n):
             dst_by_label.setdefault(dst.labeling[cell], []).append(cell)
 
-    for lam_choice in itertools.product(label_targets, repeat=len(labels)):
-        lam = dict(zip(labels, lam_choice))
+    def options(pos, partial):
+        if pos < len(labels):
+            return label_targets
+        cell = cells[pos - len(labels)]
+        if cell == src.initial:
+            return [DegeneracyWitness(dst.initial)]
+        lam = dict(zip(labels, partial))
+        word = tuple(lam.get(e, STAR) if e != STAR else STAR for e in src.labeling[cell])
+        stars = tuple(i for i, e in enumerate(word) if e == STAR)
+        kept = tuple(e for e in word if e != STAR)
+        faces = [(i, sign, partial[slot_of[src.skeleton.face(cell, i, sign)]])
+                 for i in range(cell.dim) for sign in ("-", "+")]
+        witnesses = (DegeneracyWitness(base, stars) for base in dst_by_label.get(kept, ()))
+        return [w for w in witnesses
+                if all(cell_face(dst.complex, w, i, sign) == face for i, sign, face in faces)]
 
-        def word_image(w):
-            return tuple(lam.get(e, STAR) if e != STAR else STAR for e in w)
-
-        assignment: dict = {}
-
-        def candidates(cell):
-            word = word_image(src.labeling[cell])
-            stars = tuple(i for i, e in enumerate(word) if e == STAR)
-            kept = tuple(e for e in word if e != STAR)
-            for base in dst_by_label.get(kept, ()):
-                witness = DegeneracyWitness(base, stars)
-                ok = True
-                for i in range(cell.dim):
-                    for sign in ("-", "+"):
-                        expected = assignment.get(src.skeleton.face(cell, i, sign))
-                        if expected is not None and \
-                           cell_face(dst.complex, witness, i, sign) != expected:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    yield witness
-
-        def assign(pos):
-            if pos == len(cells_in_order):
-                m = HdaMorphism(cell_map=dict(assignment), label_map=dict(lam))
-                if validate_hda_morphism(m, src, dst).ok:
-                    out.append(m)
-                return
-            cell = cells_in_order[pos]
-            if cell == src.initial:
-                options = [DegeneracyWitness(dst.initial)]
-            else:
-                options = candidates(cell)
-            for witness in options:
-                assignment[cell] = witness
-                assign(pos + 1)
-                del assignment[cell]
-
-        assign(0)
+    out = []
+    for values in backtrack(labels + cells, options):
+        m = HdaMorphism(cell_map=dict(zip(cells, values[len(labels):])),
+                        label_map=dict(zip(labels, values)))
+        if validate_hda_morphism(m, src, dst).ok:
+            out.append(m)
     return out
 
 
@@ -527,7 +454,7 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
         target = pn_to_hda(net, max_states, max_dim, truncate_cells=True)
         try:
             pn_homs = enumerate_pn_morphisms(synth.net, net)
-            hda_homs = enumerate_hda_morphisms_into_net_hda(source, net, target)
+            hda_homs = enumerate_hda_morphisms(source, target)
         except SizeLimit:
             report.skipped += 1
             continue
@@ -652,32 +579,22 @@ def _iso_ts(a: TransitionSystem, b: TransitionSystem, node_limit: int,
         return (tuple(out), tuple(inn))
 
     sig_a = {s: signature(a, s) for s in a_states}
-    sig_b = {s: signature(b, s) for s in b_states}
+    b_by_sig: dict = {}
+    for t in b_states:
+        b_by_sig.setdefault(signature(b, t), []).append(t)
 
-    def backtrack(assign, remaining):
-        if not remaining:
-            mapped = {(assign[s], e, assign[q]) for (s, e, q) in a.trans}
-            if mapped != set(b.trans):
-                return None
-            if extra is not None and not extra(assign):
-                return None
-            return dict(assign)
-        s = remaining[0]
-        for t in b_states:
-            if t in assign.values() or sig_a[s] != sig_b[t]:
-                continue
-            if s == a.initial and t != b.initial:
-                continue
-            if t == b.initial and s != a.initial:
-                continue
-            assign[s] = t
-            found = backtrack(assign, remaining[1:])
-            if found:
-                return found
-            del assign[s]
-        return None
+    def options(pos, partial):
+        s = a_states[pos]
+        used = set(partial)
+        return [t for t in b_by_sig.get(sig_a[s], ())
+                if t not in used and (s == a.initial) == (t == b.initial)]
 
-    return backtrack({}, a_states)
+    for values in backtrack(a_states, options):
+        m = dict(zip(a_states, values))
+        if {(m[s], e, m[q]) for (s, e, q) in a.trans} == set(b.trans) and \
+           (extra is None or extra(m)):
+            return m
+    return None
 
 
 def _iso_es(a: EventStructure, b: EventStructure, node_limit: int):
@@ -685,8 +602,21 @@ def _iso_es(a: EventStructure, b: EventStructure, node_limit: int):
         raise SizeLimit("too many events")
     if len(a.events) != len(b.events):
         return None
-    for perm in itertools.permutations(sorted_by_key(b.events)):
-        m = dict(zip(sorted_by_key(a.events), perm))
+    a_events = sorted_by_key(a.events)
+    b_events = sorted_by_key(b.events)
+
+    def relations(es, x, y):
+        return ((x, y) in es.leq, (y, x) in es.leq, (x, y) in es.conflict, (y, x) in es.conflict)
+
+    def options(pos, partial):
+        # y may stand for x when every pair with an assigned event, and x
+        # with itself, is related in b exactly as in a
+        x = a_events[pos]
+        return [y for y in b_events if y not in partial and all(
+            relations(a, x, u) == relations(b, y, v) for u, v in zip(a_events, (*partial, y)))]
+
+    for values in backtrack(a_events, options):
+        m = dict(zip(a_events, values))
         if {(m[x], m[y]) for (x, y) in a.leq} == set(b.leq) and \
            {(m[x], m[y]) for (x, y) in a.conflict} == set(b.conflict):
             return m
@@ -730,61 +660,24 @@ def _iso_hda(a: Hda, b: Hda, node_limit: int):
         if len(a.cells(n)) != len(b.cells(n)):
             return None
 
-    mapping: dict[CellId, CellId] = {}
+    cells = [c for n in range(top + 1) for c in a.cells(n)]
+    slot_of = {c: k for k, c in enumerate(cells)}
 
-    def face_sig(h, cell, level):
-        if level == 0:
-            return ()
-        return tuple(h.labeling[h.skeleton.face(cell, i, sign)]
-                     for i in range(level) for sign in ("-", "+"))
+    def faces(h, cell):
+        return [h.skeleton.face(cell, i, sign) for i in range(cell.dim) for sign in ("-", "+")]
 
-    def candidates(h, cell, level, pool):
-        out = []
-        for other in pool:
-            if b.labeling[other] != a.labeling[cell]:
-                continue
-            if level > 0:
-                faces_a = [mapping.get(a.skeleton.face(cell, i, s))
-                           for i in range(level) for s in ("-", "+")]
-                faces_b = [b.skeleton.face(other, i, s)
-                           for i in range(level) for s in ("-", "+")]
-                if faces_a != faces_b:
-                    continue
-            out.append(other)
-        return out
+    def options(pos, partial):
+        cell = cells[pos]
+        used = set(partial)
+        images = [partial[slot_of[f]] for f in faces(a, cell)]
+        return [other for other in b.cells(cell.dim)
+                if other not in used and b.labeling[other] == a.labeling[cell]
+                and (cell == a.initial) == (other == b.initial) and faces(b, other) == images]
 
-    def solve(level):
-        if level > top:
-            # transpositions must commute with the bijection
-            for n in range(2, top + 1):
-                for cell in a.cells(n):
-                    for i in range(n - 1):
-                        if mapping[a.complex.transpose(cell, i)] != \
-                           b.complex.transpose(mapping[cell], i):
-                            return False
-            return True
-        cells = a.cells(level)
-
-        def assign(pos, used):
-            if pos == len(cells):
-                return solve(level + 1)
-            cell = cells[pos]
-            forced_initial = cell == a.initial
-            for cand in candidates(a, cell, level, b.cells(level)):
-                if cand in used:
-                    continue
-                if forced_initial and cand != b.initial:
-                    continue
-                if cand == b.initial and not forced_initial:
-                    continue
-                mapping[cell] = cand
-                if assign(pos + 1, used | {cand}):
-                    return True
-                del mapping[cell]
-            return False
-
-        return assign(0, frozenset())
-
-    if solve(0):
-        return dict(mapping)
+    for values in backtrack(cells, options):
+        m = dict(zip(cells, values))
+        # transpositions must commute with the bijection
+        if all(m[a.complex.transpose(cell, i)] == b.complex.transpose(m[cell], i)
+               for cell in cells for i in range(cell.dim - 1)):
+            return m
     return None

@@ -287,20 +287,12 @@ def validate_es(es: EventStructure) -> ValidationReport:
 
 def configurations(es: EventStructure) -> frozenset:
     """All downward-closed conflict-free subsets, as frozensets."""
-    def enabled(config, e):
-        if e in config:
-            return False
-        for (a, b) in es.leq:
-            if b == e and a != e and a not in config:
-                return False
-        return all((e, x) not in es.conflict for x in config)
-
     seen = {frozenset()}
     queue = deque([frozenset()])
     while queue:
         config = queue.popleft()
         for e in es.events:
-            if enabled(config, e):
+            if es_enabled(es, config, e):
                 nxt = config | {e}
                 if nxt not in seen:
                     seen.add(nxt)

@@ -30,6 +30,36 @@ def sorted_by_key(values):
     return sorted(values, key=canon_key)
 
 
+def backtrack(slots, options):
+    """Yield every full assignment of values to ``slots``, depth first.
+
+    ``options(pos, partial)`` gives the values allowed at ``slots[pos]``,
+    where ``partial`` is the list of values already chosen for
+    ``slots[:pos]``; it must not be changed.  Assignments come out as
+    tuples in slot order, in the order the options list their values.  An
+    explicit stack of iterators replaces recursion, so the depth of the
+    search is not bounded by the interpreter's recursion limit.
+    """
+    if not slots:
+        yield ()
+        return
+    partial: list = []
+    stack = [iter(options(0, partial))]
+    while stack:
+        for value in stack[-1]:
+            partial.append(value)
+            if len(partial) == len(slots):
+                yield tuple(partial)
+                partial.pop()
+            else:
+                stack.append(iter(options(len(partial), partial)))
+                break
+        else:
+            stack.pop()
+            if partial:
+                partial.pop()
+
+
 @dataclass
 class ValidationReport:
     """Accumulates violated axiom instances; empty means the subject is valid."""

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from hdabridge import jsonio, zoo
+from hdabridge import errors, jsonio, zoo
 from hdabridge.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -186,6 +186,14 @@ def test_help_documents_exit_codes(capsys):
     for name in ("ParseError", "UnknownKind", "NoSuchFunctor", "ExplosionLimit",
                  "DimensionCapExceeded", "CapExceeded", "NotLinear", "StarClash"):
         assert name in out
+    table = dict(line.split() for line in out.split("exit codes:\n")[1].splitlines())
+    own = [k for k in vars(errors).values()
+           if isinstance(k, type) and issubclass(k, errors.HdaBridgeError)
+           and "exit_code" in vars(k) and k is not errors.HdaBridgeError]
+    assert len(own) == 13
+    for klass in own:
+        assert table[klass.__name__] == str(klass.exit_code)
+    assert len(set(table.values())) == len(table)
 
 
 def test_translate_hda_back_to_models(tmp_path, capsys):

@@ -1,17 +1,21 @@
+import itertools
+
 import pytest
 
+from hdabridge.cubical import STAR, DegeneracyWitness
 from hdabridge.errors import SizeLimit
-from hdabridge.functors import acr_to_hda2, pn_to_hda, ts_to_hda1
+from hdabridge.functors import HdaMorphism, acr_to_hda2, pn_to_hda, ts_to_hda1, validate_hda_morphism
 from hdabridge.laws import (
     GENERATORS,
     VALIDATORS,
     GeneratorConfig,
+    _canon_hda_morphism,
     canonical_acr,
     canonical_ts,
     check_adjunction_pn_hda,
     check_comonad_identity,
     check_kleisli_lift,
-    enumerate_hda_morphisms_into_net_hda,
+    enumerate_hda_morphisms,
     enumerate_pn_morphisms,
     gen_acr,
     gen_es,
@@ -20,6 +24,7 @@ from hdabridge.laws import (
     iso_check,
 )
 from hdabridge.models import make_event_structure, make_pn, make_ts
+from hdabridge.util import sorted_by_key
 from hdabridge import zoo
 
 
@@ -99,7 +104,7 @@ def test_hom_sets_nonempty_and_matching():
     synth = hda_to_pn(source, 1)
     target = pn_to_hda(net, 50, 2)
     pn_homs = enumerate_pn_morphisms(synth.net, net)
-    hda_homs = enumerate_hda_morphisms_into_net_hda(source, net, target)
+    hda_homs = enumerate_hda_morphisms(source, target)
     assert len(pn_homs) == len(hda_homs) > 0
 
 
@@ -221,17 +226,58 @@ def test_iso_check_pn_rename():
     assert iso_check(net, other) is None
 
 
-def test_general_hda_morphism_enumeration_agrees_with_net_targeted():
-    from hdabridge.functors import hda_to_pn, pn_to_hda, ts_to_hda1
-    from hdabridge.laws import _canon_hda_morphism
-    from hdabridge.models import make_pn, make_ts
+def brute_force_hda_homs(src, dst):
+    """Every label map and every witness assignment, kept when it passes
+    validate_hda_morphism."""
+    labels = sorted_by_key(src.alphabet)
+    label_targets = [STAR] + sorted_by_key(dst.alphabet)
+    cells = list(src.skeleton.all_cells())
 
-    source = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
-    net = make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})
-    target = pn_to_hda(net, 50, 2, truncate_cells=True)
-    fast = enumerate_hda_morphisms_into_net_hda(source, net, target)
-    from hdabridge.laws import enumerate_hda_morphisms
+    def witnesses(n):
+        return [DegeneracyWitness(base, stars)
+                for d in range(min(n, dst.max_dim) + 1) for base in dst.cells(d)
+                for stars in itertools.combinations(range(n), n - d)]
 
-    general = enumerate_hda_morphisms(source, target)
-    assert {_canon_hda_morphism(m) for m in fast} == \
-        {_canon_hda_morphism(m) for m in general}
+    found = set()
+    for lam in itertools.product(label_targets, repeat=len(labels)):
+        for images in itertools.product(*(witnesses(c.dim) for c in cells)):
+            m = HdaMorphism(cell_map=dict(zip(cells, images)), label_map=dict(zip(labels, lam)))
+            if validate_hda_morphism(m, src, dst).ok:
+                found.add(_canon_hda_morphism(m))
+    return found
+
+
+def test_hda_morphism_enumeration_matches_brute_force():
+    single_edge = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
+    path2 = ts_to_hda1(make_ts(["x", "y", "z"], "x", ["a", "b"],
+                               [("x", "a", "y"), ("y", "b", "z")]))
+    nets = [
+        make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}}),
+        make_pn(["p", "q"], {"p": 1}, ["u", "v"], {"u": {"p": 1}, "v": {"q": 1}},
+                {"u": {"q": 1}, "v": {}}),
+        zoo.two_mutex_net(),
+    ]
+    for source in (single_edge, path2):
+        for net in nets:
+            target = pn_to_hda(net, 200, 2, truncate_cells=True)
+            homs = enumerate_hda_morphisms(source, target)
+            assert len({_canon_hda_morphism(m) for m in homs}) == len(homs)
+            assert {_canon_hda_morphism(m) for m in homs} == brute_force_hda_homs(source, target)
+
+
+def test_hda_morphism_enumeration_deep_source():
+    n = 700
+    chain = ts_to_hda1(make_ts([f"s{i}" for i in range(n)], "s0", ["a"],
+                               [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]))
+    loop = ts_to_hda1(make_ts(["s"], "s", ["a"], [("s", "a", "s")]))
+    homs = enumerate_hda_morphisms(chain, loop)
+    assert sorted(m.label_map["a"] for m in homs) == sorted([STAR, "a"])
+
+
+def test_iso_check_deep_chain():
+    n = 1200
+    states = [f"s{i}" for i in range(n)]
+    trans = [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]
+    m = iso_check(make_ts(states, "s0", ["a"], trans), make_ts(states, "s0", ["a"], trans),
+                  node_limit=5000)
+    assert m == {s: s for s in states}
