@@ -3,7 +3,6 @@
 from .cubical import (
     STAR,
     CellId,
-    CubicalComplex,
     DegeneracyWitness,
     Hda,
     PrecubicalComplex,

@@ -62,6 +62,14 @@ def write_text(path: str, text: str) -> None:
         fp.write(text)
 
 
+def _valid(kind: str, model) -> bool:
+    """Run the kind's validator; print its report on stderr if it fails."""
+    report = VALIDATORS[kind](model)
+    if not report.ok:
+        print(report, file=sys.stderr)
+    return report.ok
+
+
 def cmd_validate(args) -> int:
     kind, model = jsonio.parse_document(read_text(args.path))
     report = VALIDATORS[kind](model)
@@ -94,6 +102,8 @@ def _translate(kind: str, model, args):
 
 def cmd_translate(args) -> int:
     kind, model = jsonio.parse_document(read_text(args.path))
+    if not _valid(kind, model):
+        return VALIDATION_FAILED
     out_kind, out_model = _translate(kind, model, args)
     write_text(args.output, jsonio.print_document(out_kind, out_model))
     return 0
@@ -131,6 +141,8 @@ def cmd_laws(args) -> int:
 
 def cmd_export_dot(args) -> int:
     kind, model = jsonio.parse_document(read_text(args.path))
+    if not _valid(kind, model):
+        return VALIDATION_FAILED
     if kind in ("ts", "lts"):
         h = ts_to_hda1(model if kind == "ts" else model.ts)
     elif kind == "acr":

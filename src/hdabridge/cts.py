@@ -59,9 +59,6 @@ class Cts:
     delta: Mapping                       # (state, event) -> state
     enabled: Callable[[object, Multiset], bool]
 
-    def step(self, state, event):
-        return self.delta.get((state, event))
-
     def successor(self, state, m: Multiset):
         """Fire the multiset in canonical order; None when a step is missing."""
         current = state
@@ -276,7 +273,7 @@ def es_to_cts(es: EventStructure) -> Cts:
         if len(set(m)) != len(m):
             return False
         for e in m:
-            if not es_enabled(es, x, e):
+            if (x, e) not in delta:
                 return False
         for a, b in itertools.combinations(m, 2):
             if (a, b) in es.conflict:
@@ -298,12 +295,7 @@ def pn_to_cts(n: PetriNet, max_states: int) -> Cts:
     """States are the reachable markings; a multiset is enabled when the
     marking covers the sum of its preconditions."""
     graph = reachable_markings(n, max_states)
-
-    delta = {}
-    for m in graph.markings:
-        for e in n.events:
-            if m >= n.pre[e]:
-                delta[(m, e)] = (m - n.pre[e]) + n.post[e]
+    delta = {(m, e): m2 for m, e, m2 in graph.steps}
 
     def enabled(m, ms: Multiset) -> bool:
         if m not in graph.markings:

@@ -1,5 +1,5 @@
-"""Finite cubical machinery: precubical, cubical and symmetric cubical
-complexes, label words, and higher dimensional automata.
+"""Finite cubical machinery: precubical and symmetric cubical complexes,
+label words, and higher dimensional automata.
 
 Representation
 --------------
@@ -114,13 +114,6 @@ class PrecubicalComplex:
 
 
 @dataclass(frozen=True)
-class CubicalComplex:
-    """Cubical set presented by its non-degenerate skeleton."""
-
-    skeleton: PrecubicalComplex
-
-
-@dataclass(frozen=True)
 class SymmetricCubicalComplex:
     """Cubical set with adjacent-transposition maps on each dimension n >= 2.
 
@@ -131,10 +124,6 @@ class SymmetricCubicalComplex:
     skeleton: PrecubicalComplex
     transpositions: Mapping[tuple[int, int], Mapping[int, int]]
 
-    @property
-    def underlying(self) -> CubicalComplex:
-        return CubicalComplex(self.skeleton)
-
     def transpose(self, cell: CellId, i: int) -> CellId:
         if not 0 <= i <= cell.dim - 2:
             raise IndexOutOfRange(f"transposition index {i} out of range for dimension {cell.dim}")
@@ -144,7 +133,7 @@ class SymmetricCubicalComplex:
         return CellId(cell.dim, table[cell.index])
 
 
-Complex = Union[PrecubicalComplex, CubicalComplex, SymmetricCubicalComplex]
+Complex = Union[PrecubicalComplex, SymmetricCubicalComplex]
 
 
 def skeleton_of(c: Complex) -> PrecubicalComplex:
@@ -634,8 +623,6 @@ def pad_skeleton(c: Complex, max_dim: int) -> Complex:
     padded = PrecubicalComplex(cells=cells, faces=dict(sk.faces), max_dim=max_dim)
     if isinstance(c, PrecubicalComplex):
         return padded
-    if isinstance(c, CubicalComplex):
-        return CubicalComplex(padded)
     return SymmetricCubicalComplex(padded, dict(c.transpositions))
 
 
@@ -689,7 +676,7 @@ def coskeleton_fill(c: Complex, from_dim: int, max_dim: int) -> Complex:
 
     A shell is a family of 2k faces satisfying the face-commutation grid,
     excluding folded families (two directions carrying the same face pair).
-    On plain (pre)cubical complexes the two orientations of a square shell
+    On precubical complexes the two orientations of a square shell
     are identified and the canonically smaller one is filled; symmetric
     complexes fill both and link them by the new transposition maps.
     Idempotent on shells already filled.
@@ -772,8 +759,6 @@ def coskeleton_fill(c: Complex, from_dim: int, max_dim: int) -> Complex:
     new_sk = PrecubicalComplex(cells=cells, faces=faces, max_dim=max(sk.max_dim, max_dim))
     if isinstance(c, PrecubicalComplex):
         return new_sk
-    if isinstance(c, CubicalComplex):
-        return CubicalComplex(new_sk)
     return SymmetricCubicalComplex(new_sk, transpositions)
 
 

@@ -10,6 +10,7 @@ from, which is what makes the round trips land on the original names.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -49,11 +50,10 @@ from .models import (
     PnMorphism,
     TransitionSystem,
     TsMorphism,
-    successor,
     validate_acr,
     validate_es,
 )
-from .util import ValidationReport, canon_key, sorted_by_key
+from .util import ValidationReport, backtrack, canon_key, sorted_by_key
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +219,12 @@ def acr_to_hda2(a: Acr) -> Hda:
     for (s, x, y) in a.indep:
         squares.append((s, x, y))
     cells_by_dim = {0: list(t.states), 1: edges, 2: squares}
+    step = {(s, e): s2 for s, e, s2 in t.trans}
 
     def closing(s, x, y):
-        s1 = successor(t, s, x)
-        s2 = successor(t, s, y)
-        r = successor(t, s1, y)
-        return s1, s2, r
+        s1 = step[(s, x)]
+        s2 = step[(s, y)]
+        return s1, s2, step[(s1, y)]
 
     def face_key(n, key, i, sign):
         if n == 1:
@@ -406,6 +406,16 @@ class Region:
         return ("region", canon_key(self.flows), canon_key(self.tokens))
 
 
+def _coherent(flows, source_tokens: int, target_tokens: int) -> bool:
+    """The region rule on one cell, from the (consumed, produced) flows of
+    its word's labels and the tokens at its two ends: both ends hold
+    enough tokens and the token difference equals the word's flow."""
+    pre = sum(a for a, _ in flows)
+    post = sum(b for _, b in flows)
+    return source_tokens >= pre and target_tokens >= post and \
+        source_tokens - pre == target_tokens - post
+
+
 def region_check(h: Hda, reg: Region) -> bool:
     """Coherence on every cell: both ends carry enough tokens and the
     difference matches the flow of the label."""
@@ -419,10 +429,9 @@ def region_check(h: Hda, reg: Region) -> bool:
             return False
     for n in range(h.max_dim + 1):
         for cell in h.cells(n):
-            pre, post = reg.word_flow(h.labeling[cell])
-            sx = tokens[zero_source(h.complex, cell)]
-            tx = tokens[zero_target(h.complex, cell)]
-            if sx < pre or tx < post or sx - pre != tx - post:
+            if not _coherent([flows.get(e, (0, 0)) for e in h.labeling[cell]],
+                             tokens[zero_source(h.complex, cell)],
+                             tokens[zero_target(h.complex, cell)]):
                 return False
     return True
 
@@ -430,111 +439,60 @@ def region_check(h: Hda, reg: Region) -> bool:
 def enumerate_regions(h: Hda, cap: int) -> frozenset:
     """All regions with every flow and token value bounded by ``cap``.
 
-    For each flow assignment the token counts are forced along edges up to
-    one additive offset per connected component of the 1-skeleton; offsets
-    are then enumerated within the cap and the higher cells checked.
+    One search on ``util.backtrack``.  Its slots are the vertices' token
+    counts and the labels' (consumed, produced) flows, in the order of a
+    breadth-first walk of the 1-skeleton that puts each edge's label just
+    before the vertex the edge reaches; labels on no cell come last.  Each
+    cell is tested at the slot where its last label or end gets a value,
+    so an edge that closes a cycle rejects flows while labels are still
+    being chosen.
     """
-    vertices = h.cells(0)
-    labels = tuple(sorted_by_key(h.alphabet))
-    edges = []
+    slots: dict = {}  # ("token", vertex) or ("flow", label) -> position
+    adjacent = {v: [] for v in h.cells(0)}
     for e in h.cells(1):
-        edges.append((h.skeleton.face(e, 0, "-"), h.skeleton.face(e, 0, "+"),
-                      h.labeling[e]))
-
-    # connected components of the 1-skeleton
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for s, t, _ in edges:
-        parent[find(s)] = find(t)
-    components: dict[CellId, list[CellId]] = {}
-    for v in vertices:
-        components.setdefault(find(v), []).append(v)
-
-    higher = [(cell, h.labeling[cell], zero_source(h.complex, cell),
-               zero_target(h.complex, cell))
-              for n in range(2, h.max_dim + 1) for cell in h.cells(n)]
-
-    out = set()
-    values = range(cap + 1)
-    for combo in itertools.product(itertools.product(values, values), repeat=len(labels)):
-        flows = dict(zip(labels, combo))
-
-        def flow_of(word):
-            pre = post = 0
-            for e in word:
-                if e == STAR:
-                    continue
-                a, b = flows[e]
-                pre += a
-                post += b
-            return pre, post
-
-        # propagate relative token counts inside each component
-        rel = {}
-        consistent = True
-        for root, members in components.items():
-            rel[members[0]] = 0
-            queue = [members[0]]
-            adjacency = {}
-            for s, t, w in edges:
-                pre, post = flow_of(w)
-                adjacency.setdefault(s, []).append((t, post - pre))
-                adjacency.setdefault(t, []).append((s, pre - post))
-            while queue:
-                v = queue.pop()
-                for u, diff in adjacency.get(v, ()):
-                    if u in rel:
-                        if rel[u] != rel[v] + diff:
-                            consistent = False
-                    else:
-                        rel[u] = rel[v] + diff
-                        queue.append(u)
-            if not consistent:
-                break
-        if not consistent:
+        s, t = zero_source(h.complex, e), zero_target(h.complex, e)
+        adjacent[s].append((h.labeling[e], t))
+        adjacent[t].append((h.labeling[e], s))
+    for root in adjacent:
+        if ("token", root) in slots:
             continue
+        slots[("token", root)] = len(slots)
+        queue = deque([root])
+        while queue:
+            for (a,), u in adjacent[queue.popleft()]:
+                slots.setdefault(("flow", a), len(slots))
+                if ("token", u) not in slots:
+                    slots[("token", u)] = len(slots)
+                    queue.append(u)
+    for a in sorted_by_key(h.alphabet):
+        slots.setdefault(("flow", a), len(slots))
 
-        # per component: admissible offsets keep every constraint within cap
-        choices = []
-        for root, members in sorted(components.items(), key=lambda kv: canon_key(kv[0])):
-            lo, hi = 0, cap
-            for v in members:
-                lo = max(lo, -rel[v])
-                hi = min(hi, cap - rel[v])
-            for s, t, w in edges:
-                if find(s) != root:
-                    continue
-                pre, post = flow_of(w)
-                lo = max(lo, pre - rel[s], post - rel[t])
-            ok_cells = []
-            for cell, w, src, tgt in higher:
-                if find(src) != root:
-                    continue
-                pre, post = flow_of(w)
-                if (rel[src] - pre) != (rel[tgt] - post):
-                    lo, hi = 1, 0  # coherence fails for every offset
-                    break
-                lo = max(lo, pre - rel[src], post - rel[tgt])
-            if lo > hi:
-                choices = None
-                break
-            choices.append((members, range(lo, hi + 1)))
-        if choices is None:
-            continue
+    # each cell of dimension >= 1 is checked at its last slot; a vertex
+    # alone is always coherent
+    checks = [[] for _ in slots]
+    for n in range(1, h.max_dim + 1):
+        for cell in h.cells(n):
+            word = [slots[("flow", a)] for a in h.labeling[cell]]
+            ends = (slots[("token", zero_source(h.complex, cell))],
+                    slots[("token", zero_target(h.complex, cell))])
+            checks[max(*word, *ends)].append((word, *ends))
 
-        for offsets in itertools.product(*(rng for _, rng in choices)):
-            tokens = {}
-            for (members, _), delta in zip(choices, offsets):
-                for v in members:
-                    tokens[v] = rel[v] + delta
-            out.add(Region.of(flows, tokens))
-    return frozenset(out)
+    tokens = range(cap + 1)
+    flows = [(a, b) for a in tokens for b in tokens]
+    domains = [tokens if kind == "token" else flows for kind, _ in slots]
+
+    def coherent(values, pos):
+        return all(_coherent([values[i] for i in word], values[s], values[t])
+                   for word, s, t in checks[pos])
+
+    def options(pos, partial):
+        return [v for v in domains[pos] if coherent(partial + [v], pos)]
+
+    names = list(slots)
+    return frozenset(
+        Region.of({a: v for (kind, a), v in zip(names, values) if kind == "flow"},
+                  {x: v for (kind, x), v in zip(names, values) if kind == "token"})
+        for values in backtrack(names, options))
 
 
 @dataclass(frozen=True)
@@ -728,6 +686,7 @@ def _graph_morphism_to_hda(m: TsMorphism, src_ts: TransitionSystem,
     over the image of the surviving face.
     """
     dst_by_key = dst_hda.cells_by_key()
+    step = {(s, e): s2 for s, e, s2 in src_ts.trans}
     cell_map = {}
     for cell in src_hda.skeleton.all_cells():
         key = src_hda.cell_keys[cell]
@@ -742,8 +701,7 @@ def _graph_morphism_to_hda(m: TsMorphism, src_ts: TransitionSystem,
                 cell_map[cell] = DegeneracyWitness(dst_by_key[m.sigma[s]], (0,))
         else:
             s, x, y = key
-            s1 = successor(src_ts, s, x)
-            s2 = successor(src_ts, s, y)
+            s1, s2 = step[(s, x)], step[(s, y)]
             tx, ty = m.tau.get(x), m.tau.get(y)
             if tx is not None and ty is not None:
                 cell_map[cell] = DegeneracyWitness(dst_by_key[(m.sigma[s], tx, ty)])

@@ -583,11 +583,22 @@ def _iso_ts(a: TransitionSystem, b: TransitionSystem, node_limit: int,
     for t in b_states:
         b_by_sig.setdefault(signature(b, t), []).append(t)
 
+    # each transition must have an image once both its ends have a value
+    pos_of = {s: i for i, s in enumerate(a_states)}
+    closed_by: dict = {s: [] for s in a_states}
+    for p, e, q in a.trans:
+        closed_by[max(p, q, key=pos_of.__getitem__)].append((p, e, q))
+
     def options(pos, partial):
         s = a_states[pos]
         used = set(partial)
+
+        def image(x, t):
+            return t if x == s else partial[pos_of[x]]
+
         return [t for t in b_by_sig.get(sig_a[s], ())
-                if t not in used and (s == a.initial) == (t == b.initial)]
+                if t not in used and (s == a.initial) == (t == b.initial)
+                and all((image(p, t), e, image(q, t)) in b.trans for p, e, q in closed_by[s])]
 
     for values in backtrack(a_states, options):
         m = dict(zip(a_states, values))

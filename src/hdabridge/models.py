@@ -154,14 +154,6 @@ def make_acr(states, initial, events, trans, indep) -> Acr:
     return Acr(ts=make_ts(states, initial, events, trans), indep=frozenset(pairs))
 
 
-def successor(t: TransitionSystem, s, e):
-    """The unique e-successor of s, if any (assumes determinism)."""
-    for (p, ev, q) in t.trans:
-        if p == s and ev == e:
-            return q
-    return None
-
-
 def validate_acr(a: Acr) -> ValidationReport:
     report = validate_ts(a.ts)
     report.subject = "automaton with concurrency relations"
@@ -390,9 +382,6 @@ class Marking:
     def __ge__(self, other: "Marking") -> bool:
         mine = dict(self.items)
         return all(mine.get(p, 0) >= n for p, n in other.items)
-
-    def scaled(self, k: int) -> "Marking":
-        return Marking.of({p: n * k for p, n in self.items})
 
     def deficient_place(self, other: "Marking"):
         """First place where self < other, or None."""

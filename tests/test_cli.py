@@ -109,6 +109,29 @@ def test_translate_explosion_limit(tmp_path, capsys):
     assert code == 7
 
 
+def test_translate_rejects_dangling_ts_target(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "ts_mutex_square.json").read_text())
+    doc["trans"].append(["z", "e1", "nowhere"])
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("translate", str(path), "--to", "hda"), ("export-dot", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        assert "transition target 'nowhere' not a state" in err
+
+
+def test_translate_rejects_hda_initial_not_a_vertex(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "hda_three_free_events.json").read_text())
+    doc["initial"] = 99
+    path = tmp_path / "initial.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "translate", str(path), "--to", "ts")
+    assert code == 5
+    assert out == ""
+    assert "is not a 0-cell" in err
+
+
 def test_laws_suite_pass(capsys):
     code, out, _ = run(capsys, "laws", "--suite", "comonad-sts", "--count", "15",
                        "--seed", "1")

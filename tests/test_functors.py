@@ -332,13 +332,26 @@ def brute_force_regions(h, cap):
 
 
 def test_enumerate_regions_matches_brute_force():
-    for build in [lambda: ts_to_hda1(zoo.mutex_square_ts()),
-                  lambda: acr_to_hda2(zoo.mutex_square_acr(True)),
-                  lambda: ts_to_hda1(make_ts(["s"], "s", [], [])),
-                  lambda: es_to_hda(make_event_structure("ab", conflicts=[("a", "b")]))]:
-        h = build()
-        for cap in (1, 2):
-            assert enumerate_regions(h, cap) == brute_force_regions(h, cap), build
+    cycle4 = [(f"s{i}", a, f"s{(i + 1) % 4}") for i, a in enumerate("abcd")]
+    # (automaton, caps at which the brute force is cheap enough)
+    cases = [
+        (ts_to_hda1(zoo.mutex_square_ts()), (1, 2)),
+        (acr_to_hda2(zoo.mutex_square_acr(True)), (1, 2)),
+        (ts_to_hda1(make_ts(["s"], "s", [], [])), (1, 2)),
+        (es_to_hda(make_event_structure("ab", conflicts=[("a", "b")])), (1, 2)),
+        # a self-loop
+        (ts_to_hda1(make_ts(["s"], "s", ["a"], [("s", "a", "s")])), (1, 2)),
+        # a label on no edge
+        (ts_to_hda1(make_ts(["x", "y"], "x", ["a", "b"], [("x", "a", "y")])), (1, 2)),
+        # two components
+        (ts_to_hda1(make_ts(["w", "x", "y", "z"], "w", ["a", "b"],
+                            [("w", "a", "x"), ("y", "b", "z")])), (1, 2)),
+        (ts_to_hda1(make_ts(["s0", "s1", "s2", "s3"], "s0", "abcd", cycle4)), (1,)),
+        (es_to_hda(make_event_structure("abc")), (1,)),
+    ]
+    for h, caps in cases:
+        for cap in caps:
+            assert enumerate_regions(h, cap) == brute_force_regions(h, cap), (h.cell_keys, cap)
 
 
 def test_nine_places_recovered():

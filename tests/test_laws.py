@@ -281,3 +281,14 @@ def test_iso_check_deep_chain():
     m = iso_check(make_ts(states, "s0", ["a"], trans), make_ts(states, "s0", ["a"], trans),
                   node_limit=5000)
     assert m == {s: s for s in states}
+
+
+def test_iso_check_renamed_chain():
+    # every inner state has the same signature, so only the transitions to
+    # states already assigned keep this search from trying n! maps
+    n = 60
+    states = [f"s{i}" for i in range(n)]
+    trans = [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]
+    rev = {f"s{i}": f"s{n - 1 - i}" for i in range(n)}
+    renamed = make_ts(states, rev["s0"], ["a"], [(rev[p], e, rev[q]) for p, e, q in trans])
+    assert iso_check(make_ts(states, "s0", ["a"], trans), renamed, node_limit=5000) == rev
