@@ -36,7 +36,7 @@ from .models import (
     validate_pn,
     validate_ts,
 )
-from .cts import Cts, CtsMorphism, cts_morphism_to_hda_morphism, cts_to_hda, es_to_cts, pn_to_cts, validate_cts
+from .cts import Cts, CtsMorphism, cts_to_hda, es_to_cts, pn_to_cts, validate_cts
 from .functors import (
     HdaMorphism,
     Region,
@@ -47,6 +47,7 @@ from .functors import (
     hda2_to_acr,
     hda_to_es,
     hda_to_pn,
+    induced_morphism,
     map_morphism,
     pn_to_hda,
     region_check,

@@ -14,13 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .cubical import (
-    STAR,
-    DegeneracyWitness,
-    Hda,
-    LabelWord,
-    index_complex,
-)
+from .cubical import STAR, Hda, index_complex
 from .errors import DimensionCapExceeded
 from .models import EventStructure, PetriNet, configurations, es_enabled, reachable_markings
 from .util import ValidationReport, canon_key, sorted_by_key
@@ -81,9 +75,6 @@ class CtsMorphism:
         if label == STAR:
             return STAR
         return self.lam.get(label, STAR)
-
-    def word_image(self, w: LabelWord) -> LabelWord:
-        return tuple(STAR if e == STAR or e not in self.tau else self.tau[e] for e in w)
 
 
 def validate_cts(c: Cts, max_word: int) -> ValidationReport:
@@ -226,30 +217,6 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
         initial=by_key[(c.initial, ())],
         cell_keys=keys,
     )
-
-
-def cts_morphism_to_hda_morphism(f: CtsMorphism, src_hda: Hda, dst_hda: Hda):
-    """Cell map (x, w) -> (sigma x, tau w); dropped letters become collapsed
-    positions of the image cell."""
-    from .functors import HdaMorphism  # deferred: functors depends on this module
-
-    dst_by_key = dst_hda.cells_by_key()
-    cell_map = {}
-    for cell in src_hda.skeleton.all_cells():
-        x, w = src_hda.cell_keys[cell]
-        image_word = tuple(f.tau.get(e) for e in w)
-        stars = tuple(i for i, e in enumerate(image_word) if e is None)
-        kept = tuple(e for e in image_word if e is not None)
-        state = f.sigma[x]
-        # advance past dropped letters: their steps collapse in the image,
-        # but the base cell sits at the image of the source state
-        base_key = (state, kept)
-        if base_key not in dst_by_key:
-            raise KeyError(f"image cell {base_key!r} missing in the target automaton")
-        base = dst_by_key[base_key]
-        cell_map[cell] = DegeneracyWitness(base, stars)
-    lam = {a: f.label_image(a) for a in src_hda.alphabet}
-    return HdaMorphism(cell_map=cell_map, label_map=lam)
 
 
 # ---------------------------------------------------------------------------

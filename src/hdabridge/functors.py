@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .cts import CtsMorphism, cts_morphism_to_hda_morphism, cts_to_hda, es_to_cts, pn_to_cts
+from .cts import cts_to_hda, es_to_cts, pn_to_cts
 from .cubical import (
     STAR,
     CellId,
@@ -28,8 +28,6 @@ from .cubical import (
     index_complex,
     nest_witness,
     truncate,
-    zero_source,
-    zero_target,
 )
 from .errors import (
     CapExceeded,
@@ -133,6 +131,47 @@ def validate_hda_morphism(m: HdaMorphism, src: Hda, dst: Hda) -> ValidationRepor
             if lhs != rhs:
                 report.add(f"transposition {i} not natural at {cell}")
     return report
+
+
+def _zero_ends(h: Hda) -> dict:
+    """Each cell's 0-source and 0-target vertices, in one pass per
+    dimension over the face tables (n,0,-) and (n,0,+)."""
+    ends = {v: (v, v) for v in h.cells(0)}
+    for n in range(1, h.max_dim + 1):
+        low, high = h.skeleton.faces.get((n, 0, "-"), {}), h.skeleton.faces.get((n, 0, "+"), {})
+        for cell in h.cells(n):
+            ends[cell] = (ends[CellId(n - 1, low[cell.index])][0],
+                          ends[CellId(n - 1, high[cell.index])][1])
+    return ends
+
+
+def induced_morphism(src: Hda, dst: Hda, vertex_map: Mapping, label_map: Mapping) -> HdaMorphism:
+    """The morphism fixed by where it sends vertices and labels.
+
+    ``vertex_map`` sends each vertex of ``src`` to a vertex of ``dst``;
+    the labels that ``label_map`` leaves out or sends to STAR are dropped.
+    Each cell goes to the cell of ``dst`` with the image 0-source, the
+    image 0-target and the image word; dropped letters become collapsed
+    positions.  In every automaton built from a model that key names at
+    most one cell; two cells sharing it raise instead of one being picked.
+    """
+    index = {}
+    for cell, (s, t) in _zero_ends(dst).items():
+        key = (s, t, dst.labeling[cell])
+        if key in index:
+            raise ValueError(f"cells {index[key]} and {cell} share their 0-ends and label")
+        index[key] = cell
+    cell_map = {}
+    for cell, (s, t) in _zero_ends(src).items():
+        word = [label_map.get(e, STAR) for e in src.labeling[cell]]
+        kept = tuple(e for e in word if e != STAR)
+        key = (vertex_map[s], vertex_map[t], kept)
+        if key not in index:
+            raise OutOfReachableFragment(
+                f"cell over {kept!r} at {dst.key(key[0])!r} is outside the target")
+        cell_map[cell] = DegeneracyWitness(index[key], tuple(i for i, e in enumerate(word) if e == STAR))
+    return HdaMorphism(cell_map=cell_map,
+                       label_map={a: label_map.get(a, STAR) for a in src.alphabet})
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +306,8 @@ def hda2_to_acr(h: Hda) -> Acr:
     if not check_deterministic(low, 1):
         raise NotOneDeterministic("two edges share source and label")
     ts = hda1_to_ts(low)
-    indep = set()
-    for cell in low.cells(2):
-        s = low.key(zero_source(low.complex, cell))
-        x, y = low.labeling[cell]
-        indep.add((s, x, y))
+    ends = _zero_ends(low)
+    indep = {(low.key(ends[cell][0]), *low.labeling[cell]) for cell in low.cells(2)}
     a = Acr(ts=ts, indep=frozenset(indep))
     report = validate_acr(a)
     if not report.ok:
@@ -427,13 +463,8 @@ def region_check(h: Hda, reg: Region) -> bool:
     for v in h.cells(0):
         if v not in tokens:
             return False
-    for n in range(h.max_dim + 1):
-        for cell in h.cells(n):
-            if not _coherent([flows.get(e, (0, 0)) for e in h.labeling[cell]],
-                             tokens[zero_source(h.complex, cell)],
-                             tokens[zero_target(h.complex, cell)]):
-                return False
-    return True
+    return all(_coherent([flows.get(e, (0, 0)) for e in h.labeling[cell]], tokens[s], tokens[t])
+               for cell, (s, t) in _zero_ends(h).items())
 
 
 def enumerate_regions(h: Hda, cap: int) -> frozenset:
@@ -448,9 +479,10 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
     being chosen.
     """
     slots: dict = {}  # ("token", vertex) or ("flow", label) -> position
+    zero_ends = _zero_ends(h)
     adjacent = {v: [] for v in h.cells(0)}
     for e in h.cells(1):
-        s, t = zero_source(h.complex, e), zero_target(h.complex, e)
+        s, t = zero_ends[e]
         adjacent[s].append((h.labeling[e], t))
         adjacent[t].append((h.labeling[e], s))
     for root in adjacent:
@@ -473,8 +505,7 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
     for n in range(1, h.max_dim + 1):
         for cell in h.cells(n):
             word = [slots[("flow", a)] for a in h.labeling[cell]]
-            ends = (slots[("token", zero_source(h.complex, cell))],
-                    slots[("token", zero_target(h.complex, cell))])
+            ends = tuple(slots[("token", v)] for v in zero_ends[cell])
             checks[max(*word, *ends)].append((word, *ends))
 
     tokens = range(cap + 1)
@@ -501,32 +532,32 @@ class SynthesizedNet:
 
     net: PetriNet
     regions: Mapping  # place name -> Region
+    places: Mapping   # Region -> place name
 
     def place_of(self, reg: Region):
-        for name, r in self.regions.items():
-            if r == reg:
-                return name
-        return None
+        return self.places.get(reg)
 
 
 def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
-    """Synthesize the net whose places are the cap-bounded regions."""
-    regions = sorted_by_key(enumerate_regions(h, cap))
+    """Synthesize the net whose places are the cap-bounded regions.
+
+    Every region of ``h`` lists the same labels and vertices in the same
+    order, so ordering the regions by their values alone gives their
+    canonical order.
+    """
+    regions = sorted(enumerate_regions(h, cap),
+                     key=lambda r: (tuple(v for _, v in r.flows), tuple(n for _, n in r.tokens)))
     names = {f"p{i}": reg for i, reg in enumerate(regions)}
+    flows = {name: dict(reg.flows) for name, reg in names.items()}
     events = tuple(sorted_by_key(h.alphabet))
-    pre = {e: Marking.of({name: reg.flow(e)[0] for name, reg in names.items()})
-           for e in events}
-    post = {e: Marking.of({name: reg.flow(e)[1] for name, reg in names.items()})
-            for e in events}
-    m0 = Marking.of({name: reg.tokens_at(h.initial) for name, reg in names.items()})
     net = PetriNet(
         places=frozenset(names),
-        m0=m0,
+        m0=Marking.of({name: reg.tokens_at(h.initial) for name, reg in names.items()}),
         events=frozenset(events),
-        pre=pre,
-        post=post,
+        pre={e: Marking.of({name: flow[e][0] for name, flow in flows.items()}) for e in events},
+        post={e: Marking.of({name: flow[e][1] for name, flow in flows.items()}) for e in events},
     )
-    return SynthesizedNet(net=net, regions=names)
+    return SynthesizedNet(net=net, regions=names, places={reg: name for name, reg in names.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -539,34 +570,17 @@ def transpose_to_hda(f: PnMorphism, source: Hda, synth: SynthesizedNet,
     morphism into the net's automaton.
 
     A vertex goes to the marking that reads, at each place, the token count
-    of the place's pulled-back region; higher cells follow their 0-source
-    and the image of their label word.
+    of the place's pulled-back region; the labels follow the event map.
     """
-    target_by_key = target.cells_by_key()
-
-    def marking_at(vertex: CellId) -> Marking:
-        return Marking.of({p: synth.regions[f.phi[p]].tokens_at(vertex)
-                           for p in net.places})
-
-    cell_map = {}
+    target_by_key = {target.key(v): v for v in target.cells(0)}
+    vertex_map = {}
     for vertex in source.cells(0):
-        m = marking_at(vertex)
+        m = Marking.of({p: synth.regions[f.phi[p]].tokens_at(vertex) for p in net.places})
         if (m, ()) not in target_by_key:
             raise OutOfReachableFragment(
                 f"marking {m.to_dict()!r} of vertex {source.key(vertex)!r} is not reachable")
-        cell_map[vertex] = DegeneracyWitness(target_by_key[(m, ())])
-    for n in range(1, source.max_dim + 1):
-        for cell in source.cells(n):
-            word = tuple(f.psi.get(e) for e in source.labeling[cell])
-            stars = tuple(i for i, e in enumerate(word) if e is None)
-            kept = tuple(e for e in word if e is not None)
-            m = marking_at(zero_source(source.complex, cell))
-            if (m, kept) not in target_by_key:
-                raise OutOfReachableFragment(
-                    f"cell over {kept!r} at {m.to_dict()!r} is outside the target caps")
-            cell_map[cell] = DegeneracyWitness(target_by_key[(m, kept)], stars)
-    lam = {a: f.psi.get(a, STAR) for a in source.alphabet}
-    return HdaMorphism(cell_map=cell_map, label_map=lam)
+        vertex_map[vertex] = target_by_key[(m, ())]
+    return induced_morphism(source, target, vertex_map, f.psi)
 
 
 def transpose_to_pn(g: HdaMorphism, source: Hda, synth: SynthesizedNet,
@@ -618,48 +632,33 @@ def map_morphism(functor: str, m, src, dst, **context):
     ``context`` carries whatever the translation itself needed (caps,
     precomputed automata), keyed by the same argument names.
     """
-    if functor == "ts_to_hda1":
-        return _graph_morphism_to_hda(
-            m, src,
-            context.get("src_hda") or ts_to_hda1(src),
-            context.get("dst_hda") or ts_to_hda1(dst))
-    if functor == "acr_to_hda2":
+    if functor in ("ts_to_hda1", "acr_to_hda2"):
+        build = ts_to_hda1 if functor == "ts_to_hda1" else acr_to_hda2
         base = m.base if isinstance(m, AcrMorphism) else m
-        return _graph_morphism_to_hda(
-            base, src.ts,
-            context.get("src_hda") or acr_to_hda2(src),
-            context.get("dst_hda") or acr_to_hda2(dst))
+        return _induced_on_keys(context.get("src_hda") or build(src),
+                                context.get("dst_hda") or build(dst),
+                                base.sigma.__getitem__, base.tau)
     if functor in ("hda1_to_ts", "hda2_to_acr"):
         sigma = {src.key(c): dst.key(m.cell_map[c].base) for c in src.cells(0)}
         tau = {a: b for a, b in m.label_map.items() if b != STAR}
         base = TsMorphism(sigma=sigma, tau=tau)
         return base if functor == "hda1_to_ts" else AcrMorphism(base)
     if functor == "es_to_hda":
-        src_cts = es_to_cts(src)
-        f = CtsMorphism(
-            sigma={x: frozenset(m.mapping[e] for e in x if e in m.mapping)
-                   for x in src_cts.states},
-            tau=dict(m.mapping),
-            lam=dict(m.mapping),
-        )
-        src_hda = context.get("src_hda") or es_to_hda(src)
-        dst_hda = context.get("dst_hda") or es_to_hda(dst)
-        return cts_morphism_to_hda_morphism(f, src_hda, dst_hda)
+        return _induced_on_keys(
+            context.get("src_hda") or es_to_hda(src),
+            context.get("dst_hda") or es_to_hda(dst),
+            lambda key: (frozenset(m.mapping[e] for e in key[0] if e in m.mapping), ()),
+            m.mapping)
     if functor == "hda_to_es":
         return EsMorphism({a: b for a, b in m.label_map.items() if b != STAR})
     if functor == "pn_to_hda":
         max_states = context.get("max_states", 10000)
         max_dim = context.get("max_dim", 3)
-        src_cts = pn_to_cts(src, max_states)
-        f = CtsMorphism(
-            sigma={mk: Marking.of({p: mk.get(m.phi[p]) for p in dst.places})
-                   for mk in src_cts.states},
-            tau=dict(m.psi),
-            lam=dict(m.psi),
-        )
-        src_hda = context.get("src_hda") or pn_to_hda(src, max_states, max_dim)
-        dst_hda = context.get("dst_hda") or pn_to_hda(dst, max_states, max_dim)
-        return cts_morphism_to_hda_morphism(f, src_hda, dst_hda)
+        return _induced_on_keys(
+            context.get("src_hda") or pn_to_hda(src, max_states, max_dim),
+            context.get("dst_hda") or pn_to_hda(dst, max_states, max_dim),
+            lambda key: (Marking.of({p: key[0].get(m.phi[p]) for p in dst.places}), ()),
+            m.psi)
     if functor == "hda_to_pn":
         cap = context.get("cap", 1)
         src_synth = context.get("src_synth") or hda_to_pn(src, cap)
@@ -678,40 +677,9 @@ def map_morphism(functor: str, m, src, dst, **context):
     raise ValueError(f"no morphism action for functor {functor!r}")
 
 
-def _graph_morphism_to_hda(m: TsMorphism, src_ts: TransitionSystem,
-                           src_hda: Hda, dst_hda: Hda) -> HdaMorphism:
-    """Cell map induced on vertices, edges, and independence squares.
-
-    Dropped events collapse their direction: the image is a degenerate cell
-    over the image of the surviving face.
-    """
-    dst_by_key = dst_hda.cells_by_key()
-    step = {(s, e): s2 for s, e, s2 in src_ts.trans}
-    cell_map = {}
-    for cell in src_hda.skeleton.all_cells():
-        key = src_hda.cell_keys[cell]
-        if cell.dim == 0:
-            cell_map[cell] = DegeneracyWitness(dst_by_key[m.sigma[key]])
-        elif cell.dim == 1:
-            s, e, s2 = key
-            if e in m.tau:
-                image = (m.sigma[s], m.tau[e], m.sigma[s2])
-                cell_map[cell] = DegeneracyWitness(dst_by_key[image])
-            else:
-                cell_map[cell] = DegeneracyWitness(dst_by_key[m.sigma[s]], (0,))
-        else:
-            s, x, y = key
-            s1, s2 = step[(s, x)], step[(s, y)]
-            tx, ty = m.tau.get(x), m.tau.get(y)
-            if tx is not None and ty is not None:
-                cell_map[cell] = DegeneracyWitness(dst_by_key[(m.sigma[s], tx, ty)])
-            elif tx is None and ty is None:
-                cell_map[cell] = DegeneracyWitness(dst_by_key[m.sigma[s]], (0, 1))
-            elif tx is None:
-                edge = dst_by_key[(m.sigma[s], ty, m.sigma[s2])]
-                cell_map[cell] = DegeneracyWitness(edge, (0,))
-            else:
-                edge = dst_by_key[(m.sigma[s], tx, m.sigma[s1])]
-                cell_map[cell] = DegeneracyWitness(edge, (1,))
-    lam = {a: m.tau.get(a, STAR) for a in src_hda.alphabet}
-    return HdaMorphism(cell_map=cell_map, label_map=lam)
+def _induced_on_keys(src_hda: Hda, dst_hda: Hda, image, label_map) -> HdaMorphism:
+    """The induced morphism whose vertex map reads each vertex's key and
+    sends it to the vertex keyed ``image(key)``."""
+    dst_by_key = {dst_hda.key(v): v for v in dst_hda.cells(0)}
+    vertex_map = {v: dst_by_key[image(src_hda.key(v))] for v in src_hda.cells(0)}
+    return induced_morphism(src_hda, dst_hda, vertex_map, label_map)

@@ -146,28 +146,59 @@ def _need(doc: dict, field: str):
     return doc[field]
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _name(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ParseError(f"{what} must be a string or a number, got {value!r}")
+    return value
+
+
+def _names(doc: dict, field: str) -> list:
+    return [_name(v, field) for v in _list(_need(doc, field), field)]
+
+
+def _tuples(doc: dict, field: str, size: int) -> list:
+    """The field's entries, each a list of ``size`` names."""
+    out = []
+    for value in _list(_need(doc, field), field):
+        if not isinstance(value, list) or len(value) != size:
+            raise ParseError(f"{field} entries must be {'pairs' if size == 2 else 'triples'}, "
+                             f"got {value!r}")
+        out.append(tuple(_name(v, field) for v in value))
+    return out
+
+
 def _parse_ts(doc: dict) -> TransitionSystem:
-    trans = [_triple(t, "trans") for t in _need(doc, "trans")]
     return TransitionSystem(
-        states=frozenset(_need(doc, "states")),
-        initial=_need(doc, "initial"),
-        events=frozenset(_need(doc, "events")),
-        trans=frozenset(trans),
+        states=frozenset(_names(doc, "states")),
+        initial=_name(_need(doc, "initial"), "initial"),
+        events=frozenset(_names(doc, "events")),
+        trans=frozenset(_tuples(doc, "trans", 3)),
     )
 
 
-def _triple(value, field: str) -> tuple:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ParseError(f"{field} entries must be triples, got {value!r}")
-    return tuple(value)
-
-
 def _parse_marking(obj, what: str) -> Marking:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{what} must be an object")
+    counts = {p: _int(n, f"{what}[{p}]") for p, n in _object(obj, what).items()}
     try:
-        return Marking.of(obj)
-    except (TypeError, ValueError) as err:
+        return Marking.of(counts)
+    except ValueError as err:
         raise ParseError(f"bad {what}: {err}") from err
 
 
@@ -184,34 +215,32 @@ def document_to_model(doc: dict):
         return kind, _parse_ts(doc)
     if kind == "lts":
         ts = _parse_ts(doc)
-        labeling = {e: l for e, l in _need(doc, "labeling").items()}
+        labeling = {e: _name(l, "labeling") for e, l in
+                    _object(_need(doc, "labeling"), "labeling").items()}
         return kind, LabeledTransitionSystem(
-            ts=ts, labels=frozenset(_need(doc, "labels")), labeling=labeling)
+            ts=ts, labels=frozenset(_names(doc, "labels")), labeling=labeling)
     if kind == "acr":
         ts = _parse_ts(doc)
-        indep = {_triple(t, "indep") for t in _need(doc, "indep")}
+        indep = set(_tuples(doc, "indep", 3))
         indep |= {(s, b, a) for (s, a, b) in indep}
         return kind, Acr(ts=ts, indep=frozenset(indep))
     if kind == "es":
-        events = frozenset(_need(doc, "events"))
-        leq = {(e, e) for e in events}
-        for pair in _need(doc, "causality"):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"causality entries must be pairs, got {pair!r}")
-            leq.add(tuple(pair))
+        events = frozenset(_names(doc, "events"))
+        leq = {(e, e) for e in events} | set(_tuples(doc, "causality", 2))
         conflict = set()
-        for pair in _need(doc, "conflict"):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"conflict entries must be pairs, got {pair!r}")
-            conflict.add(tuple(pair))
-            conflict.add((pair[1], pair[0]))
+        for a, b in _tuples(doc, "conflict", 2):
+            conflict |= {(a, b), (b, a)}
         return kind, EventStructure(events=events, leq=frozenset(leq),
                                     conflict=frozenset(conflict))
     if kind == "pnet":
-        events = list(_need(doc, "events"))
-        pre_doc, post_doc = _need(doc, "pre"), _need(doc, "post")
+        events = _names(doc, "events")
+        places = _names(doc, "places")
+        if not all(isinstance(p, str) for p in places):
+            raise ParseError(f"place names must be strings, got {places!r}")
+        pre_doc = _object(_need(doc, "pre"), "pre")
+        post_doc = _object(_need(doc, "post"), "post")
         return kind, PetriNet(
-            places=frozenset(_need(doc, "places")),
+            places=frozenset(places),
             m0=_parse_marking(_need(doc, "m0"), "m0"),
             events=frozenset(events),
             pre={e: _parse_marking(pre_doc.get(str(e), {}), f"pre[{e}]") for e in events},
@@ -220,40 +249,50 @@ def document_to_model(doc: dict):
     return kind, _parse_hda(doc)
 
 
+def _int_table(table, what: str) -> dict:
+    """An object from integer keys to integers."""
+    try:
+        return {int(a): _int(b, f"{what}[{a}]") for a, b in _object(table, what).items()}
+    except ValueError as err:
+        raise ParseError(f"bad {what}: {err}") from err
+
+
 def _parse_hda(doc: dict) -> Hda:
     try:
-        cells = {int(n): tuple(sorted(ids)) for n, ids in _need(doc, "cells").items()}
-    except (TypeError, ValueError) as err:
+        cells = {int(n): tuple(sorted(_int(i, "a cell index") for i in _list(ids, f"cells[{n}]")))
+                 for n, ids in _object(_need(doc, "cells"), "cells").items()}
+    except ValueError as err:
         raise ParseError(f"bad cells table: {err}") from err
     max_dim = max(cells, default=0)
     faces = {}
-    for key, table in _need(doc, "faces").items():
+    for key, table in _object(_need(doc, "faces"), "faces").items():
         try:
             n, i, sign = key.split(",")
-            faces[(int(n), int(i), sign)] = {int(a): int(b) for a, b in table.items()}
+            faces[(int(n), int(i), sign)] = _int_table(table, f"face table {key!r}")
         except ValueError as err:
             raise ParseError(f"bad face key {key!r}: {err}") from err
         if sign not in ("-", "+"):
             raise ParseError(f"bad face sign in key {key!r}")
     sym = {}
-    for key, table in doc.get("sym", {}).items():
+    for key, table in _object(doc.get("sym", {}), "sym").items():
         try:
             n, i = key.split(",")
-            sym[(int(n), int(i))] = {int(a): int(b) for a, b in table.items()}
+            sym[(int(n), int(i))] = _int_table(table, f"sym table {key!r}")
         except ValueError as err:
             raise ParseError(f"bad sym key {key!r}: {err}") from err
-    labels_doc = doc.get("labels", {})
+    labels_doc = _object(doc.get("labels", {}), "labels")
     labeling = {}
     for n in range(max_dim + 1):
         for idx in cells.get(n, ()):
             if n == 0:
                 labeling[CellId(0, idx)] = ()
                 continue
-            table = labels_doc.get(str(n), {})
+            table = _object(labels_doc.get(str(n), {}), f"labels[{n}]")
             if str(idx) not in table:
                 raise ParseError(f"cell ({n},{idx}) has no label")
-            labeling[CellId(n, idx)] = tuple(table[str(idx)])
-    initial = CellId(0, int(_need(doc, "initial")))
+            word = _list(table[str(idx)], f"label of cell ({n},{idx})")
+            labeling[CellId(n, idx)] = tuple(_name(e, "labels") for e in word)
+    initial = CellId(0, _int(_need(doc, "initial"), "initial"))
 
     # ingestion normalization: a lone idle-labeled self-loop denotes the
     # degenerate edge over its endpoint and is dropped; any other idle
@@ -289,7 +328,7 @@ def _parse_hda(doc: dict) -> Hda:
         for idx in droppable:
             labeling.pop(CellId(1, idx))
 
-    alphabet = tuple(sorted_by_key(set(_need(doc, "alphabet")) - {STAR}))
+    alphabet = tuple(sorted_by_key(set(_names(doc, "alphabet")) - {STAR}))
     complex_ = SymmetricCubicalComplex(
         skeleton=PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim),
         transpositions=sym,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -570,7 +571,26 @@ def _iso_ts(a: TransitionSystem, b: TransitionSystem, node_limit: int,
     if len(a.states) != len(b.states) or a.events != b.events or len(a.trans) != len(b.trans):
         return None
 
-    a_states = sorted_by_key(a.states)
+    # slots in breadth-first order over the transitions, either way, from
+    # the initial state and then from each state not yet reached, so each
+    # state after a root is assigned right after a neighbour
+    neighbours: dict = {s: set() for s in a.states}
+    for p, _, q in a.trans:
+        neighbours[p].add(q)
+        neighbours[q].add(p)
+    a_states: list = []
+    reached: set = set()
+    for root in [a.initial, *sorted_by_key(a.states)]:
+        if root not in neighbours or root in reached:
+            continue
+        reached.add(root)
+        queue = deque([root])
+        while queue:
+            s = queue.popleft()
+            a_states.append(s)
+            for u in sorted_by_key(neighbours[s] - reached):
+                reached.add(u)
+                queue.append(u)
     b_states = sorted_by_key(b.states)
 
     def signature(t, s):

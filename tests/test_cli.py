@@ -132,6 +132,49 @@ def test_translate_rejects_hda_initial_not_a_vertex(tmp_path, capsys):
     assert "is not a 0-cell" in err
 
 
+def _as_list(field):
+    def mutate(doc):
+        doc[field] = list(doc[field].values())
+    return mutate
+
+
+def _first_state_as_list(doc):
+    doc["states"][0] = [doc["states"][0]]
+
+
+def _initial_as_list(doc):
+    doc["initial"] = [doc["initial"]]
+
+
+def _fractional_tokens(doc):
+    doc["m0"] = {p: 1.5 for p in doc["m0"]}
+
+
+@pytest.mark.parametrize("fixture,mutate", [
+    ("hda_three_free_events.json", _as_list("cells")),
+    ("hda_three_free_events.json", _as_list("faces")),
+    ("hda_three_free_events.json", _as_list("sym")),
+    ("hda_three_free_events.json", _as_list("labels")),
+    ("pnet_two_mutex.json", _as_list("pre")),
+    ("ts_mutex_square.json", _first_state_as_list),
+    ("ts_mutex_square.json", _initial_as_list),
+    ("pnet_two_mutex.json", _fractional_tokens),
+], ids=["hda-cells", "hda-faces", "hda-sym", "hda-labels", "pnet-pre", "ts-state", "ts-initial",
+        "pnet-tokens"])
+def test_malformed_document_exits_3(tmp_path, capsys, fixture, mutate):
+    # each shape used to escape as an AttributeError or TypeError traceback,
+    # or (fractional tokens) to be truncated silently
+    doc = json.loads((FIXTURES / fixture).read_text())
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ParseError: ")
+    assert "Traceback" not in err
+
+
 def test_laws_suite_pass(capsys):
     code, out, _ = run(capsys, "laws", "--suite", "comonad-sts", "--count", "15",
                        "--seed", "1")

@@ -5,7 +5,6 @@ import pytest
 from hdabridge.cts import (
     Cts,
     CtsMorphism,
-    cts_morphism_to_hda_morphism,
     cts_to_hda,
     es_to_cts,
     multiset,
@@ -15,6 +14,7 @@ from hdabridge.cts import (
 )
 from hdabridge.cubical import STAR, DegeneracyWitness, validate_hda
 from hdabridge.errors import DimensionCapExceeded
+from hdabridge.functors import induced_morphism
 from hdabridge.models import make_event_structure, make_pn
 
 
@@ -135,6 +135,14 @@ def test_pn_hda_positive_faces_fire():
         assert h.cell_keys[face][0] == fire(n, marking, word)
 
 
+def induced_by(f: CtsMorphism, h_src, h_dst):
+    """The automaton morphism a CTS morphism induces on automata whose
+    events are their own labels: vertices by sigma, letters by tau."""
+    vertices = {h_dst.key(v): v for v in h_dst.cells(0)}
+    vertex_map = {v: vertices[(f.sigma[h_src.key(v)[0]], ())] for v in h_src.cells(0)}
+    return induced_morphism(h_src, h_dst, vertex_map, f.tau)
+
+
 def test_cts_identity_morphism_to_hda():
     es = make_event_structure("ab")
     c = es_to_cts(es)
@@ -145,7 +153,7 @@ def test_cts_identity_morphism_to_hda():
         lam={a: a for a in c.alphabet},
     )
     assert validate_cts_morphism(ident, c, c, 2).ok
-    hm = cts_morphism_to_hda_morphism(ident, h, h)
+    hm = induced_by(ident, h, h)
     for cell in h.skeleton.all_cells():
         assert hm.cell_map[cell] == DegeneracyWitness(cell)
 
@@ -161,7 +169,7 @@ def test_cts_morphism_dropping_event():
     assert validate_cts_morphism(f, src, dst, 2).ok
     h_src = cts_to_hda(src, 2)
     h_dst = cts_to_hda(dst, 1)
-    hm = cts_morphism_to_hda_morphism(f, h_src, h_dst)
+    hm = induced_by(f, h_src, h_dst)
     # the square maps to a degenerate cell over the a-edge
     square = next(c for c in h_src.cells(2) if h_src.labeling[c] == ("a", "b"))
     image = hm.cell_map[square]
@@ -184,9 +192,9 @@ def test_cts_morphism_composition_preserved():
         lam={a: g.label_image(f.label_image(a)) for a in c1.alphabet},
     )
     h1, h2, h3 = cts_to_hda(c1, 2), cts_to_hda(c2, 1), cts_to_hda(c3, 0)
-    m_f = cts_morphism_to_hda_morphism(f, h1, h2)
-    m_g = cts_morphism_to_hda_morphism(g, h2, h3)
-    m_gf = cts_morphism_to_hda_morphism(gf, h1, h3)
+    m_f = induced_by(f, h1, h2)
+    m_g = induced_by(g, h2, h3)
+    m_gf = induced_by(gf, h1, h3)
     from hdabridge.functors import compose_hda_morphisms
 
     assert compose_hda_morphisms(m_f, m_g).cell_map == m_gf.cell_map

@@ -19,6 +19,7 @@ from hdabridge.errors import (
     NotLinear,
     NotOneDeterministic,
     NotPartialOrder,
+    OutOfReachableFragment,
     SquareIncomplete,
     StarClash,
 )
@@ -34,6 +35,7 @@ from hdabridge.functors import (
     hda_to_es,
     hda_to_pn,
     identity_hda_morphism,
+    induced_morphism,
     map_morphism,
     pn_to_hda,
     region_check,
@@ -490,6 +492,20 @@ def test_transpose_roundtrip_small_pair():
     assert g2 == g
 
 
+def test_transpose_to_hda_rejects_unreachable_marking():
+    # the place pulls back to a region with a token at x, but the net starts
+    # empty and never marks p
+    h = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
+    synth = hda_to_pn(h, 1)
+    net = make_pn(["p"], {}, ["u"], {"u": {"p": 1}}, {"u": {}})
+    target = pn_to_hda(net, 50, 2)
+    f = PnMorphism(phi={"p": synth.place_of(
+        Region.of({"a": (1, 0)}, {v: 1 if h.key(v) == "x" else 0 for v in h.cells(0)}))},
+        psi={"a": "u"})
+    with pytest.raises(OutOfReachableFragment, match="of vertex 'x' is not reachable"):
+        transpose_to_hda(f, h, synth, net, target)
+
+
 def test_transpose_to_pn_cap_exceeded():
     h = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
     synth = hda_to_pn(h, 1)
@@ -584,6 +600,37 @@ def test_map_morphism_pn_dropped_event_degenerates():
     assert validate_hda_morphism(image, h_src, h_dst).ok
     e_edge = next(c for c in h_src.cells(1) if h_src.labeling[c] == ("e",))
     assert image.cell_map[e_edge].degenerate
+
+
+def test_map_morphism_into_nondeterministic_target():
+    # two a-edges leave x; only the end vertex tells them apart, so an
+    # index keyed by start and word alone gets one of the two maps wrong
+    src = make_ts(["u", "w"], "u", ["a"], [("u", "a", "w")])
+    dst = make_ts(["x", "p", "q"], "x", ["a"], [("x", "a", "p"), ("x", "a", "q")])
+    h_src, h_dst = ts_to_hda1(src), ts_to_hda1(dst)
+    (edge,) = h_src.cells(1)
+    for end in ("q", "p"):
+        m = TsMorphism(sigma={"u": "x", "w": end}, tau={"a": "a"})
+        image = map_morphism("ts_to_hda1", m, src, dst, src_hda=h_src, dst_hda=h_dst)
+        assert h_dst.key(image.cell_map[edge].base) == ("x", "a", end)
+        assert validate_hda_morphism(image, h_src, h_dst).ok
+
+
+def test_induced_morphism_refuses_ambiguous_target():
+    # a hand-built target with two parallel a-edges from x to y
+    doc = {
+        "kind": "hda", "format_version": 1, "alphabet": ["a"], "dims": [0, 1],
+        "cells": {"0": [0, 1], "1": [0, 1]},
+        "faces": {"1,0,-": {"0": 0, "1": 0}, "1,0,+": {"0": 1, "1": 1}},
+        "sym": {}, "labels": {"1": {"0": ["a"], "1": ["a"]}}, "initial": 0,
+    }
+    from hdabridge import jsonio
+
+    _, dst = jsonio.document_to_model(doc)
+    src = ts_to_hda1(make_ts(["u", "w"], "u", ["a"], [("u", "a", "w")]))
+    vertex_map = {v: CellId(0, 0 if src.key(v) == "u" else 1) for v in src.cells(0)}
+    with pytest.raises(ValueError, match="share their 0-ends and label"):
+        induced_morphism(src, dst, vertex_map, {"a": "a"})
 
 
 def test_determinism_and_linearity_checks():

@@ -285,10 +285,12 @@ def test_iso_check_deep_chain():
 
 def test_iso_check_renamed_chain():
     # every inner state has the same signature, so only the transitions to
-    # states already assigned keep this search from trying n! maps
-    n = 60
-    states = [f"s{i}" for i in range(n)]
-    trans = [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]
-    rev = {f"s{i}": f"s{n - 1 - i}" for i in range(n)}
-    renamed = make_ts(states, rev["s0"], ["a"], [(rev[p], e, rev[q]) for p, e, q in trans])
-    assert iso_check(make_ts(states, "s0", ["a"], trans), renamed, node_limit=5000) == rev
+    # states already assigned keep this search from trying n! maps; past
+    # 100 states the names s100.. sort between s10 and s11, which an order
+    # of slots by name would assign before either chain neighbour
+    for n in (60, 120):
+        states = [f"s{i}" for i in range(n)]
+        trans = [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]
+        rev = {f"s{i}": f"s{n - 1 - i}" for i in range(n)}
+        renamed = make_ts(states, rev["s0"], ["a"], [(rev[p], e, rev[q]) for p, e, q in trans])
+        assert iso_check(make_ts(states, "s0", ["a"], trans), renamed, node_limit=5000) == rev
