@@ -401,19 +401,16 @@ def validate_complex(c: Complex) -> ValidationReport:
                     elif table[idx] not in present[n - 1]:
                         report.add(f"face ({n},{i},{sign}) of cell {idx} lands outside cells({n - 1})")
 
-    def face(cell, i, sign):
-        return sk.faces[(cell.dim, i, sign)][cell.index]
-
+    F = sk.faces
     for n in range(2, sk.max_dim + 1):
         for idx in present[n]:
-            x = CellId(n, idx)
             for j in range(1, n):
                 for i in range(j):
                     for a in SIGNS:
                         for b in SIGNS:
                             try:
-                                left = face(CellId(n - 1, face(x, j, b)), i, a)
-                                right = face(CellId(n - 1, face(x, i, a)), j - 1, b)
+                                left = F[(n - 1, i, a)][F[(n, j, b)][idx]]
+                                right = F[(n - 1, j - 1, b)][F[(n, i, a)][idx]]
                             except KeyError:
                                 continue  # already reported as missing
                             if left != right:
@@ -425,12 +422,10 @@ def validate_complex(c: Complex) -> ValidationReport:
     if not isinstance(c, SymmetricCubicalComplex):
         return report
 
-    def transpose(n, idx, i):
-        return c.transpositions[(n, i)][idx]
-
+    T = c.transpositions
     for n in range(2, sk.max_dim + 1):
         for i in range(n - 1):
-            table = c.transpositions.get((n, i))
+            table = T.get((n, i))
             if table is None:
                 if present[n]:
                     report.add(f"missing transposition map ({n},{i})")
@@ -449,25 +444,19 @@ def validate_complex(c: Complex) -> ValidationReport:
         for idx in present[n]:
             for i in range(n - 1):
                 try:
-                    s = transpose(n, idx, i)
+                    s = T[(n, i)][idx]
                 except KeyError:
                     continue
                 # faces i and i+1 swap; distant faces slide through
                 for a in SIGNS:
                     try:
-                        checks = []
-                        checks.append((face(CellId(n, s), i, a), face(CellId(n, idx), i + 1, a)))
-                        checks.append((face(CellId(n, s), i + 1, a), face(CellId(n, idx), i, a)))
+                        checks = [(F[(n, i, a)][s], F[(n, i + 1, a)][idx]),
+                                  (F[(n, i + 1, a)][s], F[(n, i, a)][idx])]
                         for j in range(n):
                             if j in (i, i + 1):
                                 continue
-                            lhs = face(CellId(n, s), j, a)
-                            rhs = face(CellId(n, idx), j, a)
-                            if j < i:
-                                rhs = transpose(n - 1, rhs, i - 1)
-                            else:
-                                rhs = transpose(n - 1, rhs, i)
-                            checks.append((lhs, rhs))
+                            rhs = F[(n, j, a)][idx]
+                            checks.append((F[(n, j, a)][s], T[(n - 1, i - 1 if j < i else i)][rhs]))
                         for lhs, rhs in checks:
                             if lhs != rhs:
                                 report.add(f"dim {n} cell {idx}: transposition {i} incompatible with faces")
@@ -476,8 +465,8 @@ def validate_complex(c: Complex) -> ValidationReport:
                         continue
             for i in range(n - 2):
                 try:
-                    lhs = transpose(n, transpose(n, transpose(n, idx, i), i + 1), i)
-                    rhs = transpose(n, transpose(n, transpose(n, idx, i + 1), i), i + 1)
+                    lhs = T[(n, i)][T[(n, i + 1)][T[(n, i)][idx]]]
+                    rhs = T[(n, i + 1)][T[(n, i)][T[(n, i + 1)][idx]]]
                 except KeyError:
                     continue
                 if lhs != rhs:
@@ -485,8 +474,8 @@ def validate_complex(c: Complex) -> ValidationReport:
             for i in range(n - 1):
                 for k in range(i + 2, n - 1):
                     try:
-                        lhs = transpose(n, transpose(n, idx, k), i)
-                        rhs = transpose(n, transpose(n, idx, i), k)
+                        lhs = T[(n, i)][T[(n, k)][idx]]
+                        rhs = T[(n, k)][T[(n, i)][idx]]
                     except KeyError:
                         continue
                     if lhs != rhs:

@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .cubical import STAR, DegeneracyWitness, Hda, cell_face
-from .errors import SizeLimit
+from .cubical import SIGNS, STAR, DegeneracyWitness, Hda, cell_face
+from .errors import SizeLimit, StarClash
 from .functors import (
     HdaMorphism,
     acr_to_hda2,
@@ -543,115 +543,43 @@ def iso_check(a, b, node_limit: int = 600):
     """Structure-preserving bijection, or None after exhausting the search.
 
     Labels and events are observable and must match exactly; states,
-    places, and cells are matched up to bijection.
+    places, and cells are matched up to bijection.  Automata are searched
+    cell by cell, and ``node_limit`` bounds the cells of ``a`` (beyond it
+    ``SizeLimit``).  Transition systems and concurrency automata are
+    compared as their automata (``ts_to_hda1``, ``acr_to_hda2``), and the
+    state map is read back through the vertex keys.  A system carrying the
+    idle event is read as a completion (``ts_to_hda1(t, idle=True)``) and
+    must have the idle loop at every state, or ``StarClash``; an ACR that
+    fails ``validate_acr`` raises ``SquareIncomplete``.  Event structures
+    are isomorphic exactly when equal, the events being their labels.
+    Nets are matched by grouping places on their vectors, without search.
     """
     if isinstance(a, Hda) and isinstance(b, Hda):
         return _iso_hda(a, b, node_limit)
-    if isinstance(a, TransitionSystem) and isinstance(b, TransitionSystem):
-        return _iso_ts(a, b, node_limit)
-    if isinstance(a, Acr) and isinstance(b, Acr):
-        base = _iso_ts(a.ts, b.ts, node_limit, extra=lambda m: _acr_indep_ok(a, b, m))
-        return base
+    if isinstance(a, (TransitionSystem, Acr)) and type(a) is type(b):
+        # the idle event is not in the alphabet of an automaton read with idle
+        if isinstance(a, TransitionSystem) and a.events != b.events:
+            return None
+        ha, hb = _automaton(a), _automaton(b)
+        m = _iso_hda(ha, hb, node_limit)
+        if m is None:
+            return None
+        return {ha.cell_keys[c]: hb.cell_keys[d] for c, d in m.items() if c.dim == 0}
     if isinstance(a, EventStructure) and isinstance(b, EventStructure):
-        return _iso_es(a, b, node_limit)
+        return {e: e for e in a.events} if a == b else None
     if isinstance(a, PetriNet) and isinstance(b, PetriNet):
         return _iso_pn(a, b, node_limit)
     raise TypeError("isomorphism check needs two models of the same kind")
 
 
-def _acr_indep_ok(a: Acr, b: Acr, m: dict) -> bool:
-    mapped = {(m[s], x, y) for (s, x, y) in a.indep}
-    return mapped == set(b.indep)
-
-
-def _iso_ts(a: TransitionSystem, b: TransitionSystem, node_limit: int,
-            extra=None):
-    if len(a.states) > node_limit:
-        raise SizeLimit("too many states")
-    if len(a.states) != len(b.states) or a.events != b.events or len(a.trans) != len(b.trans):
-        return None
-
-    # slots in breadth-first order over the transitions, either way, from
-    # the initial state and then from each state not yet reached, so each
-    # state after a root is assigned right after a neighbour
-    neighbours: dict = {s: set() for s in a.states}
-    for p, _, q in a.trans:
-        neighbours[p].add(q)
-        neighbours[q].add(p)
-    a_states: list = []
-    reached: set = set()
-    for root in [a.initial, *sorted_by_key(a.states)]:
-        if root not in neighbours or root in reached:
-            continue
-        reached.add(root)
-        queue = deque([root])
-        while queue:
-            s = queue.popleft()
-            a_states.append(s)
-            for u in sorted_by_key(neighbours[s] - reached):
-                reached.add(u)
-                queue.append(u)
-    b_states = sorted_by_key(b.states)
-
-    def signature(t, s):
-        out = sorted(canon_key(e) for (p, e, _) in t.trans if p == s)
-        inn = sorted(canon_key(e) for (_, e, q) in t.trans if q == s)
-        return (tuple(out), tuple(inn))
-
-    sig_a = {s: signature(a, s) for s in a_states}
-    b_by_sig: dict = {}
-    for t in b_states:
-        b_by_sig.setdefault(signature(b, t), []).append(t)
-
-    # each transition must have an image once both its ends have a value
-    pos_of = {s: i for i, s in enumerate(a_states)}
-    closed_by: dict = {s: [] for s in a_states}
-    for p, e, q in a.trans:
-        closed_by[max(p, q, key=pos_of.__getitem__)].append((p, e, q))
-
-    def options(pos, partial):
-        s = a_states[pos]
-        used = set(partial)
-
-        def image(x, t):
-            return t if x == s else partial[pos_of[x]]
-
-        return [t for t in b_by_sig.get(sig_a[s], ())
-                if t not in used and (s == a.initial) == (t == b.initial)
-                and all((image(p, t), e, image(q, t)) in b.trans for p, e, q in closed_by[s])]
-
-    for values in backtrack(a_states, options):
-        m = dict(zip(a_states, values))
-        if {(m[s], e, m[q]) for (s, e, q) in a.trans} == set(b.trans) and \
-           (extra is None or extra(m)):
-            return m
-    return None
-
-
-def _iso_es(a: EventStructure, b: EventStructure, node_limit: int):
-    if len(a.events) > node_limit:
-        raise SizeLimit("too many events")
-    if len(a.events) != len(b.events):
-        return None
-    a_events = sorted_by_key(a.events)
-    b_events = sorted_by_key(b.events)
-
-    def relations(es, x, y):
-        return ((x, y) in es.leq, (y, x) in es.leq, (x, y) in es.conflict, (y, x) in es.conflict)
-
-    def options(pos, partial):
-        # y may stand for x when every pair with an assigned event, and x
-        # with itself, is related in b exactly as in a
-        x = a_events[pos]
-        return [y for y in b_events if y not in partial and all(
-            relations(a, x, u) == relations(b, y, v) for u, v in zip(a_events, (*partial, y)))]
-
-    for values in backtrack(a_events, options):
-        m = dict(zip(a_events, values))
-        if {(m[x], m[y]) for (x, y) in a.leq} == set(b.leq) and \
-           {(m[x], m[y]) for (x, y) in a.conflict} == set(b.conflict):
-            return m
-    return None
+def _automaton(model) -> Hda:
+    """The automaton a transition system or an ACR is compared as."""
+    if isinstance(model, Acr):
+        return acr_to_hda2(model)
+    idle = STAR in model.events
+    if idle and any((s, STAR, s) not in model.trans for s in model.states):
+        raise StarClash("a system with the idle event needs the idle loop at every state")
+    return ts_to_hda1(model, idle=idle)
 
 
 def _iso_pn(a: PetriNet, b: PetriNet, node_limit: int):
@@ -681,32 +609,75 @@ def _iso_pn(a: PetriNet, b: PetriNet, node_limit: int):
 
 
 def _iso_hda(a: Hda, b: Hda, node_limit: int):
-    total = sum(len(a.cells(n)) for n in range(a.max_dim + 1))
-    if total > node_limit:
+    cells = list(a.skeleton.all_cells())
+    if len(cells) > node_limit:
         raise SizeLimit("too many cells")
     top = max(a.max_dim, b.max_dim)
-    if set(a.alphabet) != set(b.alphabet):
+    if set(a.alphabet) != set(b.alphabet) or \
+       any(len(a.cells(n)) != len(b.cells(n)) for n in range(top + 1)):
         return None
-    for n in range(top + 1):
-        if len(a.cells(n)) != len(b.cells(n)):
-            return None
 
-    cells = [c for n in range(top + 1) for c in a.cells(n)]
-    slot_of = {c: k for k, c in enumerate(cells)}
+    # every face relation (cell, i, sign, face) of a; the cofaces of each
+    # cell of b at each (i, sign)
+    a_faces = [(c, i, sign, a.skeleton.face(c, i, sign))
+               for c in cells for i in range(c.dim) for sign in SIGNS]
+    b_cofaces: dict = {}
+    for c in b.skeleton.all_cells():
+        for i in range(c.dim):
+            for sign in SIGNS:
+                b_cofaces.setdefault((b.skeleton.face(c, i, sign), i, sign), []).append(c)
 
-    def faces(h, cell):
-        return [h.skeleton.face(cell, i, sign) for i in range(cell.dim) for sign in ("-", "+")]
+    # slots breadth-first over faces and cofaces, from the initial cell and
+    # then from each cell not yet reached; ``via`` keeps the face relation
+    # that reached a cell, whose other end is assigned first
+    neighbours: dict = {c: [] for c in cells}
+    for rel in a_faces:
+        coface, _, _, face = rel
+        neighbours[coface].append((face, rel))
+        neighbours[face].append((coface, rel))
+    via: dict = {}
+    order: list = []
+    for root in [a.initial, *cells]:
+        if root not in neighbours or root in via:
+            continue
+        via[root] = None
+        queue = deque([root])
+        while queue:
+            c = queue.popleft()
+            order.append(c)
+            for u, rel in neighbours[c]:
+                if u not in via:
+                    via[u] = rel
+                    queue.append(u)
+    slot = {c: k for k, c in enumerate(order)}
+    # each face relation is checked at the later slot of its two cells
+    closed_by: dict = {c: [] for c in order}
+    for rel in a_faces:
+        closed_by[max(rel[0], rel[3], key=slot.__getitem__)].append(rel)
 
     def options(pos, partial):
-        cell = cells[pos]
+        cell = order[pos]
+        if via[cell] is None:
+            candidates = b.cells(cell.dim)
+        else:
+            coface, i, sign, face = via[cell]
+            if coface == cell:  # a coface of its face's image
+                candidates = b_cofaces.get((partial[slot[face]], i, sign), ())
+            else:  # the face of its coface's image
+                candidates = [b.skeleton.face(partial[slot[coface]], i, sign)]
         used = set(partial)
-        images = [partial[slot_of[f]] for f in faces(a, cell)]
-        return [other for other in b.cells(cell.dim)
-                if other not in used and b.labeling[other] == a.labeling[cell]
-                and (cell == a.initial) == (other == b.initial) and faces(b, other) == images]
 
-    for values in backtrack(cells, options):
-        m = dict(zip(cells, values))
+        def image(x, t):
+            return t if x == cell else partial[slot[x]]
+
+        return [t for t in candidates
+                if t not in used and b.labeling[t] == a.labeling[cell]
+                and (cell == a.initial) == (t == b.initial)
+                and all(b.skeleton.face(image(c, t), i, sign) == image(f, t)
+                        for c, i, sign, f in closed_by[cell])]
+
+    for values in backtrack(order, options):
+        m = dict(zip(order, values))
         # transpositions must commute with the bijection
         if all(m[a.complex.transpose(cell, i)] == b.complex.transpose(m[cell], i)
                for cell in cells for i in range(cell.dim - 1)):

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from hdabridge.cubical import STAR, DegeneracyWitness
-from hdabridge.errors import SizeLimit
+from hdabridge.errors import SizeLimit, SquareIncomplete, StarClash
 from hdabridge.functors import HdaMorphism, acr_to_hda2, pn_to_hda, ts_to_hda1, validate_hda_morphism
 from hdabridge.laws import (
     GENERATORS,
@@ -23,7 +24,7 @@ from hdabridge.laws import (
     gen_ts,
     iso_check,
 )
-from hdabridge.models import make_event_structure, make_pn, make_ts
+from hdabridge.models import Acr, idle_completion, make_event_structure, make_pn, make_ts
 from hdabridge.util import sorted_by_key
 from hdabridge import zoo
 
@@ -294,3 +295,82 @@ def test_iso_check_renamed_chain():
         rev = {f"s{i}": f"s{n - 1 - i}" for i in range(n)}
         renamed = make_ts(states, rev["s0"], ["a"], [(rev[p], e, rev[q]) for p, e, q in trans])
         assert iso_check(make_ts(states, "s0", ["a"], trans), renamed, node_limit=5000) == rev
+
+
+def test_iso_check_renamed_chain_automata():
+    # slots taken in dimension order would guess every vertex before any
+    # edge constrains it; breadth-first over faces and cofaces, each cell
+    # is a coface or a face of an assigned one
+    n = 120
+    states = [f"s{i}" for i in range(n)]
+    trans = [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]
+    rev = {f"s{i}": f"s{n - 1 - i}" for i in range(n)}
+    a = ts_to_hda1(make_ts(states, "s0", ["a"], trans))
+    b = ts_to_hda1(make_ts(states, rev["s0"], ["a"], [(rev[p], e, rev[q]) for p, e, q in trans]))
+    m = iso_check(a, b)
+    assert m is not None
+    assert {a.key(c): b.key(d) for c, d in m.items()} == {
+        **rev, **{(p, e, q): (rev[p], e, rev[q]) for p, e, q in trans}}
+
+
+def test_iso_check_event_structures_match_on_events():
+    # the events are the labels: a renaming or a reversed order is not an
+    # isomorphism
+    assert iso_check(make_event_structure("ab"), make_event_structure("xy")) is None
+    assert iso_check(make_event_structure("ab", causes=[("a", "b")]),
+                     make_event_structure("ab", causes=[("b", "a")])) is None
+    es = make_event_structure("abc", causes=[("a", "b")], conflicts=[("a", "c")])
+    assert iso_check(es, make_event_structure("abc", causes=[("a", "b")],
+                                              conflicts=[("a", "c")])) == {e: e for e in "abc"}
+
+
+def _shuffled_renaming(states, seed):
+    names = sorted_by_key(states)
+    shuffled = list(names)
+    random.Random(seed).shuffle(shuffled)
+    return {s: f"r{names.index(t)}" for s, t in zip(names, shuffled)}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_iso_check_generated_systems_against_renamings(seed):
+    cfg = GeneratorConfig(seed=seed)
+    for i in range(40):
+        t = gen_ts(i, cfg)
+        r = _shuffled_renaming(t.states, seed * 100 + i)
+        renamed = make_ts([r[s] for s in t.states], r[t.initial], t.events,
+                          [(r[p], e, r[q]) for p, e, q in t.trans])
+        m = iso_check(t, renamed)
+        assert m is not None and m[t.initial] == renamed.initial, i
+        assert {(m[p], e, m[q]) for p, e, q in t.trans} == renamed.trans, i
+
+        a = gen_acr(i, cfg)
+        r = _shuffled_renaming(a.ts.states, seed * 100 + i + 50)
+        renamed = Acr(
+            ts=make_ts([r[s] for s in a.ts.states], r[a.ts.initial], a.ts.events,
+                       [(r[p], e, r[q]) for p, e, q in a.ts.trans]),
+            indep=frozenset((r[s], x, y) for s, x, y in a.indep))
+        m = iso_check(a, renamed)
+        assert m is not None and m[a.ts.initial] == renamed.ts.initial, i
+        assert {(m[p], e, m[q]) for p, e, q in a.ts.trans} == renamed.ts.trans, i
+        assert {(m[s], x, y) for s, x, y in a.indep} == renamed.indep, i
+
+
+def test_iso_check_acr_independence_must_match():
+    square = zoo.mutex_square_acr(independent=True)
+    assert iso_check(square, zoo.mutex_square_acr(independent=False)) is None
+    broken = Acr(ts=square.ts, indep=frozenset({("x", "e1", "e2")}))  # not symmetric
+    with pytest.raises(SquareIncomplete):
+        iso_check(broken, square)
+
+
+def test_iso_check_idle_completions():
+    t = zoo.mutex_square_ts()
+    r = {"x": "A", "y1": "B", "y2": "C", "z": "D"}
+    renamed = make_ts([r[s] for s in t.states], r[t.initial], t.events,
+                      [(r[p], e, r[q]) for p, e, q in t.trans])
+    m = iso_check(idle_completion(t), idle_completion(renamed))
+    assert m == r
+    assert iso_check(idle_completion(t), renamed) is None
+    partial = make_ts(t.states, t.initial, t.events | {STAR}, t.trans | {("x", STAR, "x")})
+    with pytest.raises(StarClash):
+        iso_check(partial, partial)
