@@ -6,6 +6,9 @@ invariant under reordering and idle insertion, it is stored as a predicate
 on multisets; the action of a word is the composite of single-event steps,
 which the axioms make order-independent.  Every CTS generates a higher
 dimensional automaton whose n-cells are the enabled words of length n.
+Those cells are grown one orbit (a state and an enabled multiset) at a
+time, expanded into their orderings in canonical (state, word) order,
+and numbered by ``index_complex``.
 """
 
 from __future__ import annotations
@@ -161,21 +164,51 @@ def validate_cts_morphism(f: CtsMorphism, src: Cts, dst: Cts, max_word: int) -> 
 # CTS -> HDA
 # ---------------------------------------------------------------------------
 
+def _arrangements(ranks: tuple):
+    """The distinct orderings of a rank tuple."""
+    orders = itertools.permutations(ranks)
+    return orders if len(set(ranks)) == len(ranks) else set(orders)
+
+
 def enabled_cells_by_dim(c: Cts, max_dim: int) -> dict:
-    """Enabled star-free words per length, grown by extending enabled
-    prefixes (every prefix of an enabled word is enabled, so this is
-    complete without scanning the full word space)."""
+    """Enabled star-free words per length, in canonical (state, word) order.
+
+    Enabling depends only on a word's multiset, so the words are grown one
+    orbit at a time: a state's enabled multisets of size n, kept as
+    nondecreasing tuples of event ranks, are extended only by events at or
+    after their last one, with one ``c.enabled`` call per candidate.  Every
+    sub-multiset of an enabled multiset is enabled, so this finds them all.
+    Each orbit is then expanded into its distinct orderings, sorted by rank.
+    """
     events = sorted_by_key(c.events)
-    cells = {0: [(x, ()) for x in sorted_by_key(c.states)]}
-    for n in range(1, max_dim + 1):
-        layer = []
-        for (x, w) in cells[n - 1]:
-            for e in events:
-                w2 = w + (e,)
-                if c.enabled(x, multiset(w2)):
-                    layer.append((x, w2))
-        cells[n] = layer
+    cells = {n: [] for n in range(max_dim + 1)}
+    for x in sorted_by_key(c.states):
+        cells[0].append((x, ()))
+        orbits = [((), ())]  # (ranks, events) of the enabled multisets
+        for n in range(1, max_dim + 1):
+            orbits = [(ranks + (r,), m + (events[r],))
+                      for ranks, m in orbits
+                      for r in range(ranks[-1] if ranks else 0, len(events))
+                      if c.enabled(x, m + (events[r],))]
+            if not orbits:
+                break
+            words = sorted(w for ranks, _ in orbits for w in _arrangements(ranks))
+            cells[n].extend((x, tuple(map(events.__getitem__, w))) for w in words)
     return cells
+
+
+def _enabled_beyond(c: Cts, top: list) -> bool:
+    """Whether some word of ``top`` extends to a longer enabled word.  Only
+    the word of each orbit in rank order is extended, and only by events at
+    or after its last one."""
+    events = sorted_by_key(c.events)
+    rank = {e: r for r, e in enumerate(events)}
+    for x, w in top:
+        ranks = [rank[e] for e in w]
+        if ranks == sorted(ranks) and any(
+                c.enabled(x, w + (e,)) for e in events[ranks[-1] if ranks else 0:]):
+            return True
+    return False
 
 
 def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
@@ -186,11 +219,12 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
     Raises DimensionCapExceeded when an enabled word longer than ``max_dim``
     exists, unless ``truncate_cells`` asks for the truncated automaton.
     """
-    cells_by_dim = enabled_cells_by_dim(c, max_dim + 1)
-    if cells_by_dim.pop(max_dim + 1):
-        if not truncate_cells:
-            raise DimensionCapExceeded(
-                f"enabled words longer than {max_dim} exist; pass truncate_cells=True to drop them")
+    if max_dim < 0:  # no automaton: every state's empty word is longer
+        raise DimensionCapExceeded(f"enabled words longer than {max_dim} exist; the least cap is 0")
+    cells_by_dim = enabled_cells_by_dim(c, max_dim)
+    if not truncate_cells and _enabled_beyond(c, cells_by_dim[max_dim]):
+        raise DimensionCapExceeded(
+            f"enabled words longer than {max_dim} exist; pass truncate_cells=True to drop them")
 
     def face_key(n, key, i, sign):
         x, w = key

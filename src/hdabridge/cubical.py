@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ArityMismatch, IndexOutOfRange
@@ -100,7 +101,11 @@ class PrecubicalComplex:
             yield from self.cell_ids(n)
 
     def has_cell(self, cell: CellId) -> bool:
-        return cell.index in set(self.cells.get(cell.dim, ()))
+        return cell.index in self._index_sets.get(cell.dim, ())
+
+    @cached_property
+    def _index_sets(self) -> dict:
+        return {n: frozenset(indices) for n, indices in self.cells.items()}
 
     def face(self, cell: CellId, i: int, sign: str) -> CellId:
         if not 0 <= i < cell.dim:
@@ -403,21 +408,28 @@ def validate_complex(c: Complex) -> ValidationReport:
 
     F = sk.faces
     for n in range(2, sk.max_dim + 1):
+        # face(i,a).face(j,b) = face(j-1,b).face(i,a), with its four tables
+        identities = []
+        for j in range(1, n):
+            for i in range(j):
+                for a in SIGNS:
+                    for b in SIGNS:
+                        tables = (F.get((n, j, b)), F.get((n - 1, i, a)),
+                                  F.get((n, i, a)), F.get((n - 1, j - 1, b)))
+                        if None not in tables:  # a missing map is reported above
+                            identities.append((i, j, a, b) + tables)
         for idx in present[n]:
-            for j in range(1, n):
-                for i in range(j):
-                    for a in SIGNS:
-                        for b in SIGNS:
-                            try:
-                                left = F[(n - 1, i, a)][F[(n, j, b)][idx]]
-                                right = F[(n - 1, j - 1, b)][F[(n, i, a)][idx]]
-                            except KeyError:
-                                continue  # already reported as missing
-                            if left != right:
-                                report.add(
-                                    f"dim {n} cell {idx}: face({i},{a}).face({j},{b}) = {left} "
-                                    f"but face({j - 1},{b}).face({i},{a}) = {right}"
-                                )
+            for i, j, a, b, outer_j, inner_i, outer_i, inner_j in identities:
+                try:
+                    left = inner_i[outer_j[idx]]
+                    right = inner_j[outer_i[idx]]
+                except KeyError:
+                    continue  # already reported as missing
+                if left != right:
+                    report.add(
+                        f"dim {n} cell {idx}: face({i},{a}).face({j},{b}) = {left} "
+                        f"but face({j - 1},{b}).face({i},{a}) = {right}"
+                    )
 
     if not isinstance(c, SymmetricCubicalComplex):
         return report
@@ -441,45 +453,48 @@ def validate_complex(c: Complex) -> ValidationReport:
                     report.add(f"transposition ({n},{i}) is not an involution at cell {idx}")
 
     for n in range(2, sk.max_dim + 1):
+        swap = [T.get((n, i)) for i in range(n - 1)]
+        # per (i, sign): faces i and i+1 swap; distant faces slide through
+        # the transposition below, so each slide pairs a face table with it
+        sliding = []
+        for i in range(n - 1):
+            for a in SIGNS:
+                tables = [F.get((n, i, a)), F.get((n, i + 1, a))]
+                slides = [(F.get((n, j, a)), T.get((n - 1, i - 1 if j < i else i)))
+                          for j in range(n) if j not in (i, i + 1)]
+                if swap[i] is not None and None not in tables and \
+                        all(None not in pair for pair in slides):
+                    sliding.append((i, swap[i], tables[0], tables[1], slides))
+        braids = [(i, swap[i], swap[i + 1]) for i in range(n - 2)
+                  if swap[i] is not None and swap[i + 1] is not None]
+        distant = [(i, k, swap[i], swap[k]) for i in range(n - 1) for k in range(i + 2, n - 1)
+                   if swap[i] is not None and swap[k] is not None]
         for idx in present[n]:
-            for i in range(n - 1):
+            for i, t, here, there, slides in sliding:
                 try:
-                    s = T[(n, i)][idx]
+                    s = t[idx]
+                    lhs = [here[s], there[s]] + [f[s] for f, _ in slides]
+                    rhs = [there[idx], here[idx]] + [below[f[idx]] for f, below in slides]
                 except KeyError:
                     continue
-                # faces i and i+1 swap; distant faces slide through
-                for a in SIGNS:
-                    try:
-                        checks = [(F[(n, i, a)][s], F[(n, i + 1, a)][idx]),
-                                  (F[(n, i + 1, a)][s], F[(n, i, a)][idx])]
-                        for j in range(n):
-                            if j in (i, i + 1):
-                                continue
-                            rhs = F[(n, j, a)][idx]
-                            checks.append((F[(n, j, a)][s], T[(n - 1, i - 1 if j < i else i)][rhs]))
-                        for lhs, rhs in checks:
-                            if lhs != rhs:
-                                report.add(f"dim {n} cell {idx}: transposition {i} incompatible with faces")
-                                break
-                    except KeyError:
-                        continue
-            for i in range(n - 2):
+                if lhs != rhs:
+                    report.add(f"dim {n} cell {idx}: transposition {i} incompatible with faces")
+            for i, t, u in braids:
                 try:
-                    lhs = T[(n, i)][T[(n, i + 1)][T[(n, i)][idx]]]
-                    rhs = T[(n, i + 1)][T[(n, i)][T[(n, i + 1)][idx]]]
+                    lhs = t[u[t[idx]]]
+                    rhs = u[t[u[idx]]]
                 except KeyError:
                     continue
                 if lhs != rhs:
                     report.add(f"dim {n} cell {idx}: braid relation fails at {i}")
-            for i in range(n - 1):
-                for k in range(i + 2, n - 1):
-                    try:
-                        lhs = T[(n, i)][T[(n, k)][idx]]
-                        rhs = T[(n, k)][T[(n, i)][idx]]
-                    except KeyError:
-                        continue
-                    if lhs != rhs:
-                        report.add(f"dim {n} cell {idx}: distant transpositions {i},{k} do not commute")
+            for i, k, t, u in distant:
+                try:
+                    lhs = t[u[idx]]
+                    rhs = u[t[idx]]
+                except KeyError:
+                    continue
+                if lhs != rhs:
+                    report.add(f"dim {n} cell {idx}: distant transpositions {i},{k} do not commute")
     return report
 
 
@@ -542,37 +557,38 @@ def validate_hda(h: Hda) -> ValidationReport:
     alphabet = set(h.alphabet)
     if STAR in alphabet:
         report.add("alphabet must not contain the idle symbol")
-    for cell in sk.all_cells():
-        w = h.labeling.get(cell)
-        if w is None:
-            report.add(f"cell {cell} has no label")
-            continue
-        if len(w) != cell.dim:
-            report.add(f"cell {cell} labeled by word of length {len(w)}")
-            continue
-        for e in w:
-            if e == STAR:
-                report.add(f"cell {cell} label contains the idle symbol")
-            elif e not in alphabet:
-                report.add(f"cell {cell} label {e!r} outside the alphabet")
-        for i in range(cell.dim):
-            for sign in SIGNS:
-                try:
-                    f = sk.face(cell, i, sign)
-                except KeyError:
-                    continue
-                if h.labeling.get(f) != word_face(w, i):
-                    report.add(f"labeling not natural at face ({i},{sign}) of {cell}")
-        if cell.dim >= 2:
-            for i in range(cell.dim - 1):
-                try:
-                    t = h.complex.transpose(cell, i)
-                except KeyError:
+    labels: dict = {}  # dim -> index -> word
+    for cell, w in h.labeling.items():
+        labels.setdefault(cell.dim, {})[cell.index] = w
+    for n in range(sk.max_dim + 1):
+        own, below = labels.get(n, {}), labels.get(n - 1, {})
+        faces = [(i, sign, sk.faces[(n, i, sign)])
+                 for i in range(n) for sign in SIGNS if (n, i, sign) in sk.faces]
+        swaps = [(i, h.complex.transpositions[(n, i)])
+                 for i in range(n - 1) if (n, i) in h.complex.transpositions]
+        for idx in sk.cells.get(n, ()):
+            w = own.get(idx)
+            if w is None:
+                report.add(f"cell {CellId(n, idx)} has no label")
+                continue
+            if len(w) != n:
+                report.add(f"cell {CellId(n, idx)} labeled by word of length {len(w)}")
+                continue
+            for e in w:
+                if e == STAR:
+                    report.add(f"cell {CellId(n, idx)} label contains the idle symbol")
+                elif e not in alphabet:
+                    report.add(f"cell {CellId(n, idx)} label {e!r} outside the alphabet")
+            for i, sign, table in faces:
+                if idx in table and below.get(table[idx]) != w[:i] + w[i + 1:]:
+                    report.add(f"labeling not natural at face ({i},{sign}) of {CellId(n, idx)}")
+            for i, table in swaps:
+                if idx not in table:
                     continue
                 swapped = list(w)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if h.labeling.get(t) != tuple(swapped):
-                    report.add(f"labeling not natural at transposition {i} of {cell}")
+                if own.get(table[idx]) != tuple(swapped):
+                    report.add(f"labeling not natural at transposition {i} of {CellId(n, idx)}")
     return report
 
 

@@ -407,7 +407,11 @@ class Region:
 
     ``flows`` maps each label to (consumed, produced); ``tokens`` maps each
     0-cell to its count.  Both are stored as sorted tuples so regions are
-    hashable and canonically ordered.
+    hashable and canonically ordered.  ``flow`` and ``tokens_at`` build
+    their dict on first use and keep it in the instance dict, outside the
+    fields, so it takes no part in equality, hashing or ``canon_key``.
+    (``functools.cached_property`` costs more than the dict itself on its
+    first use, and region synthesis reads most regions only once.)
     """
 
     flows: tuple   # ((label, (consumed, produced)), ...)
@@ -425,7 +429,10 @@ class Region:
     def flow(self, label) -> tuple[int, int]:
         if label == STAR:
             return (0, 0)
-        return dict(self.flows).get(label, (0, 0))
+        lookup = self.__dict__.get("_flow_of")
+        if lookup is None:
+            lookup = self.__dict__["_flow_of"] = dict(self.flows)
+        return lookup.get(label, (0, 0))
 
     def word_flow(self, w: LabelWord) -> tuple[int, int]:
         pre = post = 0
@@ -436,7 +443,10 @@ class Region:
         return (pre, post)
 
     def tokens_at(self, vertex: CellId) -> int:
-        return dict(self.tokens)[vertex]
+        lookup = self.__dict__.get("_tokens_of")
+        if lookup is None:
+            lookup = self.__dict__["_tokens_of"] = dict(self.tokens)
+        return lookup[vertex]
 
     def canon_key(self):
         return ("region", canon_key(self.flows), canon_key(self.tokens))

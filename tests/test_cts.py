@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pathlib
 
 import pytest
 
@@ -6,6 +8,7 @@ from hdabridge.cts import (
     Cts,
     CtsMorphism,
     cts_to_hda,
+    enabled_cells_by_dim,
     es_to_cts,
     multiset,
     pn_to_cts,
@@ -13,9 +16,14 @@ from hdabridge.cts import (
     validate_cts_morphism,
 )
 from hdabridge.cubical import STAR, DegeneracyWitness, validate_hda
-from hdabridge.errors import DimensionCapExceeded
+from hdabridge.errors import DimensionCapExceeded, ExplosionLimit
 from hdabridge.functors import induced_morphism
+from hdabridge.jsonio import parse_document
+from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.models import make_event_structure, make_pn
+from hdabridge.util import sorted_by_key
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_es_to_cts_three_concurrent_states():
@@ -77,6 +85,12 @@ def test_cts_to_hda_dimension_cap():
     h = cts_to_hda(es_to_cts(es), 2, truncate_cells=True)
     assert h.max_dim == 2
     assert validate_hda(h).ok
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+def test_cts_to_hda_refuses_negative_cap(truncate):
+    with pytest.raises(DimensionCapExceeded):
+        cts_to_hda(es_to_cts(make_event_structure("ab")), -1, truncate_cells=truncate)
 
 
 def test_pn_cts_double_token_square():
@@ -230,3 +244,79 @@ def test_es_cells_at_origin_are_compatible_linear_words():
             if causes_ok and conflict_ok:
                 expected.add(word)
         assert at_origin == expected
+
+
+# ---------------------------------------------------------------------------
+# orbit growth against the definition
+# ---------------------------------------------------------------------------
+
+def brute_force_cells(c: Cts, max_dim: int) -> dict:
+    """Every word over the events whose multiset is enabled, per length,
+    in (state, word) order."""
+    events = sorted_by_key(c.events)
+    return {n: [(x, w) for x in sorted_by_key(c.states)
+                for w in itertools.product(events, repeat=n) if c.enabled(x, multiset(w))]
+            for n in range(max_dim + 1)}
+
+
+def assert_matches_brute_force(c: Cts, max_dim: int):
+    """Same dimensions, and per dimension the same keys in the same order."""
+    assert enabled_cells_by_dim(c, max_dim) == brute_force_cells(c, max_dim)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_orbit_growth_matches_brute_force_on_generated_models(seed):
+    cfg = GeneratorConfig(seed=seed, max_events=5)
+    for index in range(20):
+        assert_matches_brute_force(es_to_cts(gen_es(index, cfg)), 4)
+        try:
+            c = pn_to_cts(gen_pn(index, cfg), 60)
+        except ExplosionLimit:
+            continue
+        assert_matches_brute_force(c, 4)
+
+
+CTS_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json") if p.name.startswith(("es_", "pnet_")))
+
+
+@pytest.mark.parametrize("name", CTS_FIXTURES)
+def test_orbit_growth_matches_brute_force_on_fixtures(name):
+    """Every fixture that translates to an automaton through a CTS."""
+    kind, model = parse_document((FIXTURES / name).read_text())
+    c = es_to_cts(model) if kind == "es" else pn_to_cts(model, 200)
+    assert_matches_brute_force(c, 4)
+
+
+def test_orbit_growth_keeps_auto_concurrent_square():
+    n = make_pn(["p"], {"p": 2}, ["e"], {"e": {"p": 1}}, {"e": {}})
+    c = pn_to_cts(n, 10)
+    assert_matches_brute_force(c, 3)
+    cells = enabled_cells_by_dim(c, 3)
+    assert cells[2] == [(n.m0, ("e", "e"))]
+    assert cells[3] == []
+
+
+def recording(c: Cts):
+    """``c`` with an ``enabled`` that records the size of every multiset it is asked."""
+    sizes = []
+
+    def enabled(x, m):
+        sizes.append(len(m))
+        return c.enabled(x, m)
+
+    return dataclasses.replace(c, enabled=enabled), sizes
+
+
+def test_truncation_never_tests_words_above_the_cap():
+    c, sizes = recording(es_to_cts(make_event_structure("abcd")))
+    h = cts_to_hda(c, 1, truncate_cells=True)
+    assert [len(h.cells(n)) for n in range(2)] == [16, 32]
+    assert max(sizes) == 1
+
+
+def test_dimension_cap_stops_at_the_first_longer_word():
+    c, sizes = recording(es_to_cts(make_event_structure("abcd")))
+    with pytest.raises(DimensionCapExceeded):
+        cts_to_hda(c, 1)
+    # at the empty configuration, orbit {a} tries {a, a} and then {a, b}, which is enabled
+    assert max(sizes) == 2 and sizes.count(2) == 2

@@ -372,6 +372,14 @@ def test_coskeleton_fills_3cube_boundary():
     assert validate_complex(filled).ok
 
 
+def test_has_cell_reads_the_listed_indices():
+    sk = PrecubicalComplex(cells={0: (0, 4, 7), 1: ()}, faces={}, max_dim=1)
+    assert [sk.has_cell(CellId(0, i)) for i in range(8)] == \
+        [True, False, False, False, True, False, False, True]
+    assert not sk.has_cell(CellId(1, 0))
+    assert not sk.has_cell(CellId(2, 0))
+
+
 def test_coskeleton_requires_sane_bounds():
     sk = standard_cube(1)
     with pytest.raises(IndexOutOfRange):

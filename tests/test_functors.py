@@ -396,6 +396,18 @@ def test_all_zero_region_always_valid():
     assert region_check(h, reg)
 
 
+def test_region_lookups_stay_out_of_equality():
+    h = acr_to_hda2(zoo.triple_diamond_acr())
+    flows = {a: (i, 1) for i, a in enumerate(h.alphabet)}
+    tokens = {v: i for i, v in enumerate(h.cells(0))}
+    used, fresh = Region.of(flows, tokens), Region.of(flows, tokens)
+    assert [used.tokens_at(v) for v in h.cells(0)] == list(range(len(tokens)))
+    assert [used.flow(a) for a in h.alphabet] == [flows[a] for a in h.alphabet]
+    assert used.flow(STAR) == (0, 0) and used.flow("absent") == (0, 0)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used.canon_key() == fresh.canon_key()
+
+
 def test_single_vertex_regions():
     h = ts_to_hda1(make_ts(["s"], "s", [], []))
     regions = enumerate_regions(h, 1)

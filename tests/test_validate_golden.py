@@ -1,0 +1,457 @@
+"""Golden reports of ``validate_complex`` and ``validate_hda`` on
+hand-broken automata.
+
+Each case breaks one or more tables of a valid automaton; the test pins
+the full report text of both validators, so every message kind, its
+wording and the order of the violations stay as they are.
+"""
+
+import pytest
+
+from hdabridge.cts import Cts, cts_to_hda
+from hdabridge.cubical import STAR, CellId, Hda, PrecubicalComplex, SymmetricCubicalComplex, \
+    validate_complex, validate_hda
+from hdabridge.functors import es_to_hda
+from hdabridge.models import make_event_structure
+
+DROP = object()  # removes a table entry, or a whole table
+
+
+def square():
+    return es_to_hda(make_event_structure("ab"))
+
+
+def cube():
+    return es_to_hda(make_event_structure("abc"))
+
+
+def loops4():
+    """One state with four looping events that may all run at once: the
+    4-cells are the 24 orderings of ``abcd``."""
+    events = frozenset("abcd")
+    c = Cts(states=frozenset({0}), initial=0, events=events, alphabet=tuple("abcd"),
+            labeling={e: e for e in events}, delta={(0, e): 0 for e in events},
+            enabled=lambda x, m: len(set(m)) == len(m))
+    return cts_to_hda(c, 4)
+
+
+def edit(h, faces=(), transpositions=(), cells=(), labeling=(), alphabet=None, initial=None):
+    """A copy of ``h`` with table entries replaced.
+
+    ``faces`` and ``transpositions`` list (table key, cell index, value),
+    where index None with DROP removes the whole table; ``cells`` lists
+    (dim, indices); ``labeling`` lists (cell, word).  DROP as a value
+    removes the entry.
+    """
+    sk = h.skeleton
+
+    def apply(tables, edits):
+        out = {k: dict(v) for k, v in tables.items()}
+        for key, idx, value in edits:
+            if idx is None:
+                out.pop(key)
+            elif value is DROP:
+                out[key].pop(idx)
+            else:
+                out[key][idx] = value
+        return out
+
+    new_cells = dict(sk.cells)
+    new_cells.update(cells)
+    new_labeling = dict(h.labeling)
+    for cell, word in labeling:
+        if word is DROP:
+            new_labeling.pop(cell)
+        else:
+            new_labeling[cell] = word
+    skeleton = PrecubicalComplex(cells=new_cells, faces=apply(sk.faces, faces), max_dim=sk.max_dim)
+    return Hda(
+        complex=SymmetricCubicalComplex(skeleton, apply(h.complex.transpositions, transpositions)),
+        alphabet=h.alphabet if alphabet is None else alphabet,
+        labeling=new_labeling,
+        initial=h.initial if initial is None else initial,
+    )
+
+
+CASES = {
+    "missing face map": lambda: edit(square(), faces=[((2, 0, "-"), None, DROP)]),
+    "face undefined on a cell": lambda: edit(square(), faces=[((2, 1, "+"), 0, DROP)]),
+    "face lands outside": lambda: edit(square(), faces=[((1, 0, "+"), 1, 9)]),
+    "face rewired": lambda: edit(square(), faces=[((2, 0, "-"), 0, 3)]),
+    "cell without tables": lambda: edit(square(), cells=[(2, (0, 1, 2))]),
+    "missing transposition map": lambda: edit(cube(), transpositions=[((3, 1), None, DROP)]),
+    "transposition undefined on a cell": lambda: edit(cube(), transpositions=[((2, 0), 0, DROP)]),
+    "transposition lands outside": lambda: edit(cube(), transpositions=[((2, 0), 1, 99)]),
+    "transposition fixes a square": lambda: edit(square(), transpositions=[((2, 0), 0, 0)]),
+    "braid fails": lambda: edit(cube(), transpositions=[((3, 0), 0, 1), ((3, 0), 1, 0)]),
+    "distant transpositions": lambda: edit(loops4(), transpositions=[((4, 2), 0, 3), ((4, 2), 3, 0)]),
+    "initial is an edge": lambda: edit(square(), initial=CellId(1, 0)),
+    "initial is not a cell": lambda: edit(square(), initial=CellId(0, 99)),
+    "idle symbol in the alphabet": lambda: edit(square(), alphabet=("a", "b", STAR)),
+    "labels broken": lambda: edit(cube(), labeling=[
+        (CellId(1, 0), DROP), (CellId(1, 1), ("a", "b")), (CellId(1, 2), (STAR,)),
+        (CellId(1, 3), ("z",)), (CellId(2, 0), ("b", "b")), (CellId(3, 5), ("c", "a", "b"))]),
+    "everything at once": lambda: edit(
+        cube(),
+        faces=[((3, 2, "+"), None, DROP), ((2, 1, "-"), 4, 0), ((1, 0, "-"), 2, 50)],
+        transpositions=[((3, 0), 2, DROP), ((2, 0), 3, 3)],
+        cells=[(3, (0, 1, 2, 3, 4, 5, 6))],
+        labeling=[(CellId(2, 1), ("a", "a")), (CellId(0, 0), ("a",))],
+        alphabet=("a", "b"), initial=CellId(2, 0)),
+}
+
+# recorded before the validators read their tables once per identity
+GOLDEN = {
+    "braid fails": (
+        [
+            "SymmetricCubicalComplex: 8 violation(s)",
+            "  - transposition (3,0) is not an involution at cell 2",
+            "  - transposition (3,0) is not an involution at cell 4",
+            "  - dim 3 cell 0: transposition 0 incompatible with faces",
+            "  - dim 3 cell 0: transposition 0 incompatible with faces",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces",
+            "  - dim 3 cell 2: braid relation fails at 0",
+            "  - dim 3 cell 4: braid relation fails at 0",
+        ],
+        [
+            "hda: 10 violation(s)",
+            "  - transposition (3,0) is not an involution at cell 2",
+            "  - transposition (3,0) is not an involution at cell 4",
+            "  - dim 3 cell 0: transposition 0 incompatible with faces",
+            "  - dim 3 cell 0: transposition 0 incompatible with faces",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces",
+            "  - dim 3 cell 2: braid relation fails at 0",
+            "  - dim 3 cell 4: braid relation fails at 0",
+            "  - labeling not natural at transposition 0 of CellId(dim=3, index=0)",
+            "  - labeling not natural at transposition 0 of CellId(dim=3, index=1)",
+        ],
+    ),
+    "cell without tables": (
+        [
+            "SymmetricCubicalComplex: 5 violation(s)",
+            "  - face (2,0,-) undefined on cell 2",
+            "  - face (2,0,+) undefined on cell 2",
+            "  - face (2,1,-) undefined on cell 2",
+            "  - face (2,1,+) undefined on cell 2",
+            "  - transposition (2,0) undefined on cell 2",
+        ],
+        [
+            "hda: 6 violation(s)",
+            "  - face (2,0,-) undefined on cell 2",
+            "  - face (2,0,+) undefined on cell 2",
+            "  - face (2,1,-) undefined on cell 2",
+            "  - face (2,1,+) undefined on cell 2",
+            "  - transposition (2,0) undefined on cell 2",
+            "  - cell CellId(dim=2, index=2) has no label",
+        ],
+    ),
+    "distant transpositions": (
+        [
+            "SymmetricCubicalComplex: 15 violation(s)",
+            "  - transposition (4,2) is not an involution at cell 1",
+            "  - transposition (4,2) is not an involution at cell 2",
+            "  - dim 4 cell 0: transposition 2 incompatible with faces",
+            "  - dim 4 cell 0: transposition 2 incompatible with faces",
+            "  - dim 4 cell 0: braid relation fails at 1",
+            "  - dim 4 cell 0: distant transpositions 0,2 do not commute",
+            "  - dim 4 cell 2: braid relation fails at 1",
+            "  - dim 4 cell 3: transposition 2 incompatible with faces",
+            "  - dim 4 cell 3: transposition 2 incompatible with faces",
+            "  - dim 4 cell 3: braid relation fails at 1",
+            "  - dim 4 cell 3: distant transpositions 0,2 do not commute",
+            "  - dim 4 cell 4: braid relation fails at 1",
+            "  - dim 4 cell 5: braid relation fails at 1",
+            "  - dim 4 cell 6: distant transpositions 0,2 do not commute",
+            "  - dim 4 cell 13: distant transpositions 0,2 do not commute",
+        ],
+        [
+            "hda: 17 violation(s)",
+            "  - transposition (4,2) is not an involution at cell 1",
+            "  - transposition (4,2) is not an involution at cell 2",
+            "  - dim 4 cell 0: transposition 2 incompatible with faces",
+            "  - dim 4 cell 0: transposition 2 incompatible with faces",
+            "  - dim 4 cell 0: braid relation fails at 1",
+            "  - dim 4 cell 0: distant transpositions 0,2 do not commute",
+            "  - dim 4 cell 2: braid relation fails at 1",
+            "  - dim 4 cell 3: transposition 2 incompatible with faces",
+            "  - dim 4 cell 3: transposition 2 incompatible with faces",
+            "  - dim 4 cell 3: braid relation fails at 1",
+            "  - dim 4 cell 3: distant transpositions 0,2 do not commute",
+            "  - dim 4 cell 4: braid relation fails at 1",
+            "  - dim 4 cell 5: braid relation fails at 1",
+            "  - dim 4 cell 6: distant transpositions 0,2 do not commute",
+            "  - dim 4 cell 13: distant transpositions 0,2 do not commute",
+            "  - labeling not natural at transposition 2 of CellId(dim=4, index=0)",
+            "  - labeling not natural at transposition 2 of CellId(dim=4, index=3)",
+        ],
+    ),
+    "everything at once": (
+        [
+            "SymmetricCubicalComplex: 25 violation(s)",
+            "  - face (1,0,-) of cell 2 lands outside cells(0)",
+            "  - face (3,0,-) undefined on cell 6",
+            "  - face (3,0,+) undefined on cell 6",
+            "  - face (3,1,-) undefined on cell 6",
+            "  - face (3,1,+) undefined on cell 6",
+            "  - face (3,2,-) undefined on cell 6",
+            "  - missing face map (3,2,+)",
+            "  - dim 2 cell 1: face(0,-).face(1,-) = 0 but face(0,-).face(0,-) = 50",
+            "  - dim 2 cell 3: face(0,-).face(1,-) = 0 but face(0,-).face(0,-) = 50",
+            "  - dim 2 cell 4: face(0,+).face(1,-) = 1 but face(0,-).face(0,+) = 7",
+            "  - dim 2 cell 5: face(0,-).face(1,-) = 50 but face(0,-).face(0,-) = 0",
+            "  - dim 3 cell 3: face(0,-).face(2,-) = 2 but face(1,-).face(0,-) = 0",
+            "  - dim 3 cell 4: face(1,-).face(2,-) = 0 but face(1,-).face(1,-) = 2",
+            "  - dim 3 cell 5: face(1,-).face(2,-) = 2 but face(1,-).face(1,-) = 0",
+            "  - transposition (2,0) is not an involution at cell 5",
+            "  - transposition (3,0) is not an involution at cell 0",
+            "  - transposition (3,0) undefined on cell 2",
+            "  - transposition (3,0) undefined on cell 6",
+            "  - transposition (3,1) undefined on cell 6",
+            "  - dim 2 cell 1: transposition 0 incompatible with faces",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces",
+            "  - dim 2 cell 4: transposition 0 incompatible with faces",
+            "  - dim 3 cell 0: transposition 1 incompatible with faces",
+            "  - dim 3 cell 3: transposition 0 incompatible with faces",
+        ],
+        [
+            "hda: 57 violation(s)",
+            "  - face (1,0,-) of cell 2 lands outside cells(0)",
+            "  - face (3,0,-) undefined on cell 6",
+            "  - face (3,0,+) undefined on cell 6",
+            "  - face (3,1,-) undefined on cell 6",
+            "  - face (3,1,+) undefined on cell 6",
+            "  - face (3,2,-) undefined on cell 6",
+            "  - missing face map (3,2,+)",
+            "  - dim 2 cell 1: face(0,-).face(1,-) = 0 but face(0,-).face(0,-) = 50",
+            "  - dim 2 cell 3: face(0,-).face(1,-) = 0 but face(0,-).face(0,-) = 50",
+            "  - dim 2 cell 4: face(0,+).face(1,-) = 1 but face(0,-).face(0,+) = 7",
+            "  - dim 2 cell 5: face(0,-).face(1,-) = 50 but face(0,-).face(0,-) = 0",
+            "  - dim 3 cell 3: face(0,-).face(2,-) = 2 but face(1,-).face(0,-) = 0",
+            "  - dim 3 cell 4: face(1,-).face(2,-) = 0 but face(1,-).face(1,-) = 2",
+            "  - dim 3 cell 5: face(1,-).face(2,-) = 2 but face(1,-).face(1,-) = 0",
+            "  - transposition (2,0) is not an involution at cell 5",
+            "  - transposition (3,0) is not an involution at cell 0",
+            "  - transposition (3,0) undefined on cell 2",
+            "  - transposition (3,0) undefined on cell 6",
+            "  - transposition (3,1) undefined on cell 6",
+            "  - dim 2 cell 1: transposition 0 incompatible with faces",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces",
+            "  - dim 2 cell 4: transposition 0 incompatible with faces",
+            "  - dim 3 cell 0: transposition 1 incompatible with faces",
+            "  - dim 3 cell 3: transposition 0 incompatible with faces",
+            "  - initial cell CellId(dim=2, index=0) is not a 0-cell of the complex",
+            "  - cell CellId(dim=0, index=0) labeled by word of length 1",
+            "  - labeling not natural at face (0,-) of CellId(dim=1, index=0)",
+            "  - labeling not natural at face (0,-) of CellId(dim=1, index=1)",
+            "  - cell CellId(dim=1, index=2) label 'c' outside the alphabet",
+            "  - labeling not natural at face (0,-) of CellId(dim=1, index=2)",
+            "  - cell CellId(dim=1, index=4) label 'c' outside the alphabet",
+            "  - cell CellId(dim=1, index=5) label 'c' outside the alphabet",
+            "  - cell CellId(dim=1, index=8) label 'c' outside the alphabet",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=1)",
+            "  - labeling not natural at face (0,+) of CellId(dim=2, index=1)",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=1)",
+            "  - cell CellId(dim=2, index=3) label 'c' outside the alphabet",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=3)",
+            "  - cell CellId(dim=2, index=4) label 'c' outside the alphabet",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=4)",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=4)",
+            "  - cell CellId(dim=2, index=5) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=6) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=7) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=8) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=9) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=0) label 'c' outside the alphabet",
+            "  - labeling not natural at face (1,-) of CellId(dim=3, index=0)",
+            "  - cell CellId(dim=3, index=1) label 'c' outside the alphabet",
+            "  - labeling not natural at face (2,-) of CellId(dim=3, index=1)",
+            "  - cell CellId(dim=3, index=2) label 'c' outside the alphabet",
+            "  - labeling not natural at face (0,-) of CellId(dim=3, index=2)",
+            "  - cell CellId(dim=3, index=3) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=4) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=5) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=6) has no label",
+        ],
+    ),
+    "face lands outside": (
+        [
+            "SymmetricCubicalComplex: 3 violation(s)",
+            "  - face (1,0,+) of cell 1 lands outside cells(0)",
+            "  - dim 2 cell 0: face(0,-).face(1,+) = 3 but face(0,+).face(0,-) = 9",
+            "  - dim 2 cell 1: face(0,+).face(1,-) = 9 but face(0,-).face(0,+) = 3",
+        ],
+        [
+            "hda: 4 violation(s)",
+            "  - face (1,0,+) of cell 1 lands outside cells(0)",
+            "  - dim 2 cell 0: face(0,-).face(1,+) = 3 but face(0,+).face(0,-) = 9",
+            "  - dim 2 cell 1: face(0,+).face(1,-) = 9 but face(0,-).face(0,+) = 3",
+            "  - labeling not natural at face (0,+) of CellId(dim=1, index=1)",
+        ],
+    ),
+    "face rewired": (
+        [
+            "SymmetricCubicalComplex: 4 violation(s)",
+            "  - dim 2 cell 0: face(0,-).face(1,-) = 0 but face(0,-).face(0,-) = 3",
+            "  - dim 2 cell 0: face(0,-).face(1,+) = 3 but face(0,+).face(0,-) = 2",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces",
+            "  - dim 2 cell 1: transposition 0 incompatible with faces",
+        ],
+        [
+            "hda: 5 violation(s)",
+            "  - dim 2 cell 0: face(0,-).face(1,-) = 0 but face(0,-).face(0,-) = 3",
+            "  - dim 2 cell 0: face(0,-).face(1,+) = 3 but face(0,+).face(0,-) = 2",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces",
+            "  - dim 2 cell 1: transposition 0 incompatible with faces",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=0)",
+        ],
+    ),
+    "face undefined on a cell": (
+        [
+            "SymmetricCubicalComplex: 1 violation(s)",
+            "  - face (2,1,+) undefined on cell 0",
+        ],
+        [
+            "hda: 1 violation(s)",
+            "  - face (2,1,+) undefined on cell 0",
+        ],
+    ),
+    "idle symbol in the alphabet": (
+        ["SymmetricCubicalComplex: ok"],
+        [
+            "hda: 1 violation(s)",
+            "  - alphabet must not contain the idle symbol",
+        ],
+    ),
+    "initial is an edge": (
+        ["SymmetricCubicalComplex: ok"],
+        [
+            "hda: 1 violation(s)",
+            "  - initial cell CellId(dim=1, index=0) is not a 0-cell of the complex",
+        ],
+    ),
+    "initial is not a cell": (
+        ["SymmetricCubicalComplex: ok"],
+        [
+            "hda: 1 violation(s)",
+            "  - initial cell CellId(dim=0, index=99) is not a 0-cell of the complex",
+        ],
+    ),
+    "labels broken": (
+        ["SymmetricCubicalComplex: ok"],
+        [
+            "hda: 36 violation(s)",
+            "  - cell CellId(dim=1, index=0) has no label",
+            "  - cell CellId(dim=1, index=1) labeled by word of length 2",
+            "  - cell CellId(dim=1, index=2) label contains the idle symbol",
+            "  - cell CellId(dim=1, index=3) label 'z' outside the alphabet",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=0)",
+            "  - labeling not natural at face (0,+) of CellId(dim=2, index=0)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=0)",
+            "  - labeling not natural at face (1,+) of CellId(dim=2, index=0)",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=0)",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=1)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=1)",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=2)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=2)",
+            "  - labeling not natural at face (1,+) of CellId(dim=2, index=2)",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=2)",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=3)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=3)",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=4)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=4)",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=5)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=5)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=6)",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=7)",
+            "  - labeling not natural at face (2,-) of CellId(dim=3, index=0)",
+            "  - labeling not natural at face (1,-) of CellId(dim=3, index=1)",
+            "  - labeling not natural at transposition 0 of CellId(dim=3, index=3)",
+            "  - labeling not natural at face (0,-) of CellId(dim=3, index=4)",
+            "  - labeling not natural at transposition 1 of CellId(dim=3, index=4)",
+            "  - labeling not natural at face (0,-) of CellId(dim=3, index=5)",
+            "  - labeling not natural at face (0,+) of CellId(dim=3, index=5)",
+            "  - labeling not natural at face (1,-) of CellId(dim=3, index=5)",
+            "  - labeling not natural at face (1,+) of CellId(dim=3, index=5)",
+            "  - labeling not natural at face (2,-) of CellId(dim=3, index=5)",
+            "  - labeling not natural at face (2,+) of CellId(dim=3, index=5)",
+            "  - labeling not natural at transposition 0 of CellId(dim=3, index=5)",
+            "  - labeling not natural at transposition 1 of CellId(dim=3, index=5)",
+        ],
+    ),
+    "missing face map": (
+        [
+            "SymmetricCubicalComplex: 1 violation(s)",
+            "  - missing face map (2,0,-)",
+        ],
+        [
+            "hda: 1 violation(s)",
+            "  - missing face map (2,0,-)",
+        ],
+    ),
+    "missing transposition map": (
+        [
+            "SymmetricCubicalComplex: 1 violation(s)",
+            "  - missing transposition map (3,1)",
+        ],
+        [
+            "hda: 1 violation(s)",
+            "  - missing transposition map (3,1)",
+        ],
+    ),
+    "transposition fixes a square": (
+        [
+            "SymmetricCubicalComplex: 3 violation(s)",
+            "  - transposition (2,0) is not an involution at cell 1",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces",
+        ],
+        [
+            "hda: 4 violation(s)",
+            "  - transposition (2,0) is not an involution at cell 1",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=0)",
+        ],
+    ),
+    "transposition lands outside": (
+        [
+            "SymmetricCubicalComplex: 4 violation(s)",
+            "  - transposition (2,0) of cell 1 lands outside cells(2)",
+            "  - transposition (2,0) is not an involution at cell 4",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces",
+            "  - dim 3 cell 2: transposition 1 incompatible with faces",
+        ],
+        [
+            "hda: 5 violation(s)",
+            "  - transposition (2,0) of cell 1 lands outside cells(2)",
+            "  - transposition (2,0) is not an involution at cell 4",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces",
+            "  - dim 3 cell 2: transposition 1 incompatible with faces",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=1)",
+        ],
+    ),
+    "transposition undefined on a cell": (
+        [
+            "SymmetricCubicalComplex: 2 violation(s)",
+            "  - transposition (2,0) undefined on cell 0",
+            "  - transposition (2,0) is not an involution at cell 2",
+        ],
+        [
+            "hda: 2 violation(s)",
+            "  - transposition (2,0) undefined on cell 0",
+            "  - transposition (2,0) is not an involution at cell 2",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_validator_reports_verbatim(name):
+    h = CASES[name]()
+    complex_report, hda_report = GOLDEN[name]
+    assert str(validate_complex(h.complex)).splitlines() == complex_report
+    assert str(validate_hda(h)).splitlines() == hda_report
