@@ -8,7 +8,8 @@ which the axioms make order-independent.  Every CTS generates a higher
 dimensional automaton whose n-cells are the enabled words of length n.
 Those cells are grown one orbit (a state and an enabled multiset) at a
 time, expanded into their orderings in canonical (state, word) order,
-and numbered by ``index_complex``.
+and numbered in that order by ``index_complex`` under integer keys: the
+state's rank and the ranks of the word's events.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .cubical import STAR, Hda, index_complex
+from .cubical import STAR, CellId, Hda, index_complex
 from .errors import DimensionCapExceeded
 from .models import EventStructure, PetriNet, configurations, es_enabled, reachable_markings
 from .util import ValidationReport, canon_key, sorted_by_key
@@ -226,30 +227,34 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
         raise DimensionCapExceeded(
             f"enabled words longer than {max_dim} exist; pass truncate_cells=True to drop them")
 
+    # the complex is numbered over ranks: a cell is keyed by its state's
+    # rank and its word's event ranks, so a face is an int-tuple lookup.
+    # The 0-cells list every state once, in rank order.
+    state_rank = dict(zip((x for x, _ in cells_by_dim[0]), itertools.count()))
+    events = sorted_by_key(c.events)
+    event_rank = dict(zip(events, itertools.count()))
+    step = {(state_rank[x], event_rank[e]): state_rank[y] for (x, e), y in c.delta.items()}
+    ranked = {n: [(state_rank[x], tuple(map(event_rank.__getitem__, w))) for x, w in cells]
+              for n, cells in cells_by_dim.items()}
+
     def face_key(n, key, i, sign):
         x, w = key
-        rest = w[:i] + w[i + 1:]
-        if sign == "-":
-            return (x, rest)
-        return (c.delta[(x, w[i])], rest)
+        return (x if sign == "-" else step[x, w[i]], w[:i] + w[i + 1:])
 
     def transpose_key(n, key, i):
         x, w = key
-        swapped = list(w)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        return (x, tuple(swapped))
+        return (x, w[:i] + (w[i + 1], w[i]) + w[i + 2:])
 
-    complex_, keys = index_complex(cells_by_dim, face_key, transpose_key)
-    labeling = {
-        cell: tuple(c.labeling[e] for e in key[1]) for cell, key in keys.items()
-    }
-    by_key = {key: cell for cell, key in keys.items()}
+    complex_, keys = index_complex(ranked, face_key, transpose_key)
+    label_of = [c.labeling[e] for e in events]
+    labeling = dict(zip(keys, (tuple(map(label_of.__getitem__, w))
+                               for _, w in itertools.chain.from_iterable(ranked.values()))))
     return Hda(
         complex=complex_,
         alphabet=tuple(sorted_by_key(set(c.alphabet))),
         labeling=labeling,
-        initial=by_key[(c.initial, ())],
-        cell_keys=keys,
+        initial=CellId(0, state_rank[c.initial]),
+        cell_keys=dict(zip(keys, itertools.chain.from_iterable(cells_by_dim.values()))),
     )
 
 

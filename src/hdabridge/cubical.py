@@ -321,47 +321,51 @@ def index_complex(
 ):
     """Build a complex from keyed cells and key-level face/transposition maps.
 
-    Keys are arbitrary hashables; indices are assigned in canonical key
-    order per dimension, which makes construction deterministic.  Returns
-    ``(complex, keys)`` where ``keys`` maps :class:`CellId` to the original
-    key.  ``transpose_key`` selects a symmetric complex.
+    Keys are distinct hashables; each dimension's keys are numbered
+    0, 1, ... in the order given, so a caller that wants a canonical
+    numbering passes them sorted.  Returns ``(complex, keys)`` where
+    ``keys`` maps :class:`CellId` to the original key, in dimension and
+    index order.  ``transpose_key`` selects a symmetric complex.
     """
     max_dim = max(cells_by_dim, default=0)
-    cells: dict[int, tuple[int, ...]] = {}
-    index_of: dict[int, dict[object, int]] = {}
-    keys: dict[CellId, object] = {}
-    for n in range(max_dim + 1):
-        ordered = sorted_by_key(cells_by_dim.get(n, ()))
-        cells[n] = tuple(range(len(ordered)))
-        index_of[n] = {k: i for i, k in enumerate(ordered)}
-        for i, k in enumerate(ordered):
-            keys[CellId(n, i)] = k
-    faces: dict[tuple[int, int, str], dict[int, int]] = {}
+    ordered = [list(cells_by_dim.get(n, ())) for n in range(max_dim + 1)]
+    index_of = [dict(zip(keys_n, itertools.count())) for keys_n in ordered]
+    cells = {n: tuple(range(len(keys_n))) for n, keys_n in enumerate(ordered)}
+    keys = {CellId(n, i): k for n, keys_n in enumerate(ordered) for i, k in enumerate(keys_n)}
+    # each table is one lookup per cell; only a failed table is walked
+    # again, to name the first key whose image is not a cell
+    faces = {}
     for n in range(1, max_dim + 1):
-        by_index = {i: k for k, i in index_of[n].items()}
+        below = index_of[n - 1]
         for i in range(n):
             for sign in SIGNS:
-                table = {}
-                for idx, key in by_index.items():
-                    fk = face_key(n, key, i, sign)
-                    if fk not in index_of[n - 1]:
-                        raise KeyError(f"face of {key!r} at ({i},{sign}) is not a cell: {fk!r}")
-                    table[idx] = index_of[n - 1][fk]
-                faces[(n, i, sign)] = table
+                try:
+                    faces[(n, i, sign)] = dict(enumerate(
+                        [below[face_key(n, k, i, sign)] for k in ordered[n]]))
+                except KeyError:
+                    for k in ordered[n]:
+                        fk = face_key(n, k, i, sign)
+                        if fk not in below:
+                            raise KeyError(
+                                f"face of {k!r} at ({i},{sign}) is not a cell: {fk!r}") from None
+                    raise
     skeleton = PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim)
     if transpose_key is None:
         return skeleton, keys
-    transpositions: dict[tuple[int, int], dict[int, int]] = {}
+    transpositions = {}
     for n in range(2, max_dim + 1):
-        by_index = {i: k for k, i in index_of[n].items()}
+        same = index_of[n]
         for i in range(n - 1):
-            table = {}
-            for idx, key in by_index.items():
-                tk = transpose_key(n, key, i)
-                if tk not in index_of[n]:
-                    raise KeyError(f"transposition of {key!r} at {i} is not a cell: {tk!r}")
-                table[idx] = index_of[n][tk]
-            transpositions[(n, i)] = table
+            try:
+                transpositions[(n, i)] = dict(enumerate(
+                    [same[transpose_key(n, k, i)] for k in ordered[n]]))
+            except KeyError:
+                for k in ordered[n]:
+                    tk = transpose_key(n, k, i)
+                    if tk not in same:
+                        raise KeyError(
+                            f"transposition of {k!r} at {i} is not a cell: {tk!r}") from None
+                raise
     return SymmetricCubicalComplex(skeleton=skeleton, transpositions=transpositions), keys
 
 
@@ -378,7 +382,8 @@ def standard_cube(d: int) -> PrecubicalComplex:
         out[free[i]] = sign
         return tuple(out)
 
-    skeleton, _ = index_complex(cells_by_dim, face_key)
+    skeleton, _ = index_complex({n: sorted_by_key(keys) for n, keys in cells_by_dim.items()},
+                                face_key)
     return skeleton
 
 
@@ -464,13 +469,13 @@ def validate_complex(c: Complex) -> ValidationReport:
                           for j in range(n) if j not in (i, i + 1)]
                 if swap[i] is not None and None not in tables and \
                         all(None not in pair for pair in slides):
-                    sliding.append((i, swap[i], tables[0], tables[1], slides))
+                    sliding.append((i, a, swap[i], tables[0], tables[1], slides))
         braids = [(i, swap[i], swap[i + 1]) for i in range(n - 2)
                   if swap[i] is not None and swap[i + 1] is not None]
         distant = [(i, k, swap[i], swap[k]) for i in range(n - 1) for k in range(i + 2, n - 1)
                    if swap[i] is not None and swap[k] is not None]
         for idx in present[n]:
-            for i, t, here, there, slides in sliding:
+            for i, a, t, here, there, slides in sliding:
                 try:
                     s = t[idx]
                     lhs = [here[s], there[s]] + [f[s] for f, _ in slides]
@@ -478,7 +483,8 @@ def validate_complex(c: Complex) -> ValidationReport:
                 except KeyError:
                     continue
                 if lhs != rhs:
-                    report.add(f"dim {n} cell {idx}: transposition {i} incompatible with faces")
+                    report.add(f"dim {n} cell {idx}: transposition {i} "
+                               f"incompatible with faces of sign {a}")
             for i, t, u in braids:
                 try:
                     lhs = t[u[t[idx]]]
@@ -545,6 +551,38 @@ class Hda:
 
     def cells_by_key(self) -> dict:
         return {self.key(c): c for c in self.skeleton.all_cells()}
+
+    # Tables read by every morphism into or out of the automaton.  Each is
+    # built on first use and kept in the instance dict, outside the fields.
+
+    @cached_property
+    def vertex_by_key(self) -> dict:
+        return {self.key(v): v for v in self.cells(0)}
+
+    @cached_property
+    def zero_ends(self) -> dict:
+        """Each cell's 0-source and 0-target vertices, in one pass per
+        dimension over the face tables (n,0,-) and (n,0,+)."""
+        ends = {v: (v, v) for v in self.cells(0)}
+        for n in range(1, self.max_dim + 1):
+            low = self.skeleton.faces.get((n, 0, "-"), {})
+            high = self.skeleton.faces.get((n, 0, "+"), {})
+            for cell in self.cells(n):
+                ends[cell] = (ends[CellId(n - 1, low[cell.index])][0],
+                              ends[CellId(n - 1, high[cell.index])][1])
+        return ends
+
+    @cached_property
+    def cell_by_ends(self) -> dict:
+        """Each cell under its (0-source, 0-target, label word); raises
+        ValueError when two cells share that key."""
+        index = {}
+        for cell, (s, t) in self.zero_ends.items():
+            key = (s, t, self.labeling[cell])
+            if key in index:
+                raise ValueError(f"cells {index[key]} and {cell} share their 0-ends and label")
+            index[key] = cell
+        return index
 
 
 def validate_hda(h: Hda) -> ValidationReport:

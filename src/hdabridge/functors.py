@@ -133,18 +133,6 @@ def validate_hda_morphism(m: HdaMorphism, src: Hda, dst: Hda) -> ValidationRepor
     return report
 
 
-def _zero_ends(h: Hda) -> dict:
-    """Each cell's 0-source and 0-target vertices, in one pass per
-    dimension over the face tables (n,0,-) and (n,0,+)."""
-    ends = {v: (v, v) for v in h.cells(0)}
-    for n in range(1, h.max_dim + 1):
-        low, high = h.skeleton.faces.get((n, 0, "-"), {}), h.skeleton.faces.get((n, 0, "+"), {})
-        for cell in h.cells(n):
-            ends[cell] = (ends[CellId(n - 1, low[cell.index])][0],
-                          ends[CellId(n - 1, high[cell.index])][1])
-    return ends
-
-
 def induced_morphism(src: Hda, dst: Hda, vertex_map: Mapping, label_map: Mapping) -> HdaMorphism:
     """The morphism fixed by where it sends vertices and labels.
 
@@ -154,15 +142,12 @@ def induced_morphism(src: Hda, dst: Hda, vertex_map: Mapping, label_map: Mapping
     image 0-target and the image word; dropped letters become collapsed
     positions.  In every automaton built from a model that key names at
     most one cell; two cells sharing it raise instead of one being picked.
+    Both automata keep their 0-ends and ``dst`` its index of cells by key,
+    so a hom-set builds them once, not once per member.
     """
-    index = {}
-    for cell, (s, t) in _zero_ends(dst).items():
-        key = (s, t, dst.labeling[cell])
-        if key in index:
-            raise ValueError(f"cells {index[key]} and {cell} share their 0-ends and label")
-        index[key] = cell
+    index = dst.cell_by_ends
     cell_map = {}
-    for cell, (s, t) in _zero_ends(src).items():
+    for cell, (s, t) in src.zero_ends.items():
         word = [label_map.get(e, STAR) for e in src.labeling[cell]]
         kept = tuple(e for e in word if e != STAR)
         key = (vertex_map[s], vertex_map[t], kept)
@@ -197,7 +182,7 @@ def ts_to_hda1(t: TransitionSystem, idle: bool = False) -> Hda:
                 raise StarClash(f"idle transition {(s, e, s2)!r} is not a self-loop")
             continue
         edges.append((s, e, s2))
-    cells_by_dim = {0: list(t.states), 1: edges}
+    cells_by_dim = {0: sorted_by_key(t.states), 1: sorted_by_key(edges)}
 
     def face_key(n, key, i, sign):
         return key[0] if sign == "-" else key[2]
@@ -253,11 +238,8 @@ def acr_to_hda2(a: Acr) -> Hda:
     if not report.ok:
         raise SquareIncomplete(str(report))
     t = a.ts
-    edges = [(s, e, s2) for (s, e, s2) in t.trans]
-    squares = []
-    for (s, x, y) in a.indep:
-        squares.append((s, x, y))
-    cells_by_dim = {0: list(t.states), 1: edges, 2: squares}
+    cells_by_dim = {0: sorted_by_key(t.states), 1: sorted_by_key(t.trans),
+                    2: sorted_by_key(a.indep)}
     step = {(s, e): s2 for s, e, s2 in t.trans}
 
     def closing(s, x, y):
@@ -306,7 +288,7 @@ def hda2_to_acr(h: Hda) -> Acr:
     if not check_deterministic(low, 1):
         raise NotOneDeterministic("two edges share source and label")
     ts = hda1_to_ts(low)
-    ends = _zero_ends(low)
+    ends = low.zero_ends
     indep = {(low.key(ends[cell][0]), *low.labeling[cell]) for cell in low.cells(2)}
     a = Acr(ts=ts, indep=frozenset(indep))
     report = validate_acr(a)
@@ -474,7 +456,7 @@ def region_check(h: Hda, reg: Region) -> bool:
         if v not in tokens:
             return False
     return all(_coherent([flows.get(e, (0, 0)) for e in h.labeling[cell]], tokens[s], tokens[t])
-               for cell, (s, t) in _zero_ends(h).items())
+               for cell, (s, t) in h.zero_ends.items())
 
 
 def enumerate_regions(h: Hda, cap: int) -> frozenset:
@@ -489,7 +471,7 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
     being chosen.
     """
     slots: dict = {}  # ("token", vertex) or ("flow", label) -> position
-    zero_ends = _zero_ends(h)
+    zero_ends = h.zero_ends
     adjacent = {v: [] for v in h.cells(0)}
     for e in h.cells(1):
         s, t = zero_ends[e]
@@ -582,14 +564,13 @@ def transpose_to_hda(f: PnMorphism, source: Hda, synth: SynthesizedNet,
     A vertex goes to the marking that reads, at each place, the token count
     of the place's pulled-back region; the labels follow the event map.
     """
-    target_by_key = {target.key(v): v for v in target.cells(0)}
     vertex_map = {}
     for vertex in source.cells(0):
         m = Marking.of({p: synth.regions[f.phi[p]].tokens_at(vertex) for p in net.places})
-        if (m, ()) not in target_by_key:
+        if (m, ()) not in target.vertex_by_key:
             raise OutOfReachableFragment(
                 f"marking {m.to_dict()!r} of vertex {source.key(vertex)!r} is not reachable")
-        vertex_map[vertex] = target_by_key[(m, ())]
+        vertex_map[vertex] = target.vertex_by_key[(m, ())]
     return induced_morphism(source, target, vertex_map, f.psi)
 
 
@@ -690,6 +671,5 @@ def map_morphism(functor: str, m, src, dst, **context):
 def _induced_on_keys(src_hda: Hda, dst_hda: Hda, image, label_map) -> HdaMorphism:
     """The induced morphism whose vertex map reads each vertex's key and
     sends it to the vertex keyed ``image(key)``."""
-    dst_by_key = {dst_hda.key(v): v for v in dst_hda.cells(0)}
-    vertex_map = {v: dst_by_key[image(src_hda.key(v))] for v in src_hda.cells(0)}
+    vertex_map = {v: dst_hda.vertex_by_key[image(src_hda.key(v))] for v in src_hda.cells(0)}
     return induced_morphism(src_hda, dst_hda, vertex_map, label_map)

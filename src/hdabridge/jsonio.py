@@ -23,7 +23,9 @@ Schemas (see docs/formats.md for the worked examples):
 
 from __future__ import annotations
 
+import itertools
 import json
+from typing import Mapping
 
 from .cubical import (
     STAR,
@@ -63,6 +65,12 @@ def _scalarize(values) -> dict:
     if all(isinstance(v, (str, int)) and not isinstance(v, bool) for v in values):
         return {v: v for v in values}
     return {v: f"q{i}" for i, v in enumerate(sorted_by_key(values))}
+
+
+def _index_table(table: Mapping) -> dict:
+    """An index map as a document object, in index order."""
+    indices = sorted(table)
+    return dict(zip(map(str, indices), map(table.__getitem__, indices)))
 
 
 def _ts_body(t: TransitionSystem, rename=None) -> dict:
@@ -110,14 +118,10 @@ def model_to_document(kind: str, model) -> dict:
             "alphabet": sorted_by_key(model.alphabet),
             "dims": list(range(sk.max_dim + 1)),
             "cells": {str(n): sorted(sk.cells.get(n, ())) for n in range(sk.max_dim + 1)},
-            "faces": {
-                f"{n},{i},{sign}": {str(idx): tgt for idx, tgt in sorted(table.items())}
-                for (n, i, sign), table in sorted(sk.faces.items())
-            },
-            "sym": {
-                f"{n},{i}": {str(idx): tgt for idx, tgt in sorted(table.items())}
-                for (n, i), table in sorted(model.complex.transpositions.items())
-            },
+            "faces": {f"{n},{i},{sign}": _index_table(table)
+                      for (n, i, sign), table in sorted(sk.faces.items())},
+            "sym": {f"{n},{i}": _index_table(table)
+                    for (n, i), table in sorted(model.complex.transpositions.items())},
             "labels": {
                 str(n): {
                     str(c.index): list(model.labeling[c])
@@ -133,7 +137,51 @@ def model_to_document(kind: str, model) -> dict:
 
 
 def print_document(kind: str, model) -> str:
-    return json.dumps(model_to_document(kind, model), sort_keys=True, indent=2) + "\n"
+    return format_json(model_to_document(kind, model)) + "\n"
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def format_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for
+    objects with string keys.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
+    a list of only ints or only strings, and an object of only ints, are
+    each written with one ``str.join``.  A non-string key raises TypeError.
+    """
+    return _format(value, "\n")
+
+
+def _format(value, newline: str) -> str:
+    """``value`` printed at the indent that ``newline`` carries after its
+    line break."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            texts = map(int.__repr__, value)
+        elif kinds == {str}:
+            texts = map(_string, value)
+        else:
+            texts = [_format(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str} and not all(isinstance(key, str) for key in value):
+            raise TypeError("object keys must be strings")
+        inner = newline + "  "
+        items = sorted(value.items())
+        if set(map(type, value.values())) == {int}:
+            texts = [f"{_string(key)}: {item!r}" for key, item in items]
+        else:
+            texts = [f"{_string(key)}: {_format(item, inner)}" for key, item in items]
+        return "{" + inner + ("," + inner).join(texts) + newline + "}"
+    return json.dumps(value)  # a string, number, bool or null: C-encoded
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +298,51 @@ def document_to_model(doc: dict):
 
 
 def _int_table(table, what: str) -> dict:
-    """An object from integer keys to integers."""
+    """An object from integer keys to integers.  It is read in bulk; only a
+    table found bad is read again entry by entry, to name its first bad
+    entry."""
+    obj = _object(table, what)
+    if set(map(type, obj.values())) <= {int}:
+        try:
+            return dict(zip(map(int, obj), obj.values()))
+        except ValueError:
+            pass
     try:
-        return {int(a): _int(b, f"{what}[{a}]") for a, b in _object(table, what).items()}
+        return {int(a): _int(b, f"{what}[{a}]") for a, b in obj.items()}
     except ValueError as err:
         raise ParseError(f"bad {what}: {err}") from err
 
 
+def _cell_indices(ids, what: str) -> tuple:
+    ids = _list(ids, what)
+    if not set(map(type, ids)) <= {int}:
+        ids = [_int(i, "a cell index") for i in ids]
+    return tuple(sorted(ids))
+
+
+def _label_words(labels_doc: dict, n: int, ids: tuple) -> list:
+    """The label words of the n-cells ``ids``, in order, read in bulk; only
+    a table found bad is read again cell by cell, to name its first bad
+    cell."""
+    if n == 0 or not ids:
+        return [()] * len(ids)
+    table = _object(labels_doc.get(str(n), {}), f"labels[{n}]")
+    words = [table.get(key) for key in map(str, ids)]
+    if set(map(type, words)) == {list} and \
+            set(map(type, itertools.chain.from_iterable(words))) <= {str, int, float}:
+        return list(map(tuple, words))
+    words = []
+    for idx in ids:
+        if str(idx) not in table:
+            raise ParseError(f"cell ({n},{idx}) has no label")
+        word = _list(table[str(idx)], f"label of cell ({n},{idx})")
+        words.append(tuple(_name(e, "labels") for e in word))
+    return words
+
+
 def _parse_hda(doc: dict) -> Hda:
     try:
-        cells = {int(n): tuple(sorted(_int(i, "a cell index") for i in _list(ids, f"cells[{n}]")))
+        cells = {int(n): _cell_indices(ids, f"cells[{n}]")
                  for n, ids in _object(_need(doc, "cells"), "cells").items()}
     except ValueError as err:
         raise ParseError(f"bad cells table: {err}") from err
@@ -281,24 +364,23 @@ def _parse_hda(doc: dict) -> Hda:
         except ValueError as err:
             raise ParseError(f"bad sym key {key!r}: {err}") from err
     labels_doc = _object(doc.get("labels", {}), "labels")
-    labeling = {}
+    words, labeling = {}, {}
     for n in range(max_dim + 1):
-        for idx in cells.get(n, ()):
-            if n == 0:
-                labeling[CellId(0, idx)] = ()
-                continue
-            table = _object(labels_doc.get(str(n), {}), f"labels[{n}]")
-            if str(idx) not in table:
-                raise ParseError(f"cell ({n},{idx}) has no label")
-            word = _list(table[str(idx)], f"label of cell ({n},{idx})")
-            labeling[CellId(n, idx)] = tuple(_name(e, "labels") for e in word)
+        ids = cells.get(n, ())
+        words[n] = _label_words(labels_doc, n, ids)
+        labeling.update(zip([CellId(n, idx) for idx in ids], words[n]))
     initial = CellId(0, _int(_need(doc, "initial"), "initial"))
 
     # ingestion normalization: a lone idle-labeled self-loop denotes the
     # degenerate edge over its endpoint and is dropped; any other idle
-    # occurrence in a listed label is an error
+    # occurrence in a listed label is an error.  Only a dimension whose
+    # labels hold the idle symbol, or dimension 2 when some edge is
+    # dropped, is walked cell by cell.
+    def idle_in(n):
+        return STAR in itertools.chain.from_iterable(words.get(n, ()))
+
     droppable = set()
-    for idx in cells.get(1, ()):
+    for idx in cells.get(1, ()) if idle_in(1) else ():
         word = labeling[CellId(1, idx)]
         if STAR in word:
             if word != (STAR,):
@@ -309,13 +391,14 @@ def _parse_hda(doc: dict) -> Hda:
                 raise ParseError(f"idle-labeled cell (1,{idx}) is not a self-loop")
             droppable.add(idx)
     for n in range(2, max_dim + 1):
-        for idx in cells.get(n, ()):
+        faces_below = droppable and n == 2
+        for idx in cells.get(n, ()) if faces_below or idle_in(n) else ():
             if STAR in labeling[CellId(n, idx)]:
                 raise ParseError(
                     f"cell ({n},{idx}) lists an idle label; degeneracies are implicit")
-            for i in range(n):
+            for i in range(n) if faces_below else ():
                 for sign in ("-", "+"):
-                    if faces.get((n, i, sign), {}).get(idx) in droppable and n - 1 == 1:
+                    if faces.get((n, i, sign), {}).get(idx) in droppable:
                         raise ParseError(
                             f"cell ({n},{idx}) has an idle-labeled face; "
                             "replace it with the degenerate edge")

@@ -5,6 +5,8 @@ import pytest
 
 from hdabridge import errors, jsonio, zoo
 from hdabridge.cli import main
+from hdabridge.functors import es_to_hda
+from hdabridge.models import make_event_structure
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -173,6 +175,67 @@ def test_malformed_document_exits_3(tmp_path, capsys, fixture, mutate):
     assert out == ""
     assert err.startswith("error: ParseError: ")
     assert "Traceback" not in err
+
+
+def _bad_face_value(doc):
+    doc["faces"]["3,1,+"]["57"] = "x"
+
+
+def _bad_face_key(doc):
+    table = doc["faces"]["3,1,+"]
+    table["5x7"] = table.pop("57")
+
+
+def _bad_key_after_bad_value(doc):
+    table = doc["faces"]["3,1,+"]
+    table["57"] = True
+    table["1x"] = table.pop("100")
+
+
+def _bad_key_before_bad_value(doc):
+    table = doc["faces"]["3,1,+"]
+    table["57"] = True
+    doc["faces"]["3,1,+"] = {"1x": 0, **table}
+
+
+def _bad_sym_value(doc):
+    doc["sym"]["4,2"]["9"] = -1.0
+
+
+def _bool_in_label(doc):
+    doc["labels"]["3"]["57"] = ["a", 1.5, True]
+
+
+def _missing_label(doc):
+    del doc["labels"]["4"]["70"]
+
+
+def _string_cell_index(doc):
+    doc["cells"]["4"][70] = "70"
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_bad_face_value, "face table '3,1,+'[57] must be an integer, got 'x'"),
+    (_bad_face_key, "bad face table '3,1,+': invalid literal for int() with base 10: '5x7'"),
+    (_bad_key_after_bad_value, "face table '3,1,+'[57] must be an integer, got True"),
+    (_bad_key_before_bad_value,
+     "bad face table '3,1,+': invalid literal for int() with base 10: '1x'"),
+    (_bad_sym_value, "sym table '4,2'[9] must be an integer, got -1.0"),
+    (_bool_in_label, "labels must be a string or a number, got True"),
+    (_missing_label, "cell (4,70) has no label"),
+    (_string_cell_index, "a cell index must be an integer, got '70'"),
+], ids=["face-value", "face-key", "key-after-value", "key-before-value", "sym-value",
+        "label-bool", "label-missing", "cell-index"])
+def test_large_bad_table_names_its_first_bad_entry(tmp_path, capsys, mutate, message):
+    # tables are read in bulk; a bad one still gets the message of its
+    # first bad entry, as when every entry was read on its own
+    doc = jsonio.model_to_document("hda", es_to_hda(make_event_structure("abcde")))
+    assert len(doc["faces"]["3,1,+"]) == 240
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (3, "", f"error: ParseError: {message}\n")
 
 
 def test_laws_suite_pass(capsys):

@@ -296,6 +296,44 @@ def test_orbit_growth_keeps_auto_concurrent_square():
     assert cells[3] == []
 
 
+def assert_numbered_as_grown(c: Cts, max_dim: int):
+    """The automaton's cell keys, read per dimension in index order, are
+    the grown cells; labels, faces and transpositions act on the keys."""
+    h = cts_to_hda(c, max_dim, truncate_cells=True)
+    grown = enabled_cells_by_dim(c, max_dim)
+    assert h.key(h.initial) == (c.initial, ())
+    for n in range(max_dim + 1):
+        keys = [h.cell_keys[cell] for cell in h.cells(n)]
+        assert keys == grown[n]
+        for cell, (x, w) in zip(h.cells(n), keys):
+            assert h.labeling[cell] == tuple(c.labeling[e] for e in w)
+            for i in range(n):
+                rest = w[:i] + w[i + 1:]
+                assert h.key(h.skeleton.face(cell, i, "-")) == (x, rest)
+                assert h.key(h.skeleton.face(cell, i, "+")) == (c.delta[(x, w[i])], rest)
+            for i in range(n - 1):
+                swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                assert h.key(h.complex.transpose(cell, i)) == (x, swapped)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cell_keys_are_the_grown_cells_on_generated_models(seed):
+    cfg = GeneratorConfig(seed=seed, max_events=5)
+    for index in range(15):
+        assert_numbered_as_grown(es_to_cts(gen_es(index, cfg)), 3)
+        try:
+            c = pn_to_cts(gen_pn(index, cfg), 60)
+        except ExplosionLimit:
+            continue
+        assert_numbered_as_grown(c, 3)
+
+
+@pytest.mark.parametrize("name", CTS_FIXTURES)
+def test_cell_keys_are_the_grown_cells_on_fixtures(name):
+    kind, model = parse_document((FIXTURES / name).read_text())
+    assert_numbered_as_grown(es_to_cts(model) if kind == "es" else pn_to_cts(model, 200), 4)
+
+
 def recording(c: Cts):
     """``c`` with an ``enabled`` that records the size of every multiset it is asked."""
     sizes = []

@@ -31,6 +31,7 @@ from hdabridge.cubical import (
     zero_target,
 )
 from hdabridge.errors import ArityMismatch, IndexOutOfRange
+from hdabridge.util import sorted_by_key
 
 from helpers import cube_maps, oracle_face, oracle_degeneracy
 
@@ -60,10 +61,12 @@ def witness_from_map(cell_map, n, keys_to_id):
 
 def cube_with_ids(d):
     sk = standard_cube(d)
-    # standard_cube sorts keys canonically; rebuild the key table the same way
+    # standard_cube numbers its keys in canonical order; rebuild the key
+    # table the same way, sorting the keys before index_complex numbers them
     cells_by_dim = {n: [] for n in range(d + 1)}
     for signs in itertools.product(("-", "+", None), repeat=d):
         cells_by_dim[sum(1 for s in signs if s is None)].append(signs)
+    cells_by_dim = {n: sorted_by_key(keys) for n, keys in cells_by_dim.items()}
 
     def face_key(n, key, i, sign):
         free = [pos for pos, s in enumerate(key) if s is None]
@@ -468,3 +471,59 @@ def test_symmetric_cube_fill_adds_all_orderings():
     filled = coskeleton_fill(cube, 2, 3)
     assert len(filled.skeleton.cells[3]) == 6  # one top cell per ordering
     assert validate_complex(filled).ok
+
+
+# ---------------------------------------------------------------------------
+# index_complex numbers keys in the order given
+# ---------------------------------------------------------------------------
+
+PATH_CELLS = {0: ["x", "y", "z"], 1: [("x", "y"), ("y", "z")]}
+
+
+def path_face(n, key, i, sign):
+    return key[0] if sign == "-" else key[1]
+
+
+def test_index_complex_numbers_keys_in_the_order_given():
+    _, forward = index_complex(PATH_CELLS, path_face)
+    backward_sk, backward = index_complex({n: ks[::-1] for n, ks in PATH_CELLS.items()},
+                                          path_face)
+    assert list(forward) == list(backward) == [CellId(0, 0), CellId(0, 1), CellId(0, 2),
+                                               CellId(1, 0), CellId(1, 1)]
+    for n, ks in PATH_CELLS.items():
+        assert [forward[CellId(n, i)] for i in range(len(ks))] == ks
+        assert [backward[CellId(n, i)] for i in range(len(ks))] == ks[::-1]
+    # faces still act on the keys
+    for (n, i, sign), table in backward_sk.faces.items():
+        for idx, low in table.items():
+            assert backward[CellId(n - 1, low)] == path_face(n, backward[CellId(n, idx)], i, sign)
+
+
+def test_index_complex_names_the_first_key_whose_face_is_missing():
+    cells = {0: ["x", "y"], 1: [("x", "y"), ("y", "w"), ("x", "v")]}
+    with pytest.raises(KeyError, match=r"face of \('y', 'w'\) at \(0,\+\) is not a cell: 'w'"):
+        index_complex(cells, path_face)
+
+
+# sha256 of repr(standard_cube(d)), recorded while index_complex still
+# sorted every dimension itself: standard_cube sorts its keys instead
+STANDARD_CUBES = {
+    0: "6fd6b45dd3499b81fc39e2118d77190916543b9b01b0a7544142a4602ee1a79b",
+    1: "33b2fe55415fbde0fc88d0688d880a804bd5e32acfb0bfefeb0ae9a4dc4cd32a",
+    2: "f8f62cddc51250d0eb4884414e54623b4bd40e2fb192e821b2878f295ae8a33e",
+    3: "420803c4e7e69c616ea7988a6da188a397f3a69193c55dcb55b1072813359e93",
+}
+
+
+@pytest.mark.parametrize("d", sorted(STANDARD_CUBES))
+def test_standard_cube_numbering_is_unchanged(d):
+    import hashlib
+
+    assert hashlib.sha256(repr(standard_cube(d)).encode()).hexdigest() == STANDARD_CUBES[d]
+
+
+def test_standard_cube_edge_is_numbered_in_canonical_order():
+    # keys (None,), ("+",), ("-",) in canonical order: the free edge, then its
+    # positive and negative ends
+    assert standard_cube(1) == PrecubicalComplex(
+        cells={0: (0, 1), 1: (0,)}, faces={(1, 0, "-"): {0: 1}, (1, 0, "+"): {0: 0}}, max_dim=1)

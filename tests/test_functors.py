@@ -62,6 +62,49 @@ from hdabridge import zoo
 
 
 # ---------------------------------------------------------------------------
+# cell numbering of the automata built from systems
+# ---------------------------------------------------------------------------
+
+# sha256 of the printed automaton, recorded while index_complex still sorted
+# every dimension itself: ts_to_hda1 and acr_to_hda2 sort their keys instead
+PRINTED_AUTOMATA = {
+    "ts mutex square": "f92032f1b9ee5c2a349e0cb4abb268c69937b1f679cc0288119f08d5f23af2d9",
+    "acr triple diamond": "b4e67c30758fa31d30c29558bc49de88e6ce8ecadb5e9ef6f9ffe01f5de9e26b",
+    "acr full cube": "da1ca152ddf2b0dfe00bb8486909cb2a9cfc246f3a4f695dbc6b389adf3969a8",
+    "acr mutex square": "d9d699fbfbbd895614fc16b2e5a963ccd82287a91dc2c90561318371804da789",
+}
+SYSTEM_AUTOMATA = {
+    "ts mutex square": lambda: ts_to_hda1(zoo.mutex_square_ts()),
+    "acr triple diamond": lambda: acr_to_hda2(zoo.triple_diamond_acr()),
+    "acr full cube": lambda: acr_to_hda2(zoo.full_cube_acr()),
+    "acr mutex square": lambda: acr_to_hda2(zoo.mutex_square_acr(True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED_AUTOMATA))
+def test_system_automata_print_as_before(name):
+    import hashlib
+
+    from hdabridge.jsonio import print_document
+
+    text = print_document("hda", SYSTEM_AUTOMATA[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == PRINTED_AUTOMATA[name]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_system_automata_number_cells_in_canonical_key_order(seed):
+    from hdabridge.laws import GeneratorConfig, gen_acr, gen_ts
+    from hdabridge.util import sorted_by_key
+
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(30):
+        for h in (ts_to_hda1(gen_ts(index, cfg)), acr_to_hda2(gen_acr(index, cfg))):
+            for n in range(h.max_dim + 1):
+                keys = [h.cell_keys[cell] for cell in h.cells(n)]
+                assert keys == sorted_by_key(keys)
+
+
+# ---------------------------------------------------------------------------
 # transition systems
 # ---------------------------------------------------------------------------
 
@@ -626,6 +669,18 @@ def test_map_morphism_into_nondeterministic_target():
         image = map_morphism("ts_to_hda1", m, src, dst, src_hda=h_src, dst_hda=h_dst)
         assert h_dst.key(image.cell_map[edge].base) == ("x", "a", end)
         assert validate_hda_morphism(image, h_src, h_dst).ok
+
+
+def test_automaton_tables_are_built_once_and_stay_out_of_equality():
+    h = es_to_hda(make_event_structure("ab"))
+    fresh = es_to_hda(make_event_structure("ab"))
+    top = h.vertex_by_key[(frozenset("ab"), ())]
+    square = h.cells(2)[0]
+    assert h.zero_ends[square] == (h.initial, top)
+    assert h.cell_by_ends[(h.initial, top, h.labeling[square])] == square
+    assert h.zero_ends is h.zero_ends and h.cell_by_ends is h.cell_by_ends
+    assert h.vertex_by_key is h.vertex_by_key
+    assert h == fresh and repr(h) == repr(fresh)
 
 
 def test_induced_morphism_refuses_ambiguous_target():

@@ -1,6 +1,8 @@
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdabridge import jsonio, zoo
 from hdabridge.cubical import STAR, validate_hda
@@ -153,3 +155,85 @@ def test_documented_examples_validate():
         kind, model = jsonio.parse_document(block)
         report = VALIDATORS[kind](model)
         assert report.ok, f"{kind}: {report}"
+
+
+# ---------------------------------------------------------------------------
+# the printer's JSON emitter against json.dumps
+# ---------------------------------------------------------------------------
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# strings that need escaping or are not ASCII, next to drawn ones
+STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "*", "\"", "\\", "\n", "\t", "\x00", "\x7f", "é", " ", "😀", "1,0,-"]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), STRINGS,
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        SCALARS,
+        st.lists(st.integers(), max_size=5),          # the one-join cases
+        st.lists(STRINGS, max_size=5),
+        st.dictionaries(STRINGS, st.integers(), max_size=5),
+        st.dictionaries(STRINGS, st.lists(STRINGS, max_size=3), max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(STRINGS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def reference(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(JSON_VALUES)
+def test_format_json_matches_json_dumps(value):
+    assert jsonio.format_json(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], {"a": {}}, [1, True], [0, "0"], {"b": 1, "a": False},
+    {"x": [["a"], []]}, {"x": [["a"], [1]]}, (1, 2), [float("nan"), float("-inf"), -0.0],
+])
+def test_format_json_edge_cases(value):
+    assert jsonio.format_json(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2: "b"}]])
+def test_format_json_refuses_non_string_keys(value):
+    with pytest.raises(TypeError):
+        jsonio.format_json(value)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_fixtures_and_their_translations_print_as_json_dumps(name, capsys):
+    from hdabridge.cli import main
+
+    text = (FIXTURES / name).read_text()
+    assert text == reference(json.loads(text)) + "\n"
+    assert jsonio.format_json(json.loads(text)) + "\n" == text
+    printed = 0
+    for to in ("ts", "acr", "es", "pnet", "hda"):
+        for extra in ([], ["--max-dim", "2", "--truncate"], ["--cap", "2"]):
+            code = main(["translate", str(FIXTURES / name), "--to", to, *extra])
+            out = capsys.readouterr().out
+            if code == 0:
+                assert out == reference(json.loads(out)) + "\n", (to, extra)
+                printed += 1
+    assert printed
+
+
+def test_documented_layout_example():
+    import re
+
+    text = (pathlib.Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    source, printed = re.search(r"the object `(.*?)` prints as\n\n```text\n(.*?)```", text,
+                                re.S).groups()
+    assert jsonio.format_json(json.loads(source)) + "\n" == printed

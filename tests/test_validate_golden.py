@@ -107,10 +107,10 @@ GOLDEN = {
             "SymmetricCubicalComplex: 8 violation(s)",
             "  - transposition (3,0) is not an involution at cell 2",
             "  - transposition (3,0) is not an involution at cell 4",
-            "  - dim 3 cell 0: transposition 0 incompatible with faces",
-            "  - dim 3 cell 0: transposition 0 incompatible with faces",
-            "  - dim 3 cell 1: transposition 0 incompatible with faces",
-            "  - dim 3 cell 1: transposition 0 incompatible with faces",
+            "  - dim 3 cell 0: transposition 0 incompatible with faces of sign -",
+            "  - dim 3 cell 0: transposition 0 incompatible with faces of sign +",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces of sign -",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces of sign +",
             "  - dim 3 cell 2: braid relation fails at 0",
             "  - dim 3 cell 4: braid relation fails at 0",
         ],
@@ -118,10 +118,10 @@ GOLDEN = {
             "hda: 10 violation(s)",
             "  - transposition (3,0) is not an involution at cell 2",
             "  - transposition (3,0) is not an involution at cell 4",
-            "  - dim 3 cell 0: transposition 0 incompatible with faces",
-            "  - dim 3 cell 0: transposition 0 incompatible with faces",
-            "  - dim 3 cell 1: transposition 0 incompatible with faces",
-            "  - dim 3 cell 1: transposition 0 incompatible with faces",
+            "  - dim 3 cell 0: transposition 0 incompatible with faces of sign -",
+            "  - dim 3 cell 0: transposition 0 incompatible with faces of sign +",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces of sign -",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces of sign +",
             "  - dim 3 cell 2: braid relation fails at 0",
             "  - dim 3 cell 4: braid relation fails at 0",
             "  - labeling not natural at transposition 0 of CellId(dim=3, index=0)",
@@ -152,13 +152,13 @@ GOLDEN = {
             "SymmetricCubicalComplex: 15 violation(s)",
             "  - transposition (4,2) is not an involution at cell 1",
             "  - transposition (4,2) is not an involution at cell 2",
-            "  - dim 4 cell 0: transposition 2 incompatible with faces",
-            "  - dim 4 cell 0: transposition 2 incompatible with faces",
+            "  - dim 4 cell 0: transposition 2 incompatible with faces of sign -",
+            "  - dim 4 cell 0: transposition 2 incompatible with faces of sign +",
             "  - dim 4 cell 0: braid relation fails at 1",
             "  - dim 4 cell 0: distant transpositions 0,2 do not commute",
             "  - dim 4 cell 2: braid relation fails at 1",
-            "  - dim 4 cell 3: transposition 2 incompatible with faces",
-            "  - dim 4 cell 3: transposition 2 incompatible with faces",
+            "  - dim 4 cell 3: transposition 2 incompatible with faces of sign -",
+            "  - dim 4 cell 3: transposition 2 incompatible with faces of sign +",
             "  - dim 4 cell 3: braid relation fails at 1",
             "  - dim 4 cell 3: distant transpositions 0,2 do not commute",
             "  - dim 4 cell 4: braid relation fails at 1",
@@ -170,13 +170,13 @@ GOLDEN = {
             "hda: 17 violation(s)",
             "  - transposition (4,2) is not an involution at cell 1",
             "  - transposition (4,2) is not an involution at cell 2",
-            "  - dim 4 cell 0: transposition 2 incompatible with faces",
-            "  - dim 4 cell 0: transposition 2 incompatible with faces",
+            "  - dim 4 cell 0: transposition 2 incompatible with faces of sign -",
+            "  - dim 4 cell 0: transposition 2 incompatible with faces of sign +",
             "  - dim 4 cell 0: braid relation fails at 1",
             "  - dim 4 cell 0: distant transpositions 0,2 do not commute",
             "  - dim 4 cell 2: braid relation fails at 1",
-            "  - dim 4 cell 3: transposition 2 incompatible with faces",
-            "  - dim 4 cell 3: transposition 2 incompatible with faces",
+            "  - dim 4 cell 3: transposition 2 incompatible with faces of sign -",
+            "  - dim 4 cell 3: transposition 2 incompatible with faces of sign +",
             "  - dim 4 cell 3: braid relation fails at 1",
             "  - dim 4 cell 3: distant transpositions 0,2 do not commute",
             "  - dim 4 cell 4: braid relation fails at 1",
@@ -209,12 +209,12 @@ GOLDEN = {
             "  - transposition (3,0) undefined on cell 2",
             "  - transposition (3,0) undefined on cell 6",
             "  - transposition (3,1) undefined on cell 6",
-            "  - dim 2 cell 1: transposition 0 incompatible with faces",
-            "  - dim 2 cell 3: transposition 0 incompatible with faces",
-            "  - dim 2 cell 3: transposition 0 incompatible with faces",
-            "  - dim 2 cell 4: transposition 0 incompatible with faces",
-            "  - dim 3 cell 0: transposition 1 incompatible with faces",
-            "  - dim 3 cell 3: transposition 0 incompatible with faces",
+            "  - dim 2 cell 1: transposition 0 incompatible with faces of sign -",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces of sign -",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces of sign +",
+            "  - dim 2 cell 4: transposition 0 incompatible with faces of sign -",
+            "  - dim 3 cell 0: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 3: transposition 0 incompatible with faces of sign -",
         ],
         [
             "hda: 57 violation(s)",
@@ -237,12 +237,12 @@ GOLDEN = {
             "  - transposition (3,0) undefined on cell 2",
             "  - transposition (3,0) undefined on cell 6",
             "  - transposition (3,1) undefined on cell 6",
-            "  - dim 2 cell 1: transposition 0 incompatible with faces",
-            "  - dim 2 cell 3: transposition 0 incompatible with faces",
-            "  - dim 2 cell 3: transposition 0 incompatible with faces",
-            "  - dim 2 cell 4: transposition 0 incompatible with faces",
-            "  - dim 3 cell 0: transposition 1 incompatible with faces",
-            "  - dim 3 cell 3: transposition 0 incompatible with faces",
+            "  - dim 2 cell 1: transposition 0 incompatible with faces of sign -",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces of sign -",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces of sign +",
+            "  - dim 2 cell 4: transposition 0 incompatible with faces of sign -",
+            "  - dim 3 cell 0: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 3: transposition 0 incompatible with faces of sign -",
             "  - initial cell CellId(dim=2, index=0) is not a 0-cell of the complex",
             "  - cell CellId(dim=0, index=0) labeled by word of length 1",
             "  - labeling not natural at face (0,-) of CellId(dim=1, index=0)",
@@ -297,15 +297,15 @@ GOLDEN = {
             "SymmetricCubicalComplex: 4 violation(s)",
             "  - dim 2 cell 0: face(0,-).face(1,-) = 0 but face(0,-).face(0,-) = 3",
             "  - dim 2 cell 0: face(0,-).face(1,+) = 3 but face(0,+).face(0,-) = 2",
-            "  - dim 2 cell 0: transposition 0 incompatible with faces",
-            "  - dim 2 cell 1: transposition 0 incompatible with faces",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces of sign -",
+            "  - dim 2 cell 1: transposition 0 incompatible with faces of sign -",
         ],
         [
             "hda: 5 violation(s)",
             "  - dim 2 cell 0: face(0,-).face(1,-) = 0 but face(0,-).face(0,-) = 3",
             "  - dim 2 cell 0: face(0,-).face(1,+) = 3 but face(0,+).face(0,-) = 2",
-            "  - dim 2 cell 0: transposition 0 incompatible with faces",
-            "  - dim 2 cell 1: transposition 0 incompatible with faces",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces of sign -",
+            "  - dim 2 cell 1: transposition 0 incompatible with faces of sign -",
             "  - labeling not natural at face (0,-) of CellId(dim=2, index=0)",
         ],
     ),
@@ -406,14 +406,14 @@ GOLDEN = {
         [
             "SymmetricCubicalComplex: 3 violation(s)",
             "  - transposition (2,0) is not an involution at cell 1",
-            "  - dim 2 cell 0: transposition 0 incompatible with faces",
-            "  - dim 2 cell 0: transposition 0 incompatible with faces",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces of sign -",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces of sign +",
         ],
         [
             "hda: 4 violation(s)",
             "  - transposition (2,0) is not an involution at cell 1",
-            "  - dim 2 cell 0: transposition 0 incompatible with faces",
-            "  - dim 2 cell 0: transposition 0 incompatible with faces",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces of sign -",
+            "  - dim 2 cell 0: transposition 0 incompatible with faces of sign +",
             "  - labeling not natural at transposition 0 of CellId(dim=2, index=0)",
         ],
     ),
@@ -422,15 +422,15 @@ GOLDEN = {
             "SymmetricCubicalComplex: 4 violation(s)",
             "  - transposition (2,0) of cell 1 lands outside cells(2)",
             "  - transposition (2,0) is not an involution at cell 4",
-            "  - dim 3 cell 1: transposition 0 incompatible with faces",
-            "  - dim 3 cell 2: transposition 1 incompatible with faces",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces of sign -",
+            "  - dim 3 cell 2: transposition 1 incompatible with faces of sign -",
         ],
         [
             "hda: 5 violation(s)",
             "  - transposition (2,0) of cell 1 lands outside cells(2)",
             "  - transposition (2,0) is not an involution at cell 4",
-            "  - dim 3 cell 1: transposition 0 incompatible with faces",
-            "  - dim 3 cell 2: transposition 1 incompatible with faces",
+            "  - dim 3 cell 1: transposition 0 incompatible with faces of sign -",
+            "  - dim 3 cell 2: transposition 1 incompatible with faces of sign -",
             "  - labeling not natural at transposition 0 of CellId(dim=2, index=1)",
         ],
     ),
