@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import errors, jsonio
+from . import errors, jsonio, zoo
 from .cubical import Hda, truncate, validate_hda
 from .dot import DIM2_STYLES, hda_to_dot
 from .functors import (
@@ -26,7 +26,7 @@ from .functors import (
     ts_to_hda1,
 )
 from .laws import GeneratorConfig, check_adjunction_pn_hda, check_comonad_identity, check_kleisli_lift
-from .models import validate_acr, validate_es, validate_lts, validate_pn, validate_ts
+from .models import make_pn, make_ts, validate_acr, validate_es, validate_lts, validate_pn, validate_ts
 
 VALIDATION_FAILED = 5
 LAW_COUNTEREXAMPLE = 10
@@ -124,9 +124,6 @@ def cmd_laws(args) -> int:
         elif suite == "kleisli-sts":
             reports.append(check_kleisli_lift(cfg))
         elif suite == "adjunction-pn":
-            from . import zoo
-            from .models import make_pn, make_ts
-
             pairs = [
                 (ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")])),
                  make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})),

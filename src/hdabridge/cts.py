@@ -9,7 +9,9 @@ dimensional automaton whose n-cells are the enabled words of length n.
 Those cells are grown one orbit (a state and an enabled multiset) at a
 time, expanded into their orderings in canonical (state, word) order,
 and numbered in that order by ``index_complex`` under integer keys: the
-state's rank and the ranks of the word's events.
+state's rank and the ranks of the word's events, over the states and
+events in canonical order.  A CTS carries no labels: each event is its
+own label.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .cubical import STAR, CellId, Hda, index_complex
+from .cubical import CellId, Hda, index_complex
 from .errors import DimensionCapExceeded
 from .models import EventStructure, PetriNet, configurations, es_enabled, reachable_markings
 from .util import ValidationReport, canon_key, sorted_by_key
@@ -52,8 +54,6 @@ class Cts:
     states: frozenset
     initial: object
     events: frozenset
-    alphabet: tuple                      # labels without the idle symbol
-    labeling: Mapping                    # event -> label
     delta: Mapping                       # (state, event) -> state
     enabled: Callable[[object, Multiset], bool]
 
@@ -67,20 +67,6 @@ class Cts:
         return current
 
 
-@dataclass(frozen=True)
-class CtsMorphism:
-    """sigma total on states, tau partial on events, lam pointed on labels."""
-
-    sigma: Mapping
-    tau: Mapping
-    lam: Mapping
-
-    def label_image(self, label):
-        if label == STAR:
-            return STAR
-        return self.lam.get(label, STAR)
-
-
 def validate_cts(c: Cts, max_word: int) -> ValidationReport:
     """Check the axioms on every multiset of size at most ``max_word``."""
     report = ValidationReport("cubical transition system")
@@ -89,9 +75,6 @@ def validate_cts(c: Cts, max_word: int) -> ValidationReport:
     for (s, e), s2 in c.delta.items():
         if s not in c.states or s2 not in c.states or e not in c.events:
             report.add(f"step {(s, e)!r} -> {s2!r} out of range")
-    for e in sorted_by_key(c.events):
-        if c.labeling.get(e) is None:
-            report.add(f"event {e!r} has no label")
 
     states = sorted_by_key(c.states)
     events = sorted_by_key(c.events)
@@ -132,35 +115,6 @@ def validate_cts(c: Cts, max_word: int) -> ValidationReport:
     return report
 
 
-def validate_cts_morphism(f: CtsMorphism, src: Cts, dst: Cts, max_word: int) -> ValidationReport:
-    report = ValidationReport("cts morphism")
-    if f.sigma.get(src.initial) != dst.initial:
-        report.add("initial state not preserved")
-    for e in sorted_by_key(src.events):
-        expected = f.label_image(src.labeling[e])
-        image = f.tau.get(e)
-        got = dst.labeling[image] if image is not None else STAR
-        if got != expected:
-            report.add(f"label square fails at {e!r}: {got!r} != {expected!r}")
-    events = sorted_by_key(src.events)
-    states = sorted_by_key(src.states)
-    for size in range(max_word + 1):
-        for combo in itertools.combinations_with_replacement(events, size):
-            m = multiset(combo)
-            for x in states:
-                if not src.enabled(x, m):
-                    continue
-                image = multiset(f.tau[e] for e in m if e in f.tau)
-                y = f.sigma.get(x)
-                if y is None or not dst.enabled(y, image):
-                    report.add(f"image of enabled {m!r} at {x!r} not enabled at {y!r}")
-                    continue
-                src_succ = src.successor(x, m)
-                if src_succ is not None and f.sigma.get(src_succ) != dst.successor(y, image):
-                    report.add(f"successor square fails for {m!r} at {x!r}")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # CTS -> HDA
 # ---------------------------------------------------------------------------
@@ -174,17 +128,21 @@ def _arrangements(ranks: tuple):
 def enabled_cells_by_dim(c: Cts, max_dim: int) -> dict:
     """Enabled star-free words per length, in canonical (state, word) order.
 
+    A word is keyed by ranks, ``(s, w)``: it is at the state
+    ``sorted_by_key(c.states)[s]`` and spells the events
+    ``sorted_by_key(c.events)[r]`` for ``r`` in ``w``.
+
     Enabling depends only on a word's multiset, so the words are grown one
     orbit at a time: a state's enabled multisets of size n, kept as
-    nondecreasing tuples of event ranks, are extended only by events at or
-    after their last one, with one ``c.enabled`` call per candidate.  Every
+    nondecreasing rank tuples, are extended only by events at or after
+    their last one, with one ``c.enabled`` call per candidate.  Every
     sub-multiset of an enabled multiset is enabled, so this finds them all.
-    Each orbit is then expanded into its distinct orderings, sorted by rank.
+    Each orbit is then expanded into its distinct orderings, sorted.
     """
     events = sorted_by_key(c.events)
     cells = {n: [] for n in range(max_dim + 1)}
-    for x in sorted_by_key(c.states):
-        cells[0].append((x, ()))
+    for s, x in enumerate(sorted_by_key(c.states)):
+        cells[0].append((s, ()))
         orbits = [((), ())]  # (ranks, events) of the enabled multisets
         for n in range(1, max_dim + 1):
             orbits = [(ranks + (r,), m + (events[r],))
@@ -193,22 +151,20 @@ def enabled_cells_by_dim(c: Cts, max_dim: int) -> dict:
                       if c.enabled(x, m + (events[r],))]
             if not orbits:
                 break
-            words = sorted(w for ranks, _ in orbits for w in _arrangements(ranks))
-            cells[n].extend((x, tuple(map(events.__getitem__, w))) for w in words)
+            cells[n].extend((s, w) for w in sorted(
+                w for ranks, _ in orbits for w in _arrangements(ranks)))
     return cells
 
 
-def _enabled_beyond(c: Cts, top: list) -> bool:
-    """Whether some word of ``top`` extends to a longer enabled word.  Only
-    the word of each orbit in rank order is extended, and only by events at
-    or after its last one."""
-    events = sorted_by_key(c.events)
-    rank = {e: r for r, e in enumerate(events)}
-    for x, w in top:
-        ranks = [rank[e] for e in w]
-        if ranks == sorted(ranks) and any(
-                c.enabled(x, w + (e,)) for e in events[ranks[-1] if ranks else 0:]):
-            return True
+def _enabled_beyond(c: Cts, states: list, events: list, top: list) -> bool:
+    """Whether some rank-keyed word of ``top`` extends to a longer enabled
+    word.  Only the nondecreasing word of each orbit is extended, and only
+    by events at or after its last one."""
+    for s, w in top:
+        if list(w) == sorted(w):
+            m = tuple(map(events.__getitem__, w))
+            if any(c.enabled(states[s], m + (e,)) for e in events[w[-1] if w else 0:]):
+                return True
     return False
 
 
@@ -222,20 +178,17 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
     """
     if max_dim < 0:  # no automaton: every state's empty word is longer
         raise DimensionCapExceeded(f"enabled words longer than {max_dim} exist; the least cap is 0")
+    states, events = sorted_by_key(c.states), sorted_by_key(c.events)
     cells_by_dim = enabled_cells_by_dim(c, max_dim)
-    if not truncate_cells and _enabled_beyond(c, cells_by_dim[max_dim]):
+    if not truncate_cells and _enabled_beyond(c, states, events, cells_by_dim[max_dim]):
         raise DimensionCapExceeded(
             f"enabled words longer than {max_dim} exist; pass truncate_cells=True to drop them")
 
-    # the complex is numbered over ranks: a cell is keyed by its state's
-    # rank and its word's event ranks, so a face is an int-tuple lookup.
-    # The 0-cells list every state once, in rank order.
-    state_rank = dict(zip((x for x, _ in cells_by_dim[0]), itertools.count()))
-    events = sorted_by_key(c.events)
+    # faces and transpositions act on the rank keys as int tuples; each
+    # cell's word of events is spelled out once, for its label and its key
+    state_rank = dict(zip(states, itertools.count()))
     event_rank = dict(zip(events, itertools.count()))
     step = {(state_rank[x], event_rank[e]): state_rank[y] for (x, e), y in c.delta.items()}
-    ranked = {n: [(state_rank[x], tuple(map(event_rank.__getitem__, w))) for x, w in cells]
-              for n, cells in cells_by_dim.items()}
 
     def face_key(n, key, i, sign):
         x, w = key
@@ -245,16 +198,14 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
         x, w = key
         return (x, w[:i] + (w[i + 1], w[i]) + w[i + 2:])
 
-    complex_, keys = index_complex(ranked, face_key, transpose_key)
-    label_of = [c.labeling[e] for e in events]
-    labeling = dict(zip(keys, (tuple(map(label_of.__getitem__, w))
-                               for _, w in itertools.chain.from_iterable(ranked.values()))))
+    complex_, keys = index_complex(cells_by_dim, face_key, transpose_key)
+    words = [tuple(map(events.__getitem__, w)) for _, w in keys.values()]
     return Hda(
         complex=complex_,
-        alphabet=tuple(sorted_by_key(set(c.alphabet))),
-        labeling=labeling,
+        alphabet=tuple(events),
+        labeling=dict(zip(keys, words)),
         initial=CellId(0, state_rank[c.initial]),
-        cell_keys=dict(zip(keys, itertools.chain.from_iterable(cells_by_dim.values()))),
+        cell_keys={cell: (states[s], w) for (cell, (s, _)), w in zip(keys.items(), words)},
     )
 
 
@@ -290,8 +241,6 @@ def es_to_cts(es: EventStructure) -> Cts:
         states=frozenset(configs),
         initial=frozenset(),
         events=es.events,
-        alphabet=tuple(sorted_by_key(es.events)),
-        labeling={e: e for e in es.events},
         delta=delta,
         enabled=enabled,
     )
@@ -315,8 +264,6 @@ def pn_to_cts(n: PetriNet, max_states: int) -> Cts:
         states=graph.markings,
         initial=n.m0,
         events=n.events,
-        alphabet=tuple(sorted_by_key(n.events)),
-        labeling={e: e for e in n.events},
         delta=delta,
         enabled=enabled,
     )

@@ -809,20 +809,24 @@ def coskeleton_fill(c: Complex, from_dim: int, max_dim: int) -> Complex:
 # Labeling predicates
 # ---------------------------------------------------------------------------
 
+def _unique_by_faces(h: Hda, dims: Iterable[int], signs: tuple) -> bool:
+    """No two distinct cells of one of ``dims`` share their faces of the
+    given signs and their label."""
+    sk = h.skeleton
+    for n in dims:
+        seen = set()
+        for cell in sk.cell_ids(n):
+            sig = (tuple(sk.face(cell, i, sign) for i in range(n) for sign in signs),
+                   h.labeling[cell])
+            if sig in seen:
+                return False
+            seen.add(sig)
+    return True
+
+
 def check_strong_labeling(h: Hda) -> bool:
     """No two distinct same-dimension cells share all faces and the label."""
-    sk = h.skeleton
-    for n in range(1, sk.max_dim + 1):
-        seen = {}
-        for cell in sk.cell_ids(n):
-            sig = (
-                tuple(sk.face(cell, i, sign) for i in range(n) for sign in SIGNS),
-                h.labeling[cell],
-            )
-            if sig in seen and seen[sig] != cell:
-                return False
-            seen[sig] = cell
-    return True
+    return _unique_by_faces(h, range(1, h.max_dim + 1), SIGNS)
 
 
 def check_linear_labeling(h: Hda) -> bool:
@@ -835,16 +839,4 @@ def check_deterministic(h: Hda, n: Optional[int] = None) -> bool:
     ``n=None`` checks every dimension (0-cells have no sources, so any two
     distinct 0-cells already fail, matching the blunt reading).
     """
-    sk = h.skeleton
-    dims = range(sk.max_dim + 1) if n is None else [n]
-    for d in dims:
-        seen = {}
-        for cell in sk.cell_ids(d):
-            sig = (
-                tuple(sk.face(cell, i, "-") for i in range(d)),
-                h.labeling[cell],
-            )
-            if sig in seen and seen[sig] != cell:
-                return False
-            seen[sig] = cell
-    return True
+    return _unique_by_faces(h, range(h.max_dim + 1) if n is None else (n,), ("-",))

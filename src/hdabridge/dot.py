@@ -6,14 +6,29 @@ same bytes.
 
 from __future__ import annotations
 
-from .cubical import Hda, zero_source, zero_target
+from .cubical import Hda
 from .util import canon_key, sorted_by_key
 
 DIM2_STYLES = ("diagonals", "clusters", "none")
 
 
 def _quote(value) -> str:
-    return '"' + str(value).replace('"', '\\"') + '"'
+    return '"' + _text(value).replace('"', '\\"') + '"'
+
+
+def _text(value) -> str:
+    """``str(value)``, but with the members of each set in canonical order,
+    so that a name does not depend on string hashing."""
+    if type(value) is frozenset:
+        members = ", ".join(map(_repr, sorted_by_key(value)))
+        return f"frozenset({{{members}}})" if value else "frozenset()"
+    if type(value) is tuple:
+        return "(" + ", ".join(map(_repr, value)) + ("," if len(value) == 1 else "") + ")"
+    return str(value)
+
+
+def _repr(value) -> str:
+    return _text(value) if type(value) in (frozenset, tuple) else repr(value)
 
 
 def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
@@ -27,10 +42,10 @@ def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
     for v in sorted_by_key(h.cells(0)):
         shape = "doublecircle" if v == h.initial else "circle"
         lines.append(f"  {_quote(names[v])} [shape={shape}];")
+    ends = h.zero_ends
     edge_lines = []
     for e in h.cells(1):
-        src = names[h.skeleton.face(e, 0, "-")]
-        tgt = names[h.skeleton.face(e, 0, "+")]
+        src, tgt = (names[v] for v in ends[e])
         (label,) = h.labeling[e]
         edge_lines.append(f"  {_quote(src)} -> {_quote(tgt)} [label={_quote(label)}];")
     lines.extend(sorted(edge_lines))
@@ -44,8 +59,7 @@ def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
                 continue
             seen.add(orbit)
             a, b = sorted(h.labeling[cell][:2], key=canon_key)
-            src = names[zero_source(h.complex, cell)]
-            tgt = names[zero_target(h.complex, cell)]
+            src, tgt = (names[v] for v in ends[cell])
             squares.append((src, tgt, a, b))
         for i, (src, tgt, a, b) in enumerate(sorted(squares, key=canon_key)):
             if dim2 == "diagonals":
@@ -54,7 +68,7 @@ def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
                     f"[style=dashed, dir=none, label={_quote(a + '||' + b)}];")
             else:
                 lines.append(f"  subgraph cluster_square_{i} {{")
-                lines.append(f"    label={_quote(a + '||' + b + ' at ' + str(src))};")
+                lines.append(f"    label={_quote(a + '||' + b + ' at ' + _text(src))};")
                 lines.append(f"    {_quote(f'square_{i}')} [shape=point];")
                 lines.append("  }")
     lines.append("}")

@@ -24,6 +24,7 @@ from .cubical import (
     as_witness,
     cell_face,
     cell_transpose,
+    check_deterministic,
     check_linear_labeling,
     index_complex,
     nest_witness,
@@ -283,8 +284,6 @@ def acr_to_hda2(a: Acr) -> Hda:
 def hda2_to_acr(h: Hda) -> Acr:
     """Independence holds at a vertex exactly when a square starts there."""
     low = truncate(h, 2) if h.max_dim > 2 else h
-    from .cubical import check_deterministic
-
     if not check_deterministic(low, 1):
         raise NotOneDeterministic("two edges share source and label")
     ts = hda1_to_ts(low)

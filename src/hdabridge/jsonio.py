@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Mapping
 
 from .cubical import (
     STAR,
@@ -65,12 +64,6 @@ def _scalarize(values) -> dict:
     if all(isinstance(v, (str, int)) and not isinstance(v, bool) for v in values):
         return {v: v for v in values}
     return {v: f"q{i}" for i, v in enumerate(sorted_by_key(values))}
-
-
-def _index_table(table: Mapping) -> dict:
-    """An index map as a document object, in index order."""
-    indices = sorted(table)
-    return dict(zip(map(str, indices), map(table.__getitem__, indices)))
 
 
 def _ts_body(t: TransitionSystem, rename=None) -> dict:
@@ -118,9 +111,9 @@ def model_to_document(kind: str, model) -> dict:
             "alphabet": sorted_by_key(model.alphabet),
             "dims": list(range(sk.max_dim + 1)),
             "cells": {str(n): sorted(sk.cells.get(n, ())) for n in range(sk.max_dim + 1)},
-            "faces": {f"{n},{i},{sign}": _index_table(table)
+            "faces": {f"{n},{i},{sign}": {str(k): v for k, v in table.items()}
                       for (n, i, sign), table in sorted(sk.faces.items())},
-            "sym": {f"{n},{i}": _index_table(table)
+            "sym": {f"{n},{i}": {str(k): v for k, v in table.items()}
                     for (n, i), table in sorted(model.complex.transpositions.items())},
             "labels": {
                 str(n): {

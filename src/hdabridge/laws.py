@@ -14,16 +14,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import jsonio
 from .cubical import SIGNS, STAR, DegeneracyWitness, Hda, cell_face
 from .errors import SizeLimit, StarClash
 from .functors import (
     HdaMorphism,
     acr_to_hda2,
+    compose_hda_morphisms,
     es_to_hda,
     hda1_to_ts,
     hda2_to_acr,
     hda_to_es,
     hda_to_pn,
+    map_morphism,
     pn_to_hda,
     transpose_to_hda,
     transpose_to_pn,
@@ -36,6 +39,7 @@ from .models import (
     PetriNet,
     PnMorphism,
     TransitionSystem,
+    compose_pn_morphisms,
     idle_completion,
     make_acr,
     make_event_structure,
@@ -284,8 +288,6 @@ def check_comonad_identity(kind: str, cfg: GeneratorConfig) -> LawReport:
         report.instances += 1
         result = back(model)
         if canon(result) != canon(model):
-            from . import jsonio
-
             report.fail({
                 "index": i,
                 "model": jsonio.model_to_document(kind_name(model), model),
@@ -321,23 +323,15 @@ def check_kleisli_lift(cfg: GeneratorConfig) -> LawReport:
         lifted = ts_to_hda1(completed, idle=True)
         plain = ts_to_hda1(t)
         if lifted != plain:
-            from . import jsonio
-
-            report.fail({"index": i, "model": jsonio.model_to_document("ts", t),
-                         "reason": "completion changed the automaton"})
-            break
-        if hda1_to_ts(plain, idle=True) != completed:
-            from . import jsonio
-
-            report.fail({"index": i, "model": jsonio.model_to_document("ts", t),
-                         "reason": "idle readback differs from completion"})
-            break
-        if canonical_ts(hda1_to_ts(lifted, idle=True)) != canonical_ts(completed):
-            from . import jsonio
-
-            report.fail({"index": i, "model": jsonio.model_to_document("ts", t),
-                         "reason": "lifted roundtrip differs"})
-            break
+            reason = "completion changed the automaton"
+        elif hda1_to_ts(plain, idle=True) != completed:
+            reason = "idle readback differs from completion"
+        elif canonical_ts(hda1_to_ts(lifted, idle=True)) != canonical_ts(completed):
+            reason = "lifted roundtrip differs"
+        else:
+            continue
+        report.fail({"index": i, "model": jsonio.model_to_document("ts", t), "reason": reason})
+        break
     return report
 
 
@@ -444,9 +438,6 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
     """On each (automaton, net) pair: the two transpositions are mutually
     inverse bijections between the enumerated hom-sets, and natural in
     both arguments across the fixture set."""
-    from .functors import map_morphism
-    from .models import compose_pn_morphisms
-
     report = LawReport(law="adjunction[pn-hda]")
     computed = []
     for idx, (source, net) in enumerate(pairs):
@@ -487,8 +478,6 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
 
     if not naturality or not report.passed:
         return report
-
-    from .functors import compose_hda_morphisms
 
     for i, (c_i, n_i, synth_i, target_i, homs_i) in enumerate(computed):
         for j, (c_j, n_j, synth_j, target_j, homs_j) in enumerate(computed):

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from hdabridge.functors import es_to_hda
 from hdabridge.models import make_event_structure
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -278,6 +282,32 @@ def test_export_dot_deterministic(capsys):
     _, out1, _ = run(capsys, "export-dot", str(FIXTURES / "acr_full_cube.json"))
     _, out2, _ = run(capsys, "export-dot", str(FIXTURES / "acr_full_cube.json"))
     assert out1 == out2
+
+
+DOT_CASES = [(name, style) for name in ("acr_full_cube", "es_three_free_events")
+             for style in ("diagonals", "clusters")]
+
+
+@pytest.mark.parametrize("name,style", DOT_CASES)
+def test_export_dot_pinned_bytes(capsys, name, style):
+    """Vertices, edges and squares in the exact bytes of tests/golden; the
+    event structure's automaton is built through its CTS."""
+    code, out, _ = run(capsys, "export-dot", str(FIXTURES / f"{name}.json"), "--dim2", style)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.{style}.dot").read_text()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_export_dot_names_do_not_depend_on_string_hashing(hash_seed):
+    """Configurations are sets of events; their names list the members in
+    canonical order under every hash seed."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "hdabridge.cli", "export-dot",
+         str(FIXTURES / "es_three_free_events.json"), "--dim2", "clusters"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == (GOLDEN / "es_three_free_events.clusters.dot").read_text()
 
 
 def test_export_dot_single_vertex(tmp_path, capsys):

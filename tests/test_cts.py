@@ -6,16 +6,14 @@ import pytest
 
 from hdabridge.cts import (
     Cts,
-    CtsMorphism,
     cts_to_hda,
     enabled_cells_by_dim,
     es_to_cts,
     multiset,
     pn_to_cts,
     validate_cts,
-    validate_cts_morphism,
 )
-from hdabridge.cubical import STAR, DegeneracyWitness, validate_hda
+from hdabridge.cubical import DegeneracyWitness, validate_hda
 from hdabridge.errors import DimensionCapExceeded, ExplosionLimit
 from hdabridge.functors import induced_morphism
 from hdabridge.jsonio import parse_document
@@ -52,8 +50,7 @@ def test_validate_cts_catches_missing_step():
     base = es_to_cts(make_event_structure("ab"))
     delta = {k: v for k, v in base.delta.items() if k != (frozenset(), "a")}
     broken = Cts(
-        states=base.states, initial=base.initial, events=base.events,
-        alphabet=base.alphabet, labeling=base.labeling, delta=delta,
+        states=base.states, initial=base.initial, events=base.events, delta=delta,
         enabled=base.enabled,
     )
     report = validate_cts(broken, 2)
@@ -149,25 +146,20 @@ def test_pn_hda_positive_faces_fire():
         assert h.cell_keys[face][0] == fire(n, marking, word)
 
 
-def induced_by(f: CtsMorphism, h_src, h_dst):
-    """The automaton morphism a CTS morphism induces on automata whose
-    events are their own labels: vertices by sigma, letters by tau."""
+def induced_by(sigma, tau, h_src, h_dst):
+    """The automaton morphism that a map of CTS states ``sigma`` and a
+    partial map of events ``tau`` induce on the automata they generate:
+    vertices by sigma, letters by tau."""
     vertices = {h_dst.key(v): v for v in h_dst.cells(0)}
-    vertex_map = {v: vertices[(f.sigma[h_src.key(v)[0]], ())] for v in h_src.cells(0)}
-    return induced_morphism(h_src, h_dst, vertex_map, f.tau)
+    vertex_map = {v: vertices[(sigma[h_src.key(v)[0]], ())] for v in h_src.cells(0)}
+    return induced_morphism(h_src, h_dst, vertex_map, tau)
 
 
 def test_cts_identity_morphism_to_hda():
     es = make_event_structure("ab")
     c = es_to_cts(es)
     h = cts_to_hda(c, 2)
-    ident = CtsMorphism(
-        sigma={x: x for x in c.states},
-        tau={e: e for e in c.events},
-        lam={a: a for a in c.alphabet},
-    )
-    assert validate_cts_morphism(ident, c, c, 2).ok
-    hm = induced_by(ident, h, h)
+    hm = induced_by({x: x for x in c.states}, {e: e for e in c.events}, h, h)
     for cell in h.skeleton.all_cells():
         assert hm.cell_map[cell] == DegeneracyWitness(cell)
 
@@ -175,15 +167,9 @@ def test_cts_identity_morphism_to_hda():
 def test_cts_morphism_dropping_event():
     src = es_to_cts(make_event_structure("ab"))
     dst = es_to_cts(make_event_structure("a"))
-    f = CtsMorphism(
-        sigma={x: x & {"a"} for x in src.states},
-        tau={"a": "a"},
-        lam={"a": "a", "b": STAR},
-    )
-    assert validate_cts_morphism(f, src, dst, 2).ok
     h_src = cts_to_hda(src, 2)
     h_dst = cts_to_hda(dst, 1)
-    hm = induced_by(f, h_src, h_dst)
+    hm = induced_by({x: x & {"a"} for x in src.states}, {"a": "a"}, h_src, h_dst)
     # the square maps to a degenerate cell over the a-edge
     square = next(c for c in h_src.cells(2) if h_src.labeling[c] == ("a", "b"))
     image = hm.cell_map[square]
@@ -196,19 +182,14 @@ def test_cts_morphism_composition_preserved():
     es2 = make_event_structure("a")
     es3 = make_event_structure("")
     c1, c2, c3 = es_to_cts(es1), es_to_cts(es2), es_to_cts(es3)
-    f = CtsMorphism(sigma={x: x & {"a"} for x in c1.states}, tau={"a": "a"},
-                    lam={"a": "a", "b": STAR})
-    g = CtsMorphism(sigma={x: frozenset() for x in c2.states}, tau={},
-                    lam={"a": STAR})
-    gf = CtsMorphism(
-        sigma={x: g.sigma[f.sigma[x]] for x in c1.states},
-        tau={e: g.tau[v] for e, v in f.tau.items() if v in g.tau},
-        lam={a: g.label_image(f.label_image(a)) for a in c1.alphabet},
-    )
+    f_sigma, f_tau = {x: x & {"a"} for x in c1.states}, {"a": "a"}
+    g_sigma, g_tau = {x: frozenset() for x in c2.states}, {}
+    gf_sigma = {x: g_sigma[f_sigma[x]] for x in c1.states}
+    gf_tau = {e: g_tau[v] for e, v in f_tau.items() if v in g_tau}
     h1, h2, h3 = cts_to_hda(c1, 2), cts_to_hda(c2, 1), cts_to_hda(c3, 0)
-    m_f = induced_by(f, h1, h2)
-    m_g = induced_by(g, h2, h3)
-    m_gf = induced_by(gf, h1, h3)
+    m_f = induced_by(f_sigma, f_tau, h1, h2)
+    m_g = induced_by(g_sigma, g_tau, h2, h3)
+    m_gf = induced_by(gf_sigma, gf_tau, h1, h3)
     from hdabridge.functors import compose_hda_morphisms
 
     assert compose_hda_morphisms(m_f, m_g).cell_map == m_gf.cell_map
@@ -259,9 +240,17 @@ def brute_force_cells(c: Cts, max_dim: int) -> dict:
             for n in range(max_dim + 1)}
 
 
+def grown_cells(c: Cts, max_dim: int) -> dict:
+    """``enabled_cells_by_dim`` with its rank keys mapped back to the
+    states and events they rank."""
+    states, events = sorted_by_key(c.states), sorted_by_key(c.events)
+    return {n: [(states[s], tuple(events[r] for r in w)) for s, w in cells]
+            for n, cells in enabled_cells_by_dim(c, max_dim).items()}
+
+
 def assert_matches_brute_force(c: Cts, max_dim: int):
     """Same dimensions, and per dimension the same keys in the same order."""
-    assert enabled_cells_by_dim(c, max_dim) == brute_force_cells(c, max_dim)
+    assert grown_cells(c, max_dim) == brute_force_cells(c, max_dim)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -274,6 +263,29 @@ def test_orbit_growth_matches_brute_force_on_generated_models(seed):
         except ExplosionLimit:
             continue
         assert_matches_brute_force(c, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dimension_cap_raises_exactly_when_a_longer_word_is_enabled(seed):
+    """At each cap d, building refuses exactly when some word of length d+1
+    is enabled, and otherwise builds the automaton of every enabled word."""
+    cfg = GeneratorConfig(seed=seed, max_events=5)
+    for index in range(20):
+        cts = [es_to_cts(gen_es(index, cfg))]
+        try:
+            cts.append(pn_to_cts(gen_pn(index, cfg), 60))
+        except ExplosionLimit:
+            pass
+        for c in cts:
+            brute = brute_force_cells(c, 4)
+            for d in range(4):
+                if brute[d + 1]:
+                    with pytest.raises(DimensionCapExceeded):
+                        cts_to_hda(c, d)
+                else:
+                    h = cts_to_hda(c, d)
+                    assert [len(h.cells(n)) for n in range(d + 1)] == \
+                        [len(brute[n]) for n in range(d + 1)]
 
 
 CTS_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json") if p.name.startswith(("es_", "pnet_")))
@@ -291,7 +303,7 @@ def test_orbit_growth_keeps_auto_concurrent_square():
     n = make_pn(["p"], {"p": 2}, ["e"], {"e": {"p": 1}}, {"e": {}})
     c = pn_to_cts(n, 10)
     assert_matches_brute_force(c, 3)
-    cells = enabled_cells_by_dim(c, 3)
+    cells = grown_cells(c, 3)
     assert cells[2] == [(n.m0, ("e", "e"))]
     assert cells[3] == []
 
@@ -300,13 +312,13 @@ def assert_numbered_as_grown(c: Cts, max_dim: int):
     """The automaton's cell keys, read per dimension in index order, are
     the grown cells; labels, faces and transpositions act on the keys."""
     h = cts_to_hda(c, max_dim, truncate_cells=True)
-    grown = enabled_cells_by_dim(c, max_dim)
+    grown = grown_cells(c, max_dim)
     assert h.key(h.initial) == (c.initial, ())
     for n in range(max_dim + 1):
         keys = [h.cell_keys[cell] for cell in h.cells(n)]
         assert keys == grown[n]
         for cell, (x, w) in zip(h.cells(n), keys):
-            assert h.labeling[cell] == tuple(c.labeling[e] for e in w)
+            assert h.labeling[cell] == w  # each event is its own label
             for i in range(n):
                 rest = w[:i] + w[i + 1:]
                 assert h.key(h.skeleton.face(cell, i, "-")) == (x, rest)

@@ -29,9 +29,8 @@ def loops4():
     """One state with four looping events that may all run at once: the
     4-cells are the 24 orderings of ``abcd``."""
     events = frozenset("abcd")
-    c = Cts(states=frozenset({0}), initial=0, events=events, alphabet=tuple("abcd"),
-            labeling={e: e for e in events}, delta={(0, e): 0 for e in events},
-            enabled=lambda x, m: len(set(m)) == len(m))
+    c = Cts(states=frozenset({0}), initial=0, events=events,
+            delta={(0, e): 0 for e in events}, enabled=lambda x, m: len(set(m)) == len(m))
     return cts_to_hda(c, 4)
 
 
