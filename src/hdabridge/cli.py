@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import errors, jsonio, zoo
+from . import errors, jsonio
 from .cubical import Hda, truncate, validate_hda
 from .dot import DIM2_STYLES, hda_to_dot
 from .functors import (
@@ -25,8 +25,8 @@ from .functors import (
     pn_to_hda,
     ts_to_hda1,
 )
-from .laws import GeneratorConfig, check_adjunction_pn_hda, check_comonad_identity, check_kleisli_lift
-from .models import make_pn, make_ts, validate_acr, validate_es, validate_lts, validate_pn, validate_ts
+from .laws import SUITES, GeneratorConfig
+from .models import validate_acr, validate_es, validate_lts, validate_pn, validate_ts
 
 VALIDATION_FAILED = 5
 LAW_COUNTEREXAMPLE = 10
@@ -40,8 +40,6 @@ VALIDATORS = {
     "pnet": validate_pn,
     "hda": validate_hda,
 }
-
-SUITES = ("comonad-sts", "comonad-acr", "comonad-es", "kleisli-sts", "adjunction-pn", "all")
 
 
 def read_text(path: str) -> str:
@@ -112,24 +110,8 @@ def cmd_translate(args) -> int:
 def cmd_laws(args) -> int:
     seed = args.seed if args.seed is not None else int(os.environ.get("HDABRIDGE_SEED", "0"))
     cfg = GeneratorConfig(seed=seed, count=args.count)
-    reports = []
-    wanted = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    for suite in wanted:
-        if suite == "comonad-sts":
-            reports.append(check_comonad_identity("sTS", cfg))
-        elif suite == "comonad-acr":
-            reports.append(check_comonad_identity("ACR", cfg))
-        elif suite == "comonad-es":
-            reports.append(check_comonad_identity("ES", cfg))
-        elif suite == "kleisli-sts":
-            reports.append(check_kleisli_lift(cfg))
-        elif suite == "adjunction-pn":
-            pairs = [
-                (ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")])),
-                 make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})),
-                (acr_to_hda2(zoo.mutex_square_acr(True)), zoo.two_mutex_net()),
-            ]
-            reports.append(check_adjunction_pn_hda(pairs, cap=1, max_states=200, max_dim=2))
+    wanted = SUITES if args.suite == "all" else (args.suite,)
+    reports = [SUITES[suite](cfg) for suite in wanted]
     for report in reports:
         print(report)
     print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
@@ -191,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("laws", help="run a law suite on seeded random models")
-    p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to HDABRIDGE_SEED or 0")
     p.add_argument("--count", type=int, default=100)

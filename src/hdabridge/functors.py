@@ -458,18 +458,16 @@ def region_check(h: Hda, reg: Region) -> bool:
                for cell, (s, t) in h.zero_ends.items())
 
 
-def enumerate_regions(h: Hda, cap: int) -> frozenset:
-    """All regions with every flow and token value bounded by ``cap``.
-
-    One search on ``util.backtrack``.  Its slots are the vertices' token
-    counts and the labels' (consumed, produced) flows, in the order of a
-    breadth-first walk of the 1-skeleton that puts each edge's label just
-    before the vertex the edge reaches; labels on no cell come last.  Each
-    cell is tested at the slot where its last label or end gets a value,
-    so an edge that closes a cycle rejects flows while labels are still
-    being chosen.
+def skeleton_slots(h: Hda):
+    """The slots of a search over the vertices and labels of ``h``, in
+    the order of a breadth-first walk of the 1-skeleton that puts each
+    edge's label just before the vertex the edge reaches; labels on no cell
+    come last.  Returns the slots, ("vertex", v) or ("label", a), and per
+    slot the cells checked there: each cell of dimension >= 1 at its last
+    slot, as the positions of its word, 0-source and 0-target.  An edge
+    that closes a cycle thus prunes while labels are still being chosen.
     """
-    slots: dict = {}  # ("token", vertex) or ("flow", label) -> position
+    slots: dict = {}  # slot -> position
     zero_ends = h.zero_ends
     adjacent = {v: [] for v in h.cells(0)}
     for e in h.cells(1):
@@ -477,31 +475,37 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
         adjacent[s].append((h.labeling[e], t))
         adjacent[t].append((h.labeling[e], s))
     for root in adjacent:
-        if ("token", root) in slots:
+        if ("vertex", root) in slots:
             continue
-        slots[("token", root)] = len(slots)
+        slots[("vertex", root)] = len(slots)
         queue = deque([root])
         while queue:
             for (a,), u in adjacent[queue.popleft()]:
-                slots.setdefault(("flow", a), len(slots))
-                if ("token", u) not in slots:
-                    slots[("token", u)] = len(slots)
+                slots.setdefault(("label", a), len(slots))
+                if ("vertex", u) not in slots:
+                    slots[("vertex", u)] = len(slots)
                     queue.append(u)
     for a in sorted_by_key(h.alphabet):
-        slots.setdefault(("flow", a), len(slots))
+        slots.setdefault(("label", a), len(slots))
 
-    # each cell of dimension >= 1 is checked at its last slot; a vertex
-    # alone is always coherent
     checks = [[] for _ in slots]
     for n in range(1, h.max_dim + 1):
         for cell in h.cells(n):
-            word = [slots[("flow", a)] for a in h.labeling[cell]]
-            ends = tuple(slots[("token", v)] for v in zero_ends[cell])
+            word = [slots[("label", a)] for a in h.labeling[cell]]
+            ends = tuple(slots[("vertex", v)] for v in zero_ends[cell])
             checks[max(*word, *ends)].append((word, *ends))
+    return list(slots), checks
 
+
+def enumerate_regions(h: Hda, cap: int) -> frozenset:
+    """All regions with every flow and token value bounded by ``cap``, by
+    one search over the slots of ``skeleton_slots``: a vertex takes a token
+    count, a label a (consumed, produced) flow, and each cell is tested
+    for coherence at its last slot."""
+    names, checks = skeleton_slots(h)
     tokens = range(cap + 1)
     flows = [(a, b) for a in tokens for b in tokens]
-    domains = [tokens if kind == "token" else flows for kind, _ in slots]
+    domains = [tokens if kind == "vertex" else flows for kind, _ in names]
 
     def coherent(values, pos):
         return all(_coherent([values[i] for i in word], values[s], values[t])
@@ -510,10 +514,9 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
     def options(pos, partial):
         return [v for v in domains[pos] if coherent(partial + [v], pos)]
 
-    names = list(slots)
     return frozenset(
-        Region.of({a: v for (kind, a), v in zip(names, values) if kind == "flow"},
-                  {x: v for (kind, x), v in zip(names, values) if kind == "token"})
+        Region.of({a: v for (kind, a), v in zip(names, values) if kind == "label"},
+                  {x: v for (kind, x), v in zip(names, values) if kind == "vertex"})
         for values in backtrack(names, options))
 
 
@@ -584,19 +587,8 @@ def transpose_to_pn(g: HdaMorphism, source: Hda, synth: SynthesizedNet,
     """
     phi = {}
     for p in sorted_by_key(net.places):
-        flows = {}
-        for e in source.alphabet:
-            lam = g.label_image(e)
-            if lam == STAR:
-                flows[e] = (0, 0)
-            else:
-                flows[e] = (net.pre[lam].get(p), net.post[lam].get(p))
-        tokens = {}
-        for vertex in source.cells(0):
-            image = g.cell_map[vertex]
-            marking, _ = target.cell_keys[image.base]
-            tokens[vertex] = marking.get(p)
-        reg = Region.of(flows, tokens)
+        reg = _pull_back(g, source, lambda lam: (net.pre[lam].get(p), net.post[lam].get(p)),
+                         lambda base: target.cell_keys[base][0].get(p))
         for _, (a, b) in reg.flows:
             if a > cap or b > cap:
                 raise CapExceeded(f"place {p!r} pulls back to flows above {cap}")
@@ -655,16 +647,22 @@ def map_morphism(functor: str, m, src, dst, **context):
         dst_synth = context.get("dst_synth") or hda_to_pn(dst, cap)
         phi = {}
         for name, reg in dst_synth.regions.items():
-            flows = {a: reg.flow(m.label_image(a)) for a in src.alphabet}
-            tokens = {v: reg.tokens_at(m.cell_map[v].base) for v in src.cells(0)}
-            pulled = Region.of(flows, tokens)
-            pulled_name = src_synth.place_of(pulled)
+            pulled_name = src_synth.place_of(_pull_back(m, src, reg.flow, reg.tokens_at))
             if pulled_name is None:
                 raise CapExceeded(f"pulled-back region of {name!r} is not a place")
             phi[name] = pulled_name
         psi = {a: m.label_image(a) for a in src.alphabet if m.label_image(a) != STAR}
         return PnMorphism(phi=phi, psi=psi)
     raise ValueError(f"no morphism action for functor {functor!r}")
+
+
+def _pull_back(g: HdaMorphism, source: Hda, flow, tokens) -> Region:
+    """The region of ``source`` that reads a region of the target through
+    ``g``: a label's flow is ``flow`` of its image, (0, 0) when dropped,
+    and a vertex's count is ``tokens`` at the base of its image."""
+    return Region.of(
+        {a: (0, 0) if g.label_image(a) == STAR else flow(g.label_image(a)) for a in source.alphabet},
+        {v: tokens(g.cell_map[v].base) for v in source.cells(0)})
 
 
 def _induced_on_keys(src_hda: Hda, dst_hda: Hda, image, label_map) -> HdaMorphism:

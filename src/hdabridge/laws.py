@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import jsonio
-from .cubical import SIGNS, STAR, DegeneracyWitness, Hda, cell_face
+from . import jsonio, zoo
+from .cubical import SIGNS, STAR, Hda
 from .errors import SizeLimit, StarClash
 from .functors import (
     HdaMorphism,
@@ -26,8 +26,10 @@ from .functors import (
     hda2_to_acr,
     hda_to_es,
     hda_to_pn,
+    induced_morphism,
     map_morphism,
     pn_to_hda,
+    skeleton_slots,
     transpose_to_hda,
     transpose_to_pn,
     ts_to_hda1,
@@ -273,14 +275,12 @@ def canonical_es(es: EventStructure) -> EventStructure:
 def check_comonad_identity(kind: str, cfg: GeneratorConfig) -> LawReport:
     """Translating into automata and back is the identity."""
     report = LawReport(law=f"comonad-identity[{kind}]", seed=cfg.seed)
-    roundtrips = {
-        "sTS": lambda t: hda1_to_ts(ts_to_hda1(t)),
-        "ACR": lambda a: hda2_to_acr(acr_to_hda2(a)),
-        "ES": lambda e: hda_to_es(es_to_hda(e)),
-    }
-    canonicals = {"sTS": canonical_ts, "ACR": canonical_acr, "ES": canonical_es}
-    back = roundtrips[kind]
-    canon = canonicals[kind]
+    # the round trip, the canonical renaming and the document kind
+    back, canon, doc_kind = {
+        "sTS": (lambda t: hda1_to_ts(ts_to_hda1(t)), canonical_ts, "ts"),
+        "ACR": (lambda a: hda2_to_acr(acr_to_hda2(a)), canonical_acr, "acr"),
+        "ES": (lambda e: hda_to_es(es_to_hda(e)), canonical_es, "es"),
+    }[kind]
     gen = GENERATORS[kind]
     for i in range(cfg.count):
         model = gen(i, cfg)
@@ -290,25 +290,11 @@ def check_comonad_identity(kind: str, cfg: GeneratorConfig) -> LawReport:
         if canon(result) != canon(model):
             report.fail({
                 "index": i,
-                "model": jsonio.model_to_document(kind_name(model), model),
-                "roundtrip": jsonio.model_to_document(kind_name(result), result),
+                "model": jsonio.model_to_document(doc_kind, model),
+                "roundtrip": jsonio.model_to_document(doc_kind, result),
             })
             break
     return report
-
-
-def kind_name(model) -> str:
-    if isinstance(model, TransitionSystem):
-        return "ts"
-    if isinstance(model, Acr):
-        return "acr"
-    if isinstance(model, EventStructure):
-        return "es"
-    if isinstance(model, PetriNet):
-        return "pnet"
-    if isinstance(model, Hda):
-        return "hda"
-    raise TypeError(f"unknown model {type(model)}")
 
 
 def check_kleisli_lift(cfg: GeneratorConfig) -> LawReport:
@@ -339,7 +325,11 @@ def check_kleisli_lift(cfg: GeneratorConfig) -> LawReport:
 # Hom-set enumeration for the net adjunction
 # ---------------------------------------------------------------------------
 
-def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet, budget: int = 200000):
+PN_HOM_BUDGET = 200000   # event maps times source places, and place maps
+HDA_HOM_BUDGET = 100000  # label maps
+
+
+def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet):
     """All net morphisms src -> dst, by backtracking over the event map and
     then the place map, with per-place pruning."""
     events = sorted_by_key(src.events)
@@ -347,7 +337,7 @@ def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet, budget: int = 200000):
     places = sorted_by_key(dst.places)
     src_places = sorted_by_key(src.places)
     combos = len(targets) ** len(events)
-    if combos * max(1, len(src.places)) > budget:
+    if combos * max(1, len(src.places)) > PN_HOM_BUDGET:
         raise SizeLimit("event-map space too large")
 
     def fits(q, p, psi):
@@ -373,7 +363,7 @@ def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet, budget: int = 200000):
             psi = {e: v for e, v in zip(events, partial) if v is not None}
             candidates[:] = [[q for q in src_places if fits(q, p, psi)]
                              for p in places]
-            if all(candidates) and math.prod(map(len, candidates)) > budget:
+            if all(candidates) and math.prod(map(len, candidates)) > PN_HOM_BUDGET:
                 raise SizeLimit("place-map space too large")
         return candidates[pos - len(events)]
 
@@ -393,48 +383,43 @@ def enumerate_hda_morphisms_into_net_hda(source: Hda, net: PetriNet, target: Hda
     return enumerate_hda_morphisms(source, target)
 
 
-def enumerate_hda_morphisms(src: Hda, dst: Hda, budget: int = 100000):
-    """All automaton morphisms src -> dst, by backtracking over label and
-    cell assignments with face-consistency pruning."""
-    labels = sorted_by_key(src.alphabet)
+def enumerate_hda_morphisms(src: Hda, dst: Hda):
+    """All automaton morphisms src -> dst, by one search over the slots of
+    ``functors.skeleton_slots``.  A label takes STAR or a label of ``dst``,
+    a vertex a vertex of ``dst`` (the initial one the initial one), and
+    each cell is checked at its last slot: ``dst`` must have a cell with
+    its image 0-ends and its image word, dropped letters removed.  Each
+    full assignment is built by ``induced_morphism``; two cells of ``dst``
+    sharing their 0-ends and label raise ``Hda.cell_by_ends``'s ValueError.
+    """
     label_targets = [STAR] + sorted_by_key(dst.alphabet)
-    if len(label_targets) ** len(labels) > budget:
+    if len(label_targets) ** len(src.alphabet) > HDA_HOM_BUDGET:
         raise SizeLimit("label-map space too large")
-    cells = [c for n in range(src.max_dim + 1) for c in src.cells(n)]
-    slot_of = {c: len(labels) + k for k, c in enumerate(cells)}
+    slots, checks = skeleton_slots(src)
+    index = dst.cell_by_ends
+    vertices = dst.cells(0)
+    domains = [label_targets if kind == "label" else [dst.initial] if x == src.initial else vertices
+               for kind, x in slots]
 
-    dst_by_label: dict = {}
-    for n in range(dst.max_dim + 1):
-        for cell in dst.cells(n):
-            dst_by_label.setdefault(dst.labeling[cell], []).append(cell)
+    def fits(values, pos):
+        return all((values[s], values[t], tuple(a for a in (values[i] for i in word) if a != STAR))
+                   in index for word, s, t in checks[pos])
 
     def options(pos, partial):
-        if pos < len(labels):
-            return label_targets
-        cell = cells[pos - len(labels)]
-        if cell == src.initial:
-            return [DegeneracyWitness(dst.initial)]
-        lam = dict(zip(labels, partial))
-        word = tuple(lam.get(e, STAR) if e != STAR else STAR for e in src.labeling[cell])
-        stars = tuple(i for i, e in enumerate(word) if e == STAR)
-        kept = tuple(e for e in word if e != STAR)
-        faces = [(i, sign, partial[slot_of[src.skeleton.face(cell, i, sign)]])
-                 for i in range(cell.dim) for sign in ("-", "+")]
-        witnesses = (DegeneracyWitness(base, stars) for base in dst_by_label.get(kept, ()))
-        return [w for w in witnesses
-                if all(cell_face(dst.complex, w, i, sign) == face for i, sign, face in faces)]
+        return [v for v in domains[pos] if fits(partial + [v], pos)]
 
     out = []
-    for values in backtrack(labels + cells, options):
-        m = HdaMorphism(cell_map=dict(zip(cells, values[len(labels):])),
-                        label_map=dict(zip(labels, values)))
+    for values in backtrack(slots, options):
+        m = induced_morphism(src, dst,
+                             {x: v for (kind, x), v in zip(slots, values) if kind == "vertex"},
+                             {x: v for (kind, x), v in zip(slots, values) if kind == "label"})
         if validate_hda_morphism(m, src, dst).ok:
             out.append(m)
     return out
 
 
 def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
-                            max_dim: int = 3, naturality: bool = True) -> LawReport:
+                            max_dim: int = 3) -> LawReport:
     """On each (automaton, net) pair: the two transpositions are mutually
     inverse bijections between the enumerated hom-sets, and natural in
     both arguments across the fixture set."""
@@ -450,7 +435,6 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
         except SizeLimit:
             report.skipped += 1
             continue
-        computed.append((source, net, synth, target, pn_homs))
         if len(pn_homs) != len(hda_homs):
             report.fail({"pair": idx, "reason": "hom-set sizes differ",
                          "pn": len(pn_homs), "hda": len(hda_homs)})
@@ -466,6 +450,8 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
                 break
             seen.append(g)
         else:
+            # each net morphism with its transpose, for the naturality checks
+            computed.append((source, net, synth, target, list(zip(pn_homs, seen))))
             if {_canon_hda_morphism(g) for g in seen} != \
                {_canon_hda_morphism(g) for g in hda_homs}:
                 report.fail({"pair": idx, "reason": "transpose image misses morphisms"})
@@ -476,7 +462,7 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
                     report.fail({"pair": idx, "reason": "hda roundtrip differs"})
                     break
 
-    if not naturality or not report.passed:
+    if not report.passed:
         return report
 
     for i, (c_i, n_i, synth_i, target_i, homs_i) in enumerate(computed):
@@ -491,11 +477,10 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
                 hda_v = map_morphism("pn_to_hda", v, n_i, n_j,
                                      max_states=max_states, max_dim=max_dim,
                                      src_hda=target_i, dst_hda=target_j)
-                for f in homs_i:
+                for f, g in homs_i:
                     lhs = transpose_to_hda(compose_pn_morphisms(f, v),
                                            c_i, synth_i, n_j, target_j)
-                    rhs = compose_hda_morphisms(
-                        transpose_to_hda(f, c_i, synth_i, n_i, target_i), hda_v)
+                    rhs = compose_hda_morphisms(g, hda_v)
                     if _canon_hda_morphism(lhs) != _canon_hda_morphism(rhs):
                         report.fail({"pairs": (i, j), "reason": "naturality in the net fails"})
                         return report
@@ -508,15 +493,35 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
             for u in us:
                 pn_u = map_morphism("hda_to_pn", u, c_j, c_i, cap=cap,
                                     src_synth=synth_j, dst_synth=synth_i)
-                for f in homs_i:
+                for f, g in homs_i:
                     lhs = transpose_to_hda(compose_pn_morphisms(pn_u, f),
                                            c_j, synth_j, n_i, target_i)
-                    rhs = compose_hda_morphisms(
-                        u, transpose_to_hda(f, c_i, synth_i, n_i, target_i))
+                    rhs = compose_hda_morphisms(u, g)
                     if _canon_hda_morphism(lhs) != _canon_hda_morphism(rhs):
                         report.fail({"pairs": (i, j), "reason": "naturality in the automaton fails"})
                         return report
     return report
+
+
+def _adjunction_pn(cfg: GeneratorConfig) -> LawReport:
+    """The net adjunction on two fixed pairs, whatever the seed and count:
+    an edge against a one-event net, the mutex square against two mutexes."""
+    pairs = [
+        (ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")])),
+         make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})),
+        (acr_to_hda2(zoo.mutex_square_acr(True)), zoo.two_mutex_net()),
+    ]
+    return check_adjunction_pn_hda(pairs, cap=1, max_states=200, max_dim=2)
+
+
+# Each law suite under its CLI name, in the order ``--suite all`` runs them.
+SUITES: dict[str, Callable[[GeneratorConfig], LawReport]] = {
+    "comonad-sts": lambda cfg: check_comonad_identity("sTS", cfg),
+    "comonad-acr": lambda cfg: check_comonad_identity("ACR", cfg),
+    "comonad-es": lambda cfg: check_comonad_identity("ES", cfg),
+    "kleisli-sts": check_kleisli_lift,
+    "adjunction-pn": _adjunction_pn,
+}
 
 
 def _canon_hda_morphism(m: HdaMorphism):

@@ -190,8 +190,7 @@ def test_a5_transposition_bijection():
             (square, mutex),
             (path2, two_event_net),
         ]
-        report = check_adjunction_pn_hda(pairs, cap=1, max_states=200, max_dim=2,
-                                         naturality=True)
+        report = check_adjunction_pn_hda(pairs, cap=1, max_states=200, max_dim=2)
         assert report.passed, str(report)
         assert report.instances == len(pairs)
         t.finish("A5 transposition bijection and naturality")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hdabridge.cubical import STAR, DegeneracyWitness
+from hdabridge.cubical import STAR, CellId, DegeneracyWitness, Hda, index_complex
 from hdabridge.errors import SizeLimit, SquareIncomplete, StarClash
 from hdabridge.functors import HdaMorphism, acr_to_hda2, pn_to_hda, ts_to_hda1, validate_hda_morphism
 from hdabridge.laws import (
@@ -266,13 +266,48 @@ def test_hda_morphism_enumeration_matches_brute_force():
             assert {_canon_hda_morphism(m) for m in homs} == brute_force_hda_homs(source, target)
 
 
+def _chain(n):
+    return ts_to_hda1(make_ts([f"s{i}" for i in range(n)], "s0", ["a"],
+                              [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]))
+
+
 def test_hda_morphism_enumeration_deep_source():
-    n = 700
-    chain = ts_to_hda1(make_ts([f"s{i}" for i in range(n)], "s0", ["a"],
-                               [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]))
     loop = ts_to_hda1(make_ts(["s"], "s", ["a"], [("s", "a", "s")]))
-    homs = enumerate_hda_morphisms(chain, loop)
+    homs = enumerate_hda_morphisms(_chain(700), loop)
     assert sorted(m.label_map["a"] for m in homs) == sorted([STAR, "a"])
+
+
+def test_hda_morphism_enumeration_long_chain_into_net():
+    # each vertex is checked by the edge that reaches it, so only the two
+    # label choices branch; vertices left unchecked until all are assigned
+    # would give 31 choices per vertex
+    chain = _chain(31)
+    net = make_pn(["p"], {"p": 30}, ["u"], {"u": {"p": 1}}, {"u": {}})
+    target = pn_to_hda(net, 200, 2, truncate_cells=True)
+    homs = enumerate_hda_morphisms(chain, target)
+    assert sorted(m.label_map["a"] for m in homs) == sorted([STAR, "u"])
+
+
+def test_hda_morphism_enumeration_chain_into_longer_chain():
+    # past 100 states the names s100.. sort between s10 and s11, so a
+    # vertex order by index would leave s100 unconstrained by s99
+    homs = enumerate_hda_morphisms(_chain(120), _chain(121))
+    assert sorted(m.label_map["a"] for m in homs) == sorted([STAR, "a"])
+
+
+def test_hda_morphism_enumeration_rejects_target_with_twin_cells():
+    complex_, keys = index_complex(
+        {0: ["x", "y"], 1: [("x", "a", "y", 0), ("x", "a", "y", 1)]},
+        lambda n, key, i, sign: key[0] if sign == "-" else key[2],
+        transpose_key=lambda n, key, i: key)
+    by_key = {k: c for c, k in keys.items()}
+    twins = Hda(complex=complex_, alphabet=("a",),
+                labeling={c: ((k[1],) if c.dim == 1 else ()) for c, k in keys.items()},
+                initial=by_key["x"], cell_keys=keys)
+    single_edge = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
+    with pytest.raises(ValueError) as err:
+        enumerate_hda_morphisms(single_edge, twins)
+    assert str(CellId(1, 0)) in str(err.value) and str(CellId(1, 1)) in str(err.value)
 
 
 def test_iso_check_deep_chain():
