@@ -8,7 +8,6 @@ environment variable seeds the law suites.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -114,7 +113,7 @@ def cmd_laws(args) -> int:
     reports = [SUITES[suite](cfg) for suite in wanted]
     for report in reports:
         print(report)
-    print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
+    print(jsonio.format_json([r.to_json() for r in reports]))
     return 0 if all(r.passed for r in reports) else LAW_COUNTEREXAMPLE
 
 

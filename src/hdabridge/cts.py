@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 from .cubical import CellId, Hda, index_complex
 from .errors import DimensionCapExceeded
-from .models import EventStructure, PetriNet, configurations, es_enabled, reachable_markings
+from .models import EventStructure, PetriNet, configurations, reachable_markings
 from .util import ValidationReport, canon_key, sorted_by_key
 
 Multiset = tuple  # events in canonical sorted order, repeats allowed
@@ -218,11 +218,8 @@ def es_to_cts(es: EventStructure) -> Cts:
     pairwise compatible events, each individually enabled."""
     configs = configurations(es)
 
-    delta = {}
-    for x in configs:
-        for e in es.events:
-            if es_enabled(es, x, e):
-                delta[(x, e)] = x | {e}
+    # x | {e} is a configuration exactly when e is enabled at x
+    delta = {(x, e): y for x in configs for e in es.events - x if (y := x | {e}) in configs}
 
     def enabled(x, m: Multiset) -> bool:
         if x not in configs:

@@ -229,20 +229,6 @@ def apply_permutation(c: Complex, cell: Cell, perm: tuple[int, ...]) -> Degenera
     return out
 
 
-def zero_source(c: Complex, cell: Cell) -> CellId:
-    w = as_witness(cell)
-    while w.dim > 0:
-        w = cell_face(c, w, 0, "-")
-    return w.base
-
-
-def zero_target(c: Complex, cell: Cell) -> CellId:
-    w = as_witness(cell)
-    while w.dim > 0:
-        w = cell_face(c, w, 0, "+")
-    return w.base
-
-
 def nest_witness(outer_stars: tuple[int, ...], inner: DegeneracyWitness) -> DegeneracyWitness:
     """Collapse positions ``outer_stars`` of a word whose cell is ``inner``.
 

@@ -10,7 +10,6 @@ from, which is what makes the round trips land on the original names.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -52,7 +51,7 @@ from .models import (
     validate_acr,
     validate_es,
 )
-from .util import ValidationReport, backtrack, canon_key, sorted_by_key
+from .util import ValidationReport, backtrack, breadth_first, canon_key, sorted_by_key
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +330,18 @@ def hda_to_es(h: Hda) -> EventStructure:
         tgt = h.skeleton.face(edge, 0, "+")
         edges_at.setdefault(src, []).append((label, tgt))
 
-    start = (h.initial, frozenset())
-    seen = {start}
-    stack = [start]
+    def runs_on(state):
+        vertex, used = state
+        return [(label, (tgt, used | {label}))
+                for label, tgt in edges_at.get(vertex, ()) if label not in used]
+
     co_occur = set()
     order_break = set()  # (e, e2): some run fires e2 with no earlier e
-    while stack:
-        vertex, used = stack.pop()
-        for a in used:
-            for b in used:
-                co_occur.add((a, b))
-        for label, tgt in edges_at.get(vertex, ()):
-            if label in used:
-                continue
-            for e in events:
-                if e != label and e not in used:
-                    order_break.add((e, label))
-            nxt = (tgt, used | {label})
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+    for state, label, (_, used), new in breadth_first([(h.initial, frozenset())], runs_on):
+        if new:
+            co_occur |= {(a, b) for a in used for b in used}
+        if state is not None:
+            order_break |= {(e, label) for e in events - used}
 
     leq = set()
     for e in events:
@@ -474,17 +465,11 @@ def skeleton_slots(h: Hda):
         s, t = zero_ends[e]
         adjacent[s].append((h.labeling[e], t))
         adjacent[t].append((h.labeling[e], s))
-    for root in adjacent:
-        if ("vertex", root) in slots:
-            continue
-        slots[("vertex", root)] = len(slots)
-        queue = deque([root])
-        while queue:
-            for (a,), u in adjacent[queue.popleft()]:
-                slots.setdefault(("label", a), len(slots))
-                if ("vertex", u) not in slots:
-                    slots[("vertex", u)] = len(slots)
-                    queue.append(u)
+    for v, word, u, new in breadth_first(adjacent, adjacent.__getitem__):
+        if v is not None:
+            slots.setdefault(("label", word[0]), len(slots))
+        if new:
+            slots[("vertex", u)] = len(slots)
     for a in sorted_by_key(h.alphabet):
         slots.setdefault(("label", a), len(slots))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,7 +52,7 @@ from .models import (
     validate_pn_morphism,
     validate_ts,
 )
-from .util import backtrack, canon_key, sorted_by_key
+from .util import backtrack, breadth_first, canon_key, sorted_by_key
 
 
 @dataclass(frozen=True)
@@ -235,18 +234,15 @@ def _canonical_renaming(t: TransitionSystem):
     """Rename states by breadth-first order from the initial state; events
     are observable and stay fixed.  Unreached states follow in name order.
     Returns the renamed system and the renaming."""
-    order = {t.initial: 0}
-    queue = [t.initial]
-    while queue:
-        s = queue.pop(0)
-        succs = sorted_by_key({(e, s2) for (p, e, s2) in t.trans if p == s})
-        for _, s2 in succs:
-            if s2 not in order:
-                order[s2] = len(order)
-                queue.append(s2)
-    for s in sorted_by_key(t.states):
-        if s not in order:
+    succs: dict = {}
+    for (s, e, s2) in sorted_by_key(t.trans):
+        succs.setdefault(s, []).append((e, s2))
+    order: dict = {}
+    for _, _, s, new in breadth_first([t.initial], lambda s: succs.get(s, ())):
+        if new:
             order[s] = len(order)
+    for s in sorted_by_key(t.states):
+        order.setdefault(s, len(order))
     rename = {s: f"q{i}" for s, i in order.items()}
     renamed = make_ts(
         [rename[s] for s in t.states], rename[t.initial], t.events,
@@ -627,22 +623,14 @@ def _iso_hda(a: Hda, b: Hda, node_limit: int):
     neighbours: dict = {c: [] for c in cells}
     for rel in a_faces:
         coface, _, _, face = rel
-        neighbours[coface].append((face, rel))
-        neighbours[face].append((coface, rel))
+        neighbours[coface].append((rel, face))
+        neighbours[face].append((rel, coface))
     via: dict = {}
-    order: list = []
-    for root in [a.initial, *cells]:
-        if root not in neighbours or root in via:
-            continue
-        via[root] = None
-        queue = deque([root])
-        while queue:
-            c = queue.popleft()
-            order.append(c)
-            for u, rel in neighbours[c]:
-                if u not in via:
-                    via[u] = rel
-                    queue.append(u)
+    roots = [c for c in [a.initial, *cells] if c in neighbours]
+    for _, rel, c, new in breadth_first(roots, neighbours.__getitem__):
+        if new:
+            via[c] = rel
+    order = list(via)
     slot = {c: k for k, c in enumerate(order)}
     # each face relation is checked at the later slot of its two cells
     closed_by: dict = {c: [] for c in order}

@@ -10,13 +10,12 @@ equality is meaningful.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 from .cubical import STAR, LabelWord
 from .errors import ExplosionLimit, NotEnabled, StarClash
-from .util import ValidationReport, canon_key, sorted_by_key
+from .util import ValidationReport, breadth_first, canon_key, sorted_by_key
 
 
 # ---------------------------------------------------------------------------
@@ -222,46 +221,40 @@ def make_event_structure(events, causes=(), conflicts=()) -> EventStructure:
     """Close the generating relations: reflexive-transitive for causality,
     symmetric and hereditary for conflict."""
     events = frozenset(events)
+    causes_from: dict = {}
+    for a, b in causes:
+        causes_from.setdefault(a, []).append(((a, b), b))
+    # everything after each name: reached from it by one or more causes
+    after = {x: {y for _, cause, y, _ in breadth_first([x], lambda u: causes_from.get(u, ()))
+                 if cause is not None}
+             for x in causes_from}
     leq = {(e, e) for e in events}
-    leq |= {tuple(p) for p in causes}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for (c, d) in list(leq):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
+    leq |= {(x, y) for x, ys in after.items() for y in ys}
     conflict = set()
-    for (a, b) in conflicts:
-        conflict.add((a, b))
-        conflict.add((b, a))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(conflict):
-            for (b2, c) in leq:
-                if b2 == b and (a, c) not in conflict:
-                    conflict.add((a, c))
-                    conflict.add((c, a))
-                    changed = True
+    for a, b in conflicts:
+        for x in {a, *after.get(a, ())}:
+            for y in {b, *after.get(b, ())}:
+                conflict |= {(x, y), (y, x)}
     return EventStructure(events=events, leq=frozenset(leq), conflict=frozenset(conflict))
 
 
 def validate_es(es: EventStructure) -> ValidationReport:
     report = ValidationReport("event structure")
     ev = es.events
-    for (a, b) in sorted_by_key(es.leq):
+    leq = sorted_by_key(es.leq)
+    above: dict = {}  # each name's causal successors, in canonical order
+    for (a, b) in leq:
+        above.setdefault(a, []).append(b)
         if a not in ev or b not in ev:
             report.add(f"causality pair {(a, b)!r} out of range")
     for e in sorted_by_key(ev):
         if (e, e) not in es.leq:
             report.add(f"causality not reflexive at {e!r}")
-    for (a, b) in sorted_by_key(es.leq):
+    for (a, b) in leq:
         if a != b and (b, a) in es.leq:
             report.add(f"causality not antisymmetric on ({a!r},{b!r})")
-        for (b2, c) in es.leq:
-            if b2 == b and (a, c) not in es.leq:
+        for c in above.get(b, ()):
+            if (a, c) not in es.leq:
                 report.add(f"causality not transitive on ({a!r},{b!r},{c!r})")
     for (a, b) in sorted_by_key(es.conflict):
         if a not in ev or b not in ev:
@@ -271,25 +264,18 @@ def validate_es(es: EventStructure) -> ValidationReport:
             report.add(f"conflict not irreflexive at {a!r}")
         if (b, a) not in es.conflict:
             report.add(f"conflict not symmetric on ({a!r},{b!r})")
-        for (b2, c) in es.leq:
-            if b2 == b and c != b and (a, c) not in es.conflict:
+        for c in above.get(b, ()):
+            if c != b and (a, c) not in es.conflict:
                 report.add(f"conflict not hereditary: {a!r}#{b!r} <= {c!r}")
     return report
 
 
 def configurations(es: EventStructure) -> frozenset:
     """All downward-closed conflict-free subsets, as frozensets."""
-    seen = {frozenset()}
-    queue = deque([frozenset()])
-    while queue:
-        config = queue.popleft()
-        for e in es.events:
-            if es_enabled(es, config, e):
-                nxt = config | {e}
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return frozenset(seen)
+    def extensions(config):
+        return [(e, config | {e}) for e in es.events if es_enabled(es, config, e)]
+
+    return frozenset(x for _, _, x, new in breadth_first([frozenset()], extensions) if new)
 
 
 def es_enabled(es: EventStructure, config: frozenset, e) -> bool:
@@ -477,22 +463,21 @@ def reachable_markings(n: PetriNet, max_states: int) -> MarkingGraph:
     """BFS closure of the initial marking under single-event firing."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    seen = {n.m0}
-    queue = deque([n.m0])
+    events = sorted_by_key(n.events)
+    markings = []
     steps = set()
-    while queue:
-        m = queue.popleft()
-        for e in sorted_by_key(n.events):
-            if m >= n.pre[e]:
-                m2 = (m - n.pre[e]) + n.post[e]
-                steps.add((m, e, m2))
-                if m2 not in seen:
-                    if len(seen) >= max_states:
-                        raise ExplosionLimit(
-                            f"more than {max_states} reachable markings")
-                    seen.add(m2)
-                    queue.append(m2)
-    return MarkingGraph(initial=n.m0, markings=frozenset(seen), steps=frozenset(steps))
+
+    def firings(m):
+        return [(e, (m - n.pre[e]) + n.post[e]) for e in events if m >= n.pre[e]]
+
+    for m, e, m2, new in breadth_first([n.m0], firings):
+        if m is not None:
+            steps.add((m, e, m2))
+        if new:
+            if len(markings) >= max_states:
+                raise ExplosionLimit(f"more than {max_states} reachable markings")
+            markings.append(m2)
+    return MarkingGraph(initial=n.m0, markings=frozenset(markings), steps=frozenset(steps))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Small shared helpers: deterministic ordering and validation reports."""
+"""Small shared helpers: deterministic ordering, the one depth-first search
+and the one breadth-first walk, and validation reports."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -58,6 +60,32 @@ def backtrack(slots, options):
             stack.pop()
             if partial:
                 partial.pop()
+
+
+def breadth_first(roots, successors):
+    """Walk breadth first from each root in turn.
+
+    ``successors(x)`` lists ``(step, y)`` pairs.  Yields
+    ``(None, None, root, True)`` for each root not yet reached, then
+    ``(x, step, y, new)`` for every pair that leaves a reached node, in
+    listed order; ``new`` is true the first time ``y`` is reached.  New
+    nodes thus come out in breadth-first order.
+    """
+    reached = set()
+    for root in roots:
+        if root in reached:
+            continue
+        reached.add(root)
+        yield None, None, root, True
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for step, y in successors(x):
+                new = y not in reached
+                if new:
+                    reached.add(y)
+                    queue.append(y)
+                yield x, step, y, new
 
 
 @dataclass

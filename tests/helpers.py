@@ -86,3 +86,29 @@ def oracle_degeneracy(cell_map, n, i):
 
 def oracle_transpose(cell_map, n, i):
     return compose(cell_map, sigma(i, n))
+
+
+def fixpoint_event_structure(events, causes, conflicts):
+    """Causality and conflict closed by iterating to a fixpoint: the
+    reflexive pairs of ``events`` and the generating causes made
+    transitive, then the symmetric generating conflicts made hereditary
+    along that causality.  Returns the pair (leq, conflict)."""
+    leq = {(e, e) for e in events} | set(causes)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(leq):
+            for (c, d) in list(leq):
+                if b == c and (a, d) not in leq:
+                    leq.add((a, d))
+                    changed = True
+    conflict = {(a, b) for a, b in conflicts} | {(b, a) for a, b in conflicts}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(conflict):
+            for (b2, c) in leq:
+                if b2 == b and (a, c) not in conflict:
+                    conflict |= {(a, c), (c, a)}
+                    changed = True
+    return frozenset(leq), frozenset(conflict)

@@ -9,6 +9,7 @@ import pytest
 from hdabridge import errors, jsonio, zoo
 from hdabridge.cli import main
 from hdabridge.functors import es_to_hda
+from hdabridge.laws import LawReport
 from hdabridge.models import make_event_structure
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -308,6 +309,41 @@ def test_export_dot_names_do_not_depend_on_string_hashing(hash_seed):
          str(FIXTURES / "es_three_free_events.json"), "--dim2", "clusters"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == (GOLDEN / "es_three_free_events.clusters.dot").read_text()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_validate_es_violations_do_not_depend_on_string_hashing(tmp_path, hash_seed):
+    """Transitivity and heredity violations are listed in canonical order
+    under every hash seed."""
+    path = tmp_path / "es.json"
+    path.write_text(json.dumps({
+        "kind": "es", "format_version": 1, "events": ["a", "b", "c", "d", "e"],
+        "causality": [["a", "b"], ["b", "c"], ["b", "d"], ["b", "e"]],
+        "conflict": [["b", "e"]]}))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "hdabridge.cli", "validate", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 5
+    assert run.stdout == (
+        "event structure: 6 violation(s)\n"
+        "  - causality not transitive on ('a','b','c')\n"
+        "  - causality not transitive on ('a','b','d')\n"
+        "  - causality not transitive on ('a','b','e')\n"
+        "  - conflict not hereditary: 'e'#'b' <= 'c'\n"
+        "  - conflict not hereditary: 'e'#'b' <= 'd'\n"
+        "  - conflict not hereditary: 'e'#'b' <= 'e'\n")
+
+
+def test_laws_report_list_prints_as_json_dumps(capsys):
+    code, out, _ = run(capsys, "laws", "--suite", "comonad-es", "--count", "3")
+    assert code == 0
+    text = out[out.index("\n[") + 1:]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    report = LawReport(law="x", instances=2)
+    report.fail({"pairs": (0, 1), "model": jsonio.model_to_document("ts", zoo.mutex_square_ts())})
+    assert jsonio.format_json([report.to_json()]) == \
+        json.dumps([report.to_json()], indent=2, sort_keys=True)
 
 
 def test_export_dot_single_vertex(tmp_path, capsys):

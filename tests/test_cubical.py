@@ -27,8 +27,6 @@ from hdabridge.cubical import (
     word_face,
     word_is_linear,
     word_permute,
-    zero_source,
-    zero_target,
 )
 from hdabridge.errors import ArityMismatch, IndexOutOfRange
 from hdabridge.util import sorted_by_key
@@ -310,13 +308,6 @@ def test_apply_permutation_three_cycle():
     rotated = apply_permutation(sym, w, (1, 2, 0))  # word reads (*, b, a)
     ba = key_to_id[("x", "b", "a")]
     assert rotated == DegeneracyWitness(CellId(2, ba.index), (0,)) or rotated == cell_degeneracy(DegeneracyWitness(ba), 0)
-
-
-def test_zero_source_and_target():
-    sym, key_to_id = symmetric_square()
-    ab = key_to_id[("x", "a", "b")]
-    assert zero_source(sym, ab) == key_to_id["x"]
-    assert zero_target(sym, ab) == key_to_id["r"]
 
 
 def test_nest_witness_matches_word_insertion():

@@ -11,8 +11,6 @@ from hdabridge.cubical import (
     check_strong_labeling,
     truncate,
     validate_hda,
-    zero_source,
-    zero_target,
 )
 from hdabridge.errors import (
     CapExceeded,
@@ -289,7 +287,7 @@ def test_hda_to_es_words_oracle():
         cells_at = {}
         for n in range(1, h.max_dim + 1):
             for cell in h.cells(n):
-                cells_at.setdefault(zero_source(h.complex, cell), []).append(cell)
+                cells_at.setdefault(h.zero_ends[cell][0], []).append(cell)
         while frontier:
             vertex, word = frontier.pop()
             for cell in cells_at.get(vertex, ()):
@@ -301,7 +299,7 @@ def test_hda_to_es_words_oracle():
                 if len(set(nxt)) != len(nxt):
                     continue
                 runs.add(nxt)
-                frontier.append((zero_target(h.complex, cell), nxt))
+                frontier.append((h.zero_ends[cell][1], nxt))
         events = set(h.alphabet)
         leq = set()
         for e in events:

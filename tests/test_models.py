@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hdabridge import zoo
 from hdabridge.cubical import STAR
 from hdabridge.errors import ExplosionLimit, NotEnabled, StarClash
 from hdabridge.models import (
@@ -212,6 +213,13 @@ def test_reachable_markings_explosion():
         reachable_markings(n, 50)
 
 
+def test_reachable_markings_limit_is_the_number_of_markings():
+    n = zoo.double_token_net()  # p=2, then p=1 q=1, then q=2
+    assert len(reachable_markings(n, 3).markings) == 3
+    with pytest.raises(ExplosionLimit, match="more than 2 reachable markings"):
+        reachable_markings(n, 2)
+
+
 def test_reachable_markings_no_events():
     n = make_pn(["p"], {"p": 1}, [], {}, {})
     graph = reachable_markings(n, 10)
@@ -333,6 +341,8 @@ def test_acr_and_es_morphism_composition():
 
 from hypothesis import given, strategies as st
 
+from helpers import fixpoint_event_structure
+
 markings = st.dictionaries(st.sampled_from("pqrs"), st.integers(min_value=0, max_value=5))
 
 
@@ -344,3 +354,15 @@ def test_marking_addition_laws(a, b, c):
     assert ma + Marking.of({}) == ma
     assert (ma + mb) - mb == ma
     assert ma + mb >= ma
+
+
+names = st.sampled_from("abcdefg")
+pairs = st.lists(st.tuples(names, names), max_size=8)
+
+
+@given(st.sets(st.sampled_from("abcde")), pairs, pairs)
+def test_make_event_structure_matches_fixpoint_closure(events, causes, conflicts):
+    """Names outside ``events`` ("f", "g", and unpicked letters) are closed
+    as the generating relations give them."""
+    es = make_event_structure(events, causes, conflicts)
+    assert (es.leq, es.conflict) == fixpoint_event_structure(events, causes, conflicts)
