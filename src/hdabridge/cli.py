@@ -59,6 +59,17 @@ def write_text(path: str, text: str) -> None:
         fp.write(text)
 
 
+def at_least(k: int):
+    """An argparse type: an integer no smaller than ``k``.  Anything else
+    is a usage error, exit 2."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {k}, got {value}")
+        return value
+    return integer
+
+
 def _valid(kind: str, model) -> bool:
     """Run the kind's validator; print its report on stderr if it fails."""
     report = VALIDATORS[kind](model)
@@ -84,13 +95,12 @@ def _translate(kind: str, model, args):
         return "hda", acr_to_hda2(model)
     if kind == "hda" and to == "acr":
         return "acr", hda2_to_acr(model)
-    max_dim = args.max_dim if args.max_dim is not None else 3
     if kind == "es" and to == "hda":
-        return "hda", es_to_hda(model, max_dim=max_dim, truncate_cells=args.truncate)
+        return "hda", es_to_hda(model, max_dim=args.max_dim, truncate_cells=args.truncate)
     if kind == "hda" and to == "es":
         return "es", hda_to_es(model)
     if kind == "pnet" and to == "hda":
-        return "hda", pn_to_hda(model, args.max_states, max_dim,
+        return "hda", pn_to_hda(model, args.max_states, args.max_dim,
                                 truncate_cells=args.truncate)
     if kind == "hda" and to == "pnet":
         return "pnet", hda_to_pn(model, args.cap).net
@@ -160,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="apply a translation between kinds")
     p.add_argument("path", help="model document, or - for stdin")
     p.add_argument("--to", required=True, choices=("ts", "acr", "es", "pnet", "hda"))
-    p.add_argument("--cap", type=int, default=1, help="region value bound (default 1)")
-    p.add_argument("--max-states", type=int, default=10000, dest="max_states")
-    p.add_argument("--max-dim", type=int, default=None, dest="max_dim",
+    p.add_argument("--cap", type=at_least(0), default=1, help="region value bound (default 1)")
+    p.add_argument("--max-states", type=at_least(1), default=10000, dest="max_states")
+    p.add_argument("--max-dim", type=int, default=3, dest="max_dim",
                    help="dimension bound (default 3)")
     p.add_argument("--idle", action="store_true",
                    help="treat idle loops as degenerate on input, or emit them on output")
@@ -175,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to HDABRIDGE_SEED or 0")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=at_least(0), default=100)
     p.set_defaults(func=cmd_laws)
 
     p = sub.add_parser("export-dot", help="render the 1-skeleton as DOT")
     p.add_argument("path", help="model document, or - for stdin")
     p.add_argument("--dim2", choices=DIM2_STYLES, default="diagonals",
                    help="how to render squares")
-    p.add_argument("--max-states", type=int, default=10000, dest="max_states")
+    p.add_argument("--max-states", type=at_least(1), default=10000, dest="max_states")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_export_dot)
     return parser

@@ -507,14 +507,13 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
 
 @dataclass(frozen=True)
 class SynthesizedNet:
-    """A net whose places are regions, with the naming kept alongside."""
+    """A net whose places are the regions of ``hda``, with the naming kept
+    alongside."""
 
     net: PetriNet
     regions: Mapping  # place name -> Region
     places: Mapping   # Region -> place name
-
-    def place_of(self, reg: Region):
-        return self.places.get(reg)
+    hda: Hda          # the automaton the net was synthesized from
 
 
 def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
@@ -536,33 +535,28 @@ def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
         pre={e: Marking.of({name: flow[e][0] for name, flow in flows.items()}) for e in events},
         post={e: Marking.of({name: flow[e][1] for name, flow in flows.items()}) for e in events},
     )
-    return SynthesizedNet(net=net, regions=names, places={reg: name for name, reg in names.items()})
+    return SynthesizedNet(net=net, regions=names, places={reg: name for name, reg in names.items()},
+                          hda=h)
 
 
 # ---------------------------------------------------------------------------
 # The net/automaton transposition
 # ---------------------------------------------------------------------------
 
-def transpose_to_hda(f: PnMorphism, source: Hda, synth: SynthesizedNet,
-                     net: PetriNet, target: Hda) -> HdaMorphism:
+def transpose_to_hda(f: PnMorphism, synth: SynthesizedNet, net: PetriNet, target: Hda) -> HdaMorphism:
     """Turn a net morphism out of the synthesized net into an automaton
     morphism into the net's automaton.
 
     A vertex goes to the marking that reads, at each place, the token count
     of the place's pulled-back region; the labels follow the event map.
     """
-    vertex_map = {}
-    for vertex in source.cells(0):
-        m = Marking.of({p: synth.regions[f.phi[p]].tokens_at(vertex) for p in net.places})
-        if (m, ()) not in target.vertex_by_key:
-            raise OutOfReachableFragment(
-                f"marking {m.to_dict()!r} of vertex {source.key(vertex)!r} is not reachable")
-        vertex_map[vertex] = target.vertex_by_key[(m, ())]
+    source = synth.hda
+    vertex_map = _vertex_map(source, target, lambda v: (
+        Marking.of({p: synth.regions[f.phi[p]].tokens_at(v) for p in net.places}), ()))
     return induced_morphism(source, target, vertex_map, f.psi)
 
 
-def transpose_to_pn(g: HdaMorphism, source: Hda, synth: SynthesizedNet,
-                    net: PetriNet, target: Hda, cap: int) -> PnMorphism:
+def transpose_to_pn(g: HdaMorphism, synth: SynthesizedNet, net: PetriNet, target: Hda) -> PnMorphism:
     """Turn an automaton morphism into the net's automaton back into a net
     morphism out of the synthesized net.
 
@@ -570,88 +564,74 @@ def transpose_to_pn(g: HdaMorphism, source: Hda, synth: SynthesizedNet,
     image markings; flows come from the net's pre/postconditions along the
     label map.
     """
-    phi = {}
-    for p in sorted_by_key(net.places):
-        reg = _pull_back(g, source, lambda lam: (net.pre[lam].get(p), net.post[lam].get(p)),
-                         lambda base: target.cell_keys[base][0].get(p))
-        for _, (a, b) in reg.flows:
-            if a > cap or b > cap:
-                raise CapExceeded(f"place {p!r} pulls back to flows above {cap}")
-        for _, v in reg.tokens:
-            if v > cap:
-                raise CapExceeded(f"place {p!r} pulls back to token counts above {cap}")
-        name = synth.place_of(reg)
-        if name is None:
-            raise CapExceeded(f"place {p!r} pulls back outside the synthesized places")
-        phi[p] = name
-    psi = {a: g.label_image(a) for a in source.alphabet if g.label_image(a) != STAR}
-    return PnMorphism(phi=phi, psi=psi)
+    return _place_map(g, synth, sorted_by_key(net.places),
+                      lambda p, a: (net.pre[a].get(p), net.post[a].get(p)),
+                      lambda p, v: target.cell_keys[v][0].get(p))
 
 
 # ---------------------------------------------------------------------------
 # Functorial action on morphisms
 # ---------------------------------------------------------------------------
 
-def map_morphism(functor: str, m, src, dst, **context):
+def map_morphism(functor: str, m, src, dst):
     """Image of a model morphism under a translation.
 
-    ``src`` and ``dst`` are the source and target models of ``m``;
-    ``context`` carries whatever the translation itself needed (caps,
-    precomputed automata), keyed by the same argument names.
+    ``src`` and ``dst`` are what the caller built: for a translation into
+    automata, the automata of ``m``'s two ends; for one out of automata,
+    the automata ``m`` goes between; for ``hda_to_pn``, the two
+    synthesized nets.  No translation runs here.
     """
     if functor in ("ts_to_hda1", "acr_to_hda2"):
-        build = ts_to_hda1 if functor == "ts_to_hda1" else acr_to_hda2
         base = m.base if isinstance(m, AcrMorphism) else m
-        return _induced_on_keys(context.get("src_hda") or build(src),
-                                context.get("dst_hda") or build(dst),
-                                base.sigma.__getitem__, base.tau)
+        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: base.sigma[src.key(v)]),
+                                base.tau)
     if functor in ("hda1_to_ts", "hda2_to_acr"):
         sigma = {src.key(c): dst.key(m.cell_map[c].base) for c in src.cells(0)}
         tau = {a: b for a, b in m.label_map.items() if b != STAR}
         base = TsMorphism(sigma=sigma, tau=tau)
         return base if functor == "hda1_to_ts" else AcrMorphism(base)
     if functor == "es_to_hda":
-        return _induced_on_keys(
-            context.get("src_hda") or es_to_hda(src),
-            context.get("dst_hda") or es_to_hda(dst),
-            lambda key: (frozenset(m.mapping[e] for e in key[0] if e in m.mapping), ()),
-            m.mapping)
+        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: (
+            frozenset(m.mapping[e] for e in src.key(v)[0] if e in m.mapping), ())), m.mapping)
     if functor == "hda_to_es":
         return EsMorphism({a: b for a, b in m.label_map.items() if b != STAR})
     if functor == "pn_to_hda":
-        max_states = context.get("max_states", 10000)
-        max_dim = context.get("max_dim", 3)
-        return _induced_on_keys(
-            context.get("src_hda") or pn_to_hda(src, max_states, max_dim),
-            context.get("dst_hda") or pn_to_hda(dst, max_states, max_dim),
-            lambda key: (Marking.of({p: key[0].get(m.phi[p]) for p in dst.places}), ()),
-            m.psi)
+        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: (
+            Marking.of({p: src.key(v)[0].get(q) for p, q in m.phi.items()}), ())), m.psi)
     if functor == "hda_to_pn":
-        cap = context.get("cap", 1)
-        src_synth = context.get("src_synth") or hda_to_pn(src, cap)
-        dst_synth = context.get("dst_synth") or hda_to_pn(dst, cap)
-        phi = {}
-        for name, reg in dst_synth.regions.items():
-            pulled_name = src_synth.place_of(_pull_back(m, src, reg.flow, reg.tokens_at))
-            if pulled_name is None:
-                raise CapExceeded(f"pulled-back region of {name!r} is not a place")
-            phi[name] = pulled_name
-        psi = {a: m.label_image(a) for a in src.alphabet if m.label_image(a) != STAR}
-        return PnMorphism(phi=phi, psi=psi)
+        return _place_map(m, src, dst.regions,
+                          lambda name, a: dst.regions[name].flow(a),
+                          lambda name, v: dst.regions[name].tokens_at(v))
     raise ValueError(f"no morphism action for functor {functor!r}")
 
 
-def _pull_back(g: HdaMorphism, source: Hda, flow, tokens) -> Region:
-    """The region of ``source`` that reads a region of the target through
-    ``g``: a label's flow is ``flow`` of its image, (0, 0) when dropped,
-    and a vertex's count is ``tokens`` at the base of its image."""
-    return Region.of(
-        {a: (0, 0) if g.label_image(a) == STAR else flow(g.label_image(a)) for a in source.alphabet},
-        {v: tokens(g.cell_map[v].base) for v in source.cells(0)})
+def _vertex_map(src: Hda, dst: Hda, image) -> dict:
+    """Each vertex of ``src`` to the vertex of ``dst`` keyed ``image(vertex)``."""
+    vertex_map = {}
+    for v in src.cells(0):
+        key = image(v)
+        if key not in dst.vertex_by_key:
+            raise OutOfReachableFragment(f"image {key!r} of vertex {src.key(v)!r} is not reachable")
+        vertex_map[v] = dst.vertex_by_key[key]
+    return vertex_map
 
 
-def _induced_on_keys(src_hda: Hda, dst_hda: Hda, image, label_map) -> HdaMorphism:
-    """The induced morphism whose vertex map reads each vertex's key and
-    sends it to the vertex keyed ``image(key)``."""
-    vertex_map = {v: dst_hda.vertex_by_key[image(src_hda.key(v))] for v in src_hda.cells(0)}
-    return induced_morphism(src_hda, dst_hda, vertex_map, label_map)
+def _place_map(g: HdaMorphism, synth: SynthesizedNet, places, flow, tokens) -> PnMorphism:
+    """The net morphism out of ``synth`` along an automaton morphism ``g``
+    out of ``synth.hda``.  Each place ``p`` goes to the place of the region
+    that reads ``p`` through ``g``: a label's flow is ``flow(p, image)``,
+    (0, 0) when dropped, and a vertex's count is ``tokens(p, base)`` at the
+    base of its image.  Every cap-bounded region is a place, so a region
+    that is not one raises CapExceeded.  The labels map along ``g``.
+    """
+    source = synth.hda
+    phi = {}
+    for p in places:
+        reg = Region.of(
+            {a: (0, 0) if g.label_image(a) == STAR else flow(p, g.label_image(a)) for a in source.alphabet},
+            {v: tokens(p, g.cell_map[v].base) for v in source.cells(0)})
+        if reg not in synth.places:
+            raise CapExceeded(f"place {p!r} pulls back to a region that is not a place")
+        phi[p] = synth.places[reg]
+    psi = {a: g.label_image(a) for a in source.alphabet if g.label_image(a) != STAR}
+    return PnMorphism(phi=phi, psi=psi)

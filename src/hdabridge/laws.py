@@ -437,23 +437,23 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
             continue
         seen = []
         for f in pn_homs:
-            g = transpose_to_hda(f, source, synth, net, target)
+            g = transpose_to_hda(f, synth, net, target)
             if not validate_hda_morphism(g, source, target).ok:
                 report.fail({"pair": idx, "reason": "transpose not a morphism"})
                 break
-            if transpose_to_pn(g, source, synth, net, target, cap) != f:
+            if transpose_to_pn(g, synth, net, target) != f:
                 report.fail({"pair": idx, "reason": "pn roundtrip differs"})
                 break
             seen.append(g)
         else:
             # each net morphism with its transpose, for the naturality checks
-            computed.append((source, net, synth, target, list(zip(pn_homs, seen))))
+            computed.append((net, synth, target, list(zip(pn_homs, seen))))
             if {_canon_hda_morphism(g) for g in seen} != \
                {_canon_hda_morphism(g) for g in hda_homs}:
                 report.fail({"pair": idx, "reason": "transpose image misses morphisms"})
             for g in hda_homs:
-                f = transpose_to_pn(g, source, synth, net, target, cap)
-                if _canon_hda_morphism(transpose_to_hda(f, source, synth, net, target)) != \
+                f = transpose_to_pn(g, synth, net, target)
+                if _canon_hda_morphism(transpose_to_hda(f, synth, net, target)) != \
                    _canon_hda_morphism(g):
                     report.fail({"pair": idx, "reason": "hda roundtrip differs"})
                     break
@@ -461,8 +461,8 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
     if not report.passed:
         return report
 
-    for i, (c_i, n_i, synth_i, target_i, homs_i) in enumerate(computed):
-        for j, (c_j, n_j, synth_j, target_j, homs_j) in enumerate(computed):
+    for i, (n_i, synth_i, target_i, homs_i) in enumerate(computed):
+        for j, (n_j, synth_j, target_j, homs_j) in enumerate(computed):
             # natural in the net argument: v : n_i -> n_j
             try:
                 vs = enumerate_pn_morphisms(n_i, n_j)
@@ -470,28 +470,23 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
                 report.skipped += 1
                 continue
             for v in vs:
-                hda_v = map_morphism("pn_to_hda", v, n_i, n_j,
-                                     max_states=max_states, max_dim=max_dim,
-                                     src_hda=target_i, dst_hda=target_j)
+                hda_v = map_morphism("pn_to_hda", v, target_i, target_j)
                 for f, g in homs_i:
-                    lhs = transpose_to_hda(compose_pn_morphisms(f, v),
-                                           c_i, synth_i, n_j, target_j)
+                    lhs = transpose_to_hda(compose_pn_morphisms(f, v), synth_i, n_j, target_j)
                     rhs = compose_hda_morphisms(g, hda_v)
                     if _canon_hda_morphism(lhs) != _canon_hda_morphism(rhs):
                         report.fail({"pairs": (i, j), "reason": "naturality in the net fails"})
                         return report
-            # natural in the automaton argument: u : c_j -> c_i
+            # natural in the automaton argument: u from synth_j.hda to synth_i.hda
             try:
-                us = enumerate_hda_morphisms(c_j, c_i)
+                us = enumerate_hda_morphisms(synth_j.hda, synth_i.hda)
             except SizeLimit:
                 report.skipped += 1
                 continue
             for u in us:
-                pn_u = map_morphism("hda_to_pn", u, c_j, c_i, cap=cap,
-                                    src_synth=synth_j, dst_synth=synth_i)
+                pn_u = map_morphism("hda_to_pn", u, synth_j, synth_i)
                 for f, g in homs_i:
-                    lhs = transpose_to_hda(compose_pn_morphisms(pn_u, f),
-                                           c_j, synth_j, n_i, target_i)
+                    lhs = transpose_to_hda(compose_pn_morphisms(pn_u, f), synth_j, n_i, target_i)
                     rhs = compose_hda_morphisms(u, g)
                     if _canon_hda_morphism(lhs) != _canon_hda_morphism(rhs):
                         report.fail({"pairs": (i, j), "reason": "naturality in the automaton fails"})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .cubical import STAR, LabelWord
@@ -216,6 +217,16 @@ class EventStructure:
     leq: frozenset      # full causality order, reflexive pairs included
     conflict: frozenset  # symmetric irreflexive, hereditarily closed
 
+    @cached_property
+    def causes(self) -> dict:
+        """The strict causes of each event that has any, built on first use
+        and kept in the instance dict, outside the fields."""
+        below: dict = {}
+        for a, b in self.leq:
+            if a != b:
+                below.setdefault(b, set()).add(a)
+        return below
+
 
 def make_event_structure(events, causes=(), conflicts=()) -> EventStructure:
     """Close the generating relations: reflexive-transitive for causality,
@@ -280,12 +291,8 @@ def configurations(es: EventStructure) -> frozenset:
 
 def es_enabled(es: EventStructure, config: frozenset, e) -> bool:
     """Event e can extend the configuration."""
-    if e in config:
-        return False
-    for (a, b) in es.leq:
-        if b == e and a != e and a not in config:
-            return False
-    return all((e, x) not in es.conflict for x in config)
+    return e not in config and es.causes.get(e, set()) <= config and \
+        all((e, x) not in es.conflict for x in config)
 
 
 @dataclass(frozen=True)

@@ -112,3 +112,21 @@ def fixpoint_event_structure(events, causes, conflicts):
                     conflict |= {(a, c), (c, a)}
                     changed = True
     return frozenset(leq), frozenset(conflict)
+
+
+def brute_force_es_cells(es, dim):
+    """Oracle: (configuration, linear word of fresh pairwise-compatible
+    enabled events) pairs."""
+    from hdabridge.models import configurations, es_enabled
+
+    count = 0
+    for config in configurations(es):
+        for word in itertools.permutations(sorted(es.events), dim):
+            if any(e in config for e in word):
+                continue
+            if any(not es_enabled(es, config, e) for e in word):
+                continue
+            if any((a, b) in es.conflict for a, b in itertools.combinations(word, 2)):
+                continue
+            count += 1
+    return count

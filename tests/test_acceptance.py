@@ -2,7 +2,6 @@
 stated runtime budgets.  Each test prints its own pass line so a verbose
 run reads as a checklist."""
 
-import itertools
 import time
 
 from hdabridge import zoo
@@ -31,6 +30,7 @@ from hdabridge.laws import (
     iso_check,
 )
 from hdabridge.models import make_pn, make_ts
+from helpers import brute_force_es_cells
 
 
 def timed(budget_seconds):
@@ -72,22 +72,6 @@ def orbit_counts(h):
                 parent[find(c)] = find(h.complex.transpose(c, i))
         out.append(len({find(c) for c in h.cells(n)}))
     return out
-
-
-def brute_force_es_cells(es, dim):
-    from hdabridge.models import configurations, es_enabled
-
-    count = 0
-    for config in configurations(es):
-        for word in itertools.permutations(sorted(es.events), dim):
-            if any(e in config for e in word):
-                continue
-            if any(not es_enabled(es, config, e) for e in word):
-                continue
-            if any((a, b) in es.conflict for a, b in itertools.combinations(word, 2)):
-                continue
-            count += 1
-    return count
 
 
 def test_a1_triple_diamond_pipeline():

@@ -267,6 +267,37 @@ def test_laws_usage_error(capsys):
     assert exc.value.code == 2
 
 
+HDA_DOC = str(FIXTURES / "hda_three_free_events.json")
+PNET_DOC = str(FIXTURES / "pnet_two_mutex.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", HDA_DOC, "--to", "pnet", "--cap", "-1"],
+    ["translate", HDA_DOC, "--to", "pnet", "--cap", "one"],
+    ["translate", PNET_DOC, "--to", "hda", "--max-states", "0"],
+    ["export-dot", PNET_DOC, "--max-states", "-5"],
+    ["laws", "--suite", "comonad-es", "--count", "-3"],
+])
+def test_numeric_argument_below_its_bound_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["translate", HDA_DOC, "--to", "pnet", "--cap", "0"], 0),
+    # one state passes the parser; the net's reachability then stops at it
+    (["translate", PNET_DOC, "--to", "hda", "--max-states", "1"], 7),
+    (["laws", "--suite", "comonad-es", "--count", "0"], 0),
+])
+def test_numeric_argument_at_its_bound_runs(capsys, argv, code):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert out
+
+
 def test_export_dot_triple_diamond(capsys):
     code, out, _ = run(capsys, "export-dot", str(FIXTURES / "acr_triple_diamond.json"))
     assert code == 0

@@ -46,6 +46,7 @@ from hdabridge.models import (
     Marking,
     PnMorphism,
     TsMorphism,
+    compose_pn_morphisms,
     idle_completion,
     make_event_structure,
     make_pn,
@@ -57,6 +58,7 @@ from hdabridge.models import (
     validate_ts,
 )
 from hdabridge import zoo
+from helpers import brute_force_es_cells
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +217,6 @@ def test_hda2_to_acr_rejects_nondeterminism():
 # ---------------------------------------------------------------------------
 # event structures
 # ---------------------------------------------------------------------------
-
-def brute_force_es_cells(es, dim):
-    """Oracle: (configuration, linear word of fresh pairwise-compatible
-    enabled events) pairs."""
-    from hdabridge.models import configurations, es_enabled
-
-    count = 0
-    for config in configurations(es):
-        for word in itertools.permutations(sorted(es.events), dim):
-            if any(e in config for e in word):
-                continue
-            if any(not es_enabled(es, config, e) for e in word):
-                continue
-            if any((a, b) in es.conflict for a, b in itertools.combinations(word, 2)):
-                continue
-            count += 1
-    return count
-
 
 def test_es_to_hda_three_free_events_counts():
     es = zoo.three_free_events_es()
@@ -509,21 +493,15 @@ def test_synthesized_net_simulates_one_skeleton():
 # transposition of the net adjunction
 # ---------------------------------------------------------------------------
 
-def transposition_setup(source_hda, net, cap=1, max_states=100, max_dim=3):
-    synth = hda_to_pn(source_hda, cap)
-    target = pn_to_hda(net, max_states, max_dim)
-    return synth, target
-
-
 def test_transpose_identity_unit():
     h = ts_to_hda1(zoo.mutex_square_ts())
     synth = hda_to_pn(h, 1)
     net = synth.net
     target = pn_to_hda(net, 500, 2)
     ident = PnMorphism(phi={p: p for p in net.places}, psi={e: e for e in net.events})
-    unit = transpose_to_hda(ident, h, synth, net, target)
+    unit = transpose_to_hda(ident, synth, net, target)
     assert validate_hda_morphism(unit, h, target).ok
-    back = transpose_to_pn(unit, h, synth, net, target, cap=1)
+    back = transpose_to_pn(unit, synth, net, target)
     assert back == ident
 
 
@@ -532,16 +510,16 @@ def test_transpose_roundtrip_small_pair():
     synth = hda_to_pn(h, 1)
     net = make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
-    f = PnMorphism(phi={"p": synth.place_of(
-        Region.of({"a": (1, 0)}, {v: 1 if h.key(v) == "x" else 0 for v in h.cells(0)}))},
+    f = PnMorphism(phi={"p": synth.places[
+        Region.of({"a": (1, 0)}, {v: 1 if h.key(v) == "x" else 0 for v in h.cells(0)})]},
         psi={"a": "u"})
     assert validate_pn_morphism(f, synth.net, net).ok
-    g = transpose_to_hda(f, h, synth, net, target)
+    g = transpose_to_hda(f, synth, net, target)
     assert validate_hda_morphism(g, h, target).ok
     assert g.label_map == {"a": "u"}
-    f2 = transpose_to_pn(g, h, synth, net, target, cap=1)
+    f2 = transpose_to_pn(g, synth, net, target)
     assert f2 == f
-    g2 = transpose_to_hda(f2, h, synth, net, target)
+    g2 = transpose_to_hda(f2, synth, net, target)
     assert g2 == g
 
 
@@ -552,11 +530,11 @@ def test_transpose_to_hda_rejects_unreachable_marking():
     synth = hda_to_pn(h, 1)
     net = make_pn(["p"], {}, ["u"], {"u": {"p": 1}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
-    f = PnMorphism(phi={"p": synth.place_of(
-        Region.of({"a": (1, 0)}, {v: 1 if h.key(v) == "x" else 0 for v in h.cells(0)}))},
+    f = PnMorphism(phi={"p": synth.places[
+        Region.of({"a": (1, 0)}, {v: 1 if h.key(v) == "x" else 0 for v in h.cells(0)})]},
         psi={"a": "u"})
     with pytest.raises(OutOfReachableFragment, match="of vertex 'x' is not reachable"):
-        transpose_to_hda(f, h, synth, net, target)
+        transpose_to_hda(f, synth, net, target)
 
 
 def test_transpose_to_pn_cap_exceeded():
@@ -577,7 +555,7 @@ def test_transpose_to_pn_cap_exceeded():
     )
     assert validate_hda_morphism(g, h, target).ok
     with pytest.raises(CapExceeded):
-        transpose_to_pn(g, h, synth, net, target, cap=1)
+        transpose_to_pn(g, synth, net, target)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +566,7 @@ def test_map_morphism_identities():
     t = zoo.mutex_square_ts()
     ident = TsMorphism(sigma={s: s for s in t.states}, tau={e: e for e in t.events})
     h = ts_to_hda1(t)
-    image = map_morphism("ts_to_hda1", ident, t, t)
+    image = map_morphism("ts_to_hda1", ident, h, h)
     assert image.cell_map == identity_hda_morphism(h).cell_map
     assert validate_hda_morphism(image, h, h).ok
 
@@ -604,7 +582,7 @@ def test_map_morphism_collapsing_diamond():
 
     assert validate_ts_morphism(m, src, dst).ok
     h_src, h_dst = ts_to_hda1(src), ts_to_hda1(dst)
-    image = map_morphism("ts_to_hda1", m, src, dst, src_hda=h_src, dst_hda=h_dst)
+    image = map_morphism("ts_to_hda1", m, h_src, h_dst)
     assert validate_hda_morphism(image, h_src, h_dst).ok
     dropped = next(c for c in h_src.cells(1) if h_src.cell_keys[c][1] == "e2")
     assert image.cell_map[dropped].stars == (0,)
@@ -621,7 +599,7 @@ def test_map_morphism_acr_square_collapse():
         tau={"e1": "e1"},
     ))
     h_src, h_dst = acr_to_hda2(src), acr_to_hda2(dst)
-    image = map_morphism("acr_to_hda2", m, src, dst, src_hda=h_src, dst_hda=h_dst)
+    image = map_morphism("acr_to_hda2", m, h_src, h_dst)
     assert validate_hda_morphism(image, h_src, h_dst).ok
     for cell in h_src.cells(2):
         assert image.cell_map[cell].degenerate
@@ -634,7 +612,7 @@ def test_map_morphism_es_roundtrip():
 
     m = EsMorphism({"a": "a"})
     h_src, h_dst = es_to_hda(src), es_to_hda(dst)
-    image = map_morphism("es_to_hda", m, src, dst, src_hda=h_src, dst_hda=h_dst)
+    image = map_morphism("es_to_hda", m, h_src, h_dst)
     assert validate_hda_morphism(image, h_src, h_dst).ok
     back = map_morphism("hda_to_es", image, h_src, h_dst)
     assert back.mapping == m.mapping
@@ -648,8 +626,7 @@ def test_map_morphism_pn_dropped_event_degenerates():
     assert validate_pn_morphism(m, src, dst).ok
     h_src = pn_to_hda(src, 50, 2)
     h_dst = pn_to_hda(dst, 50, 2)
-    image = map_morphism("pn_to_hda", m, src, dst,
-                         max_states=50, max_dim=2, src_hda=h_src, dst_hda=h_dst)
+    image = map_morphism("pn_to_hda", m, h_src, h_dst)
     assert validate_hda_morphism(image, h_src, h_dst).ok
     e_edge = next(c for c in h_src.cells(1) if h_src.labeling[c] == ("e",))
     assert image.cell_map[e_edge].degenerate
@@ -664,9 +641,35 @@ def test_map_morphism_into_nondeterministic_target():
     (edge,) = h_src.cells(1)
     for end in ("q", "p"):
         m = TsMorphism(sigma={"u": "x", "w": end}, tau={"a": "a"})
-        image = map_morphism("ts_to_hda1", m, src, dst, src_hda=h_src, dst_hda=h_dst)
+        image = map_morphism("ts_to_hda1", m, h_src, h_dst)
         assert h_dst.key(image.cell_map[edge].base) == ("x", "a", end)
         assert validate_hda_morphism(image, h_src, h_dst).ok
+
+
+def test_map_morphism_hda_to_pn_keeps_identities():
+    h = ts_to_hda1(zoo.mutex_square_ts())
+    synth = hda_to_pn(h, 1)
+    image = map_morphism("hda_to_pn", identity_hda_morphism(h), synth, synth)
+    assert image == PnMorphism(phi={p: p for p in synth.net.places},
+                               psi={a: a for a in h.alphabet})
+
+
+def test_map_morphism_hda_to_pn_keeps_composites():
+    # an edge into the mutex square, then the square onto one edge with e2
+    # dropped: the image of the composite is the composite of the images
+    edge = make_ts(["u", "w"], "u", ["a"], [("u", "a", "w")])
+    square = zoo.mutex_square_ts()
+    line = make_ts(["s", "t"], "s", ["e1"], [("s", "e1", "t")])
+    a, b, c = ts_to_hda1(edge), ts_to_hda1(square), ts_to_hda1(line)
+    f = map_morphism("ts_to_hda1", TsMorphism(sigma={"u": "x", "w": "y1"}, tau={"a": "e1"}), a, b)
+    g = map_morphism("ts_to_hda1", TsMorphism(sigma={"x": "s", "y1": "t", "y2": "s", "z": "t"},
+                                              tau={"e1": "e1"}), b, c)
+    sa, sb, sc = hda_to_pn(a, 1), hda_to_pn(b, 1), hda_to_pn(c, 1)
+    whole = map_morphism("hda_to_pn", compose_hda_morphisms(f, g), sa, sc)
+    assert validate_pn_morphism(whole, sa.net, sc.net).ok
+    assert whole.psi == {"a": "e1"}
+    assert whole == compose_pn_morphisms(map_morphism("hda_to_pn", f, sa, sb),
+                                         map_morphism("hda_to_pn", g, sb, sc))
 
 
 def test_automaton_tables_are_built_once_and_stay_out_of_equality():

@@ -104,6 +104,15 @@ def test_configurations_sequential_and_conflict():
     assert set(configurations(conf)) == {frozenset(), frozenset("a"), frozenset("b")}
 
 
+def test_event_causes_table_is_built_once_and_stays_out_of_equality():
+    es = make_event_structure("abc", causes=[("a", "b"), ("b", "c")])
+    fresh = make_event_structure("abc", causes=[("a", "b"), ("b", "c")])
+    assert es.causes == {"b": {"a"}, "c": {"a", "b"}}
+    assert es.causes is es.causes
+    assert es == fresh and hash(es) == hash(fresh)
+    assert "causes" not in vars(fresh)
+
+
 def test_configurations_closed_under_intersection():
     es = make_event_structure("abcd", causes=[("a", "b"), ("c", "d")], conflicts=[("b", "d")])
     assert validate_es(es).ok
