@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ArityMismatch, IndexOutOfRange
@@ -378,116 +379,221 @@ def standard_cube(d: int) -> PrecubicalComplex:
 # ---------------------------------------------------------------------------
 
 def validate_complex(c: Complex) -> ValidationReport:
-    """Check every face and transposition identity instance; report violations."""
-    sk = skeleton_of(c)
+    """Check every face and transposition identity instance; report violations.
+
+    The identities fall into sections, each checked per dimension n:
+    faces are total and land in cells(n-1); faces commute,
+    face(i,a).face(j,b) = face(j-1,b).face(i,a) for i < j; and, for a
+    symmetric complex, transpositions are total involutions on cells(n);
+    each one swaps faces i and i+1 and slides the distant faces through
+    the transposition below; adjacent ones braid and distant ones commute.
+
+    A section is first checked a table at a time: each face or
+    transposition table of dimension n is read as one column over
+    cells(n), an identity composes two columns and compares the lists.
+    Only a section and dimension whose table check fails, or meets a
+    missing entry, is walked cell by cell, and the walk alone writes the
+    messages: sections in the order above, each dimension in turn, then
+    cell by cell.  The table check passes only when the walk would report
+    nothing, so the report is the walk's over every section and dimension.
+    """
     report = ValidationReport(subject=type(c).__name__)
-    present = {n: set(sk.cells.get(n, ())) for n in range(sk.max_dim + 1)}
-
-    for n in range(1, sk.max_dim + 1):
-        for i in range(n):
-            for sign in SIGNS:
-                table = sk.faces.get((n, i, sign))
-                if table is None:
-                    if present[n]:
-                        report.add(f"missing face map ({n},{i},{sign})")
-                    continue
-                for idx in present[n]:
-                    if idx not in table:
-                        report.add(f"face ({n},{i},{sign}) undefined on cell {idx}")
-                    elif table[idx] not in present[n - 1]:
-                        report.add(f"face ({n},{i},{sign}) of cell {idx} lands outside cells({n - 1})")
-
-    F = sk.faces
-    for n in range(2, sk.max_dim + 1):
-        # face(i,a).face(j,b) = face(j-1,b).face(i,a), with its four tables
-        identities = []
-        for j in range(1, n):
-            for i in range(j):
-                for a in SIGNS:
-                    for b in SIGNS:
-                        tables = (F.get((n, j, b)), F.get((n - 1, i, a)),
-                                  F.get((n, i, a)), F.get((n - 1, j - 1, b)))
-                        if None not in tables:  # a missing map is reported above
-                            identities.append((i, j, a, b) + tables)
-        for idx in present[n]:
-            for i, j, a, b, outer_j, inner_i, outer_i, inner_j in identities:
-                try:
-                    left = inner_i[outer_j[idx]]
-                    right = inner_j[outer_i[idx]]
-                except KeyError:
-                    continue  # already reported as missing
-                if left != right:
-                    report.add(
-                        f"dim {n} cell {idx}: face({i},{a}).face({j},{b}) = {left} "
-                        f"but face({j - 1},{b}).face({i},{a}) = {right}"
-                    )
-
-    if not isinstance(c, SymmetricCubicalComplex):
-        return report
-
-    T = c.transpositions
-    for n in range(2, sk.max_dim + 1):
-        for i in range(n - 1):
-            table = T.get((n, i))
-            if table is None:
-                if present[n]:
-                    report.add(f"missing transposition map ({n},{i})")
-                continue
-            for idx in present[n]:
-                if idx not in table:
-                    report.add(f"transposition ({n},{i}) undefined on cell {idx}")
-                    continue
-                if table[idx] not in present[n]:
-                    report.add(f"transposition ({n},{i}) of cell {idx} lands outside cells({n})")
-                    continue
-                if table.get(table[idx]) != idx:
-                    report.add(f"transposition ({n},{i}) is not an involution at cell {idx}")
-
-    for n in range(2, sk.max_dim + 1):
-        swap = [T.get((n, i)) for i in range(n - 1)]
-        # per (i, sign): faces i and i+1 swap; distant faces slide through
-        # the transposition below, so each slide pairs a face table with it
-        sliding = []
-        for i in range(n - 1):
-            for a in SIGNS:
-                tables = [F.get((n, i, a)), F.get((n, i + 1, a))]
-                slides = [(F.get((n, j, a)), T.get((n - 1, i - 1 if j < i else i)))
-                          for j in range(n) if j not in (i, i + 1)]
-                if swap[i] is not None and None not in tables and \
-                        all(None not in pair for pair in slides):
-                    sliding.append((i, a, swap[i], tables[0], tables[1], slides))
-        braids = [(i, swap[i], swap[i + 1]) for i in range(n - 2)
-                  if swap[i] is not None and swap[i + 1] is not None]
-        distant = [(i, k, swap[i], swap[k]) for i in range(n - 1) for k in range(i + 2, n - 1)
-                   if swap[i] is not None and swap[k] is not None]
-        for idx in present[n]:
-            for i, a, t, here, there, slides in sliding:
-                try:
-                    s = t[idx]
-                    lhs = [here[s], there[s]] + [f[s] for f, _ in slides]
-                    rhs = [there[idx], here[idx]] + [below[f[idx]] for f, below in slides]
-                except KeyError:
-                    continue
-                if lhs != rhs:
-                    report.add(f"dim {n} cell {idx}: transposition {i} "
-                               f"incompatible with faces of sign {a}")
-            for i, t, u in braids:
-                try:
-                    lhs = t[u[t[idx]]]
-                    rhs = u[t[u[idx]]]
-                except KeyError:
-                    continue
-                if lhs != rhs:
-                    report.add(f"dim {n} cell {idx}: braid relation fails at {i}")
-            for i, k, t, u in distant:
-                try:
-                    lhs = t[u[idx]]
-                    rhs = u[t[idx]]
-                except KeyError:
-                    continue
-                if lhs != rhs:
-                    report.add(f"dim {n} cell {idx}: distant transpositions {i},{k} do not commute")
+    failing = _failing_sections(c)
+    for section, n, walk in _walks(c):
+        if (section, n) in failing:
+            walk(c, n, report)
     return report
+
+
+def _column(table, ids):
+    """``table`` read at each of ``ids`` in order; None when either is None
+    or the table lacks an entry."""
+    if table is None or ids is None:
+        return None
+    try:
+        return list(map(table.__getitem__, ids))
+    except KeyError:
+        return None
+
+
+def _same(left, right) -> bool:
+    """Whether ``left`` is a column, not None, and equals ``right``."""
+    return left is not None and left == right
+
+
+def _face_identities(faces, n: int) -> list:
+    """face(i,a).face(j,b) = face(j-1,b).face(i,a) at dimension n with its
+    four tables, where all four exist (a missing map is a faces violation)."""
+    identities = []
+    for j in range(1, n):
+        for i in range(j):
+            for a in SIGNS:
+                for b in SIGNS:
+                    tables = (faces.get((n, j, b)), faces.get((n - 1, i, a)),
+                              faces.get((n, i, a)), faces.get((n - 1, j - 1, b)))
+                    if None not in tables:
+                        identities.append((i, j, a, b) + tables)
+    return identities
+
+
+def _transposition_identities(c: SymmetricCubicalComplex, n: int) -> tuple:
+    """The slides, braids and distant commutations at dimension n whose
+    tables all exist.  Per (i, sign), faces i and i+1 swap and each distant
+    face j slides through the transposition below."""
+    F, T = c.skeleton.faces, c.transpositions
+    swap = [T.get((n, i)) for i in range(n - 1)]
+    sliding = []
+    for i in range(n - 1):
+        for a in SIGNS:
+            tables = [F.get((n, i, a)), F.get((n, i + 1, a))]
+            slides = [(j, F.get((n, j, a)), T.get((n - 1, i - 1 if j < i else i)))
+                      for j in range(n) if j not in (i, i + 1)]
+            if swap[i] is not None and None not in tables and \
+                    all(None not in pair for pair in slides):
+                sliding.append((i, a, swap[i], tables[0], tables[1], slides))
+    braids = [(i, swap[i], swap[i + 1]) for i in range(n - 2)
+              if swap[i] is not None and swap[i + 1] is not None]
+    distant = [(i, k, swap[i], swap[k]) for i in range(n - 1) for k in range(i + 2, n - 1)
+               if swap[i] is not None and swap[k] is not None]
+    return sliding, braids, distant
+
+
+def _failing_sections(c: Complex) -> set:
+    """The (section, n) of :func:`validate_complex` whose table check fails.
+    The columns of one dimension are built, checked and dropped before
+    the next."""
+    sk = skeleton_of(c)
+    symmetric = isinstance(c, SymmetricCubicalComplex)
+    failing = set()
+    for n in range(1, sk.max_dim + 1):
+        ids = sk.cells.get(n, ())
+        if not ids:
+            continue
+        below = set(sk.cells.get(n - 1, ()))
+        face = {(i, a): _column(sk.faces.get((n, i, a)), ids) for i in range(n) for a in SIGNS}
+        holds = {
+            "faces": all(col is not None and below.issuperset(col) for col in face.values()),
+            "face identities": all(
+                _same(_column(inner_i, face[j, b]), _column(inner_j, face[i, a]))
+                for i, j, a, b, _, inner_i, _, inner_j in _face_identities(sk.faces, n)),
+        }
+        if symmetric and n >= 2:
+            cells, order = set(ids), list(ids)
+            swaps = [_column(c.transpositions.get((n, i)), ids) for i in range(n - 1)]
+            holds["transpositions"] = all(
+                col is not None and cells.issuperset(col)
+                and _column(c.transpositions[n, i], col) == order
+                for i, col in enumerate(swaps))
+            sliding, braids, distant = _transposition_identities(c, n)
+            slides_hold = all(
+                _same(_column(here, swaps[i]), face[i + 1, a])
+                and _same(_column(there, swaps[i]), face[i, a])
+                and all(_same(_column(f, swaps[i]), _column(t_below, face[j, a]))
+                        for j, f, t_below in slides)
+                for i, a, _, here, there, slides in sliding)
+            braids_hold = all(
+                _same(_column(t, _column(u, swaps[i])), _column(u, _column(t, swaps[i + 1])))
+                for i, t, u in braids)
+            distant_hold = all(
+                _same(_column(t, swaps[k]), _column(u, swaps[i])) for i, k, t, u in distant)
+            holds["slides"] = slides_hold and braids_hold and distant_hold
+        failing.update((section, n) for section, ok in holds.items() if not ok)
+    return failing
+
+
+def _walk_faces(c: Complex, n: int, report: ValidationReport) -> None:
+    sk = skeleton_of(c)
+    present, below = set(sk.cells.get(n, ())), set(sk.cells.get(n - 1, ()))
+    for i in range(n):
+        for sign in SIGNS:
+            table = sk.faces.get((n, i, sign))
+            if table is None:
+                if present:
+                    report.add(f"missing face map ({n},{i},{sign})")
+                continue
+            for idx in present:
+                if idx not in table:
+                    report.add(f"face ({n},{i},{sign}) undefined on cell {idx}")
+                elif table[idx] not in below:
+                    report.add(f"face ({n},{i},{sign}) of cell {idx} lands outside cells({n - 1})")
+
+
+def _walk_face_identities(c: Complex, n: int, report: ValidationReport) -> None:
+    sk = skeleton_of(c)
+    identities = _face_identities(sk.faces, n)
+    for idx in set(sk.cells.get(n, ())):
+        for i, j, a, b, outer_j, inner_i, outer_i, inner_j in identities:
+            try:
+                left = inner_i[outer_j[idx]]
+                right = inner_j[outer_i[idx]]
+            except KeyError:
+                continue  # already reported as missing
+            if left != right:
+                report.add(
+                    f"dim {n} cell {idx}: face({i},{a}).face({j},{b}) = {left} "
+                    f"but face({j - 1},{b}).face({i},{a}) = {right}"
+                )
+
+
+def _walk_transpositions(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
+    present = set(c.skeleton.cells.get(n, ()))
+    for i in range(n - 1):
+        table = c.transpositions.get((n, i))
+        if table is None:
+            if present:
+                report.add(f"missing transposition map ({n},{i})")
+            continue
+        for idx in present:
+            if idx not in table:
+                report.add(f"transposition ({n},{i}) undefined on cell {idx}")
+                continue
+            if table[idx] not in present:
+                report.add(f"transposition ({n},{i}) of cell {idx} lands outside cells({n})")
+                continue
+            if table.get(table[idx]) != idx:
+                report.add(f"transposition ({n},{i}) is not an involution at cell {idx}")
+
+
+def _walk_slides(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
+    sliding, braids, distant = _transposition_identities(c, n)
+    for idx in set(c.skeleton.cells.get(n, ())):
+        for i, a, t, here, there, slides in sliding:
+            try:
+                s = t[idx]
+                lhs = [here[s], there[s]] + [f[s] for _, f, _ in slides]
+                rhs = [there[idx], here[idx]] + [below[f[idx]] for _, f, below in slides]
+            except KeyError:
+                continue
+            if lhs != rhs:
+                report.add(f"dim {n} cell {idx}: transposition {i} "
+                           f"incompatible with faces of sign {a}")
+        for i, t, u in braids:
+            try:
+                lhs = t[u[t[idx]]]
+                rhs = u[t[u[idx]]]
+            except KeyError:
+                continue
+            if lhs != rhs:
+                report.add(f"dim {n} cell {idx}: braid relation fails at {i}")
+        for i, k, t, u in distant:
+            try:
+                lhs = t[u[idx]]
+                rhs = u[t[idx]]
+            except KeyError:
+                continue
+            if lhs != rhs:
+                report.add(f"dim {n} cell {idx}: distant transpositions {i},{k} do not commute")
+
+
+def _walks(c: Complex) -> list:
+    """(section, n, walk) for every section and dimension of
+    :func:`validate_complex`, in report order; ``walk(c, n, report)`` adds
+    the section's violations at dimension n, cell by cell."""
+    sections = [("faces", 1, _walk_faces), ("face identities", 2, _walk_face_identities)]
+    if isinstance(c, SymmetricCubicalComplex):
+        sections += [("transpositions", 2, _walk_transpositions), ("slides", 2, _walk_slides)]
+    top = skeleton_of(c).max_dim
+    return [(section, n, walk) for section, low, walk in sections for n in range(low, top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,50 +678,106 @@ class Hda:
 
 
 def validate_hda(h: Hda) -> ValidationReport:
-    """Complex identities plus labeling naturality and pointing."""
+    """Complex identities plus labeling naturality and pointing.
+
+    The labels are checked a dimension at a time, as the complex's tables
+    are (see :func:`validate_complex`): the words of cells(n) must be
+    tuples of length n over the alphabet, and through each face or
+    transposition column they must read as their letters picked by one
+    itemgetter per face index or transposition.  Only a dimension that
+    fails is walked cell by cell.
+    """
     report = validate_complex(h.complex)
     report.subject = "hda"
-    sk = h.skeleton
-    if not sk.has_cell(h.initial) or h.initial.dim != 0:
+    if not h.skeleton.has_cell(h.initial) or h.initial.dim != 0:
         report.add(f"initial cell {h.initial} is not a 0-cell of the complex")
-    alphabet = set(h.alphabet)
-    if STAR in alphabet:
+    if STAR in h.alphabet:
         report.add("alphabet must not contain the idle symbol")
-    labels: dict = {}  # dim -> index -> word
-    for cell, w in h.labeling.items():
-        labels.setdefault(cell.dim, {})[cell.index] = w
-    for n in range(sk.max_dim + 1):
-        own, below = labels.get(n, {}), labels.get(n - 1, {})
-        faces = [(i, sign, sk.faces[(n, i, sign)])
-                 for i in range(n) for sign in SIGNS if (n, i, sign) in sk.faces]
-        swaps = [(i, h.complex.transpositions[(n, i)])
-                 for i in range(n - 1) if (n, i) in h.complex.transpositions]
-        for idx in sk.cells.get(n, ()):
-            w = own.get(idx)
-            if w is None:
-                report.add(f"cell {CellId(n, idx)} has no label")
-                continue
-            if len(w) != n:
-                report.add(f"cell {CellId(n, idx)} labeled by word of length {len(w)}")
-                continue
-            for e in w:
-                if e == STAR:
-                    report.add(f"cell {CellId(n, idx)} label contains the idle symbol")
-                elif e not in alphabet:
-                    report.add(f"cell {CellId(n, idx)} label {e!r} outside the alphabet")
-            for i, sign, table in faces:
-                if idx in table and below.get(table[idx]) != w[:i] + w[i + 1:]:
-                    report.add(f"labeling not natural at face ({i},{sign}) of {CellId(n, idx)}")
-            for i, table in swaps:
-                if idx not in table:
-                    continue
-                swapped = list(w)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if own.get(table[idx]) != tuple(swapped):
-                    report.add(f"labeling not natural at transposition {i} of {CellId(n, idx)}")
+    failing = _failing_labels(h)
+    for n in range(h.max_dim + 1):
+        if n in failing:
+            _walk_labels(h, n, report)
     return report
 
 
+def _picked(words: list, positions: list) -> list:
+    """Each word's letters at ``positions``, as a tuple: one itemgetter
+    over the words (``itemgetter`` of one position gives a bare letter)."""
+    if not positions:
+        return [()] * len(words)
+    if len(positions) == 1:
+        return list(zip(map(itemgetter(*positions), words)))
+    return list(map(itemgetter(*positions), words))
+
+
+def _failing_labels(h: Hda) -> set:
+    """The dimensions whose labels fail the table check of :func:`validate_hda`."""
+    failing, below = set(), {}
+    for n in range(h.max_dim + 1):
+        ids = h.skeleton.cells.get(n, ())
+        words = list(map(h.labeling.get, zip(itertools.repeat(n), ids)))
+        own = dict(zip(ids, words))
+        if not _labels_hold(h, n, ids, words, own, below):
+            failing.add(n)
+        below = own
+    return failing
+
+
+def _labels_hold(h: Hda, n: int, ids, words: list, own: dict, below: dict) -> bool:
+    """Whether ``words``, the labels of ``ids`` = cells(n), pass the table
+    check; ``own`` and ``below`` are the words of cells(n) and cells(n-1)
+    by index."""
+    if not (set(map(type, words)) <= {tuple} and set(map(len, words)) <= {n}
+            and (set(h.alphabet) - {STAR}).issuperset(itertools.chain.from_iterable(words))):
+        return False
+    for i in range(n):
+        expected = _picked(words, [k for k in range(n) if k != i])
+        for sign in SIGNS:
+            table = h.skeleton.faces.get((n, i, sign))
+            if table is not None and not _same(_column(below, _column(table, ids)), expected):
+                return False
+    for i in range(n - 1):
+        table = h.complex.transpositions.get((n, i))
+        order = list(range(n))
+        order[i], order[i + 1] = i + 1, i
+        if table is not None and \
+                not _same(_column(own, _column(table, ids)), _picked(words, order)):
+            return False
+    return True
+
+
+def _walk_labels(h: Hda, n: int, report: ValidationReport) -> None:
+    sk = h.skeleton
+    alphabet = set(h.alphabet)
+    own, below = ({cell.index: w for cell, w in h.labeling.items() if cell.dim == d}
+                  for d in (n, n - 1))
+    faces = [(i, sign, sk.faces[(n, i, sign)])
+             for i in range(n) for sign in SIGNS if (n, i, sign) in sk.faces]
+    swaps = [(i, h.complex.transpositions[(n, i)])
+             for i in range(n - 1) if (n, i) in h.complex.transpositions]
+    for idx in sk.cells.get(n, ()):
+        w = own.get(idx)
+        if w is None:
+            report.add(f"cell {CellId(n, idx)} has no label")
+            continue
+        if len(w) != n:
+            report.add(f"cell {CellId(n, idx)} labeled by word of length {len(w)}")
+            continue
+        for e in w:
+            if e == STAR:
+                report.add(f"cell {CellId(n, idx)} label contains the idle symbol")
+            elif e not in alphabet:
+                report.add(f"cell {CellId(n, idx)} label {e!r} outside the alphabet")
+        for i, sign, table in faces:
+            if idx in table and below.get(table[idx]) != w[:i] + w[i + 1:]:
+                report.add(f"labeling not natural at face ({i},{sign}) of {CellId(n, idx)}")
+        for i, table in swaps:
+            if idx not in table:
+                continue
+            swapped = list(w)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            if own.get(table[idx]) != tuple(swapped):
+                report.add(f"labeling not natural at transposition {i} of {CellId(n, idx)}")
 def truncate(h: Hda, n: int) -> Hda:
     """Drop every cell above dimension ``n``; restrict all structure."""
     n = max(n, 0)

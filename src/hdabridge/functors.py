@@ -550,9 +550,15 @@ def transpose_to_hda(f: PnMorphism, synth: SynthesizedNet, net: PetriNet, target
     A vertex goes to the marking that reads, at each place, the token count
     of the place's pulled-back region; the labels follow the event map.
     """
+    # the places in a Marking's order, sorted once rather than per vertex
+    regions = [(p, synth.regions[f.phi[p]]) for p in sorted_by_key(net.places)]
+
+    def marking(v):
+        counts = ((p, region.tokens_at(v)) for p, region in regions)
+        return Marking(items=tuple(pair for pair in counts if pair[1]))
+
     source = synth.hda
-    vertex_map = _vertex_map(source, target, lambda v: (
-        Marking.of({p: synth.regions[f.phi[p]].tokens_at(v) for p in net.places}), ()))
+    vertex_map = _vertex_map(source, target, lambda v: (marking(v), ()))
     return induced_morphism(source, target, vertex_map, f.psi)
 
 

@@ -107,21 +107,29 @@ def model_to_document(kind: str, model) -> dict:
         }
     elif kind == "hda":
         sk = model.skeleton
+        dims = range(sk.max_dim + 1)
+        # every table of dimension n is keyed by cells(n), so each
+        # dimension's key strings are spelled once and shared by its tables
+        keys = {n: list(map(str, sk.cells.get(n, ()))) for n in dims}
+        spelled = {n: dict(zip(sk.cells.get(n, ()), keys[n])) for n in dims}
+
+        def by_key(n, table):
+            names = list(map(spelled.get(n, {}).get, table))
+            if None in names:  # a key outside cells(n)
+                names = list(map(str, table))
+            return dict(zip(names, table.values()))
+
         body = {
             "alphabet": sorted_by_key(model.alphabet),
-            "dims": list(range(sk.max_dim + 1)),
-            "cells": {str(n): sorted(sk.cells.get(n, ())) for n in range(sk.max_dim + 1)},
-            "faces": {f"{n},{i},{sign}": {str(k): v for k, v in table.items()}
+            "dims": list(dims),
+            "cells": {str(n): sorted(sk.cells.get(n, ())) for n in dims},
+            "faces": {f"{n},{i},{sign}": by_key(n, table)
                       for (n, i, sign), table in sorted(sk.faces.items())},
-            "sym": {f"{n},{i}": {str(k): v for k, v in table.items()}
+            "sym": {f"{n},{i}": by_key(n, table)
                     for (n, i), table in sorted(model.complex.transpositions.items())},
-            "labels": {
-                str(n): {
-                    str(c.index): list(model.labeling[c])
-                    for c in sk.cell_ids(n)
-                }
-                for n in range(1, sk.max_dim + 1)
-            },
+            "labels": {str(n): dict(zip(keys[n], map(list, map(
+                model.labeling.__getitem__, zip(itertools.repeat(n), sk.cells.get(n, ()))))))
+                for n in dims[1:]},
             "initial": model.initial.index,
         }
     else:

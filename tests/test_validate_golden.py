@@ -1,18 +1,25 @@
 """Golden reports of ``validate_complex`` and ``validate_hda`` on
-hand-broken automata.
+hand-broken automata, and a differential test of their table checks.
 
-Each case breaks one or more tables of a valid automaton; the test pins
-the full report text of both validators, so every message kind, its
-wording and the order of the violations stay as they are.
+Each golden case breaks one or more tables of a valid automaton; the test
+pins the full report text of both validators, so every message kind, its
+wording and the order of the violations stay as they are.  The
+differential test breaks one entry of a generated automaton and requires
+the validators' reports to equal the per-cell walk run on every section
+and dimension, so a table check never passes what the walk flags.
 """
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hdabridge.cts import Cts, cts_to_hda
 from hdabridge.cubical import STAR, CellId, Hda, PrecubicalComplex, SymmetricCubicalComplex, \
-    validate_complex, validate_hda
-from hdabridge.functors import es_to_hda
+    _walk_labels, _walks, validate_complex, validate_hda
+from hdabridge.errors import ExplosionLimit
+from hdabridge.functors import es_to_hda, pn_to_hda
+from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.models import make_event_structure
+from hdabridge.util import ValidationReport
 
 DROP = object()  # removes a table entry, or a whole table
 
@@ -72,6 +79,39 @@ def edit(h, faces=(), transpositions=(), cells=(), labeling=(), alphabet=None, i
     )
 
 
+def twins(h):
+    """``h`` with every top cell doubled: the twin of cell k is k + N, with
+    k's faces and label, and its transpositions stay among the twins.  A
+    transposition re-paired across twins keeps every slide."""
+    sk, n = h.skeleton, h.max_dim
+    ids = sk.cells[n]
+    shift = len(ids)
+    faces = {key: dict(table) for key, table in sk.faces.items()}
+    swaps = {key: dict(table) for key, table in h.complex.transpositions.items()}
+    for key, table in faces.items():
+        if key[0] == n:
+            table.update({k + shift: table[k] for k in ids})
+    for key, table in swaps.items():
+        if key[0] == n:
+            table.update({k + shift: table[k] + shift for k in ids})
+    labeling = dict(h.labeling)
+    labeling.update({CellId(n, k + shift): h.labeling[CellId(n, k)] for k in ids})
+    cells = dict(sk.cells)
+    cells[n] = ids + tuple(k + shift for k in ids)
+    return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, faces, n), swaps),
+               h.alphabet, labeling, h.initial)
+
+
+def repaired(h, key, x):
+    """``twins(h)`` with transposition ``key`` sending x and its twin to
+    each other's partners."""
+    t = h.complex.transpositions[key]
+    y, shift = t[x], len(h.skeleton.cells[key[0]])
+    h = twins(h)
+    return edit(h, transpositions=[(key, x, y + shift), (key, y + shift, x),
+                                   (key, x + shift, y), (key, y, x + shift)])
+
+
 CASES = {
     "missing face map": lambda: edit(square(), faces=[((2, 0, "-"), None, DROP)]),
     "face undefined on a cell": lambda: edit(square(), faces=[((2, 1, "+"), 0, DROP)]),
@@ -83,13 +123,22 @@ CASES = {
     "transposition lands outside": lambda: edit(cube(), transpositions=[((2, 0), 1, 99)]),
     "transposition fixes a square": lambda: edit(square(), transpositions=[((2, 0), 0, 0)]),
     "braid fails": lambda: edit(cube(), transpositions=[((3, 0), 0, 1), ((3, 0), 1, 0)]),
+    "braid alone fails": lambda: repaired(cube(), (3, 0), 0),
     "distant transpositions": lambda: edit(loops4(), transpositions=[((4, 2), 0, 3), ((4, 2), 3, 0)]),
     "initial is an edge": lambda: edit(square(), initial=CellId(1, 0)),
     "initial is not a cell": lambda: edit(square(), initial=CellId(0, 99)),
     "idle symbol in the alphabet": lambda: edit(square(), alphabet=("a", "b", STAR)),
+    "letters outside the alphabet": lambda: edit(cube(), alphabet=("a", "b")),
+    "idle symbol in an edge label": lambda: edit(square(), labeling=[(CellId(1, 0), (STAR,))]),
     "labels broken": lambda: edit(cube(), labeling=[
         (CellId(1, 0), DROP), (CellId(1, 1), ("a", "b")), (CellId(1, 2), (STAR,)),
         (CellId(1, 3), ("z",)), (CellId(2, 0), ("b", "b")), (CellId(3, 5), ("c", "a", "b"))]),
+    "slide at dim 3, label at dim 2": lambda: edit(
+        cube(), transpositions=[((3, 1), 0, 2), ((3, 1), 2, 0), ((3, 1), 1, 3), ((3, 1), 3, 1)],
+        labeling=[(CellId(2, 6), ("c", "b"))]),
+    "faces at dim 2, transposition at dim 3, label at dim 1": lambda: edit(
+        cube(), faces=[((2, 1, "+"), 3, 0)], transpositions=[((3, 0), 4, DROP)],
+        labeling=[(CellId(1, 2), ("a",))]),
     "everything at once": lambda: edit(
         cube(),
         faces=[((3, 2, "+"), None, DROP), ((2, 1, "-"), 4, 0), ((1, 0, "-"), 2, 50)],
@@ -99,8 +148,40 @@ CASES = {
         alphabet=("a", "b"), initial=CellId(2, 0)),
 }
 
-# recorded before the validators read their tables once per identity
+# each report as the per-cell walk alone writes it, recorded before the table checks
 GOLDEN = {
+    "braid alone fails": (
+        [
+            "SymmetricCubicalComplex: 12 violation(s)",
+            "  - dim 3 cell 0: braid relation fails at 0",
+            "  - dim 3 cell 1: braid relation fails at 0",
+            "  - dim 3 cell 2: braid relation fails at 0",
+            "  - dim 3 cell 3: braid relation fails at 0",
+            "  - dim 3 cell 4: braid relation fails at 0",
+            "  - dim 3 cell 5: braid relation fails at 0",
+            "  - dim 3 cell 6: braid relation fails at 0",
+            "  - dim 3 cell 7: braid relation fails at 0",
+            "  - dim 3 cell 8: braid relation fails at 0",
+            "  - dim 3 cell 9: braid relation fails at 0",
+            "  - dim 3 cell 10: braid relation fails at 0",
+            "  - dim 3 cell 11: braid relation fails at 0",
+        ],
+        [
+            "hda: 12 violation(s)",
+            "  - dim 3 cell 0: braid relation fails at 0",
+            "  - dim 3 cell 1: braid relation fails at 0",
+            "  - dim 3 cell 2: braid relation fails at 0",
+            "  - dim 3 cell 3: braid relation fails at 0",
+            "  - dim 3 cell 4: braid relation fails at 0",
+            "  - dim 3 cell 5: braid relation fails at 0",
+            "  - dim 3 cell 6: braid relation fails at 0",
+            "  - dim 3 cell 7: braid relation fails at 0",
+            "  - dim 3 cell 8: braid relation fails at 0",
+            "  - dim 3 cell 9: braid relation fails at 0",
+            "  - dim 3 cell 10: braid relation fails at 0",
+            "  - dim 3 cell 11: braid relation fails at 0",
+        ],
+    ),
     "braid fails": (
         [
             "SymmetricCubicalComplex: 8 violation(s)",
@@ -318,11 +399,51 @@ GOLDEN = {
             "  - face (2,1,+) undefined on cell 0",
         ],
     ),
+    "faces at dim 2, transposition at dim 3, label at dim 1": (
+        [
+            "SymmetricCubicalComplex: 9 violation(s)",
+            "  - dim 2 cell 3: face(0,-).face(1,+) = 0 but face(0,+).face(0,-) = 7",
+            "  - dim 2 cell 3: face(0,+).face(1,+) = 1 but face(0,+).face(0,+) = 6",
+            "  - dim 3 cell 0: face(0,-).face(2,+) = 11 but face(1,+).face(0,-) = 0",
+            "  - dim 3 cell 2: face(1,-).face(2,+) = 11 but face(1,+).face(1,-) = 0",
+            "  - dim 3 cell 3: face(1,+).face(2,-) = 0 but face(1,-).face(1,+) = 11",
+            "  - transposition (3,0) is not an involution at cell 1",
+            "  - transposition (3,0) undefined on cell 4",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces of sign +",
+            "  - dim 2 cell 5: transposition 0 incompatible with faces of sign +",
+        ],
+        [
+            "hda: 14 violation(s)",
+            "  - dim 2 cell 3: face(0,-).face(1,+) = 0 but face(0,+).face(0,-) = 7",
+            "  - dim 2 cell 3: face(0,+).face(1,+) = 1 but face(0,+).face(0,+) = 6",
+            "  - dim 3 cell 0: face(0,-).face(2,+) = 11 but face(1,+).face(0,-) = 0",
+            "  - dim 3 cell 2: face(1,-).face(2,+) = 11 but face(1,+).face(1,-) = 0",
+            "  - dim 3 cell 3: face(1,+).face(2,-) = 0 but face(1,-).face(1,+) = 11",
+            "  - transposition (3,0) is not an involution at cell 1",
+            "  - transposition (3,0) undefined on cell 4",
+            "  - dim 2 cell 3: transposition 0 incompatible with faces of sign +",
+            "  - dim 2 cell 5: transposition 0 incompatible with faces of sign +",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=1)",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=3)",
+            "  - labeling not natural at face (1,+) of CellId(dim=2, index=3)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=4)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=5)",
+        ],
+    ),
     "idle symbol in the alphabet": (
         ["SymmetricCubicalComplex: ok"],
         [
             "hda: 1 violation(s)",
             "  - alphabet must not contain the idle symbol",
+        ],
+    ),
+    "idle symbol in an edge label": (
+        ["SymmetricCubicalComplex: ok"],
+        [
+            "hda: 3 violation(s)",
+            "  - cell CellId(dim=1, index=0) label contains the idle symbol",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=0)",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=1)",
         ],
     ),
     "initial is an edge": (
@@ -381,6 +502,30 @@ GOLDEN = {
             "  - labeling not natural at transposition 1 of CellId(dim=3, index=5)",
         ],
     ),
+    "letters outside the alphabet": (
+        ["SymmetricCubicalComplex: ok"],
+        [
+            "hda: 18 violation(s)",
+            "  - cell CellId(dim=1, index=2) label 'c' outside the alphabet",
+            "  - cell CellId(dim=1, index=4) label 'c' outside the alphabet",
+            "  - cell CellId(dim=1, index=5) label 'c' outside the alphabet",
+            "  - cell CellId(dim=1, index=8) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=1) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=3) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=4) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=5) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=6) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=7) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=8) label 'c' outside the alphabet",
+            "  - cell CellId(dim=2, index=9) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=0) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=1) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=2) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=3) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=4) label 'c' outside the alphabet",
+            "  - cell CellId(dim=3, index=5) label 'c' outside the alphabet",
+        ],
+    ),
     "missing face map": (
         [
             "SymmetricCubicalComplex: 1 violation(s)",
@@ -399,6 +544,51 @@ GOLDEN = {
         [
             "hda: 1 violation(s)",
             "  - missing transposition map (3,1)",
+        ],
+    ),
+    "slide at dim 3, label at dim 2": (
+        [
+            "SymmetricCubicalComplex: 12 violation(s)",
+            "  - dim 3 cell 0: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 0: transposition 1 incompatible with faces of sign +",
+            "  - dim 3 cell 1: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 1: transposition 1 incompatible with faces of sign +",
+            "  - dim 3 cell 1: braid relation fails at 0",
+            "  - dim 3 cell 2: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 2: transposition 1 incompatible with faces of sign +",
+            "  - dim 3 cell 3: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 3: transposition 1 incompatible with faces of sign +",
+            "  - dim 3 cell 3: braid relation fails at 0",
+            "  - dim 3 cell 4: braid relation fails at 0",
+            "  - dim 3 cell 5: braid relation fails at 0",
+        ],
+        [
+            "hda: 25 violation(s)",
+            "  - dim 3 cell 0: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 0: transposition 1 incompatible with faces of sign +",
+            "  - dim 3 cell 1: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 1: transposition 1 incompatible with faces of sign +",
+            "  - dim 3 cell 1: braid relation fails at 0",
+            "  - dim 3 cell 2: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 2: transposition 1 incompatible with faces of sign +",
+            "  - dim 3 cell 3: transposition 1 incompatible with faces of sign -",
+            "  - dim 3 cell 3: transposition 1 incompatible with faces of sign +",
+            "  - dim 3 cell 3: braid relation fails at 0",
+            "  - dim 3 cell 4: braid relation fails at 0",
+            "  - dim 3 cell 5: braid relation fails at 0",
+            "  - labeling not natural at face (0,-) of CellId(dim=2, index=6)",
+            "  - labeling not natural at face (0,+) of CellId(dim=2, index=6)",
+            "  - labeling not natural at face (1,-) of CellId(dim=2, index=6)",
+            "  - labeling not natural at face (1,+) of CellId(dim=2, index=6)",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=6)",
+            "  - labeling not natural at transposition 0 of CellId(dim=2, index=7)",
+            "  - labeling not natural at face (0,+) of CellId(dim=3, index=0)",
+            "  - labeling not natural at transposition 1 of CellId(dim=3, index=0)",
+            "  - labeling not natural at transposition 1 of CellId(dim=3, index=1)",
+            "  - labeling not natural at face (1,+) of CellId(dim=3, index=2)",
+            "  - labeling not natural at transposition 1 of CellId(dim=3, index=2)",
+            "  - labeling not natural at face (2,+) of CellId(dim=3, index=3)",
+            "  - labeling not natural at transposition 1 of CellId(dim=3, index=3)",
         ],
     ),
     "transposition fixes a square": (
@@ -454,3 +644,81 @@ def test_validator_reports_verbatim(name):
     complex_report, hda_report = GOLDEN[name]
     assert str(validate_complex(h.complex)).splitlines() == complex_report
     assert str(validate_hda(h)).splitlines() == hda_report
+
+
+# ---------------------------------------------------------------------------
+# The table checks against the per-cell walk
+# ---------------------------------------------------------------------------
+
+def generated(source, index, seed):
+    """A small automaton: a generated event structure or net (at most four
+    events, so up to dimension 4), or the free 3- or 4-event cube."""
+    cfg = GeneratorConfig(seed=seed, max_events=4, max_places=3)
+    if source == "es":
+        return es_to_hda(gen_es(index, cfg))
+    if source == "pn":
+        try:
+            return pn_to_hda(gen_pn(index, cfg), 30, 3, truncate_cells=True)
+        except ExplosionLimit:
+            assume(False)
+    return es_to_hda(make_event_structure("abcd"[:3 + index % 2]))
+
+
+def corrupt(h, how, draw):
+    """``h`` with one entry broken as ``how`` says."""
+    sk, swaps = h.skeleton, h.complex.transpositions
+    tables = [("faces", key) for key, table in sorted(sk.faces.items()) if table] + \
+        [("transpositions", key) for key, table in sorted(swaps.items()) if table]
+    if how == "swap letters":
+        cells = [(cell, (p, q)) for cell, w in sorted(h.labeling.items())
+                 for p in range(len(w)) for q in range(p + 1, len(w)) if w[p] != w[q]]
+        assume(cells)
+        cell, (p, q) = draw(st.sampled_from(cells))
+        word = list(h.labeling[cell])
+        word[p], word[q] = word[q], word[p]
+        return edit(h, labeling=[(cell, tuple(word))])
+    if how == "non-involutive":
+        tables = [entry for entry in tables if entry[0] == "transpositions"]
+    assume(tables)
+    kind, key = draw(st.sampled_from(tables))
+    table = (sk.faces if kind == "faces" else swaps)[key]
+    idx = draw(st.sampled_from(sorted(table)))
+    if how == "drop":
+        value = DROP
+    else:  # another cell of the table's codomain, or one past them all
+        codomain = sk.cells.get(key[0] - (kind == "faces"), ())
+        others = sorted(set(codomain) - {table[idx]})
+        if how == "redirect":
+            others.append(max(codomain) + 1)
+        assume(others)
+        value = draw(st.sampled_from(others))
+    return edit(h, **{kind: [(key, idx, value)]})
+
+
+def walked(h):
+    """The report of the per-cell walk on every section and dimension.  A
+    generated automaton is pointed and its alphabet idle-free, so
+    ``validate_hda`` adds nothing between the two parts."""
+    report = ValidationReport("hda")
+    for _, n, walk in _walks(h.complex):
+        walk(h.complex, n, report)
+    complex_messages = list(report.violations)
+    for n in range(h.max_dim + 1):
+        _walk_labels(h, n, report)
+    return complex_messages, report.violations
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(source=st.sampled_from(["es", "pn", "cube"]), index=st.integers(0, 30),
+       seed=st.integers(0, 3),
+       how=st.sampled_from(["drop", "redirect", "non-involutive", "swap letters"]),
+       data=st.data())
+def test_table_checks_report_what_the_walk_reports(source, index, seed, how, data):
+    h = generated(source, index, seed)
+    assert validate_hda(h).ok
+    broken = corrupt(h, how, data.draw)
+    complex_messages, messages = walked(broken)
+    if how != "redirect":  # a redirected entry may land where the identities still hold
+        assert messages
+    assert validate_complex(broken.complex).violations == complex_messages
+    assert validate_hda(broken).violations == messages
