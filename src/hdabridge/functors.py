@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from .cts import cts_to_hda, es_to_cts, pn_to_cts
@@ -398,6 +399,20 @@ class Region:
                                 key=lambda kv: canon_key(kv[0]))),
         )
 
+    @staticmethod
+    def builder(labels: Mapping, vertices: Mapping):
+        """The constructor of the regions read from one list of values, at the
+        positions ``labels`` and ``vertices`` give each label's flow and each
+        vertex's count.  Both are put in canonical order once, here."""
+        label_names, vertex_names = sorted_by_key(labels), sorted_by_key(vertices)
+        label_at, vertex_at = [labels[a] for a in label_names], [vertices[v] for v in vertex_names]
+
+        def build(values) -> "Region":
+            get = values.__getitem__
+            return Region(flows=tuple(zip(label_names, map(get, label_at))),
+                          tokens=tuple(zip(vertex_names, map(get, vertex_at))))
+        return build
+
     def flow(self, label) -> tuple[int, int]:
         if label == STAR:
             return (0, 0)
@@ -424,12 +439,10 @@ class Region:
         return ("region", canon_key(self.flows), canon_key(self.tokens))
 
 
-def _coherent(flows, source_tokens: int, target_tokens: int) -> bool:
-    """The region rule on one cell, from the (consumed, produced) flows of
-    its word's labels and the tokens at its two ends: both ends hold
-    enough tokens and the token difference equals the word's flow."""
-    pre = sum(a for a, _ in flows)
-    post = sum(b for _, b in flows)
+def _coherent(pre: int, post: int, source_tokens: int, target_tokens: int) -> bool:
+    """The region rule on one cell, from the tokens its word consumes and
+    produces in all and the tokens at its two ends: both ends hold enough
+    tokens and the token difference equals the word's flow."""
     return source_tokens >= pre and target_tokens >= post and \
         source_tokens - pre == target_tokens - post
 
@@ -445,7 +458,7 @@ def region_check(h: Hda, reg: Region) -> bool:
     for v in h.cells(0):
         if v not in tokens:
             return False
-    return all(_coherent([flows.get(e, (0, 0)) for e in h.labeling[cell]], tokens[s], tokens[t])
+    return all(_coherent(*reg.word_flow(h.labeling[cell]), tokens[s], tokens[t])
                for cell, (s, t) in h.zero_ends.items())
 
 
@@ -486,23 +499,33 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
     """All regions with every flow and token value bounded by ``cap``, by
     one search over the slots of ``skeleton_slots``: a vertex takes a token
     count, a label a (consumed, produced) flow, and each cell is tested
-    for coherence at its last slot."""
+    for coherence at its last slot.  ``Region.builder`` sorts the labels and
+    vertices once; every region is built from its slot values in that order."""
     names, checks = skeleton_slots(h)
     tokens = range(cap + 1)
     flows = [(a, b) for a in tokens for b in tokens]
     domains = [tokens if kind == "vertex" else flows for kind, _ in names]
-
-    def coherent(values, pos):
-        return all(_coherent([values[i] for i in word], values[s], values[t])
-                   for word, s, t in checks[pos])
+    build = Region.builder({a: i for i, (kind, a) in enumerate(names) if kind == "label"},
+                           {v: i for i, (kind, v) in enumerate(names) if kind == "vertex"})
 
     def options(pos, partial):
-        return [v for v in domains[pos] if coherent(partial + [v], pos)]
+        values = partial + [None]  # one copy per call; each candidate is set in place
+        fits = []
+        for candidate in domains[pos]:
+            values[pos] = candidate
+            for word, s, t in checks[pos]:
+                pre = post = 0
+                for i in word:
+                    a, b = values[i]
+                    pre += a
+                    post += b
+                if not _coherent(pre, post, values[s], values[t]):
+                    break
+            else:
+                fits.append(candidate)
+        return fits
 
-    return frozenset(
-        Region.of({a: v for (kind, a), v in zip(names, values) if kind == "label"},
-                  {x: v for (kind, x), v in zip(names, values) if kind == "vertex"})
-        for values in backtrack(names, options))
+    return frozenset(map(build, backtrack(names, options)))
 
 
 @dataclass(frozen=True)
@@ -519,21 +542,31 @@ class SynthesizedNet:
 def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
     """Synthesize the net whose places are the cap-bounded regions.
 
-    Every region of ``h`` lists the same labels and vertices in the same
-    order, so ordering the regions by their values alone gives their
-    canonical order.
+    Every region lists the labels and vertices in the canonical order that
+    ``enumerate_regions`` computes once, so regions sort by their values, and
+    a label's flow or a vertex's count sits at one position in every region.
+    The place names are sorted once, here; the initial marking and each
+    event's pre and post are one pass in that order, dropping zero counts.
     """
-    regions = sorted(enumerate_regions(h, cap),
-                     key=lambda r: (tuple(v for _, v in r.flows), tuple(n for _, n in r.tokens)))
+    regions = sorted(enumerate_regions(h, cap), key=attrgetter("flows", "tokens"))
     names = {f"p{i}": reg for i, reg in enumerate(regions)}
-    flows = {name: dict(reg.flows) for name, reg in names.items()}
+    places = sorted_by_key(names)  # a Marking's order
+    placed = [names[p] for p in places]
+    # the all-zero region is always one, so regions[0] exists
+    at_label = {a: j for j, (a, _) in enumerate(regions[0].flows)}
+    at_initial = [v for v, _ in regions[0].tokens].index(h.initial)
+
+    def marking(counts):
+        counts = list(counts)
+        return Marking(items=tuple(itertools.compress(zip(places, counts), counts)))
+
     events = tuple(sorted_by_key(h.alphabet))
     net = PetriNet(
         places=frozenset(names),
-        m0=Marking.of({name: reg.tokens_at(h.initial) for name, reg in names.items()}),
+        m0=marking(reg.tokens[at_initial][1] for reg in placed),
         events=frozenset(events),
-        pre={e: Marking.of({name: flow[e][0] for name, flow in flows.items()}) for e in events},
-        post={e: Marking.of({name: flow[e][1] for name, flow in flows.items()}) for e in events},
+        pre={e: marking(reg.flows[at_label[e]][1][0] for reg in placed) for e in events},
+        post={e: marking(reg.flows[at_label[e]][1][1] for reg in placed) for e in events},
     )
     return SynthesizedNet(net=net, regions=names, places={reg: name for name, reg in names.items()},
                           hda=h)
@@ -631,13 +664,16 @@ def _place_map(g: HdaMorphism, synth: SynthesizedNet, places, flow, tokens) -> P
     that is not one raises CapExceeded.  The labels map along ``g``.
     """
     source = synth.hda
+    labels = [(a, g.label_image(a)) for a in source.alphabet]
+    bases = [g.cell_map[v].base for v in source.cells(0)]
+    build = Region.builder({a: i for i, (a, _) in enumerate(labels)},
+                           {v: len(labels) + j for j, v in enumerate(source.cells(0))})
     phi = {}
     for p in places:
-        reg = Region.of(
-            {a: (0, 0) if g.label_image(a) == STAR else flow(p, g.label_image(a)) for a in source.alphabet},
-            {v: tokens(p, g.cell_map[v].base) for v in source.cells(0)})
+        reg = build([(0, 0) if b == STAR else flow(p, b) for _, b in labels] +
+                    [tokens(p, base) for base in bases])
         if reg not in synth.places:
             raise CapExceeded(f"place {p!r} pulls back to a region that is not a place")
         phi[p] = synth.places[reg]
-    psi = {a: g.label_image(a) for a in source.alphabet if g.label_image(a) != STAR}
+    psi = {a: b for a, b in labels if b != STAR}
     return PnMorphism(phi=phi, psi=psi)

@@ -150,7 +150,9 @@ def format_json(value) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
     a list of only ints or only strings, and an object of only ints, are
-    each written with one ``str.join``.  A non-string key raises TypeError.
+    each written with one ``str.join``, and an object whose values are all
+    lists of only strings (a table of label words) with one per value.  A
+    non-string key raises TypeError.
     """
     return _format(value, "\n")
 
@@ -177,8 +179,14 @@ def _format(value, newline: str) -> str:
             raise TypeError("object keys must be strings")
         inner = newline + "  "
         items = sorted(value.items())
-        if set(map(type, value.values())) == {int}:
+        kinds = set(map(type, value.values()))
+        if kinds == {int}:
             texts = [f"{_string(key)}: {item!r}" for key, item in items]
+        elif kinds == {list} and \
+                set(map(type, itertools.chain.from_iterable(value.values()))) <= {str}:
+            deeper = inner + "  "
+            texts = [f"{_string(key)}: [{deeper}{(',' + deeper).join(map(_string, item))}{inner}]"
+                     if item else f"{_string(key)}: []" for key, item in items]
         else:
             texts = [f"{_string(key)}: {_format(item, inner)}" for key, item in items]
         return "{" + inner + ("," + inner).join(texts) + newline + "}"
@@ -298,12 +306,15 @@ def document_to_model(doc: dict):
     return kind, _parse_hda(doc)
 
 
-def _int_table(table, what: str) -> dict:
+def _int_table(table, what: str, keys) -> dict:
     """An object from integer keys to integers.  It is read in bulk; only a
     table found bad is read again entry by entry, to name its first bad
-    entry."""
+    entry.  A table that lists its dimension's ``keys`` as printed, the
+    pair (key strings, their ints) or None, reuses the ints."""
     obj = _object(table, what)
     if set(map(type, obj.values())) <= {int}:
+        if keys and list(obj) == keys[0]:
+            return dict(zip(keys[1], obj.values()))
         try:
             return dict(zip(map(int, obj), obj.values()))
         except ValueError:
@@ -348,11 +359,15 @@ def _parse_hda(doc: dict) -> Hda:
     except ValueError as err:
         raise ParseError(f"bad cells table: {err}") from err
     max_dim = max(cells, default=0)
+    # every table of dimension n is keyed by cells(n), so each dimension's
+    # keys are spelled once, in the order a printed table lists them
+    printed = {str(n): sorted(ids, key=str) for n, ids in cells.items()}
+    spelled = {n: (list(map(str, ints)), ints) for n, ints in printed.items()}
     faces = {}
     for key, table in _object(_need(doc, "faces"), "faces").items():
         try:
             n, i, sign = key.split(",")
-            faces[(int(n), int(i), sign)] = _int_table(table, f"face table {key!r}")
+            faces[(int(n), int(i), sign)] = _int_table(table, f"face table {key!r}", spelled.get(n))
         except ValueError as err:
             raise ParseError(f"bad face key {key!r}: {err}") from err
         if sign not in ("-", "+"):
@@ -361,7 +376,7 @@ def _parse_hda(doc: dict) -> Hda:
     for key, table in _object(doc.get("sym", {}), "sym").items():
         try:
             n, i = key.split(",")
-            sym[(int(n), int(i))] = _int_table(table, f"sym table {key!r}")
+            sym[(int(n), int(i))] = _int_table(table, f"sym table {key!r}", spelled.get(n))
         except ValueError as err:
             raise ParseError(f"bad sym key {key!r}: {err}") from err
     labels_doc = _object(doc.get("labels", {}), "labels")

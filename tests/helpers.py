@@ -1,4 +1,5 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values: the cube category,
+event-structure closures and cells, and region synthesis by brute force.
 
 The cube-category term model represents a morphism n -> d as the tuple of
 its d output coordinates: each entry is a constant sign or a distinct
@@ -130,3 +131,43 @@ def brute_force_es_cells(es, dim):
                 continue
             count += 1
     return count
+
+
+def brute_force_regions(h, cap):
+    """Oracle: test every bounded assignment directly."""
+    from hdabridge.functors import Region, region_check
+
+    labels = sorted(h.alphabet)
+    vertices = h.cells(0)
+    out = set()
+    values = range(cap + 1)
+    for combo in itertools.product(itertools.product(values, values), repeat=len(labels)):
+        flows = dict(zip(labels, combo))
+        for token_combo in itertools.product(values, repeat=len(vertices)):
+            reg = Region.of(flows, dict(zip(vertices, token_combo)))
+            if region_check(h, reg):
+                out.add(reg)
+    return out
+
+
+def reference_net(h, regions):
+    """Oracle: the net whose places are ``regions``, built with a sort per
+    region and per marking.  Each region is rebuilt by ``Region.of`` from
+    its flows and tokens; places are named p0, p1, ... in the order of the
+    regions' values, and every marking is made by ``Marking.of`` from a
+    dict over all places."""
+    from hdabridge.functors import Region
+    from hdabridge.models import Marking, PetriNet
+    from hdabridge.util import sorted_by_key
+
+    regions = [Region.of(dict(r.flows), dict(r.tokens)) for r in regions]
+    regions.sort(key=lambda r: (tuple(v for _, v in r.flows), tuple(n for _, n in r.tokens)))
+    names = {f"p{i}": reg for i, reg in enumerate(regions)}
+    events = sorted_by_key(h.alphabet)
+    return PetriNet(
+        places=frozenset(names),
+        m0=Marking.of({p: reg.tokens_at(h.initial) for p, reg in names.items()}),
+        events=frozenset(events),
+        pre={e: Marking.of({p: reg.flow(e)[0] for p, reg in names.items()}) for e in events},
+        post={e: Marking.of({p: reg.flow(e)[1] for p, reg in names.items()}) for e in events},
+    )

@@ -1,6 +1,7 @@
-import itertools
+import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hdabridge.cubical import (
     STAR,
@@ -58,7 +59,8 @@ from hdabridge.models import (
     validate_ts,
 )
 from hdabridge import zoo
-from helpers import brute_force_es_cells
+from hdabridge.laws import GeneratorConfig, gen_acr, gen_ts
+from helpers import brute_force_es_cells, brute_force_regions, reference_net
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +345,6 @@ def expected_nine_regions(h):
     ]
 
 
-def brute_force_regions(h, cap):
-    """Oracle: test every bounded assignment directly."""
-    labels = sorted(h.alphabet)
-    vertices = h.cells(0)
-    out = set()
-    values = range(cap + 1)
-    for combo in itertools.product(itertools.product(values, values), repeat=len(labels)):
-        flows = dict(zip(labels, combo))
-        for token_combo in itertools.product(values, repeat=len(vertices)):
-            reg = Region.of(flows, dict(zip(vertices, token_combo)))
-            if region_check(h, reg):
-                out.add(reg)
-    return out
-
-
 def test_enumerate_regions_matches_brute_force():
     cycle4 = [(f"s{i}", a, f"s{(i + 1) % 4}") for i, a in enumerate("abcd")]
     # (automaton, caps at which the brute force is cheap enough)
@@ -379,6 +366,40 @@ def test_enumerate_regions_matches_brute_force():
     for h, caps in cases:
         for cap in caps:
             assert enumerate_regions(h, cap) == brute_force_regions(h, cap), (h.cell_keys, cap)
+
+
+# generated automata small enough for the brute force: at most 3^8
+# assignments to test
+SMALL_CFG = GeneratorConfig(max_states=3, max_events=2)
+
+
+@st.composite
+def small_automata(draw):
+    """(automaton, cap): a generated 1-dimensional automaton, or a
+    2-dimensional one from a generated concurrency automaton, at cap 1 or 2."""
+    cfg = dataclasses.replace(SMALL_CFG, seed=draw(st.integers(0, 20)))
+    index = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        h = ts_to_hda1(gen_ts(index, cfg))
+    else:
+        h = acr_to_hda2(gen_acr(index, cfg))
+    cap = draw(st.sampled_from([1, 2]))
+    assume((cap + 1) ** (2 * len(h.alphabet) + len(h.cells(0))) <= 3 ** 8)
+    return h, cap
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_automata())
+def test_enumerate_regions_matches_brute_force_on_generated_automata(case):
+    h, cap = case
+    assert enumerate_regions(h, cap) == brute_force_regions(h, cap)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_automata())
+def test_synthesized_net_matches_the_net_built_region_by_region(case):
+    h, cap = case
+    assert hda_to_pn(h, cap).net == reference_net(h, brute_force_regions(h, cap))
 
 
 def test_nine_places_recovered():
@@ -556,6 +577,29 @@ def test_transpose_to_pn_cap_exceeded():
     assert validate_hda_morphism(g, h, target).ok
     with pytest.raises(CapExceeded):
         transpose_to_pn(g, synth, net, target)
+
+
+def test_transpose_to_pn_cap_exceeded_by_a_produced_count():
+    # p is empty at the initial vertex; the edge's target reads the two
+    # tokens u puts there, one more than the cap
+    h = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
+    synth = hda_to_pn(h, 1)
+    net = make_pn(["p", "q"], {"q": 1}, ["u"], {"u": {"q": 1}}, {"u": {"p": 2}})
+    target = pn_to_hda(net, 50, 2)
+    image = {"x": Marking.of({"q": 1}), "y": Marking.of({"p": 2})}
+    g = induced_morphism(h, target, {v: target.vertex_by_key[(image[h.key(v)], ())]
+                                     for v in h.cells(0)}, {"a": "u"})
+    assert validate_hda_morphism(g, h, target).ok
+    with pytest.raises(CapExceeded, match="place 'p' pulls back to a region that is not a place"):
+        transpose_to_pn(g, synth, net, target)
+
+
+def test_map_morphism_hda_to_pn_cap_exceeded():
+    # a place of the net at cap 2 holding two tokens pulls back along the
+    # identity to a region outside the net at cap 1
+    h = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
+    with pytest.raises(CapExceeded):
+        map_morphism("hda_to_pn", identity_hda_morphism(h), hda_to_pn(h, 1), hda_to_pn(h, 2))
 
 
 # ---------------------------------------------------------------------------
