@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ge
 from typing import Callable, Mapping
 
 from .cubical import CellId, Hda, index_complex
@@ -245,17 +246,15 @@ def es_to_cts(es: EventStructure) -> Cts:
 
 def pn_to_cts(n: PetriNet, max_states: int) -> Cts:
     """States are the reachable markings; a multiset is enabled when the
-    marking covers the sum of its preconditions."""
+    marking covers the sum of its preconditions.  Enabling is tested on
+    each marking's token vector, against summed pre vectors."""
     graph = reachable_markings(n, max_states)
     delta = {(m, e): m2 for m, e, m2 in graph.steps}
+    counts, pre = graph.counts, n.vectors.pre
 
     def enabled(m, ms: Multiset) -> bool:
-        if m not in graph.markings:
-            return False
-        total = None
-        for e in ms:
-            total = n.pre[e] if total is None else total + n.pre[e]
-        return total is None or m >= total
+        have = counts.get(m)
+        return have is not None and all(map(ge, have, map(sum, zip(*map(pre.__getitem__, ms)))))
 
     return Cts(
         states=graph.markings,

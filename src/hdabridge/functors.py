@@ -508,21 +508,32 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
     build = Region.builder({a: i for i, (kind, a) in enumerate(names) if kind == "label"},
                            {v: i for i, (kind, v) in enumerate(names) if kind == "vertex"})
 
+    # each check as the word positions fixed at earlier slots, how often the
+    # slot itself is in the word (never, for a vertex) and the two ends
+    plans = [[([i for i in word if i != pos], word.count(pos), s, t)
+              for word, s, t in slot_checks]
+             for pos, slot_checks in enumerate(checks)]
+
     def options(pos, partial):
         values = partial + [None]  # one copy per call; each candidate is set in place
-        fits = []
-        for candidate in domains[pos]:
-            values[pos] = candidate
-            for word, s, t in checks[pos]:
-                pre = post = 0
-                for i in word:
-                    a, b = values[i]
-                    pre += a
-                    post += b
-                if not _coherent(pre, post, values[s], values[t]):
-                    break
+        fits = domains[pos]
+        for fixed, k, s, t in plans[pos]:
+            pre = post = 0  # summed once per call, then the candidate's flow is added k times
+            for i in fixed:
+                a, b = partial[i]
+                pre += a
+                post += b
+            if k:  # a label slot: both ends are fixed
+                source, target = partial[s], partial[t]
+                fits = [(a, b) for a, b in fits
+                        if _coherent(pre + k * a, post + k * b, source, target)]
             else:
-                fits.append(candidate)
+                kept = []
+                for candidate in fits:
+                    values[pos] = candidate
+                    if _coherent(pre, post, values[s], values[t]):
+                        kept.append(candidate)
+                fits = kept
         return fits
 
     return frozenset(map(build, backtrack(names, options)))
@@ -557,8 +568,7 @@ def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
     at_initial = [v for v, _ in regions[0].tokens].index(h.initial)
 
     def marking(counts):
-        counts = list(counts)
-        return Marking(items=tuple(itertools.compress(zip(places, counts), counts)))
+        return Marking.over(places, list(counts))
 
     events = tuple(sorted_by_key(h.alphabet))
     net = PetriNet(
@@ -584,11 +594,11 @@ def transpose_to_hda(f: PnMorphism, synth: SynthesizedNet, net: PetriNet, target
     of the place's pulled-back region; the labels follow the event map.
     """
     # the places in a Marking's order, sorted once rather than per vertex
-    regions = [(p, synth.regions[f.phi[p]]) for p in sorted_by_key(net.places)]
+    places = sorted_by_key(net.places)
+    regions = [synth.regions[f.phi[p]] for p in places]
 
     def marking(v):
-        counts = ((p, region.tokens_at(v)) for p, region in regions)
-        return Marking(items=tuple(pair for pair in counts if pair[1]))
+        return Marking.over(places, [region.tokens_at(v) for region in regions])
 
     source = synth.hda
     vertex_map = _vertex_map(source, target, lambda v: (marking(v), ()))

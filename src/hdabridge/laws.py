@@ -323,6 +323,7 @@ def check_kleisli_lift(cfg: GeneratorConfig) -> LawReport:
 
 PN_HOM_BUDGET = 200000   # event maps times source places, and place maps
 HDA_HOM_BUDGET = 100000  # label maps
+HDA_MEMBER_BUDGET = 10000  # automaton morphisms, each built and validated
 
 
 def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet):
@@ -387,6 +388,8 @@ def enumerate_hda_morphisms(src: Hda, dst: Hda):
     its image 0-ends and its image word, dropped letters removed.  Each
     full assignment is built by ``induced_morphism``; two cells of ``dst``
     sharing their 0-ends and label raise ``Hda.cell_by_ends``'s ValueError.
+    Raises SizeLimit when the search finds more than ``HDA_MEMBER_BUDGET``
+    full assignments, before the next one is built.
     """
     label_targets = [STAR] + sorted_by_key(dst.alphabet)
     if len(label_targets) ** len(src.alphabet) > HDA_HOM_BUDGET:
@@ -405,7 +408,9 @@ def enumerate_hda_morphisms(src: Hda, dst: Hda):
         return [v for v in domains[pos] if fits(partial + [v], pos)]
 
     out = []
-    for values in backtrack(slots, options):
+    for found, values in enumerate(backtrack(slots, options), 1):
+        if found > HDA_MEMBER_BUDGET:
+            raise SizeLimit(f"more than {HDA_MEMBER_BUDGET} automaton morphisms")
         m = induced_morphism(src, dst,
                              {x: v for (kind, x), v in zip(slots, values) if kind == "vertex"},
                              {x: v for (kind, x), v in zip(slots, values) if kind == "label"})

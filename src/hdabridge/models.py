@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from operator import add, ge
+from typing import Mapping, NamedTuple
 
 from .cubical import STAR, LabelWord
 from .errors import ExplosionLimit, NotEnabled, StarClash
@@ -352,6 +353,13 @@ class Marking:
                 raise ValueError("marking counts must be naturals")
         return Marking(items=pairs)
 
+    @staticmethod
+    def over(places, counts) -> "Marking":
+        """The marking with ``counts[i]`` tokens at ``places[i]``, for places
+        in canonical order and natural counts: zero counts are dropped, and
+        nothing is sorted or checked."""
+        return Marking(items=tuple(itertools.compress(zip(places, counts), counts)))
+
     def to_dict(self) -> dict:
         return dict(self.items)
 
@@ -391,6 +399,19 @@ class Marking:
 EMPTY_MARKING = Marking(items=())
 
 
+class TokenVectors(NamedTuple):
+    """A net's markings as count vectors over ``places``: every place that
+    the net's places, m0, pre and post name, in a Marking's canonical order."""
+
+    places: tuple
+    pre: Mapping     # event -> the tokens it consumes
+    effect: Mapping  # event -> post minus pre
+
+    def counts(self, m: Marking) -> tuple:
+        have = m.to_dict()
+        return tuple(have.get(p, 0) for p in self.places)
+
+
 @dataclass(frozen=True)
 class PetriNet:
     places: frozenset
@@ -398,6 +419,21 @@ class PetriNet:
     events: frozenset
     pre: Mapping   # event -> Marking
     post: Mapping  # event -> Marking
+
+    @cached_property
+    def vectors(self) -> TokenVectors:
+        """The net's pre conditions and effects as token vectors, for
+        enabling and firing without Marking arithmetic; built on first use
+        and kept in the instance dict, outside the fields."""
+        named = set(self.places).union(self.m0.to_dict(),
+                                       *(m.to_dict() for m in self.pre.values()),
+                                       *(m.to_dict() for m in self.post.values()))
+        vectors = TokenVectors(places=tuple(sorted_by_key(named)), pre={}, effect={})
+        for e in self.events:
+            pre, post = vectors.counts(self.pre[e]), vectors.counts(self.post[e])
+            vectors.pre[e] = pre
+            vectors.effect[e] = tuple(b - a for a, b in zip(pre, post))
+        return vectors
 
 
 def make_pn(places, m0, events, pre, post) -> PetriNet:
@@ -464,27 +500,34 @@ class MarkingGraph:
     initial: Marking
     markings: frozenset
     steps: frozenset  # triples (marking, event, marking)
+    counts: Mapping   # marking -> its token vector over ``PetriNet.vectors.places``
 
 
 def reachable_markings(n: PetriNet, max_states: int) -> MarkingGraph:
-    """BFS closure of the initial marking under single-event firing."""
+    """BFS closure of the initial marking under single-event firing.
+
+    The walk enables and fires on token vectors (``PetriNet.vectors``);
+    each reached vector's Marking is built once, in canonical order."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    events = sorted_by_key(n.events)
-    markings = []
+    vectors = n.vectors
+    moves = [(e, vectors.pre[e], vectors.effect[e]) for e in sorted_by_key(n.events)]
+    marking = {}  # reached vector -> its Marking
     steps = set()
 
-    def firings(m):
-        return [(e, (m - n.pre[e]) + n.post[e]) for e in events if m >= n.pre[e]]
+    def firings(v):
+        return [(e, tuple(map(add, v, effect))) for e, pre, effect in moves if all(map(ge, v, pre))]
 
-    for m, e, m2, new in breadth_first([n.m0], firings):
-        if m is not None:
-            steps.add((m, e, m2))
+    for v, e, v2, new in breadth_first([vectors.counts(n.m0)], firings):
         if new:
-            if len(markings) >= max_states:
+            if len(marking) >= max_states:
                 raise ExplosionLimit(f"more than {max_states} reachable markings")
-            markings.append(m2)
-    return MarkingGraph(initial=n.m0, markings=frozenset(markings), steps=frozenset(steps))
+            # the root keeps the net's own m0
+            marking[v2] = n.m0 if v is None else Marking.over(vectors.places, v2)
+        if v is not None:
+            steps.add((marking[v], e, marking[v2]))
+    return MarkingGraph(initial=n.m0, markings=frozenset(marking.values()), steps=frozenset(steps),
+                        counts={m: v for v, m in marking.items()})
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Independent oracles used to freeze expected values: the cube category,
-event-structure closures and cells, and region synthesis by brute force.
+event-structure closures and cells, region synthesis by brute force, and
+net reachability by ``Marking`` arithmetic.
 
 The cube-category term model represents a morphism n -> d as the tuple of
 its d output coordinates: each entry is a constant sign or a distinct
@@ -171,3 +172,31 @@ def reference_net(h, regions):
         pre={e: Marking.of({p: reg.flow(e)[0] for p, reg in names.items()}) for e in events},
         post={e: Marking.of({p: reg.flow(e)[1] for p, reg in names.items()}) for e in events},
     )
+
+
+def reference_markings(n, max_states):
+    """Oracle: the reachable markings and steps of ``n``, by a breadth-first
+    walk that fires one event at a time with ``fire``.  Raises
+    ExplosionLimit on reaching more than ``max_states`` markings."""
+    from collections import deque
+
+    from hdabridge.errors import ExplosionLimit, NotEnabled
+    from hdabridge.models import fire
+    from hdabridge.util import sorted_by_key
+
+    events = sorted_by_key(n.events)
+    seen, steps, queue = {n.m0}, set(), deque([n.m0])
+    while queue:
+        m = queue.popleft()
+        for e in events:
+            try:
+                m2 = fire(n, m, (e,))
+            except NotEnabled:
+                continue
+            steps.add((m, e, m2))
+            if m2 not in seen:
+                if len(seen) >= max_states:
+                    raise ExplosionLimit(f"more than {max_states} reachable markings")
+                seen.add(m2)
+                queue.append(m2)
+    return frozenset(seen), frozenset(steps)

@@ -362,6 +362,11 @@ def test_enumerate_regions_matches_brute_force():
                             [("w", "a", "x"), ("y", "b", "z")])), (1, 2)),
         (ts_to_hda1(make_ts(["s0", "s1", "s2", "s3"], "s0", "abcd", cycle4)), (1,)),
         (es_to_hda(make_event_structure("abc")), (1,)),
+        # the square of two t's from p=2 to q=2: c and d reach both its ends
+        # before t's slot, so it is checked there with t's flow counted twice
+        (pn_to_hda(make_pn(["a", "p", "q"], {"a": 1}, ["c", "d", "t"],
+                           {"c": {"a": 1}, "d": {"q": 2}, "t": {"p": 1}},
+                           {"c": {"p": 2}, "d": {"a": 1}, "t": {"q": 1}}), 10, 2), (1,)),
     ]
     for h, caps in cases:
         for cap in caps:

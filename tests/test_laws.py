@@ -5,7 +5,14 @@ import pytest
 
 from hdabridge.cubical import STAR, CellId, DegeneracyWitness, Hda, index_complex
 from hdabridge.errors import SizeLimit, SquareIncomplete, StarClash
-from hdabridge.functors import HdaMorphism, acr_to_hda2, pn_to_hda, ts_to_hda1, validate_hda_morphism
+from hdabridge.functors import (
+    HdaMorphism,
+    acr_to_hda2,
+    es_to_hda,
+    pn_to_hda,
+    ts_to_hda1,
+    validate_hda_morphism,
+)
 from hdabridge.laws import (
     GENERATORS,
     VALIDATORS,
@@ -293,6 +300,17 @@ def test_hda_morphism_enumeration_chain_into_longer_chain():
     # vertex order by index would leave s100 unconstrained by s99
     homs = enumerate_hda_morphisms(_chain(120), _chain(121))
     assert sorted(m.label_map["a"] for m in homs) == sorted([STAR, "a"])
+
+
+def test_hda_morphism_enumeration_bounds_its_members():
+    # seven isolated vertices into twelve vertices: 12^6 morphisms, each
+    # of which would be built and validated
+    cfg = GeneratorConfig(seed=2)
+    source = ts_to_hda1(gen_ts(4, cfg))
+    target = es_to_hda(gen_es(5, cfg), 2, truncate_cells=True)
+    assert len(source.cells(0)) == 7 and not source.cells(1) and len(target.cells(0)) == 12
+    with pytest.raises(SizeLimit):
+        enumerate_hda_morphisms(source, target)
 
 
 def test_hda_morphism_enumeration_rejects_target_with_twin_cells():

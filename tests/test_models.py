@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdabridge import zoo
+from hdabridge.cts import pn_to_cts
 from hdabridge.cubical import STAR
 from hdabridge.errors import ExplosionLimit, NotEnabled, StarClash
 from hdabridge.models import (
@@ -32,7 +34,11 @@ from hdabridge.models import (
     validate_pn_morphism,
     validate_ts,
     validate_ts_morphism,
+    word_pre,
 )
+from hdabridge.laws import GeneratorConfig, gen_pn
+from hdabridge.util import sorted_by_key
+from helpers import reference_markings
 
 
 def diamond_acr():
@@ -233,6 +239,49 @@ def test_reachable_markings_no_events():
     n = make_pn(["p"], {"p": 1}, [], {}, {})
     graph = reachable_markings(n, 10)
     assert graph.markings == frozenset({n.m0})
+
+
+def mixed_places_net():
+    """Places whose canonical order (ints by value, then strings) is not
+    their order by name, and pre conditions naming places outside
+    ``places``: "ghost", which v fills, and "void", which nothing fills, so
+    w is never enabled.  The cycle t, v, u returns to m0."""
+    return make_pn([10, 2, "B", "a"], {10: 1, 2: 1, "a": 2}, ["t", "u", "v", "w"],
+                   {"t": {"a": 1, 10: 1}, "u": {"ghost": 1, 2: 1}, "v": {"B": 1},
+                    "w": {"void": 1, "a": 1}},
+                   {"t": {"B": 1, 2: 1}, "u": {"a": 1}, "v": {"ghost": 1, 10: 1}, "w": {}})
+
+
+NETS = st.one_of(
+    st.just(mixed_places_net()),
+    st.builds(lambda seed, index: gen_pn(index, GeneratorConfig(seed=seed)),
+              st.integers(0, 9), st.integers(0, 60)),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(NETS, st.integers(1, 30))
+def test_token_vectors_agree_with_marking_arithmetic(n, max_states):
+    try:
+        markings, steps = reference_markings(n, max_states)
+    except ExplosionLimit:
+        with pytest.raises(ExplosionLimit):
+            reachable_markings(n, max_states)
+        return
+    # Marking equality compares items, so a marking built out of canonical
+    # order is missing from the reference's set
+    graph = reachable_markings(n, max_states)
+    assert (graph.markings, graph.steps) == (markings, steps)
+
+    cts = pn_to_cts(n, max_states)
+    events = sorted_by_key(n.events)
+    words = [w for k in range(4) for w in itertools.combinations_with_replacement(events, k)]
+    for m in markings:
+        for w in words:
+            assert cts.enabled(m, w) == (m >= word_pre(n, w)), (m, w)
+    more = {m + Marking.of({p: 1}) for m in markings for p in n.vectors.places}
+    for m in more - markings:
+        assert not any(cts.enabled(m, w) for w in words), m
 
 
 # ---------------------------------------------------------------------------
