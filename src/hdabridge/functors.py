@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Mapping, Optional
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Mapping, Optional
 
 from .cts import cts_to_hda, es_to_cts, pn_to_cts
 from .cubical import (
@@ -495,18 +496,16 @@ def skeleton_slots(h: Hda):
     return list(slots), checks
 
 
-def enumerate_regions(h: Hda, cap: int) -> frozenset:
-    """All regions with every flow and token value bounded by ``cap``, by
-    one search over the slots of ``skeleton_slots``: a vertex takes a token
-    count, a label a (consumed, produced) flow, and each cell is tested
-    for coherence at its last slot.  ``Region.builder`` sorts the labels and
-    vertices once; every region is built from its slot values in that order."""
+def _region_search(h: Hda, cap: int):
+    """The search behind region synthesis, over the slots of
+    ``skeleton_slots``: a vertex takes a token count, a label a (consumed,
+    produced) flow, and each cell is tested for coherence at its last slot.
+    Returns each label's and each vertex's slot position and an iterator
+    over every cap-bounded region's slot values."""
     names, checks = skeleton_slots(h)
     tokens = range(cap + 1)
     flows = [(a, b) for a in tokens for b in tokens]
     domains = [tokens if kind == "vertex" else flows for kind, _ in names]
-    build = Region.builder({a: i for i, (kind, a) in enumerate(names) if kind == "label"},
-                           {v: i for i, (kind, v) in enumerate(names) if kind == "vertex"})
 
     # each check as the word positions fixed at earlier slots, how often the
     # slot itself is in the word (never, for a vertex) and the two ends
@@ -515,9 +514,10 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
              for pos, slot_checks in enumerate(checks)]
 
     def options(pos, partial):
-        values = partial + [None]  # one copy per call; each candidate is set in place
         fits = domains[pos]
         for fixed, k, s, t in plans[pos]:
+            if not fits:
+                break
             pre = post = 0  # summed once per call, then the candidate's flow is added k times
             for i in fixed:
                 a, b = partial[i]
@@ -527,59 +527,78 @@ def enumerate_regions(h: Hda, cap: int) -> frozenset:
                 source, target = partial[s], partial[t]
                 fits = [(a, b) for a, b in fits
                         if _coherent(pre + k * a, post + k * b, source, target)]
-            else:
-                kept = []
-                for candidate in fits:
-                    values[pos] = candidate
-                    if _coherent(pre, post, values[s], values[t]):
-                        kept.append(candidate)
-                fits = kept
+            elif s != pos:  # the vertex is the target: the source's count fixes its own
+                count = partial[s] - pre + post
+                fits = [count] if count in fits and _coherent(pre, post, partial[s], count) else []
+            elif t != pos:  # the vertex is the source: the target's count fixes its own
+                count = partial[t] - post + pre
+                fits = [count] if count in fits and _coherent(pre, post, count, partial[t]) else []
+            else:  # a self-loop
+                fits = [count for count in fits if _coherent(pre, post, count, count)]
         return fits
 
-    return frozenset(map(build, backtrack(names, options)))
+    labels = {a: i for i, (kind, a) in enumerate(names) if kind == "label"}
+    vertices = {v: i for i, (kind, v) in enumerate(names) if kind == "vertex"}
+    return labels, vertices, backtrack(names, options)
+
+
+def enumerate_regions(h: Hda, cap: int) -> frozenset:
+    """All regions with every flow and token value bounded by ``cap``.
+    ``Region.builder`` sorts the labels and vertices once; every region is
+    built from its slot values in that order."""
+    labels, vertices, values = _region_search(h, cap)
+    return frozenset(map(Region.builder(labels, vertices), values))
 
 
 @dataclass(frozen=True)
 class SynthesizedNet:
-    """A net whose places are the regions of ``hda``, with the naming kept
-    alongside."""
+    """A net whose places are the regions of ``hda``.  The naming tables
+    are built from ``values`` on first read and kept in the instance dict,
+    outside the fields."""
 
     net: PetriNet
-    regions: Mapping  # place name -> Region
-    places: Mapping   # Region -> place name
     hda: Hda          # the automaton the net was synthesized from
+    values: tuple     # place p<i>'s region as its slot values, at index i
+    build: Callable   # slot values -> Region
+
+    @cached_property
+    def regions(self) -> dict:
+        """Place name -> Region."""
+        return {f"p{i}": reg for i, reg in enumerate(map(self.build, self.values))}
+
+    @cached_property
+    def places(self) -> dict:
+        """Region -> place name."""
+        return {reg: name for name, reg in self.regions.items()}
 
 
 def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
     """Synthesize the net whose places are the cap-bounded regions.
 
-    Every region lists the labels and vertices in the canonical order that
-    ``enumerate_regions`` computes once, so regions sort by their values, and
-    a label's flow or a vertex's count sits at one position in every region.
-    The place names are sorted once, here; the initial marking and each
-    event's pre and post are one pass in that order, dropping zero counts.
+    The regions stay the search's slot values.  They are sorted once, on
+    the labels' values in canonical label order and then the vertices' in
+    canonical vertex order, which is the order of the built regions'
+    ``(flows, tokens)``; places are numbered in that order.  The initial
+    marking and each event's pre and post are columns of the values, read
+    in the places' (string) order, dropping zero counts.
     """
-    regions = sorted(enumerate_regions(h, cap), key=attrgetter("flows", "tokens"))
-    names = {f"p{i}": reg for i, reg in enumerate(regions)}
-    places = sorted_by_key(names)  # a Marking's order
-    placed = [names[p] for p in places]
-    # the all-zero region is always one, so regions[0] exists
-    at_label = {a: j for j, (a, _) in enumerate(regions[0].flows)}
-    at_initial = [v for v, _ in regions[0].tokens].index(h.initial)
-
-    def marking(counts):
-        return Marking.over(places, list(counts))
-
+    labels, vertices, values = _region_search(h, cap)
+    values = tuple(sorted(values, key=itemgetter(*[labels[a] for a in sorted_by_key(labels)],
+                                                 *[vertices[v] for v in sorted_by_key(vertices)])))
+    # "p<i>" sorts as str(i) does: the places in a Marking's order
+    order = sorted(range(len(values)), key=str)
+    places = [f"p{i}" for i in order]
+    columns = list(zip(*[values[i] for i in order]))
     events = tuple(sorted_by_key(h.alphabet))
+    flows = {e: tuple(zip(*columns[labels[e]])) for e in events}  # e -> (pre counts, post counts)
     net = PetriNet(
-        places=frozenset(names),
-        m0=marking(reg.tokens[at_initial][1] for reg in placed),
+        places=frozenset(places),
+        m0=Marking.over(places, columns[vertices[h.initial]]),
         events=frozenset(events),
-        pre={e: marking(reg.flows[at_label[e]][1][0] for reg in placed) for e in events},
-        post={e: marking(reg.flows[at_label[e]][1][1] for reg in placed) for e in events},
+        pre={e: Marking.over(places, flows[e][0]) for e in events},
+        post={e: Marking.over(places, flows[e][1]) for e in events},
     )
-    return SynthesizedNet(net=net, regions=names, places={reg: name for name, reg in names.items()},
-                          hda=h)
+    return SynthesizedNet(net=net, hda=h, values=values, build=Region.builder(labels, vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ KINDS = ("ts", "lts", "acr", "es", "pnet", "hda")
 # model -> document
 # ---------------------------------------------------------------------------
 
-def _marking_obj(m: Marking) -> dict:
-    return {str(p): n for p, n in m.items}
-
-
 def _scalarize(values) -> dict:
     """Deterministic JSON-scalar names for state-like values.  Strings and
     ints pass through; anything else (cell ids, markings from in-process
@@ -98,12 +94,14 @@ def model_to_document(kind: str, model) -> dict:
         for p in model.places:
             if not isinstance(p, str):
                 raise ParseError(f"net documents need string place names, got {p!r}")
+        # every place is a string, so plain sorting is canonical and a
+        # marking's pairs are its JSON object as they stand
         body = {
-            "places": sorted_by_key(model.places),
-            "m0": _marking_obj(model.m0),
+            "places": sorted(model.places),
+            "m0": dict(model.m0.items),
             "events": sorted_by_key(model.events),
-            "pre": {str(e): _marking_obj(model.pre[e]) for e in sorted_by_key(model.events)},
-            "post": {str(e): _marking_obj(model.post[e]) for e in sorted_by_key(model.events)},
+            "pre": {str(e): dict(model.pre[e].items) for e in sorted_by_key(model.events)},
+            "post": {str(e): dict(model.post[e].items) for e in sorted_by_key(model.events)},
         }
     elif kind == "hda":
         sk = model.skeleton

@@ -151,19 +151,25 @@ def brute_force_regions(h, cap):
     return out
 
 
-def reference_net(h, regions):
-    """Oracle: the net whose places are ``regions``, built with a sort per
-    region and per marking.  Each region is rebuilt by ``Region.of`` from
-    its flows and tokens; places are named p0, p1, ... in the order of the
-    regions' values, and every marking is made by ``Marking.of`` from a
-    dict over all places."""
+def reference_places(regions):
+    """Oracle: the place names of ``regions``, p0, p1, ... in the order of
+    the regions' values, each region rebuilt by ``Region.of`` from its
+    flows and tokens."""
     from hdabridge.functors import Region
-    from hdabridge.models import Marking, PetriNet
-    from hdabridge.util import sorted_by_key
 
     regions = [Region.of(dict(r.flows), dict(r.tokens)) for r in regions]
     regions.sort(key=lambda r: (tuple(v for _, v in r.flows), tuple(n for _, n in r.tokens)))
-    names = {f"p{i}": reg for i, reg in enumerate(regions)}
+    return {f"p{i}": reg for i, reg in enumerate(regions)}
+
+
+def reference_net(h, regions):
+    """Oracle: the net whose places are ``regions``, built with a sort per
+    region and per marking.  Places are named by ``reference_places``, and
+    every marking is made by ``Marking.of`` from a dict over all places."""
+    from hdabridge.models import Marking, PetriNet
+    from hdabridge.util import sorted_by_key
+
+    names = reference_places(regions)
     events = sorted_by_key(h.alphabet)
     return PetriNet(
         places=frozenset(names),

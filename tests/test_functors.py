@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hdabridge.cubical import (
     STAR,
@@ -60,7 +60,7 @@ from hdabridge.models import (
 )
 from hdabridge import zoo
 from hdabridge.laws import GeneratorConfig, gen_acr, gen_ts
-from helpers import brute_force_es_cells, brute_force_regions, reference_net
+from helpers import brute_force_es_cells, brute_force_regions, reference_net, reference_places
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +402,17 @@ def test_enumerate_regions_matches_brute_force_on_generated_automata(case):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(small_automata())
+# one vertex and no events: the regions' sort key reads a single slot
+@example((ts_to_hda1(make_ts(["s"], "s", [], [])), 2))
 def test_synthesized_net_matches_the_net_built_region_by_region(case):
     h, cap = case
-    assert hda_to_pn(h, cap).net == reference_net(h, brute_force_regions(h, cap))
+    synth = hda_to_pn(h, cap)
+    # the naming tables are built on first read, not by the synthesis
+    assert "regions" not in vars(synth) and "places" not in vars(synth)
+    regions = brute_force_regions(h, cap)
+    assert synth.net == reference_net(h, regions)
+    assert synth.regions == reference_places(regions)
+    assert synth.places == {reg: p for p, reg in synth.regions.items()}
 
 
 def test_nine_places_recovered():
