@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import ge
 from typing import Callable, Mapping
 
@@ -57,6 +58,11 @@ class Cts:
     events: frozenset
     delta: Mapping                       # (state, event) -> state
     enabled: Callable[[object, Multiset], bool]
+
+    @cached_property
+    def ranked(self) -> tuple:
+        """States and events in canonical order: an index is a rank."""
+        return sorted_by_key(self.states), sorted_by_key(self.events)
 
     def successor(self, state, m: Multiset):
         """Fire the multiset in canonical order; None when a step is missing."""
@@ -130,28 +136,33 @@ def enabled_cells_by_dim(c: Cts, max_dim: int) -> dict:
     """Enabled star-free words per length, in canonical (state, word) order.
 
     A word is keyed by ranks, ``(s, w)``: it is at the state
-    ``sorted_by_key(c.states)[s]`` and spells the events
-    ``sorted_by_key(c.events)[r]`` for ``r`` in ``w``.
+    ``c.ranked[0][s]`` and spells the events ``c.ranked[1][r]`` for ``r``
+    in ``w``.
 
     Enabling depends only on a word's multiset, so the words are grown one
     orbit at a time: a state's enabled multisets of size n, kept as
     nondecreasing rank tuples, are extended only by events at or after
     their last one, with one ``c.enabled`` call per candidate.  Every
-    sub-multiset of an enabled multiset is enabled, so this finds them all.
+    sub-multiset of an enabled multiset is enabled, so this finds them all,
+    and past size 1 the candidates are only the events enabled alone.
     Each orbit is then expanded into its distinct orderings, sorted.
     """
-    events = sorted_by_key(c.events)
+    states, events = c.ranked
     cells = {n: [] for n in range(max_dim + 1)}
-    for s, x in enumerate(sorted_by_key(c.states)):
+    for s, x in enumerate(states):
         cells[0].append((s, ()))
         orbits = [((), ())]  # (ranks, events) of the enabled multisets
+        after = {(): range(len(events))}  # an orbit's candidates, by its last rank
         for n in range(1, max_dim + 1):
             orbits = [(ranks + (r,), m + (events[r],))
                       for ranks, m in orbits
-                      for r in range(ranks[-1] if ranks else 0, len(events))
+                      for r in after[ranks[-1:]]
                       if c.enabled(x, m + (events[r],))]
             if not orbits:
                 break
+            if n == 1:
+                alone = [r for (r,), _ in orbits]
+                after = {(r,): alone[j:] for j, r in enumerate(alone)}
             cells[n].extend((s, w) for w in sorted(
                 w for ranks, _ in orbits for w in _arrangements(ranks)))
     return cells
@@ -179,7 +190,7 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
     """
     if max_dim < 0:  # no automaton: every state's empty word is longer
         raise DimensionCapExceeded(f"enabled words longer than {max_dim} exist; the least cap is 0")
-    states, events = sorted_by_key(c.states), sorted_by_key(c.events)
+    states, events = c.ranked
     cells_by_dim = enabled_cells_by_dim(c, max_dim)
     if not truncate_cells and _enabled_beyond(c, states, events, cells_by_dim[max_dim]):
         raise DimensionCapExceeded(

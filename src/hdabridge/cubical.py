@@ -301,6 +301,20 @@ def word_is_linear(w: LabelWord) -> bool:
 # Construction helper
 # ---------------------------------------------------------------------------
 
+def _name_missing_image(n, keys_n, below, same, face_key, transpose_key):
+    """Raise a KeyError naming the first key of ``keys_n`` whose
+    transposition, or else whose face looked up by key, is not a cell."""
+    for i in range(n - 1 if transpose_key else 0):
+        for k in keys_n:
+            if (image := transpose_key(n, k, i)) not in same:
+                raise KeyError(f"transposition of {k!r} at {i} is not a cell: {image!r}") from None
+    for i in range(n - 1 if transpose_key else 0, n):
+        for sign in SIGNS:
+            for k in keys_n:
+                if (image := face_key(n, k, i, sign)) not in below:
+                    raise KeyError(f"face of {k!r} at ({i},{sign}) is not a cell: {image!r}") from None
+
+
 def index_complex(
     cells_by_dim: Mapping[int, Iterable],
     face_key: Callable[[int, object, int, str], object],
@@ -313,46 +327,41 @@ def index_complex(
     numbering passes them sorted.  Returns ``(complex, keys)`` where
     ``keys`` maps :class:`CellId` to the original key, in dimension and
     index order.  ``transpose_key`` selects a symmetric complex.
+
+    A symmetric complex looks up only its transpositions and last faces
+    (i = n-1) by key, and composes each face below as face(i+1) .
+    transposition(i); the key maps must satisfy that identity, as every
+    CTS does (moving a letter keeps a word in its orbit) and every
+    validated ACR does (its squares close).
     """
     max_dim = max(cells_by_dim, default=0)
     ordered = [list(cells_by_dim.get(n, ())) for n in range(max_dim + 1)]
     index_of = [dict(zip(keys_n, itertools.count())) for keys_n in ordered]
     cells = {n: tuple(range(len(keys_n))) for n, keys_n in enumerate(ordered)}
     keys = {CellId(n, i): k for n, keys_n in enumerate(ordered) for i, k in enumerate(keys_n)}
-    # each table is one lookup per cell; only a failed table is walked
-    # again, to name the first key whose image is not a cell
-    faces = {}
+    faces, transpositions = {}, {}
     for n in range(1, max_dim + 1):
-        below = index_of[n - 1]
+        below, same, keys_n = index_of[n - 1], index_of[n], ordered[n]
+        try:
+            swaps = [[same[transpose_key(n, k, i)] for k in keys_n]
+                     for i in range(n - 1)] if transpose_key else ()
+            columns = {}  # with transpositions, face(i) = face(i+1) . transposition(i) for i < n-1
+            for sign in SIGNS:
+                for i in reversed(range(n)):
+                    columns[i, sign] = (list(map(columns[i + 1, sign].__getitem__, swaps[i]))
+                                        if i < len(swaps) else
+                                        [below[face_key(n, k, i, sign)] for k in keys_n])
+        except KeyError:
+            _name_missing_image(n, keys_n, below, same, face_key, transpose_key)
+            raise
         for i in range(n):
             for sign in SIGNS:
-                try:
-                    faces[(n, i, sign)] = dict(enumerate(
-                        [below[face_key(n, k, i, sign)] for k in ordered[n]]))
-                except KeyError:
-                    for k in ordered[n]:
-                        fk = face_key(n, k, i, sign)
-                        if fk not in below:
-                            raise KeyError(
-                                f"face of {k!r} at ({i},{sign}) is not a cell: {fk!r}") from None
-                    raise
+                faces[(n, i, sign)] = dict(enumerate(columns[i, sign]))
+        for i, swap in enumerate(swaps):
+            transpositions[(n, i)] = dict(enumerate(swap))
     skeleton = PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim)
     if transpose_key is None:
         return skeleton, keys
-    transpositions = {}
-    for n in range(2, max_dim + 1):
-        same = index_of[n]
-        for i in range(n - 1):
-            try:
-                transpositions[(n, i)] = dict(enumerate(
-                    [same[transpose_key(n, k, i)] for k in ordered[n]]))
-            except KeyError:
-                for k in ordered[n]:
-                    tk = transpose_key(n, k, i)
-                    if tk not in same:
-                        raise KeyError(
-                            f"transposition of {k!r} at {i} is not a cell: {tk!r}") from None
-                raise
     return SymmetricCubicalComplex(skeleton=skeleton, transpositions=transpositions), keys
 
 
@@ -978,7 +987,9 @@ def check_strong_labeling(h: Hda) -> bool:
 
 
 def check_linear_labeling(h: Hda) -> bool:
-    return all(word_is_linear(h.labeling[c]) for c in h.skeleton.all_cells())
+    # a word with no repeated letter is linear; only the others are read again
+    words = map(h.labeling.__getitem__, h.skeleton.all_cells())
+    return all(word_is_linear(w) for w in words if len(set(w)) != len(w))
 
 
 def check_deterministic(h: Hda, n: Optional[int] = None) -> bool:

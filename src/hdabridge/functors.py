@@ -323,14 +323,13 @@ def hda_to_es(h: Hda) -> EventStructure:
         raise NotLinear("some cell label repeats an event")
     events = set(h.alphabet)
 
+    # vertices by index, each edge's ends read from the (1,0,-)/(1,0,+) tables
+    src, tgt = (h.skeleton.faces.get((1, 0, sign), {}) for sign in ("-", "+"))
     edges_at = {}
     for edge in h.cells(1):
         (label,) = h.labeling[edge]
-        if label == STAR:
-            continue
-        src = h.skeleton.face(edge, 0, "-")
-        tgt = h.skeleton.face(edge, 0, "+")
-        edges_at.setdefault(src, []).append((label, tgt))
+        if label != STAR:
+            edges_at.setdefault(src[edge.index], []).append((label, tgt[edge.index]))
 
     def runs_on(state):
         vertex, used = state
@@ -339,7 +338,7 @@ def hda_to_es(h: Hda) -> EventStructure:
 
     co_occur = set()
     order_break = set()  # (e, e2): some run fires e2 with no earlier e
-    for state, label, (_, used), new in breadth_first([(h.initial, frozenset())], runs_on):
+    for state, label, (_, used), new in breadth_first([(h.initial.index, frozenset())], runs_on):
         if new:
             co_occur |= {(a, b) for a in used for b in used}
         if state is not None:

@@ -364,7 +364,11 @@ class Marking:
         return dict(self.items)
 
     def get(self, place) -> int:
-        return dict(self.items).get(place, 0)
+        """Reads a dict built on first use and kept outside the fields."""
+        lookup = self.__dict__.get("_count_of")
+        if lookup is None:
+            lookup = self.__dict__["_count_of"] = dict(self.items)
+        return lookup.get(place, 0)
 
     def __add__(self, other: "Marking") -> "Marking":
         out = dict(self.items)

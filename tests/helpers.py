@@ -1,6 +1,7 @@
 """Independent oracles used to freeze expected values: the cube category,
-event-structure closures and cells, region synthesis by brute force, and
-net reachability by ``Marking`` arithmetic.
+event-structure closures and cells, region synthesis by brute force,
+net reachability by ``Marking`` arithmetic, and face tables looked up key
+by key.
 
 The cube-category term model represents a morphism n -> d as the tuple of
 its d output coordinates: each entry is a constant sign or a distinct
@@ -132,6 +133,28 @@ def brute_force_es_cells(es, dim):
                 continue
             count += 1
     return count
+
+
+def reference_faces(cells_by_dim, face_key):
+    """Oracle: every face table of the keyed cells, by calling ``face_key``
+    on each key, in the order ``index_complex`` files its tables."""
+    from hdabridge.cubical import SIGNS
+
+    ordered = [list(cells_by_dim.get(n, ())) for n in range(max(cells_by_dim, default=0) + 1)]
+    number = [{k: i for i, k in enumerate(keys)} for keys in ordered]
+    return {(n, i, sign): {j: number[n - 1][face_key(n, k, i, sign)] for j, k in enumerate(ordered[n])}
+            for n in range(1, len(ordered)) for i in range(n) for sign in SIGNS}
+
+
+def loops4():
+    """One state with four looping events that may all run at once: the
+    4-cells are the 24 orderings of ``abcd``."""
+    from hdabridge.cts import Cts, cts_to_hda
+
+    events = frozenset("abcd")
+    c = Cts(states=frozenset({0}), initial=0, events=events,
+            delta={(0, e): 0 for e in events}, enabled=lambda x, m: len(set(m)) == len(m))
+    return cts_to_hda(c, 4)
 
 
 def brute_force_regions(h, cap):

@@ -347,26 +347,49 @@ def test_cell_keys_are_the_grown_cells_on_fixtures(name):
 
 
 def recording(c: Cts):
-    """``c`` with an ``enabled`` that records the size of every multiset it is asked."""
-    sizes = []
+    """``c`` with an ``enabled`` that records every (state, multiset) it is asked."""
+    asked = []
 
     def enabled(x, m):
-        sizes.append(len(m))
+        asked.append((x, m))
         return c.enabled(x, m)
 
-    return dataclasses.replace(c, enabled=enabled), sizes
+    return dataclasses.replace(c, enabled=enabled), asked
 
 
 def test_truncation_never_tests_words_above_the_cap():
-    c, sizes = recording(es_to_cts(make_event_structure("abcd")))
+    c, asked = recording(es_to_cts(make_event_structure("abcd")))
     h = cts_to_hda(c, 1, truncate_cells=True)
     assert [len(h.cells(n)) for n in range(2)] == [16, 32]
-    assert max(sizes) == 1
+    assert max(len(m) for _, m in asked) == 1
 
 
 def test_dimension_cap_stops_at_the_first_longer_word():
-    c, sizes = recording(es_to_cts(make_event_structure("abcd")))
+    c, asked = recording(es_to_cts(make_event_structure("abcd")))
     with pytest.raises(DimensionCapExceeded):
         cts_to_hda(c, 1)
+    sizes = [len(m) for _, m in asked]
     # at the empty configuration, orbit {a} tries {a, a} and then {a, b}, which is enabled
     assert max(sizes) == 2 and sizes.count(2) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_orbit_growth_asks_only_about_events_enabled_alone(seed):
+    """Past size 1, every event of a multiset that growth tests is enabled
+    alone at that state: no candidate fails for want of one event."""
+    cfg = GeneratorConfig(seed=seed, max_events=5)
+    models = [pn_to_cts(make_pn(["p", "q"], {"p": 3}, ["e", "f"], {"e": {"p": 1}, "f": {"q": 1}},
+                                {"e": {"q": 1}, "f": {}}), 60)]
+    for index in range(20):
+        models.append(es_to_cts(gen_es(index, cfg)))
+        try:
+            models.append(pn_to_cts(gen_pn(index, cfg), 60))
+        except ExplosionLimit:
+            pass
+    grown = 0
+    for c in models:
+        recorder, asked = recording(c)
+        enabled_cells_by_dim(recorder, 4)
+        grown += sum(len(m) > 1 for _, m in asked)
+        assert all(c.enabled(x, (e,)) for x, m in asked if len(m) > 1 for e in m)
+    assert grown

@@ -28,10 +28,14 @@ from hdabridge.cubical import (
     word_is_linear,
     word_permute,
 )
-from hdabridge.errors import ArityMismatch, IndexOutOfRange
+from hdabridge import cts, functors
+from hdabridge.errors import ArityMismatch, ExplosionLimit, IndexOutOfRange
+from hdabridge.functors import acr_to_hda2, es_to_hda, pn_to_hda
+from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn
+from hdabridge.models import make_pn
 from hdabridge.util import sorted_by_key
 
-from helpers import cube_maps, oracle_face, oracle_degeneracy
+from helpers import cube_maps, loops4, oracle_face, oracle_degeneracy, reference_faces
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +498,84 @@ def test_index_complex_names_the_first_key_whose_face_is_missing():
     cells = {0: ["x", "y"], 1: [("x", "y"), ("y", "w"), ("x", "v")]}
     with pytest.raises(KeyError, match=r"face of \('y', 'w'\) at \(0,\+\) is not a cell: 'w'"):
         index_complex(cells, path_face)
+
+
+# ---------------------------------------------------------------------------
+# faces below the last, composed through the transpositions, are the faces
+# that face_key gives key by key
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def indexed(monkeypatch):
+    """Every (cells_by_dim, face_key, complex) that a translation hands to
+    and gets back from index_complex."""
+    calls = []
+
+    def spy(cells_by_dim, face_key, transpose_key=None):
+        complex_, keys = index_complex(cells_by_dim, face_key, transpose_key)
+        calls.append((cells_by_dim, face_key, complex_))
+        return complex_, keys
+
+    for module in (cts, functors):
+        monkeypatch.setattr(module, "index_complex", spy)
+    return calls
+
+
+def assert_faces_by_key(calls):
+    assert calls
+    for cells_by_dim, face_key, complex_ in calls:
+        expected = reference_faces(cells_by_dim, face_key)
+        assert complex_.skeleton.faces == expected
+        assert list(complex_.skeleton.faces) == list(expected)  # filed in the same order
+
+
+def token_net(tokens, pre, post):
+    """A net on the places its arcs name, with ``tokens`` tokens on p0."""
+    places = sorted({p for arcs in (pre, post) for ps in arcs.values() for p in ps} | {"p0"})
+    return make_pn(places, {"p0": tokens}, sorted(pre), pre, post)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_composed_faces_are_the_faces_by_key_on_generated_models(seed, indexed):
+    cfg = GeneratorConfig(seed=seed, max_events=5)
+    for index in range(20):
+        es_to_hda(gen_es(index, cfg))
+        acr_to_hda2(gen_acr(index, cfg))
+        try:
+            pn_to_hda(gen_pn(index, cfg), 60, 4, truncate_cells=True)
+        except ExplosionLimit:
+            pass
+    assert_faces_by_key(indexed)
+
+
+def test_composed_faces_are_the_faces_by_key_with_repeated_events(indexed):
+    pipeline = token_net(6, {"t0": {"p0": 1}, "t1": {"p1": 1}}, {"t0": {"p1": 1}, "t1": {"p2": 1}})
+    fork_join = token_net(3, {"f": {"p0": 1}, "j": {"z0": 1, "z1": 1}, "w0": {"a0": 1}, "w1": {"a1": 1}},
+                          {"f": {"a0": 1, "a1": 1}, "j": {"e": 1}, "w0": {"z0": 1}, "w1": {"z1": 1}})
+    assert [len(pn_to_hda(pipeline, 100, 6).cells(n)) for n in range(7)] == [28, 42, 60, 80, 96, 96, 64]
+    pn_to_hda(fork_join, 100, 4, truncate_cells=True)
+    loops4()
+    assert_faces_by_key(indexed)
+
+
+def loop_face(n, key, i, sign):
+    """Every event loops at "x": a cell (x, e1, ..) drops its letter i."""
+    return "x" if n == 1 else key[:i + 1] + key[i + 2:]
+
+
+def loop_transpose(n, key, i):
+    return key[:i + 1] + (key[i + 2], key[i + 1]) + key[i + 3:]
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({0: ["x"], 1: [("x", "a"), ("x", "b")], 2: [("x", "a", "b")]},
+     r"transposition of \('x', 'a', 'b'\) at 0 is not a cell: \('x', 'b', 'a'\)"),
+    ({0: ["x"], 1: [("x", "a")], 2: [("x", "a", "c"), ("x", "c", "a")]},
+     r"face of \('x', 'c', 'a'\) at \(1,-\) is not a cell: \('x', 'c'\)"),
+])
+def test_index_complex_names_the_first_key_whose_symmetric_image_is_missing(cells, message):
+    with pytest.raises(KeyError, match=message):
+        index_complex(cells, loop_face, loop_transpose)
 
 
 # sha256 of repr(standard_cube(d)), recorded while index_complex still

@@ -372,6 +372,14 @@ def test_marking_arithmetic():
     assert Marking.of({"p": 0}).items == ()
 
 
+def test_marking_lookup_takes_no_part_in_equality_or_hashing():
+    m = Marking.of({"p": 2, "q": 1})
+    before = (hash(m), repr(m))
+    assert [m.get(p) for p in ("p", "q", "r", "p")] == [2, 1, 0, 2]
+    assert (hash(m), repr(m)) == before
+    assert m == Marking.of({"q": 1, "p": 2}) and len({m, Marking.of({"q": 1, "p": 2})}) == 1
+
+
 def test_acr_and_es_morphism_composition():
     from hdabridge.models import (
         compose_acr_morphisms,

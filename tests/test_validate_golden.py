@@ -12,7 +12,6 @@ and dimension, so a table check never passes what the walk flags.
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from hdabridge.cts import Cts, cts_to_hda
 from hdabridge.cubical import STAR, CellId, Hda, PrecubicalComplex, SymmetricCubicalComplex, \
     _walk_labels, _walks, validate_complex, validate_hda
 from hdabridge.errors import ExplosionLimit
@@ -20,6 +19,8 @@ from hdabridge.functors import es_to_hda, pn_to_hda
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.models import make_event_structure
 from hdabridge.util import ValidationReport
+
+from helpers import loops4
 
 DROP = object()  # removes a table entry, or a whole table
 
@@ -30,15 +31,6 @@ def square():
 
 def cube():
     return es_to_hda(make_event_structure("abc"))
-
-
-def loops4():
-    """One state with four looping events that may all run at once: the
-    4-cells are the 24 orderings of ``abcd``."""
-    events = frozenset("abcd")
-    c = Cts(states=frozenset({0}), initial=0, events=events,
-            delta={(0, e): 0 for e in events}, enabled=lambda x, m: len(set(m)) == len(m))
-    return cts_to_hda(c, 4)
 
 
 def edit(h, faces=(), transpositions=(), cells=(), labeling=(), alphabet=None, initial=None):
