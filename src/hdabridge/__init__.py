@@ -36,7 +36,7 @@ from .models import (
     validate_pn,
     validate_ts,
 )
-from .cts import Cts, cts_to_hda, es_to_cts, pn_to_cts, validate_cts
+from .cts import Cts, cts_to_hda, es_to_cts, pn_to_cts
 from .functors import (
     HdaMorphism,
     Region,

@@ -25,30 +25,13 @@ from typing import Callable, Mapping
 from .cubical import CellId, Hda, index_complex
 from .errors import DimensionCapExceeded
 from .models import EventStructure, PetriNet, configurations, reachable_markings
-from .util import ValidationReport, canon_key, sorted_by_key
+from .util import sorted_by_key
 
 Multiset = tuple  # events in canonical sorted order, repeats allowed
 
 
 def multiset(events) -> Multiset:
-    return tuple(sorted(events, key=canon_key))
-
-
-def sub_multisets(m: Multiset):
-    seen = set()
-    for k in range(len(m) + 1):
-        for combo in itertools.combinations(m, k):
-            ms = multiset(combo)
-            if ms not in seen:
-                seen.add(ms)
-                yield ms
-
-
-def multiset_minus(m: Multiset, part: Multiset) -> Multiset:
-    out = list(m)
-    for e in part:
-        out.remove(e)
-    return multiset(out)
+    return tuple(sorted_by_key(events))
 
 
 @dataclass(frozen=True)
@@ -63,63 +46,6 @@ class Cts:
     def ranked(self) -> tuple:
         """States and events in canonical order: an index is a rank."""
         return sorted_by_key(self.states), sorted_by_key(self.events)
-
-    def successor(self, state, m: Multiset):
-        """Fire the multiset in canonical order; None when a step is missing."""
-        current = state
-        for e in m:
-            current = self.delta.get((current, e))
-            if current is None:
-                return None
-        return current
-
-
-def validate_cts(c: Cts, max_word: int) -> ValidationReport:
-    """Check the axioms on every multiset of size at most ``max_word``."""
-    report = ValidationReport("cubical transition system")
-    if c.initial not in c.states:
-        report.add(f"initial state {c.initial!r} not a state")
-    for (s, e), s2 in c.delta.items():
-        if s not in c.states or s2 not in c.states or e not in c.events:
-            report.add(f"step {(s, e)!r} -> {s2!r} out of range")
-
-    states = sorted_by_key(c.states)
-    events = sorted_by_key(c.events)
-    for x in states:
-        if not c.enabled(x, ()):
-            report.add(f"empty word not enabled at {x!r}")
-    for size in range(1, max_word + 1):
-        for combo in itertools.combinations_with_replacement(events, size):
-            m = multiset(combo)
-            for x in states:
-                if not c.enabled(x, m):
-                    continue
-                # all orderings must walk through delta to the same state
-                targets = set()
-                for order in set(itertools.permutations(m)):
-                    current = x
-                    for e in order:
-                        current = c.delta.get((current, e))
-                        if current is None:
-                            report.add(f"enabled {m!r} at {x!r} but no step {e!r} along {order!r}")
-                            break
-                    else:
-                        targets.add(current)
-                if len(targets) > 1:
-                    report.add(f"firing order of {m!r} at {x!r} is ambiguous: {targets!r}")
-                for part in sub_multisets(m):
-                    if not c.enabled(x, part):
-                        report.add(f"{m!r} enabled at {x!r} but sub-multiset {part!r} is not")
-                        continue
-                    mid = c.successor(x, part)
-                    rest = multiset_minus(m, part)
-                    if mid is None:
-                        continue
-                    if not c.enabled(mid, rest):
-                        report.add(f"{m!r} enabled at {x!r} but {rest!r} not enabled after {part!r}")
-                    elif c.successor(mid, rest) != c.successor(x, m):
-                        report.add(f"decomposition of {m!r} at {x!r} through {part!r} disagrees")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +153,31 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
 
 def es_to_cts(es: EventStructure) -> Cts:
     """States are configurations; a multiset is enabled when it is a set of
-    pairwise compatible events, each individually enabled."""
-    configs = configurations(es)
-
-    # x | {e} is a configuration exactly when e is enabled at x
-    delta = {(x, e): y for x in configs for e in es.events - x if (y := x | {e}) in configs}
+    pairwise compatible events, each individually enabled (x | {e} is a
+    configuration).  Sets of events are read as masks (``es.masks``), and
+    a multiset is tested in one pass, each event against the events
+    enabled alone at the state and the events before it and their
+    conflicts."""
+    configs, masks = configurations(es), es.masks
+    bit = {e: b for e, (b, _, _) in masks.items()}
+    by_mask = {sum(map(bit.__getitem__, x)): x for x in configs}
+    delta, alone = {}, dict.fromkeys(configs, 0)  # alone: a mask per configuration
+    for m, y in by_mask.items():
+        for e in y:
+            if (x := by_mask.get(m ^ bit[e])) is not None:
+                delta[x, e] = y
+                alone[x] |= bit[e]
 
     def enabled(x, m: Multiset) -> bool:
-        if x not in configs:
+        can = alone.get(x)
+        if can is None:
             return False
-        if len(set(m)) != len(m):
-            return False
+        seen = 0  # the events before e in m, and those they conflict with
         for e in m:
-            if (x, e) not in delta:
+            b, blocks, _ = masks.get(e, (0, 0, 0))
+            if not b & can or b & seen:
                 return False
-        for a, b in itertools.combinations(m, 2):
-            if (a, b) in es.conflict:
-                return False
+            seen |= blocks
         return True
 
     return Cts(

@@ -987,9 +987,15 @@ def check_strong_labeling(h: Hda) -> bool:
 
 
 def check_linear_labeling(h: Hda) -> bool:
-    # a word with no repeated letter is linear; only the others are read again
-    words = map(h.labeling.__getitem__, h.skeleton.all_cells())
-    return all(word_is_linear(w) for w in words if len(set(w)) != len(w))
+    # labels are read by (n, index) keys; a word with no repeated letter
+    # is linear, so only a dimension with a repeat is read again
+    for n in range(h.max_dim + 1):
+        keys = zip(itertools.repeat(n), h.skeleton.cells.get(n, ()))
+        words = list(map(h.labeling.__getitem__, keys))
+        if sum(map(len, map(set, words))) != sum(map(len, words)) and \
+                not all(map(word_is_linear, words)):
+            return False
+    return True
 
 
 def check_deterministic(h: Hda, n: Optional[int] = None) -> bool:

@@ -7,7 +7,7 @@ same bytes.
 from __future__ import annotations
 
 from .cubical import Hda
-from .util import canon_key, sorted_by_key
+from .util import sorted_by_key
 
 DIM2_STYLES = ("diagonals", "clusters", "none")
 
@@ -58,10 +58,10 @@ def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
             if orbit in seen:
                 continue
             seen.add(orbit)
-            a, b = sorted(h.labeling[cell][:2], key=canon_key)
+            a, b = sorted_by_key(h.labeling[cell][:2])
             src, tgt = (names[v] for v in ends[cell])
             squares.append((src, tgt, a, b))
-        for i, (src, tgt, a, b) in enumerate(sorted(squares, key=canon_key)):
+        for i, (src, tgt, a, b) in enumerate(sorted_by_key(squares)):
             if dim2 == "diagonals":
                 lines.append(
                     f"  {_quote(src)} -> {_quote(tgt)} "

@@ -317,48 +317,51 @@ def hda_to_es(h: Hda) -> EventStructure:
     Runs whose concatenated labels stay duplicate-free are fully described
     by walks on the 1-skeleton (in a valid complex a cell's letters are
     traversable through its edge faces), so the search keeps only the pair
-    (vertex, set of fired events).
+    (vertex, set of fired events), the set as a mask over the events'
+    canonical ranks.  An event e precedes e2 when every run that fires e2
+    has fired e; two events conflict when no run fires both.
     """
     if not check_linear_labeling(h):
         raise NotLinear("some cell label repeats an event")
-    events = set(h.alphabet)
+    events = sorted_by_key(set(h.alphabet))
+    n = len(events)
+    rank = dict(zip(events, range(n)))  # a label outside the alphabet ranks after them
 
     # vertices by index, each edge's ends read from the (1,0,-)/(1,0,+) tables
     src, tgt = (h.skeleton.faces.get((1, 0, sign), {}) for sign in ("-", "+"))
     edges_at = {}
-    for edge in h.cells(1):
-        (label,) = h.labeling[edge]
+    for i in h.skeleton.cells.get(1, ()):
+        (label,) = h.labeling[1, i]
         if label != STAR:
-            edges_at.setdefault(src[edge.index], []).append((label, tgt[edge.index]))
+            r = rank.setdefault(label, len(rank))
+            edges_at.setdefault(src[i], []).append((r, 1 << r, tgt[i]))
 
     def runs_on(state):
         vertex, used = state
-        return [(label, (tgt, used | {label}))
-                for label, tgt in edges_at.get(vertex, ()) if label not in used]
+        return [(r, (v, used | b)) for r, b, v in edges_at.get(vertex, ()) if not used & b]
 
-    co_occur = set()
-    order_break = set()  # (e, e2): some run fires e2 with no earlier e
-    for state, label, (_, used), new in breadth_first([(h.initial.index, frozenset())], runs_on):
+    fired = set()  # the masks of every run
+    before = [(1 << n) - 1] * n  # by rank: the events fired by every run that fires it
+    for state, r, (_, used), new in breadth_first([(h.initial.index, 0)], runs_on):
         if new:
-            co_occur |= {(a, b) for a in used for b in used}
-        if state is not None:
-            order_break |= {(e, label) for e in events - used}
+            fired.add(used)
+        if state is not None and r < n:
+            before[r] &= used
+    together = [0] * n  # by rank: the events some run fires with it
+    for used in fired:
+        for r in range(n):
+            if used >> r & 1:
+                together[r] |= used
 
-    leq = set()
-    for e in events:
-        for e2 in events:
-            if e == e2 or (e, e2) not in order_break:
-                leq.add((e, e2))
-    for e, e2 in itertools.combinations(sorted_by_key(events), 2):
-        if (e, e2) in leq and (e2, e) in leq:
-            raise NotPartialOrder(f"{e!r} and {e2!r} each precede the other")
-    conflict = set()
-    for e in events:
-        for e2 in events:
-            if e != e2 and (e, e2) not in co_occur:
-                conflict.add((e, e2))
-    es = EventStructure(events=frozenset(events), leq=frozenset(leq),
-                        conflict=frozenset(conflict))
+    for i, j in itertools.combinations(range(n), 2):
+        if before[j] >> i & 1 and before[i] >> j & 1:
+            raise NotPartialOrder(f"{events[i]!r} and {events[j]!r} each precede the other")
+    pairs = list(itertools.product(range(n), repeat=2))
+    es = EventStructure(
+        events=frozenset(events),
+        leq=frozenset((events[i], events[j]) for i, j in pairs if before[j] >> i & 1),
+        conflict=frozenset((events[i], events[j]) for i, j in pairs
+                           if i != j and not together[i] >> j & 1))
     report = validate_es(es)
     if not report.ok:
         raise NotPartialOrder(str(report))

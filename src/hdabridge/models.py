@@ -228,6 +228,23 @@ class EventStructure:
                 below.setdefault(b, set()).add(a)
         return below
 
+    @cached_property
+    def masks(self) -> dict:
+        """Each event, in canonical order, to three masks over the events'
+        ranks (bit r is the event of rank r): its own bit, that bit and the
+        events it is in conflict with, and its strict causes (a cause that
+        is no event sets a bit no event has).  Built on first use and kept
+        in the instance dict, outside the fields."""
+        bit = {e: 1 << r for r, e in enumerate(sorted_by_key(self.events))}
+        blocks, needs = dict(bit), dict.fromkeys(bit, 0)
+        for a, b in self.conflict:
+            if a in bit and b in bit:
+                blocks[a] |= bit[b]
+        for e, below in self.causes.items():
+            for c in below if e in bit else ():
+                needs[e] |= bit.get(c, 1 << len(bit))
+        return {e: (b, blocks[e], needs[e]) for e, b in bit.items()}
+
 
 def make_event_structure(events, causes=(), conflicts=()) -> EventStructure:
     """Close the generating relations: reflexive-transitive for causality,
@@ -283,17 +300,18 @@ def validate_es(es: EventStructure) -> ValidationReport:
 
 
 def configurations(es: EventStructure) -> frozenset:
-    """All downward-closed conflict-free subsets, as frozensets."""
-    def extensions(config):
-        return [(e, config | {e}) for e in es.events if es_enabled(es, config, e)]
+    """All downward-closed conflict-free subsets, as frozensets.  The walk
+    runs on masks (``es.masks``): an event extends a configuration when it
+    is not in it, its causes are, and it conflicts with none of them."""
+    def extensions(x):
+        return [(e, x | b) for e, (b, blocks, needs) in es.masks.items()
+                if not x & blocks and x & needs == needs]
 
-    return frozenset(x for _, _, x, new in breadth_first([frozenset()], extensions) if new)
-
-
-def es_enabled(es: EventStructure, config: frozenset, e) -> bool:
-    """Event e can extend the configuration."""
-    return e not in config and es.causes.get(e, set()) <= config and \
-        all((e, x) not in es.conflict for x in config)
+    configs = {}
+    for x, e, y, new in breadth_first([0], extensions):
+        if new:
+            configs[y] = frozenset() if x is None else configs[x] | {e}
+    return frozenset(configs.values())
 
 
 @dataclass(frozen=True)
@@ -347,7 +365,7 @@ class Marking:
 
     @staticmethod
     def of(counts: Mapping) -> "Marking":
-        pairs = tuple(sorted(((p, int(n)) for p, n in counts.items() if n), key=canon_key))
+        pairs = tuple(sorted_by_key((p, int(n)) for p, n in counts.items() if n))
         for _, n in pairs:
             if n < 0:
                 raise ValueError("marking counts must be naturals")
@@ -391,7 +409,7 @@ class Marking:
     def deficient_place(self, other: "Marking"):
         """First place where self < other, or None."""
         mine = dict(self.items)
-        for p, n in sorted(other.items, key=canon_key):
+        for p, n in sorted_by_key(other.items):
             if mine.get(p, 0) < n:
                 return p, n, mine.get(p, 0)
         return None

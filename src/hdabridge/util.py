@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 def canon_key(value):
@@ -28,8 +29,28 @@ def canon_key(value):
     return ("repr", repr(value))
 
 
-def sorted_by_key(values):
-    return sorted(values, key=canon_key)
+def sorted_by_key(values) -> list:
+    """``values`` sorted by :func:`canon_key`.
+
+    Plain names (all ``str`` or all ``int``), and tuples or frozensets whose
+    members are all ``str`` or all ``int``, sort in that order without key
+    tuples: names and tuples as they are, frozensets by their sorted
+    members.  Any other mix, ``bool`` and subclasses included, sorts by
+    ``canon_key``.
+    """
+    values = list(values)
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in (tuple, frozenset):
+        members = set(map(type, chain.from_iterable(values)))
+        if len(members) <= 1 and members <= {str, int}:
+            values.sort(key=None if kind is tuple else lambda v: tuple(sorted(v)))
+            return values
+    elif kind in (str, int):
+        values.sort()
+        return values
+    values.sort(key=canon_key)
+    return values
 
 
 def backtrack(slots, options):

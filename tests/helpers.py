@@ -120,7 +120,7 @@ def fixpoint_event_structure(events, causes, conflicts):
 def brute_force_es_cells(es, dim):
     """Oracle: (configuration, linear word of fresh pairwise-compatible
     enabled events) pairs."""
-    from hdabridge.models import configurations, es_enabled
+    from reference import configurations, es_enabled
 
     count = 0
     for config in configurations(es):

@@ -11,7 +11,6 @@ from hdabridge.cts import (
     es_to_cts,
     multiset,
     pn_to_cts,
-    validate_cts,
 )
 from hdabridge.cubical import DegeneracyWitness, validate_hda
 from hdabridge.errors import DimensionCapExceeded, ExplosionLimit
@@ -20,6 +19,7 @@ from hdabridge.jsonio import parse_document
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.models import make_event_structure, make_pn
 from hdabridge.util import sorted_by_key
+from reference import validate_cts
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -371,6 +371,40 @@ def test_dimension_cap_stops_at_the_first_longer_word():
     sizes = [len(m) for _, m in asked]
     # at the empty configuration, orbit {a} tries {a, a} and then {a, b}, which is enabled
     assert max(sizes) == 2 and sizes.count(2) == 2
+
+
+def assert_enabled_matches_reference(es, orders=False):
+    """Every multiset of at most three events, plus one foreign event, at
+    every configuration and one state that is none; with ``orders``, every
+    ordering of each multiset too."""
+    from reference import es_cts_enabled
+    c, reference = es_to_cts(es), es_cts_enabled(es)
+    names = sorted_by_key(es.events) + ["foreign"]
+    words = [multiset(m) for k in range(4)
+             for m in itertools.combinations_with_replacement(names, k)]
+    if orders:
+        words = {w for m in words for w in itertools.permutations(m)}
+    for x in [*c.states, frozenset({"foreign"})]:
+        for w in words:
+            assert c.enabled(x, w) == reference(x, w), (x, w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_es_enabled_matches_the_pairwise_test(seed):
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(cfg.count):
+        assert_enabled_matches_reference(gen_es(index, cfg))
+
+
+def test_es_enabled_reads_a_one_way_conflict_in_multiset_order():
+    from hdabridge.models import EventStructure
+    es = EventStructure(events=frozenset("abc"), leq=frozenset({(e, e) for e in "abc"}),
+                        conflict=frozenset({("a", "c")}))
+    assert_enabled_matches_reference(es, orders=True)
+    c = es_to_cts(es)
+    # an earlier event's conflicts are read against the later ones only
+    assert not c.enabled(frozenset(), ("a", "c")) and c.enabled(frozenset(), ("c", "a"))
+    assert c.enabled(frozenset(), ("a", "b")) and not c.enabled(frozenset(), ("a", "a"))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -15,6 +15,7 @@ from hdabridge.cubical import (
 )
 from hdabridge.errors import (
     CapExceeded,
+    ExplosionLimit,
     NotLinear,
     NotOneDeterministic,
     NotPartialOrder,
@@ -44,6 +45,7 @@ from hdabridge.functors import (
     validate_hda_morphism,
 )
 from hdabridge.models import (
+    EventStructure,
     Marking,
     PnMorphism,
     TsMorphism,
@@ -59,7 +61,7 @@ from hdabridge.models import (
     validate_ts,
 )
 from hdabridge import zoo
-from hdabridge.laws import GeneratorConfig, gen_acr, gen_ts
+from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn, gen_ts
 from helpers import brute_force_es_cells, brute_force_regions, reference_net, reference_places
 
 
@@ -305,6 +307,43 @@ def test_hda_to_es_words_oracle():
         leq, conflict = word_oracle(h)
         assert es.leq == frozenset(leq)
         assert es.conflict == frozenset(conflict)
+
+
+def hda_to_es_outcomes(automata) -> set:
+    """Check ``hda_to_es`` against the frozenset walk: equal structures, or
+    errors of the same class and message.  Returns the outcomes' classes."""
+    from reference import hda_to_es as reference_hda_to_es
+
+    def outcome(f, h):
+        try:
+            return f(h)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    results = [outcome(hda_to_es, h) for h in automata]
+    assert results == [outcome(reference_hda_to_es, h) for h in automata]
+    return {r[0] if isinstance(r, tuple) else type(r) for r in results}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hda_to_es_matches_the_frozenset_walk_on_structures(seed):
+    cfg = GeneratorConfig(seed=seed)
+    automata = [es_to_hda(gen_es(i, cfg)) for i in range(cfg.count)]
+    automata += [ts_to_hda1(gen_ts(i, cfg)) for i in range(20)]
+    # labels outside the alphabet are fired in runs but are no events
+    automata += [dataclasses.replace(h, alphabet=h.alphabet[1:]) for h in automata[:40]]
+    assert hda_to_es_outcomes(automata) == {EventStructure, NotPartialOrder}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hda_to_es_matches_the_frozenset_walk_on_nets(seed):
+    cfg, automata = GeneratorConfig(seed=seed), []
+    for i in range(cfg.count):
+        try:
+            automata.append(pn_to_hda(gen_pn(i, cfg), 60, 3, truncate_cells=True))
+        except ExplosionLimit:
+            pass
+    assert hda_to_es_outcomes(automata) == {EventStructure, NotLinear, NotPartialOrder}
 
 
 def test_hda_to_es_rejects_nonlinear():
@@ -771,6 +810,26 @@ def test_determinism_and_linearity_checks():
     doubled = pn_to_hda(zoo.double_token_net(), 50, 2)
     assert not check_linear_labeling(doubled)
     assert check_strong_labeling(single)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_linear_labeling_reads_as_cell_by_cell(seed):
+    from hdabridge.cubical import word_is_linear
+
+    cfg = GeneratorConfig(seed=seed)
+    automata = [es_to_hda(gen_es(i, cfg)) for i in range(20)]
+    for i in range(cfg.count):
+        try:
+            automata.append(pn_to_hda(gen_pn(i, cfg), 60, 3, truncate_cells=True))
+        except ExplosionLimit:
+            pass
+    square = es_to_hda(make_event_structure("ab"))
+    idle = {c: (STAR, STAR) if c.dim == 2 else w for c, w in square.labeling.items()}
+    automata.append(dataclasses.replace(square, labeling=idle))  # idle letters may repeat
+    results = [check_linear_labeling(h) for h in automata]
+    assert results == [all(word_is_linear(h.labeling[c]) for c in h.skeleton.all_cells())
+                       for h in automata]
+    assert results[-1] and not all(results)
 
 
 def test_functor_outputs_pass_target_validators():

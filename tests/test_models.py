@@ -36,7 +36,7 @@ from hdabridge.models import (
     validate_ts_morphism,
     word_pre,
 )
-from hdabridge.laws import GeneratorConfig, gen_pn
+from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.util import sorted_by_key
 from helpers import reference_markings
 
@@ -117,6 +117,38 @@ def test_event_causes_table_is_built_once_and_stays_out_of_equality():
     assert es.causes is es.causes
     assert es == fresh and hash(es) == hash(fresh)
     assert "causes" not in vars(fresh)
+
+
+def one_way_conflict_es():
+    """a # c but not c # a, and b caused by a name outside the events:
+    not a valid structure, but one the mask walks must read as the frozenset
+    walks do."""
+    from hdabridge.models import EventStructure
+    return EventStructure(events=frozenset("abcd"),
+                          leq=frozenset({(e, e) for e in "abcd"} | {("a", "d"), ("z", "b")}),
+                          conflict=frozenset({("a", "c")}))
+
+
+def test_event_masks_follow_canonical_ranks_and_stay_out_of_equality():
+    es = make_event_structure("cab", causes=[("a", "c")], conflicts=[("a", "b")])
+    # a, b, c are bits 1, 2, 4; each blocks itself and what it conflicts
+    # with, and by heredity c conflicts with b
+    assert es.masks == {"a": (1, 3, 0), "b": (2, 7, 0), "c": (4, 6, 1)}
+    assert list(es.masks) == ["a", "b", "c"] and es.masks is es.masks
+    assert es == make_event_structure("abc", causes=[("a", "c")], conflicts=[("a", "b")])
+    # a cause that is no event sets a bit past the events': b is never enabled
+    assert one_way_conflict_es().masks["b"][2] == 16
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_configurations_match_the_frozenset_walk(seed):
+    from reference import configurations as reference_configurations
+    cfg = GeneratorConfig(seed=seed)
+    models = [gen_es(i, cfg) for i in range(100)] + [one_way_conflict_es()]
+    for es in models:
+        assert configurations(es) == reference_configurations(es)
+    assert configurations(one_way_conflict_es()) == {
+        frozenset(x) for x in ["", "a", "c", "ac", "ad", "acd"]}
 
 
 def test_configurations_closed_under_intersection():

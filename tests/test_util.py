@@ -1,4 +1,10 @@
-from hdabridge.util import breadth_first
+from operator import is_
+
+from hypothesis import given, settings, strategies as st
+
+from hdabridge.cubical import CellId
+from hdabridge.models import Marking
+from hdabridge.util import breadth_first, canon_key, sorted_by_key
 
 # a -> b -> d, a -> c -> d, d -> a; e -> a; f alone
 GRAPH = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": ["a"], "e": ["a"], "f": []}
@@ -39,3 +45,41 @@ def test_breadth_first_new_nodes_come_out_level_by_level():
         return [(None, j) for j in (2 * i + 1, 2 * i + 2) if j < 15]
 
     assert [y for _, _, y, new in breadth_first([0], children) if new] == list(range(15))
+
+
+names = st.text("abc", max_size=3)
+ints = st.integers(-3, 3)
+members = st.one_of(names, ints)
+flat = st.one_of(st.tuples(), st.tuples(names, names), st.tuples(ints, ints, ints),
+                 st.lists(names, max_size=3).map(tuple))
+mixed = st.lists(members, max_size=3).map(tuple)
+nested = st.lists(st.one_of(members, flat), max_size=3).map(tuple)
+VALUE_LISTS = st.one_of(
+    st.lists(names), st.lists(ints), st.lists(st.booleans()),
+    st.lists(st.one_of(ints, st.booleans())), st.lists(members),
+    st.lists(st.floats(allow_nan=False)), st.lists(st.one_of(ints, st.floats(-2, 2))),
+    st.lists(flat), st.lists(mixed), st.lists(nested), st.lists(st.one_of(flat, names)),
+    st.lists(st.frozensets(names, max_size=3)), st.lists(st.frozensets(ints, max_size=3)),
+    st.lists(st.frozensets(members, max_size=3)),
+    st.lists(st.one_of(st.frozensets(names), flat)),
+    st.lists(st.builds(CellId, st.integers(0, 2), st.integers(0, 3))),
+    st.lists(st.dictionaries(names, st.integers(1, 2), max_size=2).map(Marking.of)),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(VALUE_LISTS.flatmap(lambda xs: st.permutations(xs + xs[:2])))
+def test_sorted_by_key_is_the_canonical_order(values):
+    # the same objects in the same places: equal elements keep their order
+    got, want = sorted_by_key(iter(values)), sorted(values, key=canon_key)
+    assert list(map(type, got)) == list(map(type, want))
+    assert all(map(is_, got, want))
+
+
+def test_sorted_by_key_sorts_plain_values_as_canon_key_does():
+    assert sorted_by_key([2, "b", 1, "a"]) == [1, 2, "a", "b"]
+    assert sorted_by_key([True, 0, 1, False]) == [False, True, 0, 1]
+    assert sorted_by_key([frozenset("b"), frozenset("ac"), frozenset()]) == \
+        [frozenset(), frozenset("ac"), frozenset("b")]
+    assert sorted_by_key([("b",), (), ("a", "c")]) == [(), ("a", "c"), ("b",)]
+    assert sorted_by_key([10.0, 9.5]) == [10.0, 9.5]  # floats sort by their repr
