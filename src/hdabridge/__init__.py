@@ -12,11 +12,9 @@ from .cubical import (
     check_linear_labeling,
     check_strong_labeling,
     coskeleton_fill,
-    pad_skeleton,
     truncate,
     validate_complex,
     validate_hda,
-    word_action,
 )
 from .models import (
     Acr,
@@ -26,13 +24,11 @@ from .models import (
     PetriNet,
     TransitionSystem,
     configurations,
-    fire,
     idle_completion,
     reachable_markings,
     validate_acr,
     validate_es,
     validate_lts,
-    validate_morphism,
     validate_pn,
     validate_ts,
 )
@@ -50,7 +46,6 @@ from .functors import (
     induced_morphism,
     map_morphism,
     pn_to_hda,
-    region_check,
     transpose_to_hda,
     transpose_to_pn,
     ts_to_hda1,

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import errors, jsonio
-from .cubical import Hda, truncate, validate_hda
+from .cubical import truncate, validate_hda
 from .dot import DIM2_STYLES, hda_to_dot
 from .functors import (
     acr_to_hda2,

@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ArityMismatch, IndexOutOfRange
-from .util import ValidationReport, backtrack, sorted_by_key
+from .util import ValidationReport, backtrack
 
 STAR = "*"
 
@@ -174,16 +174,6 @@ def cell_face(c: Complex, cell: Cell, i: int, sign: str) -> DegeneracyWitness:
     return DegeneracyWitness(new_base, stars)
 
 
-def cell_degeneracy(cell: Cell, i: int) -> DegeneracyWitness:
-    """Insert a collapsed direction at position ``i`` of the final word."""
-    w = as_witness(cell)
-    n = w.dim
-    if not 0 <= i <= n:
-        raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {n}")
-    stars = tuple(sorted([p if p < i else p + 1 for p in w.stars] + [i]))
-    return DegeneracyWitness(w.base, stars)
-
-
 def cell_transpose(c: Complex, cell: Cell, i: int) -> DegeneracyWitness:
     """Swap positions ``i`` and ``i+1`` of a possibly-degenerate cell."""
     if not isinstance(c, SymmetricCubicalComplex):
@@ -202,32 +192,6 @@ def cell_transpose(c: Complex, cell: Cell, i: int) -> DegeneracyWitness:
     # both positions live on the base: they are adjacent base coordinates
     base_i = i - sum(1 for p in w.stars if p < i)
     return DegeneracyWitness(c.transpose(w.base, base_i), w.stars)
-
-
-def apply_permutation(c: Complex, cell: Cell, perm: tuple[int, ...]) -> DegeneracyWitness:
-    """Act by a permutation, decomposed into adjacent transpositions.
-
-    ``perm`` describes the action on coordinate words: position ``k`` of the
-    result reads position ``perm[k]`` of the argument.  Well-definedness of
-    the decomposition rests on the involution and braid identities, which
-    :func:`validate_complex` checks.
-    """
-    w = as_witness(cell)
-    if sorted(perm) != list(range(w.dim)):
-        raise ArityMismatch(f"{perm} is not a permutation of 0..{w.dim - 1}")
-    # bubble-sort perm to the identity, then replay the swaps backwards:
-    # an adjacent swap of the tracking list corresponds to one transposition
-    current = list(perm)
-    swaps = []
-    for top in range(len(current) - 1, 0, -1):
-        for k in range(top):
-            if current[k] > current[k + 1]:
-                current[k], current[k + 1] = current[k + 1], current[k]
-                swaps.append(k)
-    out = w
-    for k in reversed(swaps):
-        out = cell_transpose(c, out, k)
-    return out
 
 
 def nest_witness(outer_stars: tuple[int, ...], inner: DegeneracyWitness) -> DegeneracyWitness:
@@ -264,32 +228,6 @@ def word_degeneracy(w: LabelWord, k: int) -> LabelWord:
     if not 0 <= k <= len(w):
         raise ArityMismatch(f"degeneracy position {k} out of range for word of length {len(w)}")
     return w[:k] + (STAR,) + w[k:]
-
-
-def word_permute(w: LabelWord, perm: tuple[int, ...]) -> LabelWord:
-    """Reindex entries: position ``k`` of the result reads ``w[perm[k]]``."""
-    if sorted(perm) != list(range(len(w))):
-        raise ArityMismatch(f"{perm} is not a permutation of 0..{len(w) - 1}")
-    return tuple(w[p] for p in perm)
-
-
-def word_action(w: LabelWord, descriptor) -> LabelWord:
-    """Apply a cube-map descriptor to a word.
-
-    Descriptors: ``("face", k, sign)``, ``("degeneracy", k)``,
-    ``("permutation", perm)``.
-    """
-    kind = descriptor[0]
-    if kind == "face":
-        _, k, sign = descriptor
-        if sign not in SIGNS:
-            raise ArityMismatch(f"bad face sign {sign!r}")
-        return word_face(w, k)
-    if kind == "degeneracy":
-        return word_degeneracy(w, descriptor[1])
-    if kind == "permutation":
-        return word_permute(w, tuple(descriptor[1]))
-    raise ArityMismatch(f"unknown descriptor {descriptor!r}")
 
 
 def word_is_linear(w: LabelWord) -> bool:
@@ -365,24 +303,6 @@ def index_complex(
     return SymmetricCubicalComplex(skeleton=skeleton, transpositions=transpositions), keys
 
 
-def standard_cube(d: int) -> PrecubicalComplex:
-    """The solid d-cube: cells are assignments of '-', '+' or None (free)
-    to each of the d coordinates; faces fix the i-th free coordinate."""
-    cells_by_dim: dict[int, list] = {n: [] for n in range(d + 1)}
-    for signs in itertools.product(("-", "+", None), repeat=d):
-        cells_by_dim[sum(1 for s in signs if s is None)].append(signs)
-
-    def face_key(n, key, i, sign):
-        free = [pos for pos, s in enumerate(key) if s is None]
-        out = list(key)
-        out[free[i]] = sign
-        return tuple(out)
-
-    skeleton, _ = index_complex({n: sorted_by_key(keys) for n, keys in cells_by_dim.items()},
-                                face_key)
-    return skeleton
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -397,212 +317,128 @@ def validate_complex(c: Complex) -> ValidationReport:
     each one swaps faces i and i+1 and slides the distant faces through
     the transposition below; adjacent ones braid and distant ones commute.
 
-    A section is first checked a table at a time: each face or
-    transposition table of dimension n is read as one column over
-    cells(n), an identity composes two columns and compares the lists.
-    Only a section and dimension whose table check fails, or meets a
-    missing entry, is walked cell by cell, and the walk alone writes the
-    messages: sections in the order above, each dimension in turn, then
-    cell by cell.  The table check passes only when the walk would report
-    nothing, so the report is the walk's over every section and dimension.
+    Each table of dimension n is read as one column over cells(n), and an
+    identity composes columns and compares lists.  Only where the lists
+    differ are their positions read, one message per failing cell; a cell
+    missing an entry of the identity is passed over, as the missing entry
+    has its own message.  Messages go by section in the order above, then
+    by dimension; then table by table and cell by cell in the faces and
+    transpositions sections, cell by cell and identity by identity in the
+    others, with cells in the order of ``set(cells(n))``.
     """
     report = ValidationReport(subject=type(c).__name__)
-    failing = _failing_sections(c)
-    for section, n, walk in _walks(c):
-        if (section, n) in failing:
-            walk(c, n, report)
+    for messages in _complex_messages(c).values():
+        report.violations += messages
     return report
 
 
-def _column(table, ids):
-    """``table`` read at each of ``ids`` in order; None when either is None
-    or the table lacks an entry."""
-    if table is None or ids is None:
-        return None
-    try:
-        return list(map(table.__getitem__, ids))
-    except KeyError:
-        return None
+def _column(table, col) -> list:
+    """``table`` read at each entry of ``col``: None where the entry is
+    None or the table has none, and everywhere when the table is None."""
+    if table is None:
+        return [None] * len(col)
+    return list(map(table.get, col))
 
 
-def _same(left, right) -> bool:
-    """Whether ``left`` is a column, not None, and equals ``right``."""
-    return left is not None and left == right
+def _mismatches(ids, lefts: list, rights: list, template: str) -> dict:
+    """Each cell of ``ids`` where every column of ``lefts`` and ``rights``,
+    lists of columns over ``ids``, has an entry and the left entries differ
+    from the right ones, with its message: ``template`` formatted with the
+    cell, then its left entries, then its right ones."""
+    rows = zip(ids, zip(*lefts), zip(*rights))
+    return {idx: [template.format(idx, *left, *right)] for idx, left, right in rows
+            if None not in left and None not in right and left != right}
 
 
-def _face_identities(faces, n: int) -> list:
-    """face(i,a).face(j,b) = face(j-1,b).face(i,a) at dimension n with its
-    four tables, where all four exist (a missing map is a faces violation)."""
-    identities = []
-    for j in range(1, n):
-        for i in range(j):
-            for a in SIGNS:
-                for b in SIGNS:
-                    tables = (faces.get((n, j, b)), faces.get((n - 1, i, a)),
-                              faces.get((n, i, a)), faces.get((n - 1, j - 1, b)))
-                    if None not in tables:
-                        identities.append((i, j, a, b) + tables)
-    return identities
+def _by_cell(cells, failing: list) -> list:
+    """The messages of ``failing``, dicts from a cell to its messages, cell
+    by cell in the order of ``cells``, then dict by dict."""
+    failing = [found for found in failing if found]
+    return [message for idx in cells for found in failing
+            for message in found.get(idx, ())] if failing else []
 
 
-def _transposition_identities(c: SymmetricCubicalComplex, n: int) -> tuple:
-    """The slides, braids and distant commutations at dimension n whose
-    tables all exist.  Per (i, sign), faces i and i+1 swap and each distant
-    face j slides through the transposition below."""
-    F, T = c.skeleton.faces, c.transpositions
-    swap = [T.get((n, i)) for i in range(n - 1)]
-    sliding = []
-    for i in range(n - 1):
-        for a in SIGNS:
-            tables = [F.get((n, i, a)), F.get((n, i + 1, a))]
-            slides = [(j, F.get((n, j, a)), T.get((n - 1, i - 1 if j < i else i)))
-                      for j in range(n) if j not in (i, i + 1)]
-            if swap[i] is not None and None not in tables and \
-                    all(None not in pair for pair in slides):
-                sliding.append((i, a, swap[i], tables[0], tables[1], slides))
-    braids = [(i, swap[i], swap[i + 1]) for i in range(n - 2)
-              if swap[i] is not None and swap[i + 1] is not None]
-    distant = [(i, k, swap[i], swap[k]) for i in range(n - 1) for k in range(i + 2, n - 1)
-               if swap[i] is not None and swap[k] is not None]
-    return sliding, braids, distant
-
-
-def _failing_sections(c: Complex) -> set:
-    """The (section, n) of :func:`validate_complex` whose table check fails.
-    The columns of one dimension are built, checked and dropped before
-    the next."""
+def _complex_messages(c: Complex) -> dict:
+    """The messages of each section of :func:`validate_complex`, by section
+    in report order.  The columns of one dimension are built, checked and
+    dropped before the next."""
     sk = skeleton_of(c)
-    symmetric = isinstance(c, SymmetricCubicalComplex)
-    failing = set()
+    F, T = sk.faces, c.transpositions if isinstance(c, SymmetricCubicalComplex) else None
+    sections = {"faces": [], "face identities": [], "transpositions": [], "slides": []}
     for n in range(1, sk.max_dim + 1):
         ids = sk.cells.get(n, ())
         if not ids:
             continue
-        below = set(sk.cells.get(n - 1, ()))
-        face = {(i, a): _column(sk.faces.get((n, i, a)), ids) for i in range(n) for a in SIGNS}
-        holds = {
-            "faces": all(col is not None and below.issuperset(col) for col in face.values()),
-            "face identities": all(
-                _same(_column(inner_i, face[j, b]), _column(inner_j, face[i, a]))
-                for i, j, a, b, _, inner_i, _, inner_j in _face_identities(sk.faces, n)),
-        }
-        if symmetric and n >= 2:
-            cells, order = set(ids), list(ids)
-            swaps = [_column(c.transpositions.get((n, i)), ids) for i in range(n - 1)]
-            holds["transpositions"] = all(
-                col is not None and cells.issuperset(col)
-                and _column(c.transpositions[n, i], col) == order
-                for i, col in enumerate(swaps))
-            sliding, braids, distant = _transposition_identities(c, n)
-            slides_hold = all(
-                _same(_column(here, swaps[i]), face[i + 1, a])
-                and _same(_column(there, swaps[i]), face[i, a])
-                and all(_same(_column(f, swaps[i]), _column(t_below, face[j, a]))
-                        for j, f, t_below in slides)
-                for i, a, _, here, there, slides in sliding)
-            braids_hold = all(
-                _same(_column(t, _column(u, swaps[i])), _column(u, _column(t, swaps[i + 1])))
-                for i, t, u in braids)
-            distant_hold = all(
-                _same(_column(t, swaps[k]), _column(u, swaps[i])) for i, k, t, u in distant)
-            holds["slides"] = slides_hold and braids_hold and distant_hold
-        failing.update((section, n) for section, ok in holds.items() if not ok)
-    return failing
-
-
-def _walk_faces(c: Complex, n: int, report: ValidationReport) -> None:
-    sk = skeleton_of(c)
-    present, below = set(sk.cells.get(n, ())), set(sk.cells.get(n - 1, ()))
-    for i in range(n):
-        for sign in SIGNS:
-            table = sk.faces.get((n, i, sign))
-            if table is None:
-                if present:
-                    report.add(f"missing face map ({n},{i},{sign})")
-                continue
-            for idx in present:
-                if idx not in table:
-                    report.add(f"face ({n},{i},{sign}) undefined on cell {idx}")
-                elif table[idx] not in below:
-                    report.add(f"face ({n},{i},{sign}) of cell {idx} lands outside cells({n - 1})")
-
-
-def _walk_face_identities(c: Complex, n: int, report: ValidationReport) -> None:
-    sk = skeleton_of(c)
-    identities = _face_identities(sk.faces, n)
-    for idx in set(sk.cells.get(n, ())):
-        for i, j, a, b, outer_j, inner_i, outer_i, inner_j in identities:
-            try:
-                left = inner_i[outer_j[idx]]
-                right = inner_j[outer_i[idx]]
-            except KeyError:
-                continue  # already reported as missing
-            if left != right:
-                report.add(
-                    f"dim {n} cell {idx}: face({i},{a}).face({j},{b}) = {left} "
-                    f"but face({j - 1},{b}).face({i},{a}) = {right}"
-                )
-
-
-def _walk_transpositions(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
-    present = set(c.skeleton.cells.get(n, ()))
-    for i in range(n - 1):
-        table = c.transpositions.get((n, i))
-        if table is None:
-            if present:
-                report.add(f"missing transposition map ({n},{i})")
+        present, below = set(ids), set(sk.cells.get(n - 1, ()))
+        face = {}
+        for i in range(n):
+            for a in SIGNS:
+                table = F.get((n, i, a))
+                face[i, a] = col = _column(table, ids)
+                if table is None:
+                    sections["faces"].append(f"missing face map ({n},{i},{a})")
+                elif not below.issuperset(col):
+                    sections["faces"] += [
+                        f"face ({n},{i},{a}) undefined on cell {idx}" if table.get(idx) is None else
+                        f"face ({n},{i},{a}) of cell {idx} lands outside cells({n - 1})"
+                        for idx in present if table.get(idx) not in below]
+        failing = []
+        for j in range(1, n):
+            for i in range(j):
+                for a in SIGNS:
+                    for b in SIGNS:
+                        left = _column(F.get((n - 1, i, a)), face[j, b])
+                        right = _column(F.get((n - 1, j - 1, b)), face[i, a])
+                        if left != right:
+                            failing.append(_mismatches(
+                                ids, [left], [right],
+                                f"dim {n} cell {{0}}: face({i},{a}).face({j},{b}) = {{1}} "
+                                f"but face({j - 1},{b}).face({i},{a}) = {{2}}"))
+        sections["face identities"] += _by_cell(present, failing)
+        if T is None:
             continue
-        for idx in present:
-            if idx not in table:
-                report.add(f"transposition ({n},{i}) undefined on cell {idx}")
-                continue
-            if table[idx] not in present:
-                report.add(f"transposition ({n},{i}) of cell {idx} lands outside cells({n})")
-                continue
-            if table.get(table[idx]) != idx:
-                report.add(f"transposition ({n},{i}) is not an involution at cell {idx}")
-
-
-def _walk_slides(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
-    sliding, braids, distant = _transposition_identities(c, n)
-    for idx in set(c.skeleton.cells.get(n, ())):
-        for i, a, t, here, there, slides in sliding:
-            try:
-                s = t[idx]
-                lhs = [here[s], there[s]] + [f[s] for _, f, _ in slides]
-                rhs = [there[idx], here[idx]] + [below[f[idx]] for _, f, below in slides]
-            except KeyError:
-                continue
-            if lhs != rhs:
-                report.add(f"dim {n} cell {idx}: transposition {i} "
-                           f"incompatible with faces of sign {a}")
-        for i, t, u in braids:
-            try:
-                lhs = t[u[t[idx]]]
-                rhs = u[t[u[idx]]]
-            except KeyError:
-                continue
-            if lhs != rhs:
-                report.add(f"dim {n} cell {idx}: braid relation fails at {i}")
-        for i, k, t, u in distant:
-            try:
-                lhs = t[u[idx]]
-                rhs = u[t[idx]]
-            except KeyError:
-                continue
-            if lhs != rhs:
-                report.add(f"dim {n} cell {idx}: distant transpositions {i},{k} do not commute")
-
-
-def _walks(c: Complex) -> list:
-    """(section, n, walk) for every section and dimension of
-    :func:`validate_complex`, in report order; ``walk(c, n, report)`` adds
-    the section's violations at dimension n, cell by cell."""
-    sections = [("faces", 1, _walk_faces), ("face identities", 2, _walk_face_identities)]
-    if isinstance(c, SymmetricCubicalComplex):
-        sections += [("transpositions", 2, _walk_transpositions), ("slides", 2, _walk_slides)]
-    top = skeleton_of(c).max_dim
-    return [(section, n, walk) for section, low, walk in sections for n in range(low, top + 1)]
+        swaps, order = [], list(ids)
+        for i in range(n - 1):
+            table = T.get((n, i))
+            swaps.append(col := _column(table, ids))
+            if table is None:
+                sections["transpositions"].append(f"missing transposition map ({n},{i})")
+            elif not (present.issuperset(col) and _column(table, col) == order):
+                image = dict(zip(ids, col))
+                sections["transpositions"] += [
+                    f"transposition ({n},{i}) undefined on cell {idx}" if image[idx] is None else
+                    f"transposition ({n},{i}) of cell {idx} lands outside cells({n})"
+                    if image[idx] not in present else
+                    f"transposition ({n},{i}) is not an involution at cell {idx}"
+                    for idx in present
+                    if image[idx] not in present or table.get(image[idx]) != idx]
+        failing = []
+        for i in range(n - 1):
+            for a in SIGNS:
+                # faces i and i+1 swap, and each distant face j slides
+                # through the transposition below
+                lefts = [_column(F.get((n, j, a)), swaps[i]) for j in range(n)]
+                rights = [face[i + 1, a] if j == i else face[i, a] if j == i + 1 else
+                          _column(T.get((n - 1, i - 1 if j < i else i)), face[j, a])
+                          for j in range(n)]
+                if lefts != rights:
+                    failing.append(_mismatches(
+                        ids, lefts, rights,
+                        f"dim {n} cell {{0}}: transposition {i} incompatible with faces of sign {a}"))
+        for i in range(n - 2):
+            t, u = T.get((n, i)), T.get((n, i + 1))
+            left, right = _column(t, _column(u, swaps[i])), _column(u, _column(t, swaps[i + 1]))
+            if left != right:
+                failing.append(_mismatches(ids, [left], [right],
+                                           f"dim {n} cell {{0}}: braid relation fails at {i}"))
+        for i in range(n - 1):
+            for k in range(i + 2, n - 1):
+                left, right = _column(T.get((n, i)), swaps[k]), _column(T.get((n, k)), swaps[i])
+                if left != right:
+                    failing.append(_mismatches(ids, [left], [right], f"dim {n} cell {{0}}: "
+                                               f"distant transpositions {i},{k} do not commute"))
+        sections["slides"] += _by_cell(present, failing)
+    return sections
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +486,6 @@ class Hda:
             return cell
         return self.cell_keys.get(cell, cell)
 
-    def cells_by_key(self) -> dict:
-        return {self.key(c): c for c in self.skeleton.all_cells()}
-
     # Tables read by every morphism into or out of the automaton.  Each is
     # built on first use and kept in the instance dict, outside the fields.
 
@@ -693,8 +526,8 @@ def validate_hda(h: Hda) -> ValidationReport:
     are (see :func:`validate_complex`): the words of cells(n) must be
     tuples of length n over the alphabet, and through each face or
     transposition column they must read as their letters picked by one
-    itemgetter per face index or transposition.  Only a dimension that
-    fails is walked cell by cell.
+    itemgetter per face index or transposition.  Messages go cell by cell
+    in the order of cells(n): the word, then each face and transposition.
     """
     report = validate_complex(h.complex)
     report.subject = "hda"
@@ -702,10 +535,10 @@ def validate_hda(h: Hda) -> ValidationReport:
         report.add(f"initial cell {h.initial} is not a 0-cell of the complex")
     if STAR in h.alphabet:
         report.add("alphabet must not contain the idle symbol")
-    failing = _failing_labels(h)
+    below = {}
     for n in range(h.max_dim + 1):
-        if n in failing:
-            _walk_labels(h, n, report)
+        messages, below = _label_messages(h, n, below)
+        report.violations += messages
     return report
 
 
@@ -719,74 +552,67 @@ def _picked(words: list, positions: list) -> list:
     return list(map(itemgetter(*positions), words))
 
 
-def _failing_labels(h: Hda) -> set:
-    """The dimensions whose labels fail the table check of :func:`validate_hda`."""
-    failing, below = set(), {}
-    for n in range(h.max_dim + 1):
-        ids = h.skeleton.cells.get(n, ())
-        words = list(map(h.labeling.get, zip(itertools.repeat(n), ids)))
-        own = dict(zip(ids, words))
-        if not _labels_hold(h, n, ids, words, own, below):
-            failing.add(n)
-        below = own
-    return failing
-
-
-def _labels_hold(h: Hda, n: int, ids, words: list, own: dict, below: dict) -> bool:
-    """Whether ``words``, the labels of ``ids`` = cells(n), pass the table
-    check; ``own`` and ``below`` are the words of cells(n) and cells(n-1)
-    by index."""
+def _label_messages(h: Hda, n: int, below: dict) -> tuple:
+    """The messages of :func:`validate_hda` on the labels of cells(n), and
+    the words of cells(n) by index; ``below`` holds those of cells(n-1)."""
+    cells = h.skeleton.cells.get(n, ())
+    ids, words = cells, list(map(h.labeling.get, zip(itertools.repeat(n), cells)))
+    own = dict(zip(cells, words))
+    failing = []
     if not (set(map(type, words)) <= {tuple} and set(map(len, words)) <= {n}
             and (set(h.alphabet) - {STAR}).issuperset(itertools.chain.from_iterable(words))):
-        return False
+        failing.append(_word_messages(h, n, cells, words))
+        # a cell without a word of length n has no naturality to check
+        kept = [k for k, w in enumerate(words) if w is not None and len(w) == n]
+        ids, words = [cells[k] for k in kept], [words[k] for k in kept]
     for i in range(n):
-        expected = _picked(words, [k for k in range(n) if k != i])
+        expected = _picked(words, [k for k in range(n) if k != i])  # for both signs
         for sign in SIGNS:
             table = h.skeleton.faces.get((n, i, sign))
-            if table is not None and not _same(_column(below, _column(table, ids)), expected):
-                return False
+            col = _column(table, ids)
+            if table is not None and _column(below, col) != expected:
+                failing.append(_unnatural(h, n, ids, col, n - 1, expected, f"face ({i},{sign})"))
     for i in range(n - 1):
-        table = h.complex.transpositions.get((n, i))
         order = list(range(n))
         order[i], order[i + 1] = i + 1, i
-        if table is not None and \
-                not _same(_column(own, _column(table, ids)), _picked(words, order)):
-            return False
-    return True
+        table = h.complex.transpositions.get((n, i))
+        col = _column(table, ids)
+        # not kept: one list of picked words is alive at a time
+        if table is not None and _column(own, col) != _picked(words, order):
+            failing.append(_unnatural(h, n, ids, col, n, _picked(words, order),
+                                      f"transposition {i}"))
+    return _by_cell(cells, failing), own
 
 
-def _walk_labels(h: Hda, n: int, report: ValidationReport) -> None:
-    sk = h.skeleton
+def _word_messages(h: Hda, n: int, cells, words: list) -> dict:
+    """Each of ``cells`` whose word is missing, not of length n or not over
+    the idle-free alphabet, with its messages."""
     alphabet = set(h.alphabet)
-    own, below = ({cell.index: w for cell, w in h.labeling.items() if cell.dim == d}
-                  for d in (n, n - 1))
-    faces = [(i, sign, sk.faces[(n, i, sign)])
-             for i in range(n) for sign in SIGNS if (n, i, sign) in sk.faces]
-    swaps = [(i, h.complex.transpositions[(n, i)])
-             for i in range(n - 1) if (n, i) in h.complex.transpositions]
-    for idx in sk.cells.get(n, ()):
-        w = own.get(idx)
+    found = {}
+    for idx, w in zip(cells, words):
+        cell = CellId(n, idx)
         if w is None:
-            report.add(f"cell {CellId(n, idx)} has no label")
-            continue
-        if len(w) != n:
-            report.add(f"cell {CellId(n, idx)} labeled by word of length {len(w)}")
-            continue
-        for e in w:
-            if e == STAR:
-                report.add(f"cell {CellId(n, idx)} label contains the idle symbol")
-            elif e not in alphabet:
-                report.add(f"cell {CellId(n, idx)} label {e!r} outside the alphabet")
-        for i, sign, table in faces:
-            if idx in table and below.get(table[idx]) != w[:i] + w[i + 1:]:
-                report.add(f"labeling not natural at face ({i},{sign}) of {CellId(n, idx)}")
-        for i, table in swaps:
-            if idx not in table:
-                continue
-            swapped = list(w)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if own.get(table[idx]) != tuple(swapped):
-                report.add(f"labeling not natural at transposition {i} of {CellId(n, idx)}")
+            found[idx] = [f"cell {cell} has no label"]
+        elif len(w) != n:
+            found[idx] = [f"cell {cell} labeled by word of length {len(w)}"]
+        elif messages := [f"cell {cell} label contains the idle symbol" if e == STAR else
+                          f"cell {cell} label {e!r} outside the alphabet"
+                          for e in w if e == STAR or e not in alphabet]:
+            found[idx] = messages
+    return found
+
+
+def _unnatural(h: Hda, n: int, ids, col: list, d: int, expected: list, where: str) -> dict:
+    """Each n-cell of ``ids`` whose image in ``col``, a column of d-cells,
+    has a word in ``h.labeling`` other than the ``expected`` one, with its
+    message; ``where`` names the map.  Reading ``h.labeling`` counts a
+    label on a cell outside the cell lists."""
+    got = map(h.labeling.get, zip(itertools.repeat(d), col))
+    return {idx: [f"labeling not natural at {where} of {CellId(n, idx)}"]
+            for idx, image, word, want in zip(ids, col, got, expected)
+            if image is not None and word != want}
+
+
 def truncate(h: Hda, n: int) -> Hda:
     """Drop every cell above dimension ``n``; restrict all structure."""
     n = max(n, 0)
@@ -811,19 +637,6 @@ def truncate(h: Hda, n: int) -> Hda:
         initial=h.initial,
         cell_keys=keys,
     )
-
-
-def pad_skeleton(c: Complex, max_dim: int) -> Complex:
-    """View a truncated complex as unbounded up to ``max_dim``: same cells,
-    empty cell sets above the old top dimension."""
-    sk = skeleton_of(c)
-    if max_dim < sk.max_dim:
-        raise IndexOutOfRange(f"cannot pad down from {sk.max_dim} to {max_dim}")
-    cells = {n: tuple(sk.cells.get(n, ())) for n in range(max_dim + 1)}
-    padded = PrecubicalComplex(cells=cells, faces=dict(sk.faces), max_dim=max_dim)
-    if isinstance(c, PrecubicalComplex):
-        return padded
-    return SymmetricCubicalComplex(padded, dict(c.transpositions))
 
 
 # ---------------------------------------------------------------------------

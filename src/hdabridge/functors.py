@@ -424,14 +424,6 @@ class Region:
             lookup = self.__dict__["_flow_of"] = dict(self.flows)
         return lookup.get(label, (0, 0))
 
-    def word_flow(self, w: LabelWord) -> tuple[int, int]:
-        pre = post = 0
-        for e in w:
-            a, b = self.flow(e)
-            pre += a
-            post += b
-        return (pre, post)
-
     def tokens_at(self, vertex: CellId) -> int:
         lookup = self.__dict__.get("_tokens_of")
         if lookup is None:
@@ -448,21 +440,6 @@ def _coherent(pre: int, post: int, source_tokens: int, target_tokens: int) -> bo
     tokens and the token difference equals the word's flow."""
     return source_tokens >= pre and target_tokens >= post and \
         source_tokens - pre == target_tokens - post
-
-
-def region_check(h: Hda, reg: Region) -> bool:
-    """Coherence on every cell: both ends carry enough tokens and the
-    difference matches the flow of the label."""
-    flows = dict(reg.flows)
-    for a in h.alphabet:
-        if a not in flows:
-            raise ValueError(f"region does not cover label {a!r}")
-    tokens = dict(reg.tokens)
-    for v in h.cells(0):
-        if v not in tokens:
-            return False
-    return all(_coherent(*reg.word_flow(h.labeling[cell]), tokens[s], tokens[t])
-               for cell, (s, t) in h.zero_ends.items())
 
 
 def skeleton_slots(h: Hda):

@@ -15,8 +15,8 @@ from functools import cached_property
 from operator import add, ge
 from typing import Mapping, NamedTuple
 
-from .cubical import STAR, LabelWord
-from .errors import ExplosionLimit, NotEnabled, StarClash
+from .cubical import STAR
+from .errors import ExplosionLimit, StarClash
 from .util import ValidationReport, breadth_first, canon_key, sorted_by_key
 
 
@@ -388,37 +388,8 @@ class Marking:
             lookup = self.__dict__["_count_of"] = dict(self.items)
         return lookup.get(place, 0)
 
-    def __add__(self, other: "Marking") -> "Marking":
-        out = dict(self.items)
-        for p, n in other.items:
-            out[p] = out.get(p, 0) + n
-        return Marking.of(out)
-
-    def __sub__(self, other: "Marking") -> "Marking":
-        out = dict(self.items)
-        for p, n in other.items:
-            out[p] = out.get(p, 0) - n
-            if out[p] < 0:
-                raise NotEnabled(p, n, self.get(p))
-        return Marking.of(out)
-
-    def __ge__(self, other: "Marking") -> bool:
-        mine = dict(self.items)
-        return all(mine.get(p, 0) >= n for p, n in other.items)
-
-    def deficient_place(self, other: "Marking"):
-        """First place where self < other, or None."""
-        mine = dict(self.items)
-        for p, n in sorted_by_key(other.items):
-            if mine.get(p, 0) < n:
-                return p, n, mine.get(p, 0)
-        return None
-
     def canon_key(self):
         return ("marking", tuple((canon_key(p), n) for p, n in self.items))
-
-
-EMPTY_MARKING = Marking(items=())
 
 
 class TokenVectors(NamedTuple):
@@ -490,31 +461,6 @@ def validate_pn(n: PetriNet) -> ValidationReport:
         if e not in n.events:
             report.add(f"pre/post defined on non-event {e!r}")
     return report
-
-
-def word_pre(n: PetriNet, w: LabelWord) -> Marking:
-    total = EMPTY_MARKING
-    for e in w:
-        if e != STAR:
-            total = total + n.pre[e]
-    return total
-
-
-def word_post(n: PetriNet, w: LabelWord) -> Marking:
-    total = EMPTY_MARKING
-    for e in w:
-        if e != STAR:
-            total = total + n.post[e]
-    return total
-
-
-def fire(n: PetriNet, m: Marking, w: LabelWord) -> Marking:
-    """Fire all entries of the word simultaneously; idle entries count zero."""
-    need = word_pre(n, w)
-    lack = m.deficient_place(need)
-    if lack is not None:
-        raise NotEnabled(*lack)
-    return (m - need) + word_post(n, w)
 
 
 @dataclass(frozen=True)
@@ -605,19 +551,3 @@ def compose_pn_morphisms(f: PnMorphism, g: PnMorphism) -> PnMorphism:
     phi = {p: f.phi[q] for p, q in g.phi.items()}
     psi = {e: g.psi[v] for e, v in f.psi.items() if v in g.psi}
     return PnMorphism(phi=phi, psi=psi)
-
-
-# ---------------------------------------------------------------------------
-# Morphism validation dispatch
-# ---------------------------------------------------------------------------
-
-def validate_morphism(kind: str, m, src, dst) -> ValidationReport:
-    if kind == "ts":
-        return validate_ts_morphism(m, src, dst)
-    if kind == "acr":
-        return validate_acr_morphism(m, src, dst)
-    if kind == "es":
-        return validate_es_morphism(m, src, dst)
-    if kind == "pnet":
-        return validate_pn_morphism(m, src, dst)
-    raise ValueError(f"no morphism validator for kind {kind!r}")

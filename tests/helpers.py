@@ -159,7 +159,8 @@ def loops4():
 
 def brute_force_regions(h, cap):
     """Oracle: test every bounded assignment directly."""
-    from hdabridge.functors import Region, region_check
+    from hdabridge.functors import Region
+    from reference import region_check
 
     labels = sorted(h.alphabet)
     vertices = h.cells(0)
@@ -210,8 +211,8 @@ def reference_markings(n, max_states):
     from collections import deque
 
     from hdabridge.errors import ExplosionLimit, NotEnabled
-    from hdabridge.models import fire
     from hdabridge.util import sorted_by_key
+    from reference import fire
 
     events = sorted_by_key(n.events)
     seen, steps, queue = {n.m0}, set(), deque([n.m0])

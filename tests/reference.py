@@ -1,11 +1,22 @@
 """Reference encodings: rules the package runs in a faster form, or no
 longer runs, kept as the tests' oracles.
 
-``es_enabled`` and ``configurations`` walk configurations as frozensets;
-``es_cts_enabled`` is the multiset enabling test of ``es_to_cts`` read
-pair by pair; ``hda_to_es`` recovers an event structure from the runs of
-an automaton with sets of fired events.  ``validate_cts`` checks the
-axioms of a cubical transition system on every small multiset.
+Event structures and cubical transition systems: ``es_enabled`` and
+``configurations`` walk configurations as frozensets; ``es_cts_enabled``
+is the multiset enabling test of ``es_to_cts`` read pair by pair;
+``hda_to_es`` recovers an event structure from the runs of an automaton
+with sets of fired events.  ``validate_cts`` checks the axioms of a
+cubical transition system on every small multiset.
+
+Cubical sets: the solid ``standard_cube``, the actions of degeneracies
+and permutations on cells and words, and the per-cell walks: the
+reports of ``validate_complex`` and ``validate_hda``, which check a
+table at a time, must equal theirs message for message.
+
+Nets and regions: firing a word on ``Marking``s (``fire``, with
+``marking_plus``, ``marking_minus``, ``covers`` and ``deficient_place``),
+the region rule on every cell (``region_check``), and one dispatch over
+the morphism validators (``validate_morphism``).
 """
 
 from __future__ import annotations
@@ -13,11 +24,43 @@ from __future__ import annotations
 import itertools
 
 from hdabridge.cts import Cts, Multiset, multiset
-from hdabridge.cubical import STAR, check_linear_labeling
-from hdabridge.errors import NotLinear, NotPartialOrder
-from hdabridge.models import EventStructure, validate_es
+from hdabridge.cubical import (
+    SIGNS,
+    STAR,
+    Cell,
+    CellId,
+    Complex,
+    DegeneracyWitness,
+    Hda,
+    LabelWord,
+    PrecubicalComplex,
+    SymmetricCubicalComplex,
+    as_witness,
+    cell_transpose,
+    check_linear_labeling,
+    index_complex,
+    skeleton_of,
+    word_degeneracy,
+    word_face,
+)
+from hdabridge.errors import ArityMismatch, IndexOutOfRange, NotEnabled, NotLinear, NotPartialOrder
+from hdabridge.functors import Region
+from hdabridge.models import (
+    EventStructure,
+    Marking,
+    PetriNet,
+    validate_acr_morphism,
+    validate_es,
+    validate_es_morphism,
+    validate_pn_morphism,
+    validate_ts_morphism,
+)
 from hdabridge.util import ValidationReport, breadth_first, sorted_by_key
 
+
+# ---------------------------------------------------------------------------
+# Event structures and cubical transition systems
+# ---------------------------------------------------------------------------
 
 def es_enabled(es: EventStructure, config: frozenset, e) -> bool:
     """Event e can extend the configuration."""
@@ -169,3 +212,377 @@ def validate_cts(c: Cts, max_word: int) -> ValidationReport:
                     elif successor(c, mid, rest) != successor(c, x, m):
                         report.add(f"decomposition of {m!r} at {x!r} through {part!r} disagrees")
     return report
+
+
+# ---------------------------------------------------------------------------
+# Cubical sets
+# ---------------------------------------------------------------------------
+
+def standard_cube(d: int) -> PrecubicalComplex:
+    """The solid d-cube: cells are assignments of '-', '+' or None (free)
+    to each of the d coordinates; faces fix the i-th free coordinate."""
+    cells_by_dim: dict[int, list] = {n: [] for n in range(d + 1)}
+    for signs in itertools.product(("-", "+", None), repeat=d):
+        cells_by_dim[sum(1 for s in signs if s is None)].append(signs)
+
+    def face_key(n, key, i, sign):
+        free = [pos for pos, s in enumerate(key) if s is None]
+        out = list(key)
+        out[free[i]] = sign
+        return tuple(out)
+
+    skeleton, _ = index_complex({n: sorted_by_key(keys) for n, keys in cells_by_dim.items()},
+                                face_key)
+    return skeleton
+
+
+def pad_skeleton(c: Complex, max_dim: int) -> Complex:
+    """View a truncated complex as unbounded up to ``max_dim``: same cells,
+    empty cell sets above the old top dimension."""
+    sk = skeleton_of(c)
+    if max_dim < sk.max_dim:
+        raise IndexOutOfRange(f"cannot pad down from {sk.max_dim} to {max_dim}")
+    cells = {n: tuple(sk.cells.get(n, ())) for n in range(max_dim + 1)}
+    padded = PrecubicalComplex(cells=cells, faces=dict(sk.faces), max_dim=max_dim)
+    if isinstance(c, PrecubicalComplex):
+        return padded
+    return SymmetricCubicalComplex(padded, dict(c.transpositions))
+
+
+def cell_degeneracy(cell: Cell, i: int) -> DegeneracyWitness:
+    """Insert a collapsed direction at position ``i`` of the final word."""
+    w = as_witness(cell)
+    n = w.dim
+    if not 0 <= i <= n:
+        raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {n}")
+    stars = tuple(sorted([p if p < i else p + 1 for p in w.stars] + [i]))
+    return DegeneracyWitness(w.base, stars)
+
+
+def apply_permutation(c: Complex, cell: Cell, perm: tuple[int, ...]) -> DegeneracyWitness:
+    """Act by a permutation, decomposed into adjacent transpositions.
+
+    ``perm`` describes the action on coordinate words: position ``k`` of the
+    result reads position ``perm[k]`` of the argument.  Well-definedness of
+    the decomposition rests on the involution and braid identities, which
+    ``validate_complex`` checks.
+    """
+    w = as_witness(cell)
+    if sorted(perm) != list(range(w.dim)):
+        raise ArityMismatch(f"{perm} is not a permutation of 0..{w.dim - 1}")
+    # bubble-sort perm to the identity, then replay the swaps backwards:
+    # an adjacent swap of the tracking list corresponds to one transposition
+    current = list(perm)
+    swaps = []
+    for top in range(len(current) - 1, 0, -1):
+        for k in range(top):
+            if current[k] > current[k + 1]:
+                current[k], current[k + 1] = current[k + 1], current[k]
+                swaps.append(k)
+    out = w
+    for k in reversed(swaps):
+        out = cell_transpose(c, out, k)
+    return out
+
+
+def word_permute(w: LabelWord, perm: tuple[int, ...]) -> LabelWord:
+    """Reindex entries: position ``k`` of the result reads ``w[perm[k]]``."""
+    if sorted(perm) != list(range(len(w))):
+        raise ArityMismatch(f"{perm} is not a permutation of 0..{len(w) - 1}")
+    return tuple(w[p] for p in perm)
+
+
+def word_action(w: LabelWord, descriptor) -> LabelWord:
+    """Apply a cube-map descriptor to a word.
+
+    Descriptors: ``("face", k, sign)``, ``("degeneracy", k)``,
+    ``("permutation", perm)``.
+    """
+    kind = descriptor[0]
+    if kind == "face":
+        _, k, sign = descriptor
+        if sign not in SIGNS:
+            raise ArityMismatch(f"bad face sign {sign!r}")
+        return word_face(w, k)
+    if kind == "degeneracy":
+        return word_degeneracy(w, descriptor[1])
+    if kind == "permutation":
+        return word_permute(w, tuple(descriptor[1]))
+    raise ArityMismatch(f"unknown descriptor {descriptor!r}")
+
+
+def cells_by_key(h: Hda) -> dict:
+    """Each cell of ``h`` under the key it denotes in the model it was built from."""
+    return {h.key(c): c for c in h.skeleton.all_cells()}
+
+
+# ---------------------------------------------------------------------------
+# The per-cell walks of validate_complex and validate_hda
+# ---------------------------------------------------------------------------
+
+def face_identities(faces, n: int) -> list:
+    """face(i,a).face(j,b) = face(j-1,b).face(i,a) at dimension n with its
+    four tables, where all four exist (a missing map is a faces violation)."""
+    identities = []
+    for j in range(1, n):
+        for i in range(j):
+            for a in SIGNS:
+                for b in SIGNS:
+                    tables = (faces.get((n, j, b)), faces.get((n - 1, i, a)),
+                              faces.get((n, i, a)), faces.get((n - 1, j - 1, b)))
+                    if None not in tables:
+                        identities.append((i, j, a, b) + tables)
+    return identities
+
+
+def transposition_identities(c: SymmetricCubicalComplex, n: int) -> tuple:
+    """The slides, braids and distant commutations at dimension n whose
+    tables all exist.  Per (i, sign), faces i and i+1 swap and each distant
+    face j slides through the transposition below."""
+    F, T = c.skeleton.faces, c.transpositions
+    swap = [T.get((n, i)) for i in range(n - 1)]
+    sliding = []
+    for i in range(n - 1):
+        for a in SIGNS:
+            tables = [F.get((n, i, a)), F.get((n, i + 1, a))]
+            slides = [(j, F.get((n, j, a)), T.get((n - 1, i - 1 if j < i else i)))
+                      for j in range(n) if j not in (i, i + 1)]
+            if swap[i] is not None and None not in tables and \
+                    all(None not in pair for pair in slides):
+                sliding.append((i, a, swap[i], tables[0], tables[1], slides))
+    braids = [(i, swap[i], swap[i + 1]) for i in range(n - 2)
+              if swap[i] is not None and swap[i + 1] is not None]
+    distant = [(i, k, swap[i], swap[k]) for i in range(n - 1) for k in range(i + 2, n - 1)
+               if swap[i] is not None and swap[k] is not None]
+    return sliding, braids, distant
+
+
+def walk_faces(c: Complex, n: int, report: ValidationReport) -> None:
+    sk = skeleton_of(c)
+    present, below = set(sk.cells.get(n, ())), set(sk.cells.get(n - 1, ()))
+    for i in range(n):
+        for sign in SIGNS:
+            table = sk.faces.get((n, i, sign))
+            if table is None:
+                if present:
+                    report.add(f"missing face map ({n},{i},{sign})")
+                continue
+            for idx in present:
+                if idx not in table:
+                    report.add(f"face ({n},{i},{sign}) undefined on cell {idx}")
+                elif table[idx] not in below:
+                    report.add(f"face ({n},{i},{sign}) of cell {idx} lands outside cells({n - 1})")
+
+
+def walk_face_identities(c: Complex, n: int, report: ValidationReport) -> None:
+    sk = skeleton_of(c)
+    identities = face_identities(sk.faces, n)
+    for idx in set(sk.cells.get(n, ())):
+        for i, j, a, b, outer_j, inner_i, outer_i, inner_j in identities:
+            try:
+                left = inner_i[outer_j[idx]]
+                right = inner_j[outer_i[idx]]
+            except KeyError:
+                continue  # already reported as missing
+            if left != right:
+                report.add(
+                    f"dim {n} cell {idx}: face({i},{a}).face({j},{b}) = {left} "
+                    f"but face({j - 1},{b}).face({i},{a}) = {right}"
+                )
+
+
+def walk_transpositions(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
+    present = set(c.skeleton.cells.get(n, ()))
+    for i in range(n - 1):
+        table = c.transpositions.get((n, i))
+        if table is None:
+            if present:
+                report.add(f"missing transposition map ({n},{i})")
+            continue
+        for idx in present:
+            if idx not in table:
+                report.add(f"transposition ({n},{i}) undefined on cell {idx}")
+                continue
+            if table[idx] not in present:
+                report.add(f"transposition ({n},{i}) of cell {idx} lands outside cells({n})")
+                continue
+            if table.get(table[idx]) != idx:
+                report.add(f"transposition ({n},{i}) is not an involution at cell {idx}")
+
+
+def walk_slides(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
+    sliding, braids, distant = transposition_identities(c, n)
+    for idx in set(c.skeleton.cells.get(n, ())):
+        for i, a, t, here, there, slides in sliding:
+            try:
+                s = t[idx]
+                lhs = [here[s], there[s]] + [f[s] for _, f, _ in slides]
+                rhs = [there[idx], here[idx]] + [below[f[idx]] for _, f, below in slides]
+            except KeyError:
+                continue
+            if lhs != rhs:
+                report.add(f"dim {n} cell {idx}: transposition {i} "
+                           f"incompatible with faces of sign {a}")
+        for i, t, u in braids:
+            try:
+                lhs = t[u[t[idx]]]
+                rhs = u[t[u[idx]]]
+            except KeyError:
+                continue
+            if lhs != rhs:
+                report.add(f"dim {n} cell {idx}: braid relation fails at {i}")
+        for i, k, t, u in distant:
+            try:
+                lhs = t[u[idx]]
+                rhs = u[t[idx]]
+            except KeyError:
+                continue
+            if lhs != rhs:
+                report.add(f"dim {n} cell {idx}: distant transpositions {i},{k} do not commute")
+
+
+def walks(c: Complex) -> list:
+    """(section, n, walk) for every section and dimension of
+    ``validate_complex``, in report order; ``walk(c, n, report)`` adds
+    the section's violations at dimension n, cell by cell."""
+    sections = [("faces", 1, walk_faces), ("face identities", 2, walk_face_identities)]
+    if isinstance(c, SymmetricCubicalComplex):
+        sections += [("transpositions", 2, walk_transpositions), ("slides", 2, walk_slides)]
+    top = skeleton_of(c).max_dim
+    return [(section, n, walk) for section, low, walk in sections for n in range(low, top + 1)]
+
+
+
+
+def walk_labels(h: Hda, n: int, report: ValidationReport) -> None:
+    sk = h.skeleton
+    alphabet = set(h.alphabet)
+    own, below = ({cell.index: w for cell, w in h.labeling.items() if cell.dim == d}
+                  for d in (n, n - 1))
+    faces = [(i, sign, sk.faces[(n, i, sign)])
+             for i in range(n) for sign in SIGNS if (n, i, sign) in sk.faces]
+    swaps = [(i, h.complex.transpositions[(n, i)])
+             for i in range(n - 1) if (n, i) in h.complex.transpositions]
+    for idx in sk.cells.get(n, ()):
+        w = own.get(idx)
+        if w is None:
+            report.add(f"cell {CellId(n, idx)} has no label")
+            continue
+        if len(w) != n:
+            report.add(f"cell {CellId(n, idx)} labeled by word of length {len(w)}")
+            continue
+        for e in w:
+            if e == STAR:
+                report.add(f"cell {CellId(n, idx)} label contains the idle symbol")
+            elif e not in alphabet:
+                report.add(f"cell {CellId(n, idx)} label {e!r} outside the alphabet")
+        for i, sign, table in faces:
+            if idx in table and below.get(table[idx]) != w[:i] + w[i + 1:]:
+                report.add(f"labeling not natural at face ({i},{sign}) of {CellId(n, idx)}")
+        for i, table in swaps:
+            if idx not in table:
+                continue
+            swapped = list(w)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            if own.get(table[idx]) != tuple(swapped):
+                report.add(f"labeling not natural at transposition {i} of {CellId(n, idx)}")
+
+
+# ---------------------------------------------------------------------------
+# Nets, regions and morphisms
+# ---------------------------------------------------------------------------
+
+def marking_plus(m: Marking, other: Marking) -> Marking:
+    out = dict(m.items)
+    for p, n in other.items:
+        out[p] = out.get(p, 0) + n
+    return Marking.of(out)
+
+
+def marking_minus(m: Marking, other: Marking) -> Marking:
+    out = dict(m.items)
+    for p, n in other.items:
+        out[p] = out.get(p, 0) - n
+        if out[p] < 0:
+            raise NotEnabled(p, n, m.get(p))
+    return Marking.of(out)
+
+
+def covers(m: Marking, other: Marking) -> bool:
+    """Whether ``m`` holds at least the tokens of ``other`` at every place."""
+    mine = dict(m.items)
+    return all(mine.get(p, 0) >= n for p, n in other.items)
+
+
+def deficient_place(m: Marking, other: Marking):
+    """First place where m < other, or None."""
+    mine = dict(m.items)
+    for p, n in sorted_by_key(other.items):
+        if mine.get(p, 0) < n:
+            return p, n, mine.get(p, 0)
+    return None
+
+
+def word_pre(n: PetriNet, w: LabelWord) -> Marking:
+    total = Marking(items=())
+    for e in w:
+        if e != STAR:
+            total = marking_plus(total, n.pre[e])
+    return total
+
+
+def word_post(n: PetriNet, w: LabelWord) -> Marking:
+    total = Marking(items=())
+    for e in w:
+        if e != STAR:
+            total = marking_plus(total, n.post[e])
+    return total
+
+
+def fire(n: PetriNet, m: Marking, w: LabelWord) -> Marking:
+    """Fire all entries of the word simultaneously; idle entries count zero."""
+    need = word_pre(n, w)
+    lack = deficient_place(m, need)
+    if lack is not None:
+        raise NotEnabled(*lack)
+    return marking_plus(marking_minus(m, need), word_post(n, w))
+
+
+def word_flow(reg: Region, w: LabelWord) -> tuple[int, int]:
+    """The tokens the word consumes and produces in all at the region."""
+    pre = post = 0
+    for e in w:
+        a, b = reg.flow(e)
+        pre += a
+        post += b
+    return (pre, post)
+
+
+def region_check(h: Hda, reg: Region) -> bool:
+    """Coherence on every cell: both ends carry enough tokens and the
+    difference matches the flow of the label."""
+    flows = dict(reg.flows)
+    for a in h.alphabet:
+        if a not in flows:
+            raise ValueError(f"region does not cover label {a!r}")
+    tokens = dict(reg.tokens)
+    for v in h.cells(0):
+        if v not in tokens:
+            return False
+    for cell, (s, t) in h.zero_ends.items():
+        pre, post = word_flow(reg, h.labeling[cell])
+        if not (tokens[s] >= pre and tokens[t] >= post and tokens[s] - pre == tokens[t] - post):
+            return False
+    return True
+
+
+def validate_morphism(kind: str, m, src, dst) -> ValidationReport:
+    if kind == "ts":
+        return validate_ts_morphism(m, src, dst)
+    if kind == "acr":
+        return validate_acr_morphism(m, src, dst)
+    if kind == "es":
+        return validate_es_morphism(m, src, dst)
+    if kind == "pnet":
+        return validate_pn_morphism(m, src, dst)
+    raise ValueError(f"no morphism validator for kind {kind!r}")

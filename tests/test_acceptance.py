@@ -7,7 +7,6 @@ import time
 from hdabridge import zoo
 from hdabridge.cubical import (
     DegeneracyWitness,
-    standard_cube,
     truncate,
     validate_complex,
     validate_hda,
@@ -19,7 +18,6 @@ from hdabridge.functors import (
     es_to_hda,
     hda_to_es,
     pn_to_hda,
-    region_check,
     ts_to_hda1,
 )
 from hdabridge.laws import (
@@ -31,6 +29,7 @@ from hdabridge.laws import (
 )
 from hdabridge.models import make_pn, make_ts
 from helpers import brute_force_es_cells
+from reference import region_check, standard_cube, word_flow
 
 
 def timed(budget_seconds):
@@ -126,7 +125,7 @@ def test_a2_region_synthesis():
                            {by_key2[k]: 1 for k in ("x", "y1", "y2", "z")})
         assert not region_check(squared, shared)
         square_cell = squared.cells(2)[0]
-        pre_needed, _ = shared.word_flow(squared.labeling[square_cell])
+        pre_needed, _ = word_flow(shared, squared.labeling[square_cell])
         assert pre_needed == 2  # the square needs two tokens at once
         assert shared not in enumerate_regions(squared, 1)
         t.finish("A2 region synthesis")

@@ -19,7 +19,7 @@ from hdabridge.jsonio import parse_document
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.models import make_event_structure, make_pn
 from hdabridge.util import sorted_by_key
-from reference import validate_cts
+from reference import fire, validate_cts
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -135,8 +135,6 @@ def test_pn_to_cts_no_events():
 
 
 def test_pn_hda_positive_faces_fire():
-    from hdabridge.models import fire
-
     n = two_mutex_net()
     c = pn_to_cts(n, 100)
     h = cts_to_hda(c, 2)

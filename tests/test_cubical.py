@@ -10,23 +10,17 @@ from hdabridge.cubical import (
     DegeneracyWitness,
     PrecubicalComplex,
     SymmetricCubicalComplex,
-    apply_permutation,
     as_witness,
-    cell_degeneracy,
     cell_face,
     cell_transpose,
     coskeleton_fill,
     index_complex,
     nest_witness,
-    pad_skeleton,
     skeleton_of,
-    standard_cube,
     validate_complex,
-    word_action,
     word_degeneracy,
     word_face,
     word_is_linear,
-    word_permute,
 )
 from hdabridge import cts, functors
 from hdabridge.errors import ArityMismatch, ExplosionLimit, IndexOutOfRange
@@ -36,6 +30,14 @@ from hdabridge.models import make_pn
 from hdabridge.util import sorted_by_key
 
 from helpers import cube_maps, loops4, oracle_face, oracle_degeneracy, reference_faces
+from reference import (
+    apply_permutation,
+    cell_degeneracy,
+    pad_skeleton,
+    standard_cube,
+    word_action,
+    word_permute,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from hdabridge.functors import (
     induced_morphism,
     map_morphism,
     pn_to_hda,
-    region_check,
     transpose_to_hda,
     transpose_to_pn,
     ts_to_hda1,
@@ -63,6 +62,7 @@ from hdabridge.models import (
 from hdabridge import zoo
 from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn, gen_ts
 from helpers import brute_force_es_cells, brute_force_regions, reference_net, reference_places
+from reference import cells_by_key, covers, fire, region_check
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +558,8 @@ def test_synthesized_net_simulates_one_skeleton():
             (label,) = h.labeling[edge]
             src = marking_of(h.skeleton.face(edge, 0, "-"))
             tgt = marking_of(h.skeleton.face(edge, 0, "+"))
-            assert src >= synth.net.pre[label]
-            assert (src - synth.net.pre[label]) + synth.net.post[label] == tgt
+            assert covers(src, synth.net.pre[label])
+            assert fire(synth.net, src, (label,)) == tgt
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,7 @@ def test_transpose_to_pn_cap_exceeded():
     synth = hda_to_pn(h, 1)
     net = make_pn(["p"], {"p": 2}, ["u"], {"u": {"p": 2}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
-    by_key = target.cells_by_key()
+    by_key = cells_by_key(target)
     g = HdaMorphism(
         cell_map={
             c: DegeneracyWitness(by_key[(Marking.of({"p": 2}) if h.key(c) == "x" else Marking.of({}), ())])

@@ -4,16 +4,17 @@ hand-broken automata, and a differential test of their table checks.
 Each golden case breaks one or more tables of a valid automaton; the test
 pins the full report text of both validators, so every message kind, its
 wording and the order of the violations stay as they are.  The
-differential test breaks one entry of a generated automaton and requires
-the validators' reports to equal the per-cell walk run on every section
-and dimension, so a table check never passes what the walk flags.
+differential test puts up to three faults into a generated automaton,
+numbered 0..N-1 or sparsely, and requires the validators' reports to
+equal the per-cell walk of ``reference.py`` run on every section and
+dimension, message for message and in the same order.
 """
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hdabridge.cubical import STAR, CellId, Hda, PrecubicalComplex, SymmetricCubicalComplex, \
-    _walk_labels, _walks, validate_complex, validate_hda
+    validate_complex, validate_hda
 from hdabridge.errors import ExplosionLimit
 from hdabridge.functors import es_to_hda, pn_to_hda
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
@@ -21,6 +22,7 @@ from hdabridge.models import make_event_structure
 from hdabridge.util import ValidationReport
 
 from helpers import loops4
+from reference import walk_labels, walks
 
 DROP = object()  # removes a table entry, or a whole table
 
@@ -656,8 +658,32 @@ def generated(source, index, seed):
     return es_to_hda(make_event_structure("abcd"[:3 + index % 2]))
 
 
+def sparse(h, step=8):
+    """``h`` with every cell index k renumbered to k * step + 1, so that a
+    set of five or more indices no longer iterates in the order of
+    cells(n)."""
+    def renumber(tables):
+        return {key: {k * step + 1: v * step + 1 for k, v in table.items()}
+                for key, table in tables.items()}
+
+    sk = h.skeleton
+    cells = {n: tuple(k * step + 1 for k in ids) for n, ids in sk.cells.items()}
+    skeleton = PrecubicalComplex(cells, renumber(sk.faces), sk.max_dim)
+    labeling = {CellId(c.dim, c.index * step + 1): w for c, w in h.labeling.items()}
+    return Hda(SymmetricCubicalComplex(skeleton, renumber(h.complex.transpositions)),
+               h.alphabet, labeling, CellId(0, h.initial.index * step + 1))
+
+
+FAULTS = ["drop", "redirect", "non-involutive", "swap letters", "drop table", "extra index",
+          "duplicate index", "stray label"]
+
+
 def corrupt(h, how, draw):
-    """``h`` with one entry broken as ``how`` says."""
+    """``h`` with one fault of kind ``how``: an entry dropped or redirected
+    (to a cell outside the lists that may carry the label of the cell it
+    replaces), a transposition made non-involutive, two letters of a word
+    swapped, a whole table dropped, or an index added to or repeated in
+    some cells(n) at a drawn position."""
     sk, swaps = h.skeleton, h.complex.transpositions
     tables = [("faces", key) for key, table in sorted(sk.faces.items()) if table] + \
         [("transpositions", key) for key, table in sorted(swaps.items()) if table]
@@ -669,14 +695,31 @@ def corrupt(h, how, draw):
         word = list(h.labeling[cell])
         word[p], word[q] = word[q], word[p]
         return edit(h, labeling=[(cell, tuple(word))])
+    if how in ("extra index", "duplicate index"):
+        n = draw(st.integers(0, h.max_dim))
+        ids = sk.cells.get(n, ())
+        if how == "extra index":
+            idx = draw(st.sampled_from(sorted(set(range(max(ids, default=0) + 2)) - set(ids))))
+        else:
+            assume(ids)
+            idx = draw(st.sampled_from(ids))
+        at = draw(st.integers(0, len(ids)))
+        return edit(h, cells=[(n, ids[:at] + (idx,) + ids[at:])])
     if how == "non-involutive":
         tables = [entry for entry in tables if entry[0] == "transpositions"]
     assume(tables)
     kind, key = draw(st.sampled_from(tables))
+    if how == "drop table":
+        return edit(h, **{kind: [(key, None, DROP)]})
     table = (sk.faces if kind == "faces" else swaps)[key]
     idx = draw(st.sampled_from(sorted(table)))
     if how == "drop":
         value = DROP
+    elif how == "stray label":  # one past them all, labeled as the cell it replaces
+        dim = key[0] - (kind == "faces")
+        value = max(sk.cells.get(dim, ()), default=0) + 1
+        return edit(h, **{kind: [(key, idx, value)]},
+                    labeling=[(CellId(dim, value), h.labeling.get(CellId(dim, table[idx]), ()))])
     else:  # another cell of the table's codomain, or one past them all
         codomain = sk.cells.get(key[0] - (kind == "faces"), ())
         others = sorted(set(codomain) - {table[idx]})
@@ -687,30 +730,59 @@ def corrupt(h, how, draw):
     return edit(h, **{kind: [(key, idx, value)]})
 
 
-def walked(h):
-    """The report of the per-cell walk on every section and dimension.  A
-    generated automaton is pointed and its alphabet idle-free, so
-    ``validate_hda`` adds nothing between the two parts."""
-    report = ValidationReport("hda")
-    for _, n, walk in _walks(h.complex):
-        walk(h.complex, n, report)
-    complex_messages = list(report.violations)
+def walked(c):
+    """The messages of the per-cell walk on every section and dimension of
+    the complex ``c``."""
+    report = ValidationReport("walk")
+    for _, n, walk in walks(c):
+        walk(c, n, report)
+    return report.violations
+
+
+def walked_labels(h):
+    """The messages of the per-cell walk on the labels of ``h``."""
+    report = ValidationReport("walk")
     for n in range(h.max_dim + 1):
-        _walk_labels(h, n, report)
-    return complex_messages, report.violations
+        walk_labels(h, n, report)
+    return report.violations
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(source=st.sampled_from(["es", "pn", "cube"]), index=st.integers(0, 30),
-       seed=st.integers(0, 3),
-       how=st.sampled_from(["drop", "redirect", "non-involutive", "swap letters"]),
+       seed=st.integers(0, 3), renumbered=st.booleans(),
+       faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3),
        data=st.data())
-def test_table_checks_report_what_the_walk_reports(source, index, seed, how, data):
+def test_table_checks_report_what_the_walk_reports(source, index, seed, renumbered, faults, data):
+    """Up to three faults at once, on the automaton as numbered or with
+    sparse indices, where the complex sections report cells in set order
+    and the labels in the order of cells(n); the bare skeleton is checked
+    against the walk's faces and face identities.  A generated automaton
+    is pointed and its alphabet idle-free, so ``validate_hda`` adds
+    nothing between the complex's messages and the labels'."""
     h = generated(source, index, seed)
+    if renumbered:
+        h = sparse(h)
     assert validate_hda(h).ok
-    broken = corrupt(h, how, data.draw)
-    complex_messages, messages = walked(broken)
-    if how != "redirect":  # a redirected entry may land where the identities still hold
+    broken = h
+    for how in faults:
+        broken = corrupt(broken, how, data.draw)
+    complex_messages = walked(broken.complex)
+    messages = complex_messages + walked_labels(broken)
+    # a redirected entry may land where the identities still hold, and
+    # later faults may undo earlier ones
+    if {"drop", "drop table"} & set(faults) or faults in (["non-involutive"], ["swap letters"]):
         assert messages
+    assert validate_complex(broken.skeleton).violations == walked(broken.skeleton)
     assert validate_complex(broken.complex).violations == complex_messages
     assert validate_hda(broken).violations == messages
+
+
+def test_a_repeated_cell_reports_its_labels_as_often_as_it_is_listed():
+    h = sparse(cube())
+    cell = CellId(2, h.skeleton.cells[2][3])
+    swapped = edit(h, labeling=[(cell, h.labeling[cell][::-1])])
+    broken = edit(swapped, cells=[(2, h.skeleton.cells[2] + (cell.index,))])
+    messages = walked(broken.complex) + walked_labels(broken)
+    assert validate_hda(broken).violations == messages
+    once = [m for m in validate_hda(swapped).violations if m.endswith(f"of {cell}")]
+    assert once and [m for m in messages if m.endswith(f"of {cell}")] == once + once
