@@ -7,22 +7,23 @@ on multisets; the action of a word is the composite of single-event steps,
 which the axioms make order-independent.  Every CTS generates a higher
 dimensional automaton whose n-cells are the enabled words of length n.
 Those cells are grown one orbit (a state and an enabled multiset) at a
-time, expanded into their orderings in canonical (state, word) order,
-and numbered in that order by ``index_complex`` under integer keys: the
-state's rank and the ranks of the word's events, over the states and
-events in canonical order.  A CTS carries no labels: each event is its
-own label.
+time and laid out along the word prefix tree: an n-cell is an (n-1)-cell
+followed by one event, and a cell's children follow it in increasing
+event rank, which is the canonical (state, word) order over the states
+and events in canonical order.  Every face, transposition, label and key
+of an n-cell is composed from the tables of the dimension below.  A CTS
+carries no labels: each event is its own label.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from operator import ge
+from functools import cached_property, partial
+from itertools import chain, repeat, starmap
+from operator import add, ge
 from typing import Callable, Mapping
 
-from .cubical import CellId, Hda, index_complex
+from .cubical import SIGNS, CellId, Hda, PrecubicalComplex, SymmetricCubicalComplex
 from .errors import DimensionCapExceeded
 from .models import EventStructure, PetriNet, configurations, reachable_markings
 from .util import sorted_by_key
@@ -36,6 +37,17 @@ def multiset(events) -> Multiset:
 
 @dataclass(frozen=True)
 class Cts:
+    """States, events, steps and an enabling predicate on multisets.
+
+    The automaton builder relies on three properties, which every CTS
+    that ``es_to_cts`` and ``pn_to_cts`` build has: enabling is closed
+    under sub-multisets, ``delta`` is defined for every event enabled at
+    a state, and the faces of an enabled cube are enabled at the fired
+    state (if ``m + (e,)`` is enabled at x, ``m`` is enabled at
+    ``delta[x, e]``).  A CTS that breaks them makes ``cts_to_hda`` raise
+    KeyError.
+    """
+
     states: frozenset
     initial: object
     events: frozenset
@@ -52,34 +64,52 @@ class Cts:
 # CTS -> HDA
 # ---------------------------------------------------------------------------
 
-def _arrangements(ranks: tuple):
-    """The distinct orderings of a rank tuple."""
-    orders = itertools.permutations(ranks)
-    return orders if len(set(ranks)) == len(ranks) else set(orders)
+def _extensions(alone, twice, size: int) -> dict:
+    """The candidates that extend an enabled multiset of ``size``, by its
+    last rank: the events enabled alone (all of them at size 0) from that
+    rank on, and past size 1 the rank itself only if it is in ``twice``."""
+    if size == 0:
+        return {(): alone}
+    if size == 1:
+        return {(r,): alone[j:] for j, r in enumerate(alone)}
+    return {(r,): [r] * (r in twice) + alone[j + 1:] for j, r in enumerate(alone)}
 
 
-def enabled_cells_by_dim(c: Cts, max_dim: int) -> dict:
-    """Enabled star-free words per length, in canonical (state, word) order.
+def enabled_cells_by_dim(c: Cts, max_dim: int) -> tuple:
+    """The enabled star-free words of length 1..``max_dim`` as a prefix
+    tree, and the multisets that the dimension cap must test.
 
-    A word is keyed by ranks, ``(s, w)``: it is at the state
-    ``c.ranked[0][s]`` and spells the events ``c.ranked[1][r]`` for ``r``
-    in ``w``.
+    Returns ``(tree, beyond)``.  ``tree[n - 1]`` holds two columns over
+    the n-cells, ``(parents, lasts)``: cell j spells the word of the
+    (n-1)-cell ``parents[j]`` (the 0-cells are the states, by rank)
+    followed by the event of rank ``lasts[j]``.  Each cell's children
+    follow it in increasing last rank, which is canonical (state, word)
+    order.  ``beyond`` lazily yields (state, multiset) pairs of size
+    ``max_dim + 1``; some enabled word is longer than ``max_dim`` exactly
+    when one of them is enabled.
 
-    Enabling depends only on a word's multiset, so the words are grown one
-    orbit at a time: a state's enabled multisets of size n, kept as
-    nondecreasing rank tuples, are extended only by events at or after
-    their last one, with one ``c.enabled`` call per candidate.  Every
-    sub-multiset of an enabled multiset is enabled, so this finds them all,
-    and past size 1 the candidates are only the events enabled alone.
-    Each orbit is then expanded into its distinct orderings, sorted.
+    Words are grown one orbit (an enabled multiset, as a nondecreasing
+    rank tuple) at a time, extended only by events at or after the last
+    one, with one ``c.enabled`` call per candidate.  Every sub-multiset
+    of an enabled multiset is enabled, so past size 1 the candidates are
+    only the events enabled alone, and past size 2 a multiset is extended
+    by its own last event e only where (e, e) is enabled.  Each orbit M
+    adds each distinct letter e of M to the children of the orbit M - e;
+    taken in order, the orbits list every orbit's children by rank.
     """
     states, events = c.ranked
-    cells = {n: [] for n in range(max_dim + 1)}
+    size = len(events)
+    # per dimension and orbit: its children, as child orbit * size + last rank
+    kids = [[[] for _ in states]] + [[] for _ in range(max_dim)]
+    numbered = [len(states)] + [0] * max_dim  # orbits numbered so far, per dimension
+    tops = []
     for s, x in enumerate(states):
-        cells[0].append((s, ()))
         orbits = [((), ())]  # (ranks, events) of the enabled multisets
-        after = {(): range(len(events))}  # an orbit's candidates, by its last rank
+        ids = {(): s}  # orbit ranks -> orbit number in its dimension
+        alone, twice = range(size), ()
         for n in range(1, max_dim + 1):
+            if n <= 3:  # the candidates change with the size up to size 2
+                after = _extensions(alone, twice, n - 1)
             orbits = [(ranks + (r,), m + (events[r],))
                       for ranks, m in orbits
                       for r in after[ranks[-1:]]
@@ -88,22 +118,37 @@ def enabled_cells_by_dim(c: Cts, max_dim: int) -> dict:
                 break
             if n == 1:
                 alone = [r for (r,), _ in orbits]
-                after = {(r,): alone[j:] for j, r in enumerate(alone)}
-            cells[n].extend((s, w) for w in sorted(
-                w for ranks, _ in orbits for w in _arrangements(ranks)))
-    return cells
+            elif n == 2:
+                twice = {r for (r, q), _ in orbits if r == q}
+            smaller, below, ids = kids[n - 1], ids, {}  # the orbits one smaller
+            for j, (ranks, _) in enumerate(orbits, numbered[n]):
+                ids[ranks] = j
+                for k, r in enumerate(ranks):
+                    if not k or r != ranks[k - 1]:
+                        smaller[below[ranks[:k] + ranks[k + 1:]]].append(j * size + r)
+            numbered[n] += len(orbits)
+            if n < max_dim:
+                kids[n] += [[] for _ in orbits]
+        else:
+            tops.append((x, orbits, alone, twice))
+    beyond = ((x, m + (events[r],)) for x, orbits, alone, twice in tops
+              for after in [_extensions(alone, twice, min(max_dim, 2))]
+              for ranks, m in orbits for r in after[ranks[-1:]])
+
+    tree, orbit = [], range(len(states))  # orbit: each cell's orbit number
+    for children in kids[:max_dim]:
+        counts = map(len, map(children.__getitem__, orbit))
+        packed = list(chain.from_iterable(map(children.__getitem__, orbit)))
+        tree.append((list(chain.from_iterable(map(repeat, range(len(orbit)), counts))),
+                     list(map(size.__rmod__, packed))))
+        orbit = list(map(size.__rfloordiv__, packed))
+    return tree, beyond
 
 
-def _enabled_beyond(c: Cts, states: list, events: list, top: list) -> bool:
-    """Whether some rank-keyed word of ``top`` extends to a longer enabled
-    word.  Only the nondecreasing word of each orbit is extended, and only
-    by events at or after its last one."""
-    for s, w in top:
-        if list(w) == sorted(w):
-            m = tuple(map(events.__getitem__, w))
-            if any(c.enabled(states[s], m + (e,)) for e in events[w[-1] if w else 0:]):
-                return True
-    return False
+def _cell_ids(n: int, count: int) -> list:
+    """``[CellId(n, j) for j in range(count)]``, built without a Python
+    call per cell."""
+    return list(map(partial(tuple.__new__, CellId), zip(repeat(n), range(count))))
 
 
 def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
@@ -113,37 +158,74 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
     state through that letter.  Transpositions permute adjacent letters.
     Raises DimensionCapExceeded when an enabled word longer than ``max_dim``
     exists, unless ``truncate_cells`` asks for the truncated automaton.
+
+    Tables are composed along the prefix tree, looking a cell up by its
+    parent and last event rank (``child``).  For a cell g.a.b, face
+    (n-1,-) is its parent g.a, face (n-1,+) is child(face(n-2,+)(g.b), a)
+    (for n = 1, the state's step), transposition n-2 is g.b.a, and
+    transposition i < n-2 is child(T(n-1,i)(g.a), b).  Every face below
+    the last is face(i+1) . transposition(i).
     """
     if max_dim < 0:  # no automaton: every state's empty word is longer
         raise DimensionCapExceeded(f"enabled words longer than {max_dim} exist; the least cap is 0")
-    states, events = c.ranked
-    cells_by_dim = enabled_cells_by_dim(c, max_dim)
-    if not truncate_cells and _enabled_beyond(c, states, events, cells_by_dim[max_dim]):
+    tree, beyond = enabled_cells_by_dim(c, max_dim)
+    if not truncate_cells and any(starmap(c.enabled, beyond)):
         raise DimensionCapExceeded(
             f"enabled words longer than {max_dim} exist; pass truncate_cells=True to drop them")
 
-    # faces and transpositions act on the rank keys as int tuples; each
-    # cell's word of events is spelled out once, for its label and its key
-    state_rank = dict(zip(states, itertools.count()))
-    event_rank = dict(zip(events, itertools.count()))
-    step = {(state_rank[x], event_rank[e]): state_rank[y] for (x, e), y in c.delta.items()}
+    states, events = c.ranked
+    size = len(events)
 
-    def face_key(n, key, i, sign):
-        x, w = key
-        return (x if sign == "-" else step[x, w[i]], w[:i] + w[i + 1:])
+    def child_keys(parents, ranks):
+        return map(add, map(size.__mul__, parents), ranks)
 
-    def transpose_key(n, key, i):
-        x, w = key
-        return (x, w[:i] + (w[i + 1], w[i]) + w[i + 2:])
+    state_rank = dict(zip(states, range(len(states))))
+    event_rank = dict(zip(events, range(size)))
+    step = {state_rank[x] * size + event_rank[e]: state_rank[y] for (x, e), y in c.delta.items()}
+    single = [(e,) for e in events]
 
-    complex_, keys = index_complex(cells_by_dim, face_key, transpose_key)
-    words = [tuple(map(events.__getitem__, w)) for _, w in keys.values()]
+    ids = _cell_ids(0, len(states))
+    cells, faces, transpositions = {0: tuple(range(len(states)))}, {}, {}
+    labeling = dict.fromkeys(ids, ())
+    cell_keys = dict(zip(ids, zip(states, repeat(()))))
+    at, words = range(len(states)), [()] * len(states)  # each cell's state rank and word
+    child = None  # child[p * size + r]: the cell that extends cell p by event rank r
+    for n, (parents, lasts) in enumerate(tree, 1):
+        count = len(parents)
+        below, child = child, dict(zip(child_keys(parents, lasts), range(count)))
+        if n == 1:
+            swaps, last_plus = [], list(map(step.__getitem__, child_keys(parents, lasts)))
+        else:
+            up, ups = tree[n - 2]
+            grand, before = list(map(up.__getitem__, parents)), list(map(ups.__getitem__, parents))
+            dropped = list(map(below.__getitem__, child_keys(grand, lasts)))  # g.b
+            swaps = [list(map(child.__getitem__, child_keys(map(table.__getitem__, parents), lasts)))
+                     for table in swaps]
+            swaps.append(list(map(child.__getitem__, child_keys(dropped, before))))
+            last_plus = list(map(below.__getitem__,
+                                 child_keys(map(columns[n - 2, "+"].__getitem__, dropped), before)))
+        columns = {(n - 1, "-"): parents, (n - 1, "+"): last_plus}
+        for i in reversed(range(n - 1)):
+            for sign in SIGNS:
+                columns[i, sign] = list(map(columns[i + 1, sign].__getitem__, swaps[i]))
+        cells[n] = tuple(range(count))
+        for i in range(n):
+            for sign in SIGNS:
+                faces[(n, i, sign)] = dict(enumerate(columns[i, sign]))
+        for i, swap in enumerate(swaps):
+            transpositions[(n, i)] = dict(enumerate(swap))
+        ids = _cell_ids(n, count)
+        at = list(map(at.__getitem__, parents))
+        words = list(map(add, map(words.__getitem__, parents), map(single.__getitem__, lasts)))
+        labeling.update(zip(ids, words))
+        cell_keys.update(zip(ids, zip(map(states.__getitem__, at), words)))
+    skeleton = PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim)
     return Hda(
-        complex=complex_,
+        complex=SymmetricCubicalComplex(skeleton=skeleton, transpositions=transpositions),
         alphabet=tuple(events),
-        labeling=dict(zip(keys, words)),
+        labeling=labeling,
         initial=CellId(0, state_rank[c.initial]),
-        cell_keys={cell: (states[s], w) for (cell, (s, _)), w in zip(keys.items(), words)},
+        cell_keys=cell_keys,
     )
 
 

@@ -269,7 +269,6 @@ def index_complex(
     A symmetric complex looks up only its transpositions and last faces
     (i = n-1) by key, and composes each face below as face(i+1) .
     transposition(i); the key maps must satisfy that identity, as every
-    CTS does (moving a letter keeps a word in its orbit) and every
     validated ACR does (its squares close).
     """
     max_dim = max(cells_by_dim, default=0)

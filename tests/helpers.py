@@ -146,15 +146,51 @@ def reference_faces(cells_by_dim, face_key):
             for n in range(1, len(ordered)) for i in range(n) for sign in SIGNS}
 
 
-def loops4():
-    """One state with four looping events that may all run at once: the
-    4-cells are the 24 orderings of ``abcd``."""
-    from hdabridge.cts import Cts, cts_to_hda
+def reference_transpositions(cells_by_dim, transpose_key):
+    """Oracle: every transposition table of the keyed cells, by calling
+    ``transpose_key`` on each key, in the order ``index_complex`` files
+    its tables."""
+    ordered = [list(cells_by_dim.get(n, ())) for n in range(max(cells_by_dim, default=0) + 1)]
+    number = [{k: i for i, k in enumerate(keys)} for keys in ordered]
+    return {(n, i): {j: number[n][transpose_key(n, k, i)] for j, k in enumerate(ordered[n])}
+            for n in range(2, len(ordered)) for i in range(n - 1)}
+
+
+def loops4_cts():
+    """One state with four looping events that may all run at once."""
+    from hdabridge.cts import Cts
 
     events = frozenset("abcd")
-    c = Cts(states=frozenset({0}), initial=0, events=events,
-            delta={(0, e): 0 for e in events}, enabled=lambda x, m: len(set(m)) == len(m))
-    return cts_to_hda(c, 4)
+    return Cts(states=frozenset({0}), initial=0, events=events,
+               delta={(0, e): 0 for e in events}, enabled=lambda x, m: len(set(m)) == len(m))
+
+
+def loops4():
+    """The automaton of ``loops4_cts``: its 4-cells are the 24 orderings
+    of ``abcd``."""
+    from hdabridge.cts import cts_to_hda
+
+    return cts_to_hda(loops4_cts(), 4)
+
+
+def token_net(tokens, pre, post):
+    """A net on the places its arcs name, with ``tokens`` tokens on p0."""
+    from hdabridge.models import make_pn
+
+    places = sorted({p for arcs in (pre, post) for ps in arcs.values() for p in ps} | {"p0"})
+    return make_pn(places, {"p0": tokens}, sorted(pre), pre, post)
+
+
+def pipeline_net():
+    """Six tokens through a 2-stage pipeline: each event runs concurrently
+    with itself, up to six times at once."""
+    return token_net(6, {"t0": {"p0": 1}, "t1": {"p1": 1}}, {"t0": {"p1": 1}, "t1": {"p2": 1}})
+
+
+def fork_join_net():
+    """Three tokens through a fork, two branches and a join."""
+    return token_net(3, {"f": {"p0": 1}, "j": {"z0": 1, "z1": 1}, "w0": {"a0": 1}, "w1": {"a1": 1}},
+                     {"f": {"a0": 1, "a1": 1}, "j": {"e": 1}, "w0": {"z0": 1}, "w1": {"z1": 1}})
 
 
 def brute_force_regions(h, cap):

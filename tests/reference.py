@@ -6,7 +6,9 @@ Event structures and cubical transition systems: ``es_enabled`` and
 is the multiset enabling test of ``es_to_cts`` read pair by pair;
 ``hda_to_es`` recovers an event structure from the runs of an automaton
 with sets of fired events.  ``validate_cts`` checks the axioms of a
-cubical transition system on every small multiset.
+cubical transition system on every small multiset, and
+``cts_to_hda_by_keys`` builds its automaton from sorted keys through
+``index_complex``.
 
 Cubical sets: the solid ``standard_cube``, the actions of degeneracies
 and permutations on cells and words, and the per-cell walks: the
@@ -43,7 +45,14 @@ from hdabridge.cubical import (
     word_degeneracy,
     word_face,
 )
-from hdabridge.errors import ArityMismatch, IndexOutOfRange, NotEnabled, NotLinear, NotPartialOrder
+from hdabridge.errors import (
+    ArityMismatch,
+    DimensionCapExceeded,
+    IndexOutOfRange,
+    NotEnabled,
+    NotLinear,
+    NotPartialOrder,
+)
 from hdabridge.functors import Region
 from hdabridge.models import (
     EventStructure,
@@ -212,6 +221,46 @@ def validate_cts(c: Cts, max_word: int) -> ValidationReport:
                     elif successor(c, mid, rest) != successor(c, x, m):
                         report.add(f"decomposition of {m!r} at {x!r} through {part!r} disagrees")
     return report
+
+
+def cts_to_hda_by_keys(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
+    """``cts_to_hda`` built from keys: every enabled multiset of each size,
+    at every state, expanded into its distinct orderings and sorted as
+    rank keys ``(state rank, event-rank word)``, then numbered by
+    ``index_complex`` with faces and transpositions that act on the
+    keys."""
+    states, events = c.ranked
+
+    def orbits(n):
+        return [(s, ranks) for s, x in enumerate(states)
+                for ranks in itertools.combinations_with_replacement(range(len(events)), n)
+                if c.enabled(x, tuple(events[r] for r in ranks))]
+
+    if max_dim < 0 or (not truncate_cells and orbits(max_dim + 1)):
+        raise DimensionCapExceeded(f"enabled words longer than {max_dim} exist")
+    cells_by_dim = {n: sorted((s, w) for s, ranks in orbits(n) for w in set(itertools.permutations(ranks)))
+                    for n in range(max_dim + 1)}
+    state_rank = {x: s for s, x in enumerate(states)}
+    event_rank = {e: r for r, e in enumerate(events)}
+    step = {(state_rank[x], event_rank[e]): state_rank[y] for (x, e), y in c.delta.items()}
+
+    def face_key(n, key, i, sign):
+        x, w = key
+        return (x if sign == "-" else step[x, w[i]], w[:i] + w[i + 1:])
+
+    def transpose_key(n, key, i):
+        x, w = key
+        return (x, w[:i] + (w[i + 1], w[i]) + w[i + 2:])
+
+    complex_, keys = index_complex(cells_by_dim, face_key, transpose_key)
+    words = [tuple(events[r] for r in w) for _, w in keys.values()]
+    return Hda(
+        complex=complex_,
+        alphabet=tuple(events),
+        labeling=dict(zip(keys, words)),
+        initial=CellId(0, state_rank[c.initial]),
+        cell_keys={cell: (states[s], w) for (cell, (s, _)), w in zip(keys.items(), words)},
+    )
 
 
 # ---------------------------------------------------------------------------

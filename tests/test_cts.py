@@ -15,11 +15,12 @@ from hdabridge.cts import (
 from hdabridge.cubical import DegeneracyWitness, validate_hda
 from hdabridge.errors import DimensionCapExceeded, ExplosionLimit
 from hdabridge.functors import induced_morphism
-from hdabridge.jsonio import parse_document
+from hdabridge.jsonio import parse_document, print_document
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.models import make_event_structure, make_pn
 from hdabridge.util import sorted_by_key
-from reference import fire, validate_cts
+from helpers import fork_join_net, loops4_cts, pipeline_net
+from reference import cts_to_hda_by_keys, fire, validate_cts
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -239,11 +240,15 @@ def brute_force_cells(c: Cts, max_dim: int) -> dict:
 
 
 def grown_cells(c: Cts, max_dim: int) -> dict:
-    """``enabled_cells_by_dim`` with its rank keys mapped back to the
-    states and events they rank."""
+    """``enabled_cells_by_dim``'s prefix tree read back as (state, word)
+    keys: a cell's key is its parent's with one event appended."""
     states, events = sorted_by_key(c.states), sorted_by_key(c.events)
-    return {n: [(states[s], tuple(events[r] for r in w)) for s, w in cells]
-            for n, cells in enabled_cells_by_dim(c, max_dim).items()}
+    cells = {0: [(x, ()) for x in states]}
+    tree, _ = enabled_cells_by_dim(c, max_dim)
+    for n, (parents, lasts) in enumerate(tree, 1):
+        cells[n] = [(cells[n - 1][p][0], cells[n - 1][p][1] + (events[r],))
+                    for p, r in zip(parents, lasts)]
+    return cells
 
 
 def assert_matches_brute_force(c: Cts, max_dim: int):
@@ -344,6 +349,70 @@ def test_cell_keys_are_the_grown_cells_on_fixtures(name):
     assert_numbered_as_grown(es_to_cts(model) if kind == "es" else pn_to_cts(model, 200), 4)
 
 
+# ---------------------------------------------------------------------------
+# the prefix-tree builder against the automaton built from sorted keys
+# ---------------------------------------------------------------------------
+
+def built(build, c: Cts, max_dim: int, truncate: bool):
+    try:
+        return build(c, max_dim, truncate_cells=truncate)
+    except DimensionCapExceeded:
+        return None
+
+
+def assert_built_as_by_keys(c: Cts, caps):
+    """At each cap, with and without truncation, ``cts_to_hda`` builds the
+    automaton that ``index_complex`` numbers from the sorted keys, with
+    every table filed in the same order and the same printed document,
+    or both refuse the cap."""
+    for max_dim in caps:
+        for truncate in (False, True):
+            h = built(cts_to_hda, c, max_dim, truncate)
+            expected = built(cts_to_hda_by_keys, c, max_dim, truncate)
+            assert h == expected, (max_dim, truncate)
+            if h is None:
+                continue
+            assert list(h.labeling) == list(expected.labeling)
+            assert list(h.cell_keys) == list(expected.cell_keys)
+            assert list(h.skeleton.faces) == list(expected.skeleton.faces)
+            assert list(h.complex.transpositions) == list(expected.complex.transpositions)
+            assert print_document("hda", h) == print_document("hda", expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prefix_tree_builds_the_keyed_automaton_on_generated_models(seed):
+    cfg = GeneratorConfig(seed=seed, max_events=5)
+    for index in range(40):
+        cts = [es_to_cts(gen_es(index, cfg))]
+        try:
+            cts.append(pn_to_cts(gen_pn(index, cfg), 60))
+        except ExplosionLimit:
+            pass
+        for c in cts:
+            assert_built_as_by_keys(c, [0, 1, 2, 3, 4, len(c.events)])
+
+
+def test_prefix_tree_builds_the_keyed_automaton_with_repeated_events():
+    assert_built_as_by_keys(loops4_cts(), range(6))
+    assert_built_as_by_keys(pn_to_cts(pipeline_net(), 100), range(8))
+    assert_built_as_by_keys(pn_to_cts(fork_join_net(), 100), range(7))
+
+
+@pytest.mark.parametrize("broken", ["no step", "face not enabled"])
+def test_a_cts_breaking_the_builder_contract_raises_key_error(broken):
+    """A square at state 0 whose positive face along b, the a-edge at the
+    state b reaches, is not enabled there; or whose step along b is
+    missing."""
+    delta = {(0, "a"): 1, (0, "b"): 2, (1, "b"): 3, (2, "a"): 3}
+    if broken == "no step":
+        del delta[0, "b"]
+    allowed = {0: {(), ("a",), ("b",), ("a", "b")}, 1: {(), ("b",)}, 2: {()}, 3: {()}}
+    c = Cts(states=frozenset(range(4)), initial=0, events=frozenset("ab"), delta=delta,
+            enabled=lambda x, m: m in allowed[x])
+    with pytest.raises(KeyError):
+        cts_to_hda(c, 2)
+
+
 def recording(c: Cts):
     """``c`` with an ``enabled`` that records every (state, multiset) it is asked."""
     asked = []
@@ -369,6 +438,21 @@ def test_dimension_cap_stops_at_the_first_longer_word():
     sizes = [len(m) for _, m in asked]
     # at the empty configuration, orbit {a} tries {a, a} and then {a, b}, which is enabled
     assert max(sizes) == 2 and sizes.count(2) == 2
+
+
+def test_event_structure_growth_repeats_no_event_past_size_two():
+    """An event structure never enables a repeated event, so neither growth
+    nor the dimension cap extends a multiset by its own last event e
+    unless (e, e) is enabled: only size 2 asks about a repeat."""
+    cfg = GeneratorConfig(seed=1, max_events=5)
+    for es in [make_event_structure("abcdef")] + [gen_es(index, cfg) for index in range(20)]:
+        c, asked = recording(es_to_cts(es))
+        cts_to_hda(c, len(es.events))
+        try:
+            cts_to_hda(c, 2)  # the cap check extends the multisets of size 2
+        except DimensionCapExceeded:
+            pass
+        assert all(len(set(m)) == len(m) for _, m in asked if len(m) > 2)
 
 
 def assert_enabled_matches_reference(es, orders=False):

@@ -22,14 +22,24 @@ from hdabridge.cubical import (
     word_face,
     word_is_linear,
 )
-from hdabridge import cts, functors
+from hdabridge import functors
+from hdabridge.cts import es_to_cts, pn_to_cts
 from hdabridge.errors import ArityMismatch, ExplosionLimit, IndexOutOfRange
 from hdabridge.functors import acr_to_hda2, es_to_hda, pn_to_hda
 from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn
-from hdabridge.models import make_pn
 from hdabridge.util import sorted_by_key
 
-from helpers import cube_maps, loops4, oracle_face, oracle_degeneracy, reference_faces
+from helpers import (
+    cube_maps,
+    fork_join_net,
+    loops4,
+    loops4_cts,
+    oracle_degeneracy,
+    oracle_face,
+    pipeline_net,
+    reference_faces,
+    reference_transpositions,
+)
 from reference import (
     apply_permutation,
     cell_degeneracy,
@@ -518,8 +528,7 @@ def indexed(monkeypatch):
         calls.append((cells_by_dim, face_key, complex_))
         return complex_, keys
 
-    for module in (cts, functors):
-        monkeypatch.setattr(module, "index_complex", spy)
+    monkeypatch.setattr(functors, "index_complex", spy)
     return calls
 
 
@@ -531,33 +540,50 @@ def assert_faces_by_key(calls):
         assert list(complex_.skeleton.faces) == list(expected)  # filed in the same order
 
 
-def token_net(tokens, pre, post):
-    """A net on the places its arcs name, with ``tokens`` tokens on p0."""
-    places = sorted({p for arcs in (pre, post) for ps in arcs.values() for p in ps} | {"p0"})
-    return make_pn(places, {"p0": tokens}, sorted(pre), pre, post)
+def assert_cts_tables_by_key(c, h):
+    """The automaton of the CTS ``c`` has the face and transposition tables
+    that act on its own cell keys (state, word): a face drops a letter,
+    firing it for the positive sign, and a transposition swaps two."""
+    cells_by_dim = {n: [h.cell_keys[cell] for cell in h.cells(n)] for n in range(h.max_dim + 1)}
+
+    def face_key(n, key, i, sign):
+        x, w = key
+        return (x if sign == "-" else c.delta[x, w[i]], w[:i] + w[i + 1:])
+
+    def transpose_key(n, key, i):
+        x, w = key
+        return (x, w[:i] + (w[i + 1], w[i]) + w[i + 2:])
+
+    faces = reference_faces(cells_by_dim, face_key)
+    assert h.skeleton.faces == faces
+    assert list(h.skeleton.faces) == list(faces)  # filed in the same order
+    transpositions = reference_transpositions(cells_by_dim, transpose_key)
+    assert h.complex.transpositions == transpositions
+    assert list(h.complex.transpositions) == list(transpositions)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_composed_faces_are_the_faces_by_key_on_generated_models(seed, indexed):
     cfg = GeneratorConfig(seed=seed, max_events=5)
     for index in range(20):
-        es_to_hda(gen_es(index, cfg))
+        es = gen_es(index, cfg)
+        assert_cts_tables_by_key(es_to_cts(es), es_to_hda(es))
         acr_to_hda2(gen_acr(index, cfg))
         try:
-            pn_to_hda(gen_pn(index, cfg), 60, 4, truncate_cells=True)
+            h = pn_to_hda(gen_pn(index, cfg), 60, 4, truncate_cells=True)
         except ExplosionLimit:
-            pass
+            continue
+        assert_cts_tables_by_key(pn_to_cts(gen_pn(index, cfg), 60), h)
     assert_faces_by_key(indexed)
 
 
-def test_composed_faces_are_the_faces_by_key_with_repeated_events(indexed):
-    pipeline = token_net(6, {"t0": {"p0": 1}, "t1": {"p1": 1}}, {"t0": {"p1": 1}, "t1": {"p2": 1}})
-    fork_join = token_net(3, {"f": {"p0": 1}, "j": {"z0": 1, "z1": 1}, "w0": {"a0": 1}, "w1": {"a1": 1}},
-                          {"f": {"a0": 1, "a1": 1}, "j": {"e": 1}, "w0": {"z0": 1}, "w1": {"z1": 1}})
-    assert [len(pn_to_hda(pipeline, 100, 6).cells(n)) for n in range(7)] == [28, 42, 60, 80, 96, 96, 64]
-    pn_to_hda(fork_join, 100, 4, truncate_cells=True)
-    loops4()
-    assert_faces_by_key(indexed)
+def test_composed_faces_are_the_faces_by_key_with_repeated_events():
+    pipeline, fork_join = pipeline_net(), fork_join_net()
+    h = pn_to_hda(pipeline, 100, 6)
+    assert [len(h.cells(n)) for n in range(7)] == [28, 42, 60, 80, 96, 96, 64]
+    assert_cts_tables_by_key(pn_to_cts(pipeline, 100), h)
+    assert_cts_tables_by_key(pn_to_cts(fork_join, 100), pn_to_hda(fork_join, 100, 4, truncate_cells=True))
+    assert_cts_tables_by_key(loops4_cts(), loops4())
 
 
 def loop_face(n, key, i, sign):
