@@ -8,6 +8,7 @@ environment variable seeds the law suites.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -117,7 +118,10 @@ def cmd_translate(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("HDABRIDGE_SEED", "0"))
+    try:
+        seed = args.seed if args.seed is not None else int(os.environ.get("HDABRIDGE_SEED", "0"))
+    except ValueError:
+        _parser().error(f"HDABRIDGE_SEED: invalid int value: {os.environ['HDABRIDGE_SEED']!r}")
     cfg = GeneratorConfig(seed=seed, count=args.count)
     wanted = SUITES if args.suite == "all" else (args.suite,)
     reports = [SUITES[suite](cfg) for suite in wanted]
@@ -165,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the model kind's axiom validator")
     p.add_argument("path", help="model document, or - for stdin")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("translate", help="apply a translation between kinds")
     p.add_argument("path", help="model document, or - for stdin")
@@ -179,14 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate", action="store_true",
                    help="drop cells above --max-dim instead of failing")
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("laws", help="run a law suite on seeded random models")
     p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to HDABRIDGE_SEED or 0")
     p.add_argument("--count", type=at_least(0), default=100)
-    p.set_defaults(func=cmd_laws)
 
     p = sub.add_parser("export-dot", help="render the 1-skeleton as DOT")
     p.add_argument("path", help="model document, or - for stdin")
@@ -194,15 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how to render squares")
     p.add_argument("--max-states", type=at_least(1), default=10000, dest="max_states")
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_export_dot)
     return parser
 
 
+_parser = functools.cache(build_parser)  # caches the builder, not the name: see README
+COMMANDS = {"validate": cmd_validate, "translate": cmd_translate, "laws": cmd_laws,
+            "export-dot": cmd_export_dot}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except errors.HdaBridgeError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return err.exit_code

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,13 +8,16 @@ import sys
 import pytest
 
 from hdabridge import errors, jsonio, zoo
-from hdabridge.cli import main
+from hdabridge.cli import build_parser, main
 from hdabridge.functors import es_to_hda
 from hdabridge.laws import LawReport
 from hdabridge.models import make_event_structure
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+HDA_DOC = str(FIXTURES / "hda_three_free_events.json")
+ES_DOC = str(FIXTURES / "es_three_free_events.json")
+PNET_DOC = str(FIXTURES / "pnet_two_mutex.json")
 
 
 def run(capsys, *argv):
@@ -267,8 +271,65 @@ def test_laws_usage_error(capsys):
     assert exc.value.code == 2
 
 
-HDA_DOC = str(FIXTURES / "hda_three_free_events.json")
-PNET_DOC = str(FIXTURES / "pnet_two_mutex.json")
+def test_laws_env_seed_not_an_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HDABRIDGE_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", "--suite", "comonad-sts"])
+    assert exc.value.code == 2
+    assert "error: HDABRIDGE_SEED: invalid int value: 'abc'" in capsys.readouterr().err
+    # an explicit --seed does not read the variable
+    assert run(capsys, "laws", "--suite", "comonad-sts", "--count", "1", "--seed", "3")[0] == 0
+
+
+def laws_seed(capsys, *argv) -> int:
+    code, out, _ = run(capsys, "laws", "--suite", "comonad-sts", "--count", "2", *argv)
+    assert code == 0
+    return json.loads(out[out.index("\n[") + 1:])[0]["seed"]
+
+
+def test_calls_after_the_first_build_no_parser(capsys, monkeypatch, tmp_path):
+    run(capsys, "validate", PNET_DOC)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    hda = str(tmp_path / "hda.json")
+    assert run(capsys, "translate", ES_DOC, "--to", "hda", "-o", hda)[0] == 0
+    assert run(capsys, "validate", hda)[0] == 0
+    assert laws_seed(capsys, "--seed", "1") == 1
+    assert run(capsys, "export-dot", hda)[0] == 0
+    assert built == []
+
+
+def test_no_option_crosses_calls(capsys):
+    argv = ["translate", ES_DOC, "--to", "hda", "--max-dim", "2"]
+    assert run(capsys, *argv, "--truncate")[0] == 0
+    assert run(capsys, *argv)[0] == 8
+
+
+def test_env_seed_is_read_at_each_call(capsys, monkeypatch):
+    assert laws_seed(capsys, "--seed", "5") == 5
+    monkeypatch.setenv("HDABRIDGE_SEED", "7")
+    assert laws_seed(capsys) == 7
+
+
+def test_usage_error_leaves_the_next_call_working(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["translate", ES_DOC, "--to", "nowhere"])
+    assert exc.value.code == 2
+    assert run(capsys, "validate", PNET_DOC)[0] == 0
+
+
+def test_help_prints_the_built_parsers_help(capsys):
+    run(capsys, "validate", PNET_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 @pytest.mark.parametrize("argv", [

@@ -358,6 +358,15 @@ def test_hda_to_es_never_fired_events_conflict():
         hda_to_es(ts_to_hda1(t))
 
 
+def test_hda_to_es_reports_the_event_no_run_fires():
+    # fixtures/hda_three_free_events.json, with a letter that labels no cell
+    h = es_to_hda(zoo.three_free_events_es())
+    with pytest.raises(NotPartialOrder) as exc:
+        hda_to_es(dataclasses.replace(h, alphabet=(*h.alphabet, "z")))
+    assert str(exc.value).splitlines() == ["event structure: 3 violation(s)", *(
+        f"  - conflict not hereditary: 'z'#{e!r} <= 'z'" for e in "abc")]
+
+
 # ---------------------------------------------------------------------------
 # nets and regions
 # ---------------------------------------------------------------------------
