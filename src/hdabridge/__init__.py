@@ -11,7 +11,6 @@ from .cubical import (
     check_deterministic,
     check_linear_labeling,
     check_strong_labeling,
-    coskeleton_fill,
     truncate,
     validate_complex,
     validate_hda,
@@ -32,7 +31,7 @@ from .models import (
     validate_pn,
     validate_ts,
 )
-from .cts import Cts, cts_to_hda, es_to_cts, pn_to_cts
+from .cts import Cts, coskeleton_fill, cts_to_hda, es_to_cts, pn_to_cts
 from .functors import (
     HdaMorphism,
     Region,

@@ -206,7 +206,13 @@ COMMANDS = {"validate": cmd_validate, "translate": cmd_translate, "laws": cmd_la
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return IO_ERROR
     except errors.HdaBridgeError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return err.exit_code

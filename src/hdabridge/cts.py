@@ -13,18 +13,30 @@ event rank, which is the canonical (state, word) order over the states
 and events in canonical order.  Every face, transposition, label and key
 of an n-cell is composed from the tables of the dimension below.  A CTS
 carries no labels: each event is its own label.
+
+Three systems instantiate it: an event structure's configurations
+(``es_to_cts``), a net's reachable markings (``pn_to_cts``), and the
+vertices of a deterministic automaton acted on by its edges and squares,
+whose automaton is the 2-coskeletal fill (``coskeleton_fill``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain, repeat, starmap
 from operator import add, ge
 from typing import Callable, Mapping
 
-from .cubical import SIGNS, CellId, Hda, PrecubicalComplex, SymmetricCubicalComplex
-from .errors import DimensionCapExceeded
+from .cubical import (
+    SIGNS,
+    CellId,
+    Hda,
+    PrecubicalComplex,
+    SymmetricCubicalComplex,
+    check_deterministic,
+)
+from .errors import DimensionCapExceeded, NotOneDeterministic
 from .models import EventStructure, PetriNet, configurations, reachable_markings
 from .util import sorted_by_key
 
@@ -40,10 +52,10 @@ class Cts:
     """States, events, steps and an enabling predicate on multisets.
 
     The automaton builder relies on three properties, which every CTS
-    that ``es_to_cts`` and ``pn_to_cts`` build has: enabling is closed
-    under sub-multisets, ``delta`` is defined for every event enabled at
-    a state, and the faces of an enabled cube are enabled at the fired
-    state (if ``m + (e,)`` is enabled at x, ``m`` is enabled at
+    that ``es_to_cts``, ``pn_to_cts`` and ``coskeleton_fill`` build has:
+    enabling is closed under sub-multisets, ``delta`` is defined for every
+    event enabled at a state, and the faces of an enabled cube are enabled
+    at the fired state (if ``m + (e,)`` is enabled at x, ``m`` is enabled at
     ``delta[x, e]``).  A CTS that breaks them makes ``cts_to_hda`` raise
     KeyError.
     """
@@ -290,3 +302,39 @@ def pn_to_cts(n: PetriNet, max_states: int) -> Cts:
         delta=delta,
         enabled=enabled,
     )
+
+
+def coskeleton_fill(h: Hda, max_dim: int) -> Hda:
+    """The 2-coskeletal fill of ``h`` up to ``max_dim``: the automaton of
+    the CTS of its 2-skeleton.  The states are the vertices and the steps
+    the edges.  A multiset of size at most 2 is enabled at x when a cell
+    from x (x itself, an edge or a square) carries it as its sorted word,
+    and a larger multiset M when, for each distinct e in M, the edge
+    (x, e) exists and M - e is enabled at x and at the edge's end.  So the
+    vertices, edges and squares are kept, and every cube whose faces they
+    provide is filled, one cell per ordering of its word; cells of ``h``
+    above dimension 2 are not read.
+
+    A repeated letter is filled like any other: a word such as ``aab``
+    gets a cube wherever its faces exist, as ``pn_to_hda`` gives the net
+    with one more token.  Raises NotOneDeterministic when two edges or
+    two squares share their source faces and label, which the CTS would
+    merge into one cell.
+    """
+    if not (check_deterministic(h, 1) and check_deterministic(h, 2)):
+        raise NotOneDeterministic("two edges or two squares share their source faces and label")
+    ends, labeling = h.zero_ends, h.labeling
+    delta = {(ends[c][0], labeling[c][0]): ends[c][1] for c in h.cells(1)}
+    low = {(ends[c][0], multiset(labeling[c])) for n in range(3) for c in h.cells(n)}
+
+    @cache
+    def enabled(x, m: Multiset) -> bool:
+        if len(m) <= 2:
+            return (x, m) in low
+        rests = {e: m[:k] + m[k + 1:] for k, e in enumerate(m)}  # M - e, for each distinct e
+        return all((x, e) in delta and enabled(x, rest) and enabled(delta[x, e], rest)
+                   for e, rest in rests.items())
+
+    skeleton = Cts(states=frozenset(h.cells(0)), initial=h.initial,
+                   events=frozenset(h.alphabet), delta=delta, enabled=enabled)
+    return cts_to_hda(skeleton, max_dim, truncate_cells=True)

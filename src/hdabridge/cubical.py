@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ArityMismatch, IndexOutOfRange
-from .util import ValidationReport, backtrack
+from .util import ValidationReport
 
 STAR = "*"
 
@@ -636,142 +636,6 @@ def truncate(h: Hda, n: int) -> Hda:
         initial=h.initial,
         cell_keys=keys,
     )
-
-
-# ---------------------------------------------------------------------------
-# Shell filling (right adjoint to truncation, capped)
-# ---------------------------------------------------------------------------
-
-def _enumerate_shells(sk: PrecubicalComplex, faces_of, k: int):
-    """All compatible k-shells: assignments (i, sign) -> (k-1)-cell index
-    satisfying the face-commutation grid."""
-
-    slots = [(i, sign) for i in range(k) for sign in SIGNS]
-    lower = list(sk.cells.get(k - 1, ()))
-
-    def compatible(partial, slot, cand):
-        i, a = slot
-        for (j, b), other in zip(slots, partial):
-            lo, hi = ((i, a, cand), (j, b, other)) if i < j else ((j, b, other), (i, a, cand))
-            if lo[0] == hi[0]:
-                continue
-            # face(lo.i, lo.sign) of hi cell == face(hi.i - 1, hi.sign) of lo cell
-            try:
-                left = faces_of(CellId(k - 1, hi[2]), lo[0], lo[1])
-                right = faces_of(CellId(k - 1, lo[2]), hi[0] - 1, hi[1])
-            except KeyError:
-                return False
-            if left != right:
-                return False
-        return True
-
-    def options(pos, partial):
-        return [cand for cand in lower if compatible(partial, slots[pos], cand)]
-
-    return slots, list(backtrack(slots, options))
-
-
-def _folded(slots, sig, k: int) -> bool:
-    """A family is folded when two coordinate directions carry the same
-    pair of faces; such families describe a cube flattened onto a lower
-    cell, not a geometric shell."""
-    F = {slot: sig[p] for p, slot in enumerate(slots)}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if F[(i, "-")] == F[(j, "-")] and F[(i, "+")] == F[(j, "+")]:
-                return True
-    return False
-
-
-def coskeleton_fill(c: Complex, from_dim: int, max_dim: int) -> Complex:
-    """Fill every geometric k-shell with one k-cell, for ``from_dim < k <= max_dim``.
-
-    A shell is a family of 2k faces satisfying the face-commutation grid,
-    excluding folded families (two directions carrying the same face pair).
-    On precubical complexes the two orientations of a square shell
-    are identified and the canonically smaller one is filled; symmetric
-    complexes fill both and link them by the new transposition maps.
-    Idempotent on shells already filled.
-    """
-    if from_dim < 1:
-        raise IndexOutOfRange("from_dim must be at least 1")
-    if max_dim < from_dim:
-        raise IndexOutOfRange("max_dim must be at least from_dim")
-    sk = skeleton_of(c)
-    symmetric = isinstance(c, SymmetricCubicalComplex)
-    cells = {n: tuple(sk.cells.get(n, ())) for n in range(max(sk.max_dim, max_dim) + 1)}
-    faces = {key: dict(tbl) for key, tbl in sk.faces.items()}
-    transpositions = (
-        {key: dict(tbl) for key, tbl in c.transpositions.items()} if symmetric else None
-    )
-
-    def face_lookup(cell: CellId, i: int, sign: str) -> int:
-        return faces[(cell.dim, i, sign)][cell.index]
-
-    for k in range(from_dim + 1, max_dim + 1):
-        slots, families = _enumerate_shells(
-            PrecubicalComplex(cells=cells, faces=faces, max_dim=k - 1), face_lookup, k
-        )
-        families = sorted(sig for sig in set(families) if not _folded(slots, sig, k))
-        if not symmetric and k == 2:
-            # slots order is ((0,-),(0,+),(1,-),(1,+)); identify orientations
-            def flip(sig):
-                return (sig[2], sig[3], sig[0], sig[1])
-
-            orbits = sorted({tuple(sorted((sig, flip(sig)))) for sig in families})
-        else:
-            orbits = [(sig,) for sig in families]
-        existing = {}
-        for idx in cells.get(k, ()):
-            sig = tuple(faces[(k, i, sign)][idx] for (i, sign) in slots)
-            existing.setdefault(sig, idx)
-        fresh = max(cells.get(k, ()), default=-1) + 1
-        shell_cell: dict[tuple, int] = dict(existing)
-        added = []
-        for orbit in orbits:
-            if any(sig in existing for sig in orbit):
-                continue
-            if symmetric:
-                to_fill = orbit
-            else:
-                to_fill = (orbit[0],)
-            for sig in to_fill:
-                shell_cell[sig] = fresh
-                added.append((sig, fresh))
-                fresh += 1
-        cells[k] = tuple(cells.get(k, ())) + tuple(idx for _, idx in added)
-        for pos, (i, sign) in enumerate(slots):
-            table = faces.setdefault((k, i, sign), {})
-            for sig, idx in added:
-                table[idx] = sig[pos]
-        if symmetric:
-            # transposition of a filled cell is the cell of the permuted shell
-            def transpose_lower(cell_idx: int, i: int) -> int:
-                return transpositions[(k - 1, i)][cell_idx]
-
-            for i in range(k - 1):
-                table = transpositions.setdefault((k, i), {})
-                for sig, idx in added:
-                    shell = {slot: sig[pos] for pos, slot in enumerate(slots)}
-                    moved = {}
-                    for (j, sign), val in shell.items():
-                        if j == i:
-                            moved[(i + 1, sign)] = val
-                        elif j == i + 1:
-                            moved[(i, sign)] = val
-                        elif j < i:
-                            moved[(j, sign)] = transpose_lower(val, i - 1)
-                        else:
-                            moved[(j, sign)] = transpose_lower(val, i)
-                    moved_sig = tuple(moved[s] for s in slots)
-                    if moved_sig not in shell_cell:
-                        raise KeyError("transposed shell missing; complex is not symmetric-closed")
-                    table[idx] = shell_cell[moved_sig]
-
-    new_sk = PrecubicalComplex(cells=cells, faces=faces, max_dim=max(sk.max_dim, max_dim))
-    if isinstance(c, PrecubicalComplex):
-        return new_sk
-    return SymmetricCubicalComplex(new_sk, transpositions)
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,17 @@ def sorted_by_key(values) -> list:
     Plain names (all ``str`` or all ``int``), and tuples or frozensets whose
     members are all ``str`` or all ``int``, sort in that order without key
     tuples: names and tuples as they are, frozensets by their sorted
-    members.  Any other mix, ``bool`` and subclasses included, sorts by
-    ``canon_key``.
+    members.  A tuple subclass that keeps tuple order (a ``CellId``)
+    counts as a tuple.  Any other mix, ``bool`` and subclasses of names
+    included, sorts by ``canon_key``.
     """
     values = list(values)
     kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in (tuple, frozenset):
+    kind = kinds.pop() if len(kinds) == 1 else object
+    if kind is frozenset or kind.__lt__ is tuple.__lt__:
         members = set(map(type, chain.from_iterable(values)))
         if len(members) <= 1 and members <= {str, int}:
-            values.sort(key=None if kind is tuple else lambda v: tuple(sorted(v)))
+            values.sort(key=(lambda v: tuple(sorted(v))) if kind is frozenset else None)
             return values
     elif kind in (str, int):
         values.sort()

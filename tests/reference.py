@@ -10,10 +10,12 @@ cubical transition system on every small multiset, and
 ``cts_to_hda_by_keys`` builds its automaton from sorted keys through
 ``index_complex``.
 
-Cubical sets: the solid ``standard_cube``, the actions of degeneracies
-and permutations on cells and words, and the per-cell walks: the
-reports of ``validate_complex`` and ``validate_hda``, which check a
-table at a time, must equal theirs message for message.
+Cubical sets: the solid ``standard_cube``, the shell search
+``shell_fill`` that filled higher cells before ``coskeleton_fill``, the
+actions of degeneracies and permutations on cells and words, and the
+per-cell walks: the reports of ``validate_complex`` and
+``validate_hda``, which check a table at a time, must equal theirs
+message for message.
 
 Nets and regions: firing a word on ``Marking``s (``fire``, with
 ``marking_plus``, ``marking_minus``, ``covers`` and ``deficient_place``),
@@ -64,7 +66,7 @@ from hdabridge.models import (
     validate_pn_morphism,
     validate_ts_morphism,
 )
-from hdabridge.util import ValidationReport, breadth_first, sorted_by_key
+from hdabridge.util import ValidationReport, backtrack, breadth_first, sorted_by_key
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,54 @@ def pad_skeleton(c: Complex, max_dim: int) -> Complex:
     if isinstance(c, PrecubicalComplex):
         return padded
     return SymmetricCubicalComplex(padded, dict(c.transpositions))
+
+
+def shell_fill(c: SymmetricCubicalComplex, from_dim: int, max_dim: int) -> SymmetricCubicalComplex:
+    """The shell search that ``coskeleton_fill`` replaced, for symmetric
+    complexes.  For ``from_dim < k <= max_dim`` every k-shell (2k cells
+    of dimension k-1 satisfying the face-commutation grid) that is not yet
+    filled gets one k-cell, unless it is folded (two directions carry the
+    same pair of faces).  A new cell's transposition is the cell of the
+    permuted shell.  Fills one cube per ordering where no word repeats a
+    letter; where one does, the fold test can skip a shell but keep its
+    transposed shell, and the lookup raises KeyError."""
+    sk = c.skeleton
+    cells = {n: tuple(sk.cells.get(n, ())) for n in range(max(sk.max_dim, max_dim) + 1)}
+    faces = {key: dict(tbl) for key, tbl in sk.faces.items()}
+    transpositions = {key: dict(tbl) for key, tbl in c.transpositions.items()}
+    for k in range(from_dim + 1, max_dim + 1):
+        slots = [(i, sign) for i in range(k) for sign in SIGNS]
+
+        def options(pos, partial):
+            # face(j, b) of this slot's cell == face(i - 1, a) of an earlier slot's, j < i
+            i, a = slots[pos]
+            return [cand for cand in cells[k - 1]
+                    if all(j == i or faces[k - 1, j, b][cand] == faces[k - 1, i - 1, a][other]
+                           for (j, b), other in zip(slots, partial))]
+
+        shell_cell = {}
+        for idx in cells[k]:
+            shell_cell.setdefault(tuple(faces[k, i, sign][idx] for i, sign in slots), idx)
+        fresh = [sig for sig in sorted(set(backtrack(slots, options))) if sig not in shell_cell
+                 and not any(sig[2 * i:2 * i + 2] == sig[2 * j:2 * j + 2]  # folded
+                             for i, j in itertools.combinations(range(k), 2))]
+        added = list(zip(fresh, itertools.count(max(cells[k], default=-1) + 1)))
+        shell_cell.update(added)
+        cells[k] += tuple(idx for _, idx in added)
+        for pos, (i, sign) in enumerate(slots):
+            faces.setdefault((k, i, sign), {}).update((idx, sig[pos]) for sig, idx in added)
+        for i in range(k - 1):
+            table = transpositions.setdefault((k, i), {})
+            for sig, idx in added:
+                moved = {}
+                for (j, sign), val in zip(slots, sig):
+                    if j in (i, i + 1):  # directions i and i+1 swap
+                        moved[2 * i + 1 - j, sign] = val
+                    else:  # a distant face is transposed one dimension down
+                        moved[j, sign] = transpositions[k - 1, i - 1 if j < i else i][val]
+                table[idx] = shell_cell[tuple(map(moved.__getitem__, slots))]
+    return SymmetricCubicalComplex(
+        PrecubicalComplex(cells=cells, faces=faces, max_dim=max(sk.max_dim, max_dim)), transpositions)
 
 
 def cell_degeneracy(cell: Cell, i: int) -> DegeneracyWitness:

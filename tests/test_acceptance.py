@@ -5,6 +5,7 @@ run reads as a checklist."""
 import time
 
 from hdabridge import zoo
+from hdabridge.cts import coskeleton_fill
 from hdabridge.cubical import (
     DegeneracyWitness,
     truncate,
@@ -20,11 +21,13 @@ from hdabridge.functors import (
     pn_to_hda,
     ts_to_hda1,
 )
+from hdabridge.jsonio import print_document
 from hdabridge.laws import (
     GeneratorConfig,
     check_adjunction_pn_hda,
     check_comonad_identity,
     check_kleisli_lift,
+    gen_es,
     iso_check,
 )
 from hdabridge.models import make_pn, make_ts
@@ -230,3 +233,38 @@ def test_a8_kleisli_lift():
         assert report.passed, str(report)
         assert report.instances == 100
         t.finish("A8 idle-completion lift")
+
+
+def test_a9_event_structure_automata_are_2_coskeletal():
+    with timed(1.0) as t:
+        cfg = GeneratorConfig(seed=0, count=100)
+        for i in range(cfg.count):
+            h = es_to_hda(gen_es(i, cfg))
+            assert print_document("hda", coskeleton_fill(truncate(h, 2), h.max_dim)) == \
+                print_document("hda", h), i
+        t.finish("A9 event structure automata are 2-coskeletal")
+
+
+def semaphore_net(tokens: int):
+    """Three processes share a semaphore p holding ``tokens`` tokens: event
+    e takes a token from p and the one token of its own place qe, and gives
+    the p token back."""
+    return make_pn(["p", "qa", "qb", "qc"], {"p": tokens, "qa": 1, "qb": 1, "qc": 1},
+                   list("abc"), {e: {"p": 1, f"q{e}": 1} for e in "abc"},
+                   {e: {"p": 1} for e in "abc"})
+
+
+def test_a10_hollow_cube():
+    """Two tokens let any two of the three events run together but not all
+    three: every face of the cube and no cube.  The ACR of its squares
+    cannot tell this from the solid cube of three tokens; the automata can."""
+    with timed(1.0) as t:
+        hollow = pn_to_hda(semaphore_net(2), 100, 3)
+        solid = pn_to_hda(semaphore_net(3), 100, 3)
+        assert [len(hollow.cells(n)) for n in range(4)] == [8, 12, 12, 0]
+        assert [len(solid.cells(n)) for n in range(4)] == [8, 12, 12, 6]
+        filled = coskeleton_fill(truncate(hollow, 2), 3)
+        assert print_document("hda", filled) == print_document("hda", solid)
+        assert iso_check(hollow, solid) is None
+        assert iso_check(filled, solid) is not None
+        t.finish("A10 hollow cube")

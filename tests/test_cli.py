@@ -427,6 +427,23 @@ def test_validate_es_violations_do_not_depend_on_string_hashing(tmp_path, hash_s
         "  - conflict not hereditary: 'e'#'b' <= 'e'\n")
 
 
+@pytest.mark.parametrize("argv", [["translate", ES_DOC, "--to", "hda"],
+                                  ["laws", "--suite", "comonad-es", "--count", "5"]],
+                         ids=["translate", "laws"])
+def test_closed_stdout_exits_18_without_a_traceback(argv):
+    """The reader of standard output is gone before the command writes."""
+    read, write = os.pipe()
+    os.close(read)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    try:
+        run = subprocess.run([sys.executable, "-m", "hdabridge.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (18, "")
+
+
 def test_laws_report_list_prints_as_json_dumps(capsys):
     code, out, _ = run(capsys, "laws", "--suite", "comonad-es", "--count", "3")
     assert code == 0

@@ -1,20 +1,22 @@
 import dataclasses
 import itertools
+import json
 import pathlib
 
 import pytest
 
 from hdabridge.cts import (
     Cts,
+    coskeleton_fill,
     cts_to_hda,
     enabled_cells_by_dim,
     es_to_cts,
     multiset,
     pn_to_cts,
 )
-from hdabridge.cubical import DegeneracyWitness, validate_hda
-from hdabridge.errors import DimensionCapExceeded, ExplosionLimit
-from hdabridge.functors import induced_morphism
+from hdabridge.cubical import DegeneracyWitness, truncate, validate_hda
+from hdabridge.errors import DimensionCapExceeded, ExplosionLimit, NotOneDeterministic
+from hdabridge.functors import es_to_hda, induced_morphism, pn_to_hda
 from hdabridge.jsonio import parse_document, print_document
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.models import make_event_structure, make_pn
@@ -509,3 +511,78 @@ def test_orbit_growth_asks_only_about_events_enabled_alone(seed):
         grown += sum(len(m) > 1 for _, m in asked)
         assert all(c.enabled(x, (e,)) for x, m in asked if len(m) > 1 for e in m)
     assert grown
+
+
+# ---------------------------------------------------------------------------
+# The 2-coskeletal fill: the CTS of an automaton's 2-skeleton
+# ---------------------------------------------------------------------------
+
+def shared_place_net(tokens: int):
+    """One place holding ``tokens`` tokens and three events, each taking
+    one token and giving it back."""
+    return make_pn(["p"], {"p": tokens}, list("abc"), {e: {"p": 1} for e in "abc"},
+                   {e: {"p": 1} for e in "abc"})
+
+
+def test_coskeleton_fill_fills_repeated_letters():
+    """The 2-truncation of two tokens shared by three events.  Every word
+    of length 3 has its faces, so each gets a cube, ``aab`` included, as
+    the net with three tokens has them; the shell search skipped ``aba``
+    but not its transposed shell ``baa`` and raised KeyError here."""
+    two = pn_to_hda(shared_place_net(2), 200, 2, truncate_cells=True)
+    assert [len(two.cells(n)) for n in range(3)] == [1, 3, 9]
+    assert validate_hda(two).ok
+    filled = coskeleton_fill(two, 3)
+    assert [len(filled.cells(n)) for n in range(4)] == [1, 3, 9, 27]
+    assert validate_hda(filled).ok
+    assert print_document("hda", filled) == \
+        print_document("hda", pn_to_hda(shared_place_net(3), 200, 3, truncate_cells=True))
+
+
+def test_coskeleton_fill_of_a_net_automatons_2_truncation_prints_it():
+    cfg, filled = GeneratorConfig(seed=0), 0
+    for i in range(cfg.count):
+        try:
+            h = pn_to_hda(gen_pn(i, cfg), 200, 3, truncate_cells=True)
+        except ExplosionLimit:
+            continue
+        assert print_document("hda", coskeleton_fill(truncate(h, 2), 3)) == \
+            print_document("hda", h), i
+        filled += 1
+    assert filled == 72
+
+
+def test_coskeleton_fill_is_idempotent():
+    for h in (pn_to_hda(shared_place_net(2), 200, 2, truncate_cells=True),
+              es_to_hda(make_event_structure("abcd"), max_dim=2, truncate_cells=True)):
+        once = coskeleton_fill(h, 3)
+        assert coskeleton_fill(once, 3) == once
+
+
+def test_coskeleton_fill_refuses_two_parallel_edges_with_one_label():
+    _, h = parse_document(json.dumps({
+        "kind": "hda", "format_version": 1, "alphabet": ["a"], "initial": 0, "dims": [0, 1],
+        "cells": {"0": [0, 1], "1": [0, 1]},
+        "faces": {"1,0,-": {"0": 0, "1": 0}, "1,0,+": {"0": 1, "1": 1}},
+        "labels": {"1": {"0": ["a"], "1": ["a"]}}, "sym": {}}))
+    assert validate_hda(h).ok
+    with pytest.raises(NotOneDeterministic):
+        coskeleton_fill(h, 2)
+
+
+def test_coskeleton_fill_refuses_two_squares_with_one_boundary_and_label():
+    """A square of two independent events, and a copy of it and of its
+    transposition beside it: each copy shares its source faces and label
+    with the cell it copies."""
+    doc = json.loads(print_document("hda", es_to_hda(make_event_structure("ab"))))
+    assert doc["cells"]["2"] == [0, 1]
+    doc["cells"]["2"] += [2, 3]
+    for key, table in doc["faces"].items():
+        if key.startswith("2,"):
+            table.update({"2": table["0"], "3": table["1"]})
+    doc["labels"]["2"].update({"2": doc["labels"]["2"]["0"], "3": doc["labels"]["2"]["1"]})
+    doc["sym"]["2,0"].update({"2": 3, "3": 2})
+    _, h = parse_document(json.dumps(doc))
+    assert validate_hda(h).ok
+    with pytest.raises(NotOneDeterministic):
+        coskeleton_fill(h, 2)

@@ -13,20 +13,22 @@ from hdabridge.cubical import (
     as_witness,
     cell_face,
     cell_transpose,
-    coskeleton_fill,
     index_complex,
     nest_witness,
-    skeleton_of,
+    truncate,
     validate_complex,
+    validate_hda,
     word_degeneracy,
     word_face,
     word_is_linear,
 )
-from hdabridge import functors
-from hdabridge.cts import es_to_cts, pn_to_cts
-from hdabridge.errors import ArityMismatch, ExplosionLimit, IndexOutOfRange
+from hdabridge import functors, zoo
+from hdabridge.cts import coskeleton_fill, es_to_cts, pn_to_cts
+from hdabridge.errors import ArityMismatch, DimensionCapExceeded, ExplosionLimit, IndexOutOfRange
 from hdabridge.functors import acr_to_hda2, es_to_hda, pn_to_hda
+from hdabridge.jsonio import print_document
 from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn
+from hdabridge.models import make_event_structure
 from hdabridge.util import sorted_by_key
 
 from helpers import (
@@ -44,6 +46,7 @@ from reference import (
     apply_permutation,
     cell_degeneracy,
     pad_skeleton,
+    shell_fill,
     standard_cube,
     word_action,
     word_permute,
@@ -336,16 +339,8 @@ def test_nest_witness_matches_word_insertion():
 
 
 # ---------------------------------------------------------------------------
-# truncation, padding, shell filling
+# truncation, padding, and the 2-coskeletal fill
 # ---------------------------------------------------------------------------
-
-def boundary_of_cube(d):
-    sk = standard_cube(d)
-    cells = dict(sk.cells)
-    cells[d] = ()
-    faces = {k: v for k, v in sk.faces.items() if k[0] < d}
-    return PrecubicalComplex(cells=cells, faces=faces, max_dim=d - 1)
-
 
 def test_pad_then_truncate_is_identity():
     sk = standard_cube(1)
@@ -354,32 +349,37 @@ def test_pad_then_truncate_is_identity():
     assert validate_complex(padded).ok
 
 
-def test_coskeleton_fills_empty_square():
-    boundary = boundary_of_cube(2)
-    filled = coskeleton_fill(boundary, 1, 2)
-    assert len(filled.cells[2]) == 1
-    assert validate_complex(filled).ok
-    again = coskeleton_fill(filled, 1, 2)
-    assert len(again.cells[2]) == 1
+def cell_counts(h):
+    return [len(h.cells(n)) for n in range(h.max_dim + 1)]
+
+
+def free_cube():
+    return es_to_hda(make_event_structure("abc"))
+
+
+def test_coskeleton_leaves_an_empty_square_empty():
+    # the fill reads squares and never makes one: the four edges of two
+    # mutually exclusive events stay a hollow square
+    hollow = acr_to_hda2(zoo.mutex_square_acr(False))
+    filled = coskeleton_fill(hollow, 2)
+    assert cell_counts(filled) == [4, 4, 0]
+    assert validate_hda(filled).ok
+    assert print_document("hda", filled) == print_document("hda", hollow)
 
 
 def test_coskeleton_idempotent_on_solid_square():
-    sk = standard_cube(2)
-    filled = coskeleton_fill(sk, 1, 2)
-    assert filled == sk
+    h = acr_to_hda2(zoo.mutex_square_acr(True))
+    filled = coskeleton_fill(h, 2)
+    assert print_document("hda", filled) == print_document("hda", h)
+    assert coskeleton_fill(filled, 2) == filled
 
 
 def test_coskeleton_fills_3cube_boundary():
-    boundary = boundary_of_cube(3)
-    # drop the top cell and the six squares: only the 1-skeleton remains
-    cells = dict(boundary.cells)
-    cells[2] = ()
-    faces = {k: v for k, v in boundary.faces.items() if k[0] < 2}
-    one_skel = PrecubicalComplex(cells=cells, faces=faces, max_dim=2)
-    filled = coskeleton_fill(one_skel, 1, 3)
-    assert len(filled.cells[2]) == 6
-    assert len(filled.cells[3]) == 1
-    assert validate_complex(filled).ok
+    cube = free_cube()
+    filled = coskeleton_fill(truncate(cube, 2), 3)
+    assert cell_counts(filled) == [8, 12, 12, 6]
+    assert validate_hda(filled).ok
+    assert print_document("hda", filled) == print_document("hda", cube)
 
 
 def test_has_cell_reads_the_listed_indices():
@@ -391,24 +391,26 @@ def test_has_cell_reads_the_listed_indices():
 
 
 def test_coskeleton_requires_sane_bounds():
-    sk = standard_cube(1)
-    with pytest.raises(IndexOutOfRange):
-        coskeleton_fill(sk, 0, 2)
-    with pytest.raises(IndexOutOfRange):
-        coskeleton_fill(sk, 2, 1)
+    cube = free_cube()
+    with pytest.raises(DimensionCapExceeded):
+        coskeleton_fill(cube, -1)
+    # below the first filled dimension the fill is the truncation
+    for d in range(3):
+        assert print_document("hda", coskeleton_fill(cube, d)) == \
+            print_document("hda", truncate(cube, d))
 
 
 def test_operation_sequences_stay_valid():
-    # any mix of padding and filling keeps every identity intact
-    sq_boundary = boundary_of_cube(2)
-    seq1 = coskeleton_fill(pad_skeleton(sq_boundary, 3), 1, 3)
-    assert validate_complex(seq1).ok
-    seq2 = pad_skeleton(coskeleton_fill(sq_boundary, 1, 2), 4)
-    assert validate_complex(seq2).ok
-    cube_boundary = boundary_of_cube(3)
-    seq3 = coskeleton_fill(coskeleton_fill(cube_boundary, 2, 3), 2, 3)
-    assert validate_complex(seq3).ok
-    assert len(seq3.cells[3]) == 1
+    # any mix of truncating (which pads above the top dimension) and
+    # filling keeps every identity intact
+    square = acr_to_hda2(zoo.mutex_square_acr(True))
+    two = truncate(free_cube(), 2)
+    assert validate_hda(coskeleton_fill(truncate(square, 3), 3)).ok
+    assert validate_hda(truncate(coskeleton_fill(square, 2), 4)).ok
+    again = coskeleton_fill(truncate(coskeleton_fill(two, 3), 2), 3)
+    assert validate_hda(again).ok
+    assert cell_counts(again) == [8, 12, 12, 6]
+    assert cell_counts(coskeleton_fill(truncate(two, 1), 3)) == [8, 12, 0, 0]
 
 
 def test_truncate_hda_examples():
@@ -455,29 +457,38 @@ def test_random_operation_sequences_match_term_model(data):
 
 
 def test_symmetric_coskeleton_fill_links_orientations():
-    from hdabridge.functors import acr_to_hda2
-    from hdabridge.cubical import truncate
-    from hdabridge import zoo
-
-    h = acr_to_hda2(zoo.mutex_square_acr(True))
-    boundary = truncate(h, 1).complex
-    filled = coskeleton_fill(boundary, 1, 2)
-    assert validate_complex(filled).ok
-    a, b = filled.skeleton.cells[2]
-    assert filled.transpositions[(2, 0)][a] == b
-    # idempotent on the already-filled symmetric square
-    again = coskeleton_fill(h.complex, 1, 2)
-    assert len(again.skeleton.cells[2]) == len(h.complex.skeleton.cells[2])
+    # the six orderings of the filled cube are one orbit of the transpositions
+    filled = coskeleton_fill(truncate(free_cube(), 2), 3)
+    orbit, todo = set(), [filled.cells(3)[0]]
+    while todo:
+        cell = todo.pop()
+        if cell not in orbit:
+            orbit.add(cell)
+            todo += [filled.complex.transpose(cell, i) for i in range(2)]
+    assert orbit == set(filled.cells(3))
+    assert sorted(filled.labeling[c] for c in orbit) == sorted(itertools.permutations("abc"))
+    assert validate_hda(filled).ok
 
 
 def test_symmetric_cube_fill_adds_all_orderings():
-    from hdabridge.functors import acr_to_hda2
-    from hdabridge import zoo
+    cube = acr_to_hda2(zoo.full_cube_acr())
+    filled = coskeleton_fill(cube, 3)
+    assert len(filled.cells(3)) == 6  # one top cell per ordering
+    assert {filled.labeling[c] for c in filled.cells(3)} == set(itertools.permutations("abc"))
+    assert validate_hda(filled).ok
+    assert print_document("hda", truncate(filled, 2)) == print_document("hda", cube)
 
-    cube = acr_to_hda2(zoo.full_cube_acr()).complex
-    filled = coskeleton_fill(cube, 2, 3)
-    assert len(filled.skeleton.cells[3]) == 6  # one top cell per ordering
-    assert validate_complex(filled).ok
+
+@pytest.mark.parametrize("h", [
+    free_cube(),
+    es_to_hda(make_event_structure("abcd"), max_dim=3, truncate_cells=True),
+    acr_to_hda2(zoo.full_cube_acr()),
+], ids=["free3", "free4", "full-cube-acr"])
+def test_coskeleton_fill_counts_match_the_shell_search(h):
+    # no word repeats a letter here, so the two definitions agree
+    two = truncate(h, 2)
+    shells = shell_fill(two.complex, 2, 3)
+    assert [len(shells.skeleton.cells[n]) for n in range(4)] == cell_counts(coskeleton_fill(two, 3))
 
 
 # ---------------------------------------------------------------------------

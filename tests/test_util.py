@@ -83,3 +83,7 @@ def test_sorted_by_key_sorts_plain_values_as_canon_key_does():
         [frozenset(), frozenset("ac"), frozenset("b")]
     assert sorted_by_key([("b",), (), ("a", "c")]) == [(), ("a", "c"), ("b",)]
     assert sorted_by_key([10.0, 9.5]) == [10.0, 9.5]  # floats sort by their repr
+    cells = [CellId(1, 0), CellId(0, 12), CellId(0, 2), CellId(1, 0), CellId(2, 1)]
+    assert sorted_by_key(cells) == sorted(cells, key=canon_key) == \
+        [CellId(0, 2), CellId(0, 12), CellId(1, 0), CellId(1, 0), CellId(2, 1)]
+    assert sorted_by_key(cells[:1]) == cells[:1] and sorted_by_key([]) == []
