@@ -43,11 +43,17 @@ VALIDATORS = {
 
 
 def read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The document at ``path``, or on stdin for "-", decoded as UTF-8; a
+    byte that is not UTF-8 is a ParseError.  Stdin is decoded from its
+    bytes, whatever the locale, when it has them."""
     try:
+        if path == "-":
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fp:
             return fp.read()
+    except UnicodeDecodeError as err:
+        raise errors.ParseError(f"not UTF-8: {err}") from err
     except OSError as err:
         raise FileNotFoundError(str(err)) from err
 

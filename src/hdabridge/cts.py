@@ -12,7 +12,8 @@ followed by one event, and a cell's children follow it in increasing
 event rank, which is the canonical (state, word) order over the states
 and events in canonical order.  Every face, transposition, label and key
 of an n-cell is composed from the tables of the dimension below.  A CTS
-carries no labels: each event is its own label.
+carries no labels: each event is its own label, so no event may be the
+idle symbol ``*``, which names only degenerate cells.
 
 Three systems instantiate it: an event structure's configurations
 (``es_to_cts``), a net's reachable markings (``pn_to_cts``), and the
@@ -30,13 +31,14 @@ from typing import Callable, Mapping
 
 from .cubical import (
     SIGNS,
+    STAR,
     CellId,
     Hda,
     PrecubicalComplex,
     SymmetricCubicalComplex,
     check_deterministic,
 )
-from .errors import DimensionCapExceeded, NotOneDeterministic
+from .errors import DimensionCapExceeded, NotOneDeterministic, StarClash
 from .models import EventStructure, PetriNet, configurations, reachable_markings
 from .util import sorted_by_key
 
@@ -88,7 +90,7 @@ def _extensions(alone, twice, size: int) -> dict:
 
 
 def enabled_cells_by_dim(c: Cts, max_dim: int) -> tuple:
-    """The enabled star-free words of length 1..``max_dim`` as a prefix
+    """The enabled words of length 1..``max_dim`` as a prefix
     tree, and the multisets that the dimension cap must test.
 
     Returns ``(tree, beyond)``.  ``tree[n - 1]`` holds two columns over
@@ -164,11 +166,12 @@ def _cell_ids(n: int, count: int) -> list:
 
 
 def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
-    """The automaton with one n-cell per enabled star-free word of length n.
+    """The automaton with one n-cell per enabled word of length n.
 
     Negative faces drop a letter; positive faces additionally advance the
     state through that letter.  Transpositions permute adjacent letters.
-    Raises DimensionCapExceeded when an enabled word longer than ``max_dim``
+    Raises StarClash when an event is the idle symbol, and
+    DimensionCapExceeded when an enabled word longer than ``max_dim``
     exists, unless ``truncate_cells`` asks for the truncated automaton.
 
     Tables are composed along the prefix tree, looking a cell up by its
@@ -178,6 +181,8 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
     transposition i < n-2 is child(T(n-1,i)(g.a), b).  Every face below
     the last is face(i+1) . transposition(i).
     """
+    if STAR in c.events:
+        raise StarClash("the idle event * is reserved for degenerate cells")
     if max_dim < 0:  # no automaton: every state's empty word is longer
         raise DimensionCapExceeded(f"enabled words longer than {max_dim} exist; the least cap is 0")
     tree, beyond = enabled_cells_by_dim(c, max_dim)

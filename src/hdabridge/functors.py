@@ -165,6 +165,37 @@ def induced_morphism(src: Hda, dst: Hda, vertex_map: Mapping, label_map: Mapping
 # Transition systems <-> 1-dimensional automata
 # ---------------------------------------------------------------------------
 
+def _automaton(states, initial, alphabet, edges, squares=None) -> Hda:
+    """The automaton with the states as vertices, an edge ``(s, e, s2)``
+    labeled ``e`` and, for an ACR, a square ``(s, x, y)`` labeled ``(x, y)``
+    glued on the closing edges (2-dimensional even with no squares).  The
+    idle symbol names only degenerate cells: it may not be in the alphabet.
+    """
+    if STAR in alphabet:
+        raise StarClash("the idle event * is reserved for degenerate cells")
+    cells_by_dim = {0: sorted_by_key(states), 1: sorted_by_key(edges)}
+    if squares is not None:
+        cells_by_dim[2] = sorted_by_key(squares)
+        step = {(s, e): s2 for s, e, s2 in edges}
+
+    def face_key(n, key, i, sign):
+        if n == 1:
+            return key[0] if sign == "-" else key[2]
+        # dropping letter i keeps the other; the + side starts at the step by the dropped one
+        s, *word = key
+        start = s if sign == "-" else step[s, word[i]]
+        return (start, word[1 - i], step[start, word[1 - i]])
+
+    complex_, keys = index_complex(cells_by_dim, face_key, lambda n, k, i: (k[0], k[2], k[1]))
+    return Hda(
+        complex=complex_,
+        alphabet=tuple(sorted_by_key(alphabet)),
+        labeling={c: k[1:c.dim + 1] if c.dim else () for c, k in keys.items()},
+        initial=CellId(0, cells_by_dim[0].index(initial)),
+        cell_keys=keys,
+    )
+
+
 def ts_to_hda1(t: TransitionSystem, idle: bool = False) -> Hda:
     """States become vertices, transitions become labeled edges.
 
@@ -174,31 +205,12 @@ def ts_to_hda1(t: TransitionSystem, idle: bool = False) -> Hda:
     """
     if not idle and STAR in t.events:
         raise StarClash("input already carries the idle event; pass idle=True")
-    alphabet = tuple(sorted_by_key(e for e in t.events if e != STAR))
-    edges = []
     for (s, e, s2) in t.trans:
-        if e == STAR:
-            if not idle:
-                raise StarClash("idle transition in a plain system")
-            if s != s2:
-                raise StarClash(f"idle transition {(s, e, s2)!r} is not a self-loop")
-            continue
-        edges.append((s, e, s2))
-    cells_by_dim = {0: sorted_by_key(t.states), 1: sorted_by_key(edges)}
-
-    def face_key(n, key, i, sign):
-        return key[0] if sign == "-" else key[2]
-
-    complex_, keys = index_complex(cells_by_dim, face_key, transpose_key=lambda n, k, i: k)
-    by_key = {k: c for c, k in keys.items()}
-    labeling = {c: ((k[1],) if c.dim == 1 else ()) for c, k in keys.items()}
-    return Hda(
-        complex=complex_,
-        alphabet=alphabet,
-        labeling=labeling,
-        initial=by_key[t.initial],
-        cell_keys=keys,
-    )
+        if e == STAR and not idle:
+            raise StarClash("idle transition in a plain system")
+        if e == STAR and s != s2:
+            raise StarClash(f"idle transition {(s, e, s2)!r} is not a self-loop")
+    return _automaton(t.states, t.initial, t.events - {STAR}, [tr for tr in t.trans if tr[1] != STAR])
 
 
 def hda1_to_ts(h: Hda, idle: bool = False) -> TransitionSystem:
@@ -240,46 +252,7 @@ def acr_to_hda2(a: Acr) -> Hda:
     if not report.ok:
         raise SquareIncomplete(str(report))
     t = a.ts
-    cells_by_dim = {0: sorted_by_key(t.states), 1: sorted_by_key(t.trans),
-                    2: sorted_by_key(a.indep)}
-    step = {(s, e): s2 for s, e, s2 in t.trans}
-
-    def closing(s, x, y):
-        s1 = step[(s, x)]
-        s2 = step[(s, y)]
-        return s1, s2, step[(s1, y)]
-
-    def face_key(n, key, i, sign):
-        if n == 1:
-            return key[0] if sign == "-" else key[2]
-        s, x, y = key
-        s1, s2, r = closing(s, x, y)
-        # the label is (x, y); dropping position 0 leaves the y-edge
-        if i == 0:
-            return (s, y, s2) if sign == "-" else (s1, y, r)
-        return (s, x, s1) if sign == "-" else (s2, x, r)
-
-    def transpose_key(n, key, i):
-        s, x, y = key
-        return (s, y, x)
-
-    complex_, keys = index_complex(cells_by_dim, face_key, transpose_key)
-    by_key = {k: c for c, k in keys.items()}
-    labeling = {}
-    for c, k in keys.items():
-        if c.dim == 0:
-            labeling[c] = ()
-        elif c.dim == 1:
-            labeling[c] = (k[1],)
-        else:
-            labeling[c] = (k[1], k[2])
-    return Hda(
-        complex=complex_,
-        alphabet=tuple(sorted_by_key(t.events)),
-        labeling=labeling,
-        initial=by_key[t.initial],
-        cell_keys=keys,
-    )
+    return _automaton(t.states, t.initial, t.events, t.trans, a.indep)
 
 
 def hda2_to_acr(h: Hda) -> Acr:

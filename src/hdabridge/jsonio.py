@@ -356,6 +356,8 @@ def _parse_hda(doc: dict) -> Hda:
                  for n, ids in _object(_need(doc, "cells"), "cells").items()}
     except ValueError as err:
         raise ParseError(f"bad cells table: {err}") from err
+    if min(cells, default=0) < 0:
+        raise ParseError(f"cells key {str(min(cells))!r} is not a dimension: needs n >= 0")
     max_dim = max(cells, default=0)
     # every table of dimension n is keyed by cells(n), so each dimension's
     # keys are spelled once, in the order a printed table lists them
@@ -365,18 +367,24 @@ def _parse_hda(doc: dict) -> Hda:
     for key, table in _object(_need(doc, "faces"), "faces").items():
         try:
             n, i, sign = key.split(",")
-            faces[(int(n), int(i), sign)] = _int_table(table, f"face table {key!r}", spelled.get(n))
+            dim, pos = int(n), int(i)
         except ValueError as err:
             raise ParseError(f"bad face key {key!r}: {err}") from err
         if sign not in ("-", "+"):
             raise ParseError(f"bad face sign in key {key!r}")
+        if not 0 <= pos <= dim - 1:
+            raise ParseError(f"face key {key!r} is out of range: needs 0 <= i <= n-1")
+        faces[(dim, pos, sign)] = _int_table(table, f"face table {key!r}", spelled.get(n))
     sym = {}
     for key, table in _object(doc.get("sym", {}), "sym").items():
         try:
             n, i = key.split(",")
-            sym[(int(n), int(i))] = _int_table(table, f"sym table {key!r}", spelled.get(n))
+            dim, pos = int(n), int(i)
         except ValueError as err:
             raise ParseError(f"bad sym key {key!r}: {err}") from err
+        if not (dim >= 2 and 0 <= pos <= dim - 2):
+            raise ParseError(f"sym key {key!r} is out of range: needs n >= 2 and 0 <= i <= n-2")
+        sym[(dim, pos)] = _int_table(table, f"sym table {key!r}", spelled.get(n))
     labels_doc = _object(doc.get("labels", {}), "labels")
     words, labeling = {}, {}
     for n in range(max_dim + 1):
@@ -436,6 +444,6 @@ def _parse_hda(doc: dict) -> Hda:
 def parse_document(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"not valid JSON: {err}") from err
     return document_to_model(doc)

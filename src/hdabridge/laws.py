@@ -539,8 +539,9 @@ def iso_check(a, b, node_limit: int = 600):
     compared as their automata (``ts_to_hda1``, ``acr_to_hda2``), and the
     state map is read back through the vertex keys.  A system carrying the
     idle event is read as a completion (``ts_to_hda1(t, idle=True)``) and
-    must have the idle loop at every state, or ``StarClash``; an ACR that
-    fails ``validate_acr`` raises ``SquareIncomplete``.  Event structures
+    must have the idle loop at every state, or ``StarClash``; an ACR raises
+    ``SquareIncomplete`` when it fails ``validate_acr`` and ``StarClash``
+    when the idle event is one of its events.  Event structures
     are isomorphic exactly when equal, the events being their labels.
     Nets are matched by grouping places on their vectors, without search.
     """

@@ -161,6 +161,22 @@ def _fractional_tokens(doc):
     doc["m0"] = {p: 1.5 for p in doc["m0"]}
 
 
+def _sym_key_out_of_range(doc):
+    doc["sym"]["2,1"] = dict(doc["sym"]["2,0"])
+
+
+def _one_edge_with_face_key_out_of_range(doc):
+    doc.clear()
+    doc.update({"kind": "hda", "format_version": 1, "alphabet": ["a"],
+                "cells": {"0": [0, 1], "1": [0]},
+                "faces": {"1,0,-": {"0": 0}, "1,0,+": {"0": 1}, "1,5,-": {"0": 0}},
+                "labels": {"1": {"0": ["a"]}}, "initial": 0})
+
+
+def _negative_cells_key(doc):
+    doc["cells"]["-1"] = []
+
+
 @pytest.mark.parametrize("fixture,mutate", [
     ("hda_three_free_events.json", _as_list("cells")),
     ("hda_three_free_events.json", _as_list("faces")),
@@ -170,11 +186,14 @@ def _fractional_tokens(doc):
     ("ts_mutex_square.json", _first_state_as_list),
     ("ts_mutex_square.json", _initial_as_list),
     ("pnet_two_mutex.json", _fractional_tokens),
+    ("hda_three_free_events.json", _sym_key_out_of_range),
+    ("hda_three_free_events.json", _one_edge_with_face_key_out_of_range),
+    ("hda_three_free_events.json", _negative_cells_key),
 ], ids=["hda-cells", "hda-faces", "hda-sym", "hda-labels", "pnet-pre", "ts-state", "ts-initial",
-        "pnet-tokens"])
+        "pnet-tokens", "hda-sym-key-range", "hda-face-key-range", "hda-cells-key-range"])
 def test_malformed_document_exits_3(tmp_path, capsys, fixture, mutate):
     # each shape used to escape as an AttributeError or TypeError traceback,
-    # or (fractional tokens) to be truncated silently
+    # or (fractional tokens, table keys out of range) to pass silently
     doc = json.loads((FIXTURES / fixture).read_text())
     mutate(doc)
     path = tmp_path / "malformed.json"
@@ -184,6 +203,49 @@ def test_malformed_document_exits_3(tmp_path, capsys, fixture, mutate):
     assert out == ""
     assert err.startswith("error: ParseError: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}"],
+                         ids=["deep-nesting", "not-utf8"])
+def test_undecodable_bytes_exit_3(tmp_path, capsys, monkeypatch, raw):
+    # a nesting deeper than the decoder's recursion limit, and a byte that
+    # is not UTF-8, from a file and on stdin
+    import io
+    import sys
+
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    for source in (str(path), "-"):
+        code, out, err = run(capsys, "validate", source)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ParseError: ")
+        assert "Traceback" not in err
+
+
+STAR_DOCUMENTS = {
+    "acr": {"kind": "acr", "format_version": 1, "states": ["x", "y"], "initial": "x",
+            "events": ["*"], "trans": [["x", "*", "y"]], "indep": []},
+    "es": {"kind": "es", "format_version": 1, "events": ["*", "a"], "causality": [],
+           "conflict": []},
+    "pnet": {"kind": "pnet", "format_version": 1, "places": ["p"], "m0": {"p": 1},
+             "events": ["*"], "pre": {"*": {"p": 1}}, "post": {}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STAR_DOCUMENTS))
+@pytest.mark.parametrize("command", [["translate", "--to", "hda"], ["export-dot"]],
+                         ids=["translate", "export-dot"])
+def test_an_idle_event_exits_15(tmp_path, capsys, kind, command):
+    # only a transition system read with --idle may carry the idle event;
+    # these used to print an automaton that validate rejects
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(STAR_DOCUMENTS[kind]))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 15
+    assert out == ""
+    assert err.startswith("error: StarClash: ")
 
 
 def _bad_face_value(doc):

@@ -44,6 +44,7 @@ from hdabridge.functors import (
     validate_hda_morphism,
 )
 from hdabridge.models import (
+    Acr,
     EventStructure,
     Marking,
     PnMorphism,
@@ -193,6 +194,15 @@ def test_acr_to_hda2_triple_diamond():
     assert validate_hda(h).ok
     assert check_deterministic(h, 1)
     assert check_linear_labeling(h)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ts_automaton_is_the_1_skeleton_of_its_acr_automaton(seed):
+    # a transition system is an ACR with no independent pairs
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(cfg.count):
+        t = gen_ts(index, cfg)
+        assert ts_to_hda1(t) == truncate(acr_to_hda2(Acr(t, frozenset())), 1)
 
 
 def test_acr_to_hda2_empty_independence():

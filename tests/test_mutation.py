@@ -1,5 +1,6 @@
 """Mutated fixtures through the CLI: every input ends in a documented exit
-code, never in an uncaught exception."""
+code, never in an uncaught exception, and every document a translation
+prints validates."""
 
 import io
 import json
@@ -81,7 +82,7 @@ def run_cli(argv, text):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name,field", FIELDS, ids=[f"{n[:-5]}-{f}" for n, f in FIELDS])
@@ -93,6 +94,8 @@ def test_mutated_fixtures_exit_with_documented_codes(name, field, data):
         text = json.dumps(doc)
         for argv in (["validate", "-"],
                      ["translate", "-", "--to", targets[k % len(targets)], "--max-states", "200"]):
-            code, err = run_cli(argv, text)
+            code, out, err = run_cli(argv, text)
             assert code in DOCUMENTED, (argv, code, err)
             assert "Traceback" not in err
+            if argv[0] == "translate" and code == 0:
+                assert run_cli(["validate", "-"], out)[0] == 0, (argv, out)
