@@ -294,6 +294,10 @@ def document_to_model(doc: dict):
             raise ParseError(f"place names must be strings, got {places!r}")
         pre_doc = _object(_need(doc, "pre"), "pre")
         post_doc = _object(_need(doc, "post"), "post")
+        names = set(map(str, events))
+        for field, table in (("pre", pre_doc), ("post", post_doc)):
+            if not table.keys() <= names:
+                raise ParseError(f"{field} key {min(table.keys() - names)!r} names no event")
         return kind, PetriNet(
             places=frozenset(places),
             m0=_parse_marking(_need(doc, "m0"), "m0"),
@@ -305,22 +309,27 @@ def document_to_model(doc: dict):
 
 
 def _int_table(table, what: str, keys) -> dict:
-    """An object from integer keys to integers.  It is read in bulk; only a
-    table found bad is read again entry by entry, to name its first bad
-    entry.  A table that lists its dimension's ``keys`` as printed, the
-    pair (key strings, their ints) or None, reuses the ints."""
+    """An object from the cells of one dimension to integers; ``keys`` are
+    those cells as printed, the pair (key strings, their ints), or None
+    when ``cells`` lists no such dimension.  A table listing them as
+    printed reuses the ints.  Any other is read in bulk (entry by entry
+    once found bad, to name its first bad entry), then its keys are
+    checked to be cells."""
     obj = _object(table, what)
-    if set(map(type, obj.values())) <= {int}:
-        if keys and list(obj) == keys[0]:
-            return dict(zip(keys[1], obj.values()))
-        try:
-            return dict(zip(map(int, obj), obj.values()))
-        except ValueError:
-            pass
+    if keys is None:
+        raise ParseError(f"{what} names no dimension of cells")
+    ints = set(map(type, obj.values())) <= {int}
+    if ints and list(obj) == keys[0]:
+        return dict(zip(keys[1], obj.values()))
     try:
-        return {int(a): _int(b, f"{what}[{a}]") for a, b in obj.items()}
+        out = dict(zip(map(int, obj), obj.values())) if ints else \
+            {int(a): _int(b, f"{what}[{a}]") for a, b in obj.items()}
     except ValueError as err:
         raise ParseError(f"bad {what}: {err}") from err
+    if not out.keys() <= set(keys[1]):
+        key = next(a for a in obj if int(a) not in keys[1])
+        raise ParseError(f"{what} key {key!r} is not a cell of its dimension")
+    return out
 
 
 def _cell_indices(ids, what: str) -> tuple:
@@ -332,13 +341,14 @@ def _cell_indices(ids, what: str) -> tuple:
 
 def _label_words(labels_doc: dict, n: int, ids: tuple) -> list:
     """The label words of the n-cells ``ids``, in order, read in bulk; only
-    a table found bad is read again cell by cell, to name its first bad
-    cell."""
-    if n == 0 or not ids:
+    a table found bad, or with more entries than ``ids``, is read again
+    cell by cell, to name its first bad cell, and then its keys are
+    checked to be cells."""
+    if n == 0:
         return [()] * len(ids)
     table = _object(labels_doc.get(str(n), {}), f"labels[{n}]")
     words = [table.get(key) for key in map(str, ids)]
-    if set(map(type, words)) == {list} and \
+    if len(table) == len(ids) and set(map(type, words)) <= {list} and \
             set(map(type, itertools.chain.from_iterable(words))) <= {str, int, float}:
         return list(map(tuple, words))
     words = []
@@ -347,6 +357,9 @@ def _label_words(labels_doc: dict, n: int, ids: tuple) -> list:
             raise ParseError(f"cell ({n},{idx}) has no label")
         word = _list(table[str(idx)], f"label of cell ({n},{idx})")
         words.append(tuple(_name(e, "labels") for e in word))
+    spelled = set(map(str, ids))
+    if stray := [key for key in table if key not in spelled]:
+        raise ParseError(f"labels[{n}] key {stray[0]!r} is not a cell of dimension {n}")
     return words
 
 
@@ -374,7 +387,7 @@ def _parse_hda(doc: dict) -> Hda:
             raise ParseError(f"bad face sign in key {key!r}")
         if not 0 <= pos <= dim - 1:
             raise ParseError(f"face key {key!r} is out of range: needs 0 <= i <= n-1")
-        faces[(dim, pos, sign)] = _int_table(table, f"face table {key!r}", spelled.get(n))
+        faces[(dim, pos, sign)] = _int_table(table, f"face table {key!r}", spelled.get(str(dim)))
     sym = {}
     for key, table in _object(doc.get("sym", {}), "sym").items():
         try:
@@ -384,13 +397,18 @@ def _parse_hda(doc: dict) -> Hda:
             raise ParseError(f"bad sym key {key!r}: {err}") from err
         if not (dim >= 2 and 0 <= pos <= dim - 2):
             raise ParseError(f"sym key {key!r} is out of range: needs n >= 2 and 0 <= i <= n-2")
-        sym[(dim, pos)] = _int_table(table, f"sym table {key!r}", spelled.get(n))
+        sym[(dim, pos)] = _int_table(table, f"sym table {key!r}", spelled.get(str(dim)))
     labels_doc = _object(doc.get("labels", {}), "labels")
+    if stray := [key for key in labels_doc if key not in printed or key == "0"]:
+        raise ParseError(f"labels key {stray[0]!r} is not a dimension of cells above 0")
     words, labeling = {}, {}
     for n in range(max_dim + 1):
         ids = cells.get(n, ())
         words[n] = _label_words(labels_doc, n, ids)
         labeling.update(zip([CellId(n, idx) for idx in ids], words[n]))
+    if len(labeling) < sum(map(len, cells.values())):
+        n, idx = next((n, a) for n, ids in cells.items() for a, b in zip(ids, ids[1:]) if a == b)
+        raise ParseError(f"cells[{n}] lists index {idx} twice")
     initial = CellId(0, _int(_need(doc, "initial"), "initial"))
 
     # ingestion normalization: a lone idle-labeled self-loop denotes the

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import add
 from typing import Callable, Optional
 
 from . import jsonio, zoo
@@ -49,7 +50,6 @@ from .models import (
     validate_acr,
     validate_es,
     validate_pn,
-    validate_pn_morphism,
     validate_ts,
 )
 from .util import backtrack, breadth_first, canon_key, sorted_by_key
@@ -75,19 +75,10 @@ class LawReport:
     counterexample: Optional[dict] = None
 
     def fail(self, detail: dict) -> None:
-        if self.passed:
-            self.passed = False
-            self.counterexample = detail
+        self.passed, self.counterexample = False, detail
 
     def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "instances": self.instances,
-            "skipped": self.skipped,
-            "passed": self.passed,
-            "seed": self.seed,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -268,39 +259,51 @@ def canonical_es(es: EventStructure) -> EventStructure:
 # Law checks
 # ---------------------------------------------------------------------------
 
+def run_law(law: str, seed: int, instances, check) -> LawReport:
+    """The one suite loop: ``check(instance)`` on each instance in turn,
+    returning None where the law holds and a dict describing the
+    counterexample where it fails.  An instance whose check raises
+    SizeLimit counts as skipped; the first counterexample ends the run,
+    stored with the instance's index."""
+    report = LawReport(law=law, seed=seed)
+    for i, instance in enumerate(instances):
+        report.instances += 1
+        try:
+            detail = check(instance)
+        except SizeLimit:
+            report.skipped += 1
+            continue
+        if detail is not None:
+            report.fail({"index": i, **detail})
+            break
+    return report
+
+
 def check_comonad_identity(kind: str, cfg: GeneratorConfig) -> LawReport:
     """Translating into automata and back is the identity."""
-    report = LawReport(law=f"comonad-identity[{kind}]", seed=cfg.seed)
     # the round trip, the canonical renaming and the document kind
     back, canon, doc_kind = {
         "sTS": (lambda t: hda1_to_ts(ts_to_hda1(t)), canonical_ts, "ts"),
         "ACR": (lambda a: hda2_to_acr(acr_to_hda2(a)), canonical_acr, "acr"),
         "ES": (lambda e: hda_to_es(es_to_hda(e)), canonical_es, "es"),
     }[kind]
-    gen = GENERATORS[kind]
-    for i in range(cfg.count):
-        model = gen(i, cfg)
+
+    def check(model):
         assert VALIDATORS[kind](model).ok, f"generator produced invalid {kind}"
-        report.instances += 1
         result = back(model)
         if canon(result) != canon(model):
-            report.fail({
-                "index": i,
-                "model": jsonio.model_to_document(doc_kind, model),
-                "roundtrip": jsonio.model_to_document(doc_kind, result),
-            })
-            break
-    return report
+            return {"model": jsonio.model_to_document(doc_kind, model),
+                    "roundtrip": jsonio.model_to_document(doc_kind, result)}
+
+    return run_law(f"comonad-identity[{kind}]", cfg.seed,
+                   (GENERATORS[kind](i, cfg) for i in range(cfg.count)), check)
 
 
 def check_kleisli_lift(cfg: GeneratorConfig) -> LawReport:
     """Idle completion commutes with the automaton translation in both
     directions: completing then translating drops the idle loops into
     degeneracies, and reading back with idle loops re-completes."""
-    report = LawReport(law="kleisli-lift[sTS]", seed=cfg.seed)
-    for i in range(cfg.count):
-        t = gen_ts(i, cfg)
-        report.instances += 1
+    def check(t):
         completed = idle_completion(t)
         lifted = ts_to_hda1(completed, idle=True)
         plain = ts_to_hda1(t)
@@ -311,10 +314,10 @@ def check_kleisli_lift(cfg: GeneratorConfig) -> LawReport:
         elif canonical_ts(hda1_to_ts(lifted, idle=True)) != canonical_ts(completed):
             reason = "lifted roundtrip differs"
         else:
-            continue
-        report.fail({"index": i, "model": jsonio.model_to_document("ts", t), "reason": reason})
-        break
-    return report
+            return None
+        return {"model": jsonio.model_to_document("ts", t), "reason": reason}
+
+    return run_law("kleisli-lift[sTS]", cfg.seed, (gen_ts(i, cfg) for i in range(cfg.count)), check)
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +329,38 @@ HDA_HOM_BUDGET = 100000  # label maps
 HDA_MEMBER_BUDGET = 10000  # automaton morphisms, each built and validated
 
 
+def _place_columns(n: PetriNet, events) -> dict:
+    """Each place of ``n`` with its column, read from ``n.vectors``: its
+    initial count, then its pre and post counts at each of ``events``, where
+    None (a dropped event) counts 0 and 0.  A morphism may map a target
+    place to a source place exactly when their columns are equal."""
+    v = n.vectors
+    zero = (0,) * len(v.places)
+    rows = [v.counts(n.m0)]
+    for e in events:
+        rows += (zero, zero) if e is None else (v.pre[e], tuple(map(add, v.pre[e], v.effect[e])))
+    return dict(zip(v.places, zip(*rows)))
+
+
+def _places_by_column(n: PetriNet, events) -> dict:
+    """The places of ``n`` by their column over ``events``, in canonical order."""
+    columns = _place_columns(n, events)
+    groups: dict = {}
+    for p in sorted_by_key(n.places):
+        groups.setdefault(columns[p], []).append(p)
+    return groups
+
+
 def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet):
     """All net morphisms src -> dst, by backtracking over the event map and
-    then the place map, with per-place pruning."""
+    then the place map: under each event map, a target place may take the
+    source places whose column (``_place_columns``) equals its own."""
     events = sorted_by_key(src.events)
     targets = [None] + sorted_by_key(dst.events)
     places = sorted_by_key(dst.places)
-    src_places = sorted_by_key(src.places)
-    combos = len(targets) ** len(events)
-    if combos * max(1, len(src.places)) > PN_HOM_BUDGET:
+    if len(targets) ** len(events) * max(1, len(src.places)) > PN_HOM_BUDGET:
         raise SizeLimit("event-map space too large")
-
-    def fits(q, p, psi):
-        if src.m0.get(q) != dst.m0.get(p):
-            return False
-        for e in events:
-            if e in psi:
-                if src.pre[e].get(q) != dst.pre[psi[e]].get(p) or \
-                   src.post[e].get(q) != dst.post[psi[e]].get(p):
-                    return False
-            elif src.pre[e].get(q) != 0 or src.post[e].get(q) != 0:
-                return False
-        return True
+    by_column = _places_by_column(src, events)
 
     # source places each target place may take under the current event map;
     # recomputed whenever the search reaches the first place slot
@@ -357,20 +370,15 @@ def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet):
         if pos < len(events):
             return targets
         if pos == len(events):
-            psi = {e: v for e, v in zip(events, partial) if v is not None}
-            candidates[:] = [[q for q in src_places if fits(q, p, psi)]
-                             for p in places]
+            images = _place_columns(dst, partial)
+            candidates[:] = [by_column.get(images[p], ()) for p in places]
             if all(candidates) and math.prod(map(len, candidates)) > PN_HOM_BUDGET:
                 raise SizeLimit("place-map space too large")
         return candidates[pos - len(events)]
 
-    out = []
-    for values in backtrack(events + places, options):
-        m = PnMorphism(phi=dict(zip(places, values[len(events):])),
+    return [PnMorphism(phi=dict(zip(places, values[len(events):])),
                        psi={e: v for e, v in zip(events, values) if v is not None})
-        if validate_pn_morphism(m, src, dst).ok:
-            out.append(m)
-    return out
+            for values in backtrack(events + places, options)]
 
 
 def enumerate_hda_morphisms_into_net_hda(source: Hda, net: PetriNet, target: Hda):
@@ -424,45 +432,33 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
     """On each (automaton, net) pair: the two transpositions are mutually
     inverse bijections between the enumerated hom-sets, and natural in
     both arguments across the fixture set."""
-    report = LawReport(law="adjunction[pn-hda]")
     computed = []
-    for idx, (source, net) in enumerate(pairs):
-        report.instances += 1
+
+    def bijection(pair):
+        source, net = pair
         synth = hda_to_pn(source, cap)
         target = pn_to_hda(net, max_states, max_dim, truncate_cells=True)
-        try:
-            pn_homs = enumerate_pn_morphisms(synth.net, net)
-            hda_homs = enumerate_hda_morphisms(source, target)
-        except SizeLimit:
-            report.skipped += 1
-            continue
+        pn_homs = enumerate_pn_morphisms(synth.net, net)
+        hda_homs = enumerate_hda_morphisms(source, target)
         if len(pn_homs) != len(hda_homs):
-            report.fail({"pair": idx, "reason": "hom-set sizes differ",
-                         "pn": len(pn_homs), "hda": len(hda_homs)})
-            continue
+            return {"reason": "hom-set sizes differ", "pn": len(pn_homs), "hda": len(hda_homs)}
         seen = []
         for f in pn_homs:
             g = transpose_to_hda(f, synth, net, target)
             if not validate_hda_morphism(g, source, target).ok:
-                report.fail({"pair": idx, "reason": "transpose not a morphism"})
-                break
+                return {"reason": "transpose not a morphism"}
             if transpose_to_pn(g, synth, net, target) != f:
-                report.fail({"pair": idx, "reason": "pn roundtrip differs"})
-                break
+                return {"reason": "pn roundtrip differs"}
             seen.append(g)
-        else:
-            # each net morphism with its transpose, for the naturality checks
-            computed.append((net, synth, target, list(zip(pn_homs, seen))))
-            if {_canon_hda_morphism(g) for g in seen} != \
-               {_canon_hda_morphism(g) for g in hda_homs}:
-                report.fail({"pair": idx, "reason": "transpose image misses morphisms"})
-            for g in hda_homs:
-                f = transpose_to_pn(g, synth, net, target)
-                if _canon_hda_morphism(transpose_to_hda(f, synth, net, target)) != \
-                   _canon_hda_morphism(g):
-                    report.fail({"pair": idx, "reason": "hda roundtrip differs"})
-                    break
+        if {_canon_hda_morphism(g) for g in seen} != {_canon_hda_morphism(g) for g in hda_homs}:
+            return {"reason": "transpose image misses morphisms"}
+        for g in hda_homs:
+            if transpose_to_hda(transpose_to_pn(g, synth, net, target), synth, net, target) != g:
+                return {"reason": "hda roundtrip differs"}
+        # each net morphism with its transpose, for the naturality checks
+        computed.append((net, synth, target, list(zip(pn_homs, seen))))
 
+    report = run_law("adjunction[pn-hda]", 0, pairs, bijection)
     if not report.passed:
         return report
 
@@ -479,7 +475,7 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
                 for f, g in homs_i:
                     lhs = transpose_to_hda(compose_pn_morphisms(f, v), synth_i, n_j, target_j)
                     rhs = compose_hda_morphisms(g, hda_v)
-                    if _canon_hda_morphism(lhs) != _canon_hda_morphism(rhs):
+                    if lhs != rhs:
                         report.fail({"pairs": (i, j), "reason": "naturality in the net fails"})
                         return report
             # natural in the automaton argument: u from synth_j.hda to synth_i.hda
@@ -493,7 +489,7 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
                 for f, g in homs_i:
                     lhs = transpose_to_hda(compose_pn_morphisms(pn_u, f), synth_j, n_i, target_i)
                     rhs = compose_hda_morphisms(u, g)
-                    if _canon_hda_morphism(lhs) != _canon_hda_morphism(rhs):
+                    if lhs != rhs:
                         report.fail({"pairs": (i, j), "reason": "naturality in the automaton fails"})
                         return report
     return report
@@ -543,7 +539,7 @@ def iso_check(a, b, node_limit: int = 600):
     ``SquareIncomplete`` when it fails ``validate_acr`` and ``StarClash``
     when the idle event is one of its events.  Event structures
     are isomorphic exactly when equal, the events being their labels.
-    Nets are matched by grouping places on their vectors, without search.
+    Nets are matched by grouping places on their columns, without search.
     """
     if isinstance(a, Hda) and isinstance(b, Hda):
         return _iso_hda(a, b, node_limit)
@@ -579,24 +575,10 @@ def _iso_pn(a: PetriNet, b: PetriNet, node_limit: int):
     if len(a.places) != len(b.places) or a.events != b.events:
         return None
 
-    def place_vector(n, p):
-        return (n.m0.get(p),
-                tuple((canon_key(e), n.pre[e].get(p), n.post[e].get(p))
-                      for e in sorted_by_key(n.events)))
-
-    groups_a: dict = {}
-    for p in a.places:
-        groups_a.setdefault(place_vector(a, p), []).append(p)
-    groups_b: dict = {}
-    for p in b.places:
-        groups_b.setdefault(place_vector(b, p), []).append(p)
+    groups_a, groups_b = (_places_by_column(n, sorted_by_key(a.events)) for n in (a, b))
     if {k: len(v) for k, v in groups_a.items()} != {k: len(v) for k, v in groups_b.items()}:
         return None
-    m = {}
-    for key, ps in groups_a.items():
-        for p, q in zip(sorted_by_key(ps), sorted_by_key(groups_b[key])):
-            m[p] = q
-    return m
+    return {p: q for key, ps in groups_a.items() for p, q in zip(ps, groups_b[key])}
 
 
 def _iso_hda(a: Hda, b: Hda, node_limit: int):

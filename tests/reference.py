@@ -19,8 +19,11 @@ message for message.
 
 Nets and regions: firing a word on ``Marking``s (``fire``, with
 ``marking_plus``, ``marking_minus``, ``covers`` and ``deficient_place``),
-the region rule on every cell (``region_check``), and one dispatch over
-the morphism validators (``validate_morphism``).
+the region rule on every cell (``region_check``), one dispatch over
+the morphism validators (``validate_morphism``), and the net searches by
+brute force: every event map times every place map, filtered by
+``validate_pn_morphism`` (``pn_morphisms``), and every place bijection
+(``pn_isomorphisms``).
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from hdabridge.models import (
     EventStructure,
     Marking,
     PetriNet,
+    PnMorphism,
     validate_acr_morphism,
     validate_es,
     validate_es_morphism,
@@ -685,3 +689,44 @@ def validate_morphism(kind: str, m, src, dst) -> ValidationReport:
     if kind == "pnet":
         return validate_pn_morphism(m, src, dst)
     raise ValueError(f"no morphism validator for kind {kind!r}")
+
+
+def pn_morphism_space(src: PetriNet, dst: PetriNet) -> int:
+    """The number of assignments ``pn_morphisms`` tries."""
+    return (len(dst.events) + 1) ** len(src.events) * len(src.places) ** len(dst.places)
+
+
+def pn_morphisms(src: PetriNet, dst: PetriNet) -> list:
+    """Every partial event map times every place map src -> dst, kept when
+    it passes ``validate_pn_morphism``."""
+    events = sorted_by_key(src.events)
+    places = sorted_by_key(dst.places)
+    out = []
+    for images in itertools.product([None, *sorted_by_key(dst.events)], repeat=len(events)):
+        psi = {e: v for e, v in zip(events, images) if v is not None}
+        for sources in itertools.product(sorted_by_key(src.places), repeat=len(places)):
+            m = PnMorphism(phi=dict(zip(places, sources)), psi=psi)
+            if validate_pn_morphism(m, src, dst).ok:
+                out.append(m)
+    return out
+
+
+def pn_isomorphisms(a: PetriNet, b: PetriNet) -> list:
+    """Every bijection from the places of ``a`` to those of ``b`` that
+    carries the initial marking, and each event's pre and post, of ``a``
+    onto those of ``b``; the events must be equal."""
+    if a.events != b.events or len(a.places) != len(b.places):
+        return []
+    places = sorted_by_key(a.places)
+
+    def image(m: Marking, rename: dict) -> Marking:
+        return Marking.of({rename[p]: n for p, n in m.items})
+
+    out = []
+    for targets in itertools.permutations(sorted_by_key(b.places)):
+        rename = dict(zip(places, targets))
+        if image(a.m0, rename) == b.m0 and \
+                all(image(a.pre[e], rename) == b.pre[e] and image(a.post[e], rename) == b.post[e]
+                    for e in a.events):
+            out.append(rename)
+    return out

@@ -177,6 +177,19 @@ def _negative_cells_key(doc):
     doc["cells"]["-1"] = []
 
 
+def _set(*path, value):
+    """A mutation that sets the entry at ``path`` to ``value``."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def _cell_listed_twice(doc):
+    doc["cells"]["1"].append(0)
+
+
 @pytest.mark.parametrize("fixture,mutate", [
     ("hda_three_free_events.json", _as_list("cells")),
     ("hda_three_free_events.json", _as_list("faces")),
@@ -189,11 +202,21 @@ def _negative_cells_key(doc):
     ("hda_three_free_events.json", _sym_key_out_of_range),
     ("hda_three_free_events.json", _one_edge_with_face_key_out_of_range),
     ("hda_three_free_events.json", _negative_cells_key),
+    ("hda_three_free_events.json", _set("faces", "1,0,-", "99", value=0)),
+    ("hda_three_free_events.json", _set("labels", "1", "99", value=["a"])),
+    ("hda_three_free_events.json", _set("labels", "7", value={})),
+    ("hda_three_free_events.json", _set("faces", "7,0,-", value={})),
+    ("hda_three_free_events.json", _set("sym", "5,0", value={})),
+    ("hda_three_free_events.json", _cell_listed_twice),
+    ("pnet_two_mutex.json", _set("pre", "zzz", value={"p": 1})),
 ], ids=["hda-cells", "hda-faces", "hda-sym", "hda-labels", "pnet-pre", "ts-state", "ts-initial",
-        "pnet-tokens", "hda-sym-key-range", "hda-face-key-range", "hda-cells-key-range"])
+        "pnet-tokens", "hda-sym-key-range", "hda-face-key-range", "hda-cells-key-range",
+        "hda-face-entry-names-no-cell", "hda-label-entry-names-no-cell", "hda-labels-dimension",
+        "hda-face-dimension", "hda-sym-dimension", "hda-cell-listed-twice", "pnet-pre-names-no-event"])
 def test_malformed_document_exits_3(tmp_path, capsys, fixture, mutate):
     # each shape used to escape as an AttributeError or TypeError traceback,
-    # or (fractional tokens, table keys out of range) to pass silently
+    # or (fractional tokens, table keys out of range, keys naming nothing)
+    # to pass silently
     doc = json.loads((FIXTURES / fixture).read_text())
     mutate(doc)
     path = tmp_path / "malformed.json"

@@ -30,10 +30,12 @@ from hdabridge.laws import (
     gen_pn,
     gen_ts,
     iso_check,
+    run_law,
 )
 from hdabridge.models import Acr, idle_completion, make_event_structure, make_pn, make_ts
 from hdabridge.util import sorted_by_key
-from hdabridge import zoo
+from hdabridge import laws, zoo
+from reference import pn_isomorphisms, pn_morphism_space, pn_morphisms
 
 
 CFG = GeneratorConfig(seed=0, count=30)
@@ -102,6 +104,90 @@ def test_adjunction_pn_hda_fixture_pairs():
     report = check_adjunction_pn_hda(adjunction_pairs(), cap=1, max_states=100, max_dim=2)
     assert report.passed, str(report)
     assert report.instances == 3
+
+
+def test_run_law_counts_a_size_limit_as_skipped():
+    def check(instance):
+        if instance == "b":
+            raise SizeLimit("too large")
+
+    report = run_law("demo", 4, "abc", check)
+    assert report.to_json() == {"law": "demo", "instances": 3, "skipped": 1, "passed": True,
+                                "seed": 4, "counterexample": None}
+
+
+def test_run_law_stops_at_the_first_counterexample():
+    checked = []
+
+    def check(instance):
+        checked.append(instance)
+        if instance in "ce":
+            return {"instance": instance}
+
+    report = run_law("demo", 0, "abcde", check)
+    assert not report.passed
+    assert report.counterexample == {"index": 2, "instance": "c"}
+    assert (report.instances, checked) == (3, ["a", "b", "c"])
+
+
+def test_forced_adjunction_failure_names_its_pair(monkeypatch):
+    monkeypatch.setattr(laws, "transpose_to_pn", lambda g, synth, net, target: None)
+    report = laws.SUITES["adjunction-pn"](CFG)
+    assert not report.passed
+    assert report.counterexample == {"index": 0, "reason": "pn roundtrip differs"}
+    assert report.instances == 1
+
+
+def _small_nets(seed):
+    return [gen_pn(i, GeneratorConfig(seed=seed, max_places=3)) for i in range(20)]
+
+
+def _morphism_key(m):
+    return tuple(sorted(m.phi.items())), tuple(sorted(m.psi.items()))
+
+
+@pytest.mark.parametrize("seed,members", [(0, 805), (1, 357)])
+def test_net_morphism_search_matches_brute_force(seed, members):
+    # every ordered pair of the seed's nets whose brute-force space is small
+    pairs = homs = 0
+    for src in _small_nets(seed):
+        for dst in _small_nets(seed):
+            if pn_morphism_space(src, dst) > 2000:
+                continue
+            found = [_morphism_key(m) for m in enumerate_pn_morphisms(src, dst)]
+            assert len(set(found)) == len(found)
+            assert set(found) == {_morphism_key(m) for m in pn_morphisms(src, dst)}
+            pairs += 1
+            homs += len(found)
+    assert (pairs, homs) == (400, members)
+
+
+def _renamed_places(n):
+    """A copy of ``n`` whose places are renamed in reverse canonical order."""
+    places = sorted_by_key(n.places)
+    rename = dict(zip(places, [f"r{k}" for k in reversed(range(len(places)))]))
+
+    def image(m):
+        return {rename[p]: c for p, c in m.items}
+
+    return make_pn(rename.values(), image(n.m0), n.events,
+                   {e: image(n.pre[e]) for e in n.events}, {e: image(n.post[e]) for e in n.events})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_net_iso_check_matches_a_search_over_place_bijections(seed):
+    nets = _small_nets(seed)
+    nets += [_renamed_places(n) for n in nets]
+    found = 0
+    for a in nets:
+        for b in nets:
+            m = iso_check(a, b)
+            isos = pn_isomorphisms(a, b)
+            assert (m is None) == (not isos)
+            if m is not None:
+                assert m in isos
+                found += 1
+    assert found > len(nets)
 
 
 def test_hom_sets_nonempty_and_matching():
