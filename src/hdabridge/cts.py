@@ -6,14 +6,15 @@ invariant under reordering and idle insertion, it is stored as a predicate
 on multisets; the action of a word is the composite of single-event steps,
 which the axioms make order-independent.  Every CTS generates a higher
 dimensional automaton whose n-cells are the enabled words of length n.
-Those cells are grown one orbit (a state and an enabled multiset) at a
-time and laid out along the word prefix tree: an n-cell is an (n-1)-cell
-followed by one event, and a cell's children follow it in increasing
-event rank, which is the canonical (state, word) order over the states
-and events in canonical order.  Every face, transposition, label and key
-of an n-cell is composed from the tables of the dimension below.  A CTS
-carries no labels: each event is its own label, so no event may be the
-idle symbol ``*``, which names only degenerate cells.
+Those cells are grown one dimension at a time, first as orbits (a state
+and an enabled multiset), and laid out along the word prefix tree: an
+n-cell is an (n-1)-cell followed by one event, and a cell's children
+follow it in increasing event rank, which is the canonical (state, word)
+order over the states and events in canonical order.  Every face,
+transposition, label and key of an n-cell is composed from the tables of
+the dimension below.  A CTS carries no labels: each event is its own
+label, so no event may be the idle symbol ``*``, which names only
+degenerate cells.
 
 Three systems instantiate it: an event structure's configurations
 (``es_to_cts``), a net's reachable markings (``pn_to_cts``), and the
@@ -78,17 +79,6 @@ class Cts:
 # CTS -> HDA
 # ---------------------------------------------------------------------------
 
-def _extensions(alone, twice, size: int) -> dict:
-    """The candidates that extend an enabled multiset of ``size``, by its
-    last rank: the events enabled alone (all of them at size 0) from that
-    rank on, and past size 1 the rank itself only if it is in ``twice``."""
-    if size == 0:
-        return {(): alone}
-    if size == 1:
-        return {(r,): alone[j:] for j, r in enumerate(alone)}
-    return {(r,): [r] * (r in twice) + alone[j + 1:] for j, r in enumerate(alone)}
-
-
 def enabled_cells_by_dim(c: Cts, max_dim: int) -> tuple:
     """The enabled words of length 1..``max_dim`` as a prefix
     tree, and the multisets that the dimension cap must test.
@@ -102,60 +92,55 @@ def enabled_cells_by_dim(c: Cts, max_dim: int) -> tuple:
     ``max_dim + 1``; some enabled word is longer than ``max_dim`` exactly
     when one of them is enabled.
 
-    Words are grown one orbit (an enabled multiset, as a nondecreasing
-    rank tuple) at a time, extended only by events at or after the last
-    one, with one ``c.enabled`` call per candidate.  Every sub-multiset
-    of an enabled multiset is enabled, so past size 1 the candidates are
-    only the events enabled alone, and past size 2 a multiset is extended
-    by its own last event e only where (e, e) is enabled.  Each orbit M
-    adds each distinct letter e of M to the children of the orbit M - e;
-    taken in order, the orbits list every orbit's children by rank.
+    Orbits (a state and an enabled multiset, as a nondecreasing rank
+    tuple) are grown one dimension at a time over all states, each
+    extended only by events at or after its last one, with one
+    ``c.enabled`` call per candidate; an orbit's number is its position
+    in its dimension.  Every sub-multiset of an enabled multiset is
+    enabled, so past size 1 the candidates are only the events enabled
+    alone at the state, and past size 2 a multiset is extended by its own
+    last event e only where (e, e) is enabled.  An orbit M is a child of
+    M - e for each distinct letter e of M, the orbit it was grown from
+    being M - (its last letter); taken in order, the orbits list every
+    orbit's children by rank.
     """
     states, events = c.ranked
     size = len(events)
-    # per dimension and orbit: its children, as child orbit * size + last rank
-    kids = [[[] for _ in states]] + [[] for _ in range(max_dim)]
-    numbered = [len(states)] + [0] * max_dim  # orbits numbered so far, per dimension
-    tops = []
-    for s, x in enumerate(states):
-        orbits = [((), ())]  # (ranks, events) of the enabled multisets
-        ids = {(): s}  # orbit ranks -> orbit number in its dimension
-        alone, twice = range(size), ()
-        for n in range(1, max_dim + 1):
-            if n <= 3:  # the candidates change with the size up to size 2
-                after = _extensions(alone, twice, n - 1)
-            orbits = [(ranks + (r,), m + (events[r],))
-                      for ranks, m in orbits
-                      for r in after[ranks[-1:]]
-                      if c.enabled(x, m + (events[r],))]
-            if not orbits:
-                break
-            if n == 1:
-                alone = [r for (r,), _ in orbits]
-            elif n == 2:
-                twice = {r for (r, q), _ in orbits if r == q}
-            smaller, below, ids = kids[n - 1], ids, {}  # the orbits one smaller
-            for j, (ranks, _) in enumerate(orbits, numbered[n]):
-                ids[ranks] = j
-                for k, r in enumerate(ranks):
-                    if not k or r != ranks[k - 1]:
-                        smaller[below[ranks[:k] + ranks[k + 1:]]].append(j * size + r)
-            numbered[n] += len(orbits)
-            if n < max_dim:
-                kids[n] += [[] for _ in orbits]
-        else:
-            tops.append((x, orbits, alone, twice))
-    beyond = ((x, m + (events[r],)) for x, orbits, alone, twice in tops
-              for after in [_extensions(alone, twice, min(max_dim, 2))]
-              for ranks, m in orbits for r in after[ranks[-1:]])
+    alone, twice = [[] for _ in states], [[] for _ in states]  # per state: ranks enabled alone, twice
 
-    tree, orbit = [], range(len(states))  # orbit: each cell's orbit number
-    for children in kids[:max_dim]:
-        counts = map(len, map(children.__getitem__, orbit))
-        packed = list(chain.from_iterable(map(children.__getitem__, orbit)))
+    def after(s, ranks):  # the ranks that may extend the orbit ``ranks`` at state s
+        if not ranks:
+            return range(size)
+        r, j = ranks[-1], alone[s].index(ranks[-1])
+        if len(ranks) == 1:
+            return alone[s][j:]
+        return [r] * (r in twice[s]) + alone[s][j + 1:]
+
+    # an orbit: (the orbit it was grown from, state rank, state, ranks, events)
+    orbits = [(None, s, x, (), ()) for s, x in enumerate(states)]
+    ids, tree, orbit = {}, [], range(len(states))  # orbit: each cell's orbit number
+    for n in range(1, max_dim + 1):
+        kids, below, ids = [[] for _ in orbits], ids, {}  # per orbit: child orbit * size + last rank
+        orbits = [(i, s, x, ranks + (r,), m + (events[r],))
+                  for i, (_, s, x, ranks, m) in enumerate(orbits)
+                  for r in after(s, ranks) if c.enabled(x, m + (events[r],))]
+        for j, (i, s, _, ranks, _) in enumerate(orbits):
+            ids[s, ranks] = j
+            r = ranks[-1]
+            if n == 1:
+                alone[s].append(r)
+            elif n == 2 and ranks[0] == r:
+                twice[s].append(r)
+            kids[i].append(j * size + r)
+            for k in range(ranks.index(r)):  # the other distinct letters
+                if not k or ranks[k] != ranks[k - 1]:
+                    kids[below[s, ranks[:k] + ranks[k + 1:]]].append(j * size + ranks[k])
+        counts = map(len, map(kids.__getitem__, orbit))
+        packed = list(chain.from_iterable(map(kids.__getitem__, orbit)))
         tree.append((list(chain.from_iterable(map(repeat, range(len(orbit)), counts))),
                      list(map(size.__rmod__, packed))))
         orbit = list(map(size.__rfloordiv__, packed))
+    beyond = ((x, m + (events[r],)) for _, s, x, ranks, m in orbits for r in after(s, ranks))
     return tree, beyond
 
 

@@ -221,14 +221,11 @@ def hda1_to_ts(h: Hda, idle: bool = False) -> TransitionSystem:
     completed system: the idle event returns with a loop at every state.
     """
     states = {h.key(c) for c in h.cells(0)}
-    trans = set()
+    trans, ends = set(), h.zero_ends
     for edge in h.cells(1):
         (label,) = h.labeling[edge]
-        if label == STAR:
-            continue
-        trans.add((h.key(h.skeleton.face(edge, 0, "-")),
-                   label,
-                   h.key(h.skeleton.face(edge, 0, "+"))))
+        if label != STAR:
+            trans.add((h.key(ends[edge][0]), label, h.key(ends[edge][1])))
     events = set(h.alphabet)
     if idle:
         events.add(STAR)

@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
-from operator import add
 from typing import Callable, Optional
 
 from . import jsonio, zoo
@@ -336,9 +335,9 @@ def _place_columns(n: PetriNet, events) -> dict:
     place to a source place exactly when their columns are equal."""
     v = n.vectors
     zero = (0,) * len(v.places)
-    rows = [v.counts(n.m0)]
+    rows = [v.m0]
     for e in events:
-        rows += (zero, zero) if e is None else (v.pre[e], tuple(map(add, v.pre[e], v.effect[e])))
+        rows += (zero, zero) if e is None else (v.pre[e], v.post[e])
     return dict(zip(v.places, zip(*rows)))
 
 
@@ -394,8 +393,12 @@ def enumerate_hda_morphisms(src: Hda, dst: Hda):
     a vertex a vertex of ``dst`` (the initial one the initial one), and
     each cell is checked at its last slot: ``dst`` must have a cell with
     its image 0-ends and its image word, dropped letters removed.  Each
-    full assignment is built by ``induced_morphism``; two cells of ``dst``
-    sharing their 0-ends and label raise ``Hda.cell_by_ends``'s ValueError.
+    full assignment is built by ``induced_morphism`` and kept when
+    ``validate_hda_morphism`` passes it: the slot checks read only 0-ends
+    and words, so into a ``dst`` with two a-edges from one vertex they also
+    accept a map whose square image has the other a-edge as its face.  Two
+    cells of ``dst`` sharing their 0-ends and label raise
+    ``Hda.cell_by_ends``'s ValueError.
     Raises SizeLimit when the search finds more than ``HDA_MEMBER_BUDGET``
     full assignments, before the next one is built.
     """

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, ge
+from operator import add, ge, sub
 from typing import Mapping, NamedTuple
 
 from .cubical import STAR
@@ -365,7 +365,7 @@ class Marking:
 
     @staticmethod
     def of(counts: Mapping) -> "Marking":
-        pairs = tuple(sorted_by_key((p, int(n)) for p, n in counts.items() if n))
+        pairs = tuple((p, int(counts[p])) for p in sorted_by_key(p for p, n in counts.items() if n))
         for _, n in pairs:
             if n < 0:
                 raise ValueError("marking counts must be naturals")
@@ -397,12 +397,10 @@ class TokenVectors(NamedTuple):
     the net's places, m0, pre and post name, in a Marking's canonical order."""
 
     places: tuple
+    m0: tuple        # the initial marking
     pre: Mapping     # event -> the tokens it consumes
+    post: Mapping    # event -> the tokens it produces
     effect: Mapping  # event -> post minus pre
-
-    def counts(self, m: Marking) -> tuple:
-        have = m.to_dict()
-        return tuple(have.get(p, 0) for p in self.places)
 
 
 @dataclass(frozen=True)
@@ -415,18 +413,23 @@ class PetriNet:
 
     @cached_property
     def vectors(self) -> TokenVectors:
-        """The net's pre conditions and effects as token vectors, for
-        enabling and firing without Marking arithmetic; built on first use
-        and kept in the instance dict, outside the fields."""
+        """The net's initial marking, pre and post conditions and effects
+        as token vectors, for enabling and firing without Marking
+        arithmetic; built on first use and kept in the instance dict,
+        outside the fields."""
         named = set(self.places).union(self.m0.to_dict(),
                                        *(m.to_dict() for m in self.pre.values()),
                                        *(m.to_dict() for m in self.post.values()))
-        vectors = TokenVectors(places=tuple(sorted_by_key(named)), pre={}, effect={})
-        for e in self.events:
-            pre, post = vectors.counts(self.pre[e]), vectors.counts(self.post[e])
-            vectors.pre[e] = pre
-            vectors.effect[e] = tuple(b - a for a, b in zip(pre, post))
-        return vectors
+        places = tuple(sorted_by_key(named))
+
+        def counts(m: Marking) -> tuple:
+            have = m.to_dict()
+            return tuple(have.get(p, 0) for p in places)
+
+        pre = {e: counts(self.pre[e]) for e in self.events}
+        post = {e: counts(self.post[e]) for e in self.events}
+        return TokenVectors(places=places, m0=counts(self.m0), pre=pre, post=post,
+                            effect={e: tuple(map(sub, post[e], pre[e])) for e in self.events})
 
 
 def make_pn(places, m0, events, pre, post) -> PetriNet:
@@ -486,7 +489,7 @@ def reachable_markings(n: PetriNet, max_states: int) -> MarkingGraph:
     def firings(v):
         return [(e, tuple(map(add, v, effect))) for e, pre, effect in moves if all(map(ge, v, pre))]
 
-    for v, e, v2, new in breadth_first([vectors.counts(n.m0)], firings):
+    for v, e, v2, new in breadth_first([vectors.m0], firings):
         if new:
             if len(marking) >= max_states:
                 raise ExplosionLimit(f"more than {max_states} reachable markings")

@@ -457,6 +457,35 @@ def test_event_structure_growth_repeats_no_event_past_size_two():
         assert all(len(set(m)) == len(m) for _, m in asked if len(m) > 2)
 
 
+def test_growth_and_cap_check_ask_each_question_once():
+    """Growth and the whole dimension-cap check ask ``enabled`` about each
+    (state, multiset) at most once."""
+    systems = [(es_to_cts(make_event_structure("abcdef")), [6])]
+    for seed in range(3):
+        cfg = GeneratorConfig(seed=seed)
+        for index in range(cfg.count):
+            es = gen_es(index, cfg)
+            systems.append((es_to_cts(es), [len(es.events)]))
+            try:
+                systems.append((pn_to_cts(gen_pn(index, cfg), 200), range(5)))
+            except ExplosionLimit:
+                pass
+    for c, caps in systems:
+        for cap in caps:
+            recorded, asked = recording(c)
+            _, beyond = enabled_cells_by_dim(recorded, cap)
+            for x, m in beyond:
+                recorded.enabled(x, m)
+            assert len(set(asked)) == len(asked)
+
+
+@pytest.mark.parametrize("events, calls", [("abcdef", 1049), ("abcdefg", 2955)])
+def test_free_events_at_full_cap_ask_pinned_questions(events, calls):
+    c, asked = recording(es_to_cts(make_event_structure(events)))
+    cts_to_hda(c, len(events))
+    assert len(asked) == calls
+
+
 def assert_enabled_matches_reference(es, orders=False):
     """Every multiset of at most three events, plus one foreign event, at
     every configuration and one state that is none; with ``orders``, every

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hdabridge.cubical import STAR, CellId, DegeneracyWitness, Hda, index_complex
+from hdabridge.cubical import STAR, CellId, DegeneracyWitness, Hda, index_complex, validate_hda
 from hdabridge.errors import SizeLimit, SquareIncomplete, StarClash
 from hdabridge.functors import (
     HdaMorphism,
@@ -412,6 +412,43 @@ def test_hda_morphism_enumeration_rejects_target_with_twin_cells():
     with pytest.raises(ValueError) as err:
         enumerate_hda_morphisms(single_edge, twins)
     assert str(CellId(1, 0)) in str(err.value) and str(CellId(1, 1)) in str(err.value)
+
+
+def test_hda_morphism_enumeration_validates_members_into_a_nondeterministic_target(monkeypatch):
+    """The slot checks see only each cell's 0-ends and word.  Into a target
+    whose square x -a-> r1 -b-> t, x -b-> q -a-> t has a second path
+    x -a-> r2 -b-> t beside it, two full assignments send a vertex to r2:
+    every edge and the square have an image, but the square's face is the
+    edge to r1, so only ``validate_hda_morphism`` drops them."""
+    source = acr_to_hda2(Acr(
+        ts=make_ts("spqw", "s", "ab", [("s", "a", "p"), ("p", "b", "w"), ("s", "b", "q"),
+                                       ("q", "a", "w")]),
+        indep=frozenset({("s", "a", "b"), ("s", "b", "a")})))
+    edges = [("q", "a", "t"), ("r1", "b", "t"), ("r2", "b", "t"),
+             ("x", "a", "r1"), ("x", "a", "r2"), ("x", "b", "q")]
+    sides = {"a": (("x", "a", "r1"), ("q", "a", "t")), "b": (("x", "b", "q"), ("r1", "b", "t"))}
+    complex_, keys = index_complex(
+        {0: ["q", "r1", "r2", "t", "x"], 1: edges, 2: [("x", "a", "b"), ("x", "b", "a")]},
+        # an edge's faces are its ends; face i of a square is an edge of its other letter
+        lambda n, key, i, sign: (key[0] if sign == "-" else key[2]) if n == 1
+        else sides[key[2 - i]][sign == "+"],
+        transpose_key=lambda n, key, i: (key[0], key[2], key[1]))
+    by_key = {k: c for c, k in keys.items()}
+    target = Hda(complex=complex_, alphabet=("a", "b"),
+                 labeling={c: k[1:c.dim + 1] if c.dim else () for c, k in keys.items()},
+                 initial=by_key["x"], cell_keys=keys)
+    assert validate_hda(target).ok
+    built, validate = [], laws.validate_hda_morphism
+    monkeypatch.setattr(laws, "validate_hda_morphism",
+                        lambda m, src, dst: built.append(m) or validate(m, src, dst))
+    kept = enumerate_hda_morphisms(source, target)
+    assert (len(built), len(kept)) == (11, 9)
+    dropped = [m for m in built if m not in kept]
+    images = [{source.cell_keys[c]: target.cell_keys[w.base] for c, w in m.cell_map.items()
+               if c.dim == 0} for m in dropped]
+    assert images == [{"s": "x", "p": "q", "q": "r2", "w": "t"},
+                      {"s": "x", "p": "r2", "q": "q", "w": "t"}]
+    assert [m.label_map for m in dropped] == [{"a": "b", "b": "a"}, {"a": "a", "b": "b"}]
 
 
 def test_iso_check_deep_chain():
