@@ -323,7 +323,7 @@ def validate_complex(c: Complex) -> ValidationReport:
     has its own message.  Messages go by section in the order above, then
     by dimension; then table by table and cell by cell in the faces and
     transpositions sections, cell by cell and identity by identity in the
-    others, with cells in the order of ``set(cells(n))``.
+    others, with each cell once, in the order of cells(n).
     """
     report = ValidationReport(subject=type(c).__name__)
     for messages in _complex_messages(c).values():
@@ -369,6 +369,7 @@ def _complex_messages(c: Complex) -> dict:
         if not ids:
             continue
         present, below = set(ids), set(sk.cells.get(n - 1, ()))
+        cells = dict.fromkeys(ids)  # each cell once, in the order of cells(n)
         face = {}
         for i in range(n):
             for a in SIGNS:
@@ -380,7 +381,7 @@ def _complex_messages(c: Complex) -> dict:
                     sections["faces"] += [
                         f"face ({n},{i},{a}) undefined on cell {idx}" if table.get(idx) is None else
                         f"face ({n},{i},{a}) of cell {idx} lands outside cells({n - 1})"
-                        for idx in present if table.get(idx) not in below]
+                        for idx in cells if table.get(idx) not in below]
         failing = []
         for j in range(1, n):
             for i in range(j):
@@ -393,7 +394,7 @@ def _complex_messages(c: Complex) -> dict:
                                 ids, [left], [right],
                                 f"dim {n} cell {{0}}: face({i},{a}).face({j},{b}) = {{1}} "
                                 f"but face({j - 1},{b}).face({i},{a}) = {{2}}"))
-        sections["face identities"] += _by_cell(present, failing)
+        sections["face identities"] += _by_cell(cells, failing)
         if T is None:
             continue
         swaps, order = [], list(ids)
@@ -409,7 +410,7 @@ def _complex_messages(c: Complex) -> dict:
                     f"transposition ({n},{i}) of cell {idx} lands outside cells({n})"
                     if image[idx] not in present else
                     f"transposition ({n},{i}) is not an involution at cell {idx}"
-                    for idx in present
+                    for idx in cells
                     if image[idx] not in present or table.get(image[idx]) != idx]
         failing = []
         for i in range(n - 1):
@@ -436,7 +437,7 @@ def _complex_messages(c: Complex) -> dict:
                 if left != right:
                     failing.append(_mismatches(ids, [left], [right], f"dim {n} cell {{0}}: "
                                                f"distant transpositions {i},{k} do not commute"))
-        sections["slides"] += _by_cell(present, failing)
+        sections["slides"] += _by_cell(cells, failing)
     return sections
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import jsonio, zoo
-from .cubical import SIGNS, STAR, Hda
+from .cubical import STAR, Hda
 from .errors import SizeLimit, StarClash
 from .functors import (
     HdaMorphism,
@@ -381,44 +381,72 @@ def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet):
 
 
 def enumerate_hda_morphisms_into_net_hda(source: Hda, net: PetriNet, target: Hda):
-    """The hom-set source -> target, where target is ``net``'s automaton.
-    Only a name for ``enumerate_hda_morphisms``, which perfbench/spans.py
-    still looks up."""
+    """The hom-set source -> target, where target is ``net``'s automaton: a
+    name for ``enumerate_hda_morphisms`` that perfbench/spans.py looks up."""
     return enumerate_hda_morphisms(source, target)
 
 
 def enumerate_hda_morphisms(src: Hda, dst: Hda):
-    """All automaton morphisms src -> dst, by one search over the slots of
-    ``functors.skeleton_slots``.  A label takes STAR or a label of ``dst``,
-    a vertex a vertex of ``dst`` (the initial one the initial one), and
-    each cell is checked at its last slot: ``dst`` must have a cell with
-    its image 0-ends and its image word, dropped letters removed.  Each
-    full assignment is built by ``induced_morphism`` and kept when
-    ``validate_hda_morphism`` passes it: the slot checks read only 0-ends
-    and words, so into a ``dst`` with two a-edges from one vertex they also
-    accept a map whose square image has the other a-edge as its face.  Two
-    cells of ``dst`` sharing their 0-ends and label raise
-    ``Hda.cell_by_ends``'s ValueError.
-    Raises SizeLimit when the search finds more than ``HDA_MEMBER_BUDGET``
-    full assignments, before the next one is built.
-    """
+    """All automaton morphisms src -> dst (``_hda_morphisms``), a label taking STAR
+    or a label of ``dst``; SizeLimit up front past ``HDA_HOM_BUDGET`` label maps."""
     label_targets = [STAR] + sorted_by_key(dst.alphabet)
     if len(label_targets) ** len(src.alphabet) > HDA_HOM_BUDGET:
         raise SizeLimit("label-map space too large")
+    return list(_hda_morphisms(src, dst, dict.fromkeys(src.alphabet, label_targets), False))
+
+
+def _hda_morphisms(src: Hda, dst: Hda, labels: dict, one_to_one: bool):
+    """Yield the automaton morphisms src -> dst that send each label ``a``
+    to one of ``labels[a]`` and, if ``one_to_one``, no two vertices to one.
+    Over the slots of ``functors.skeleton_slots`` a vertex takes a vertex
+    of ``dst`` (the initial one the initial one), or the ends of the image
+    of an edge reaching it from an earlier slot, in ``dst.cells(0)`` order;
+    at its last slot each cell's image 0-ends and word must key a cell in
+    ``dst.cell_by_ends`` (ValueError on two cells sharing a key).  Each
+    full assignment is built by ``induced_morphism`` and yielded if
+    ``validate_hda_morphism`` passes it, since the slot checks see no
+    faces: into a ``dst`` with two a-edges from one vertex they accept a
+    map whose square image has the other a-edge as its face.  SizeLimit
+    past ``HDA_MEMBER_BUDGET`` full assignments, before the next is built.
+    """
     slots, checks = skeleton_slots(src)
     index = dst.cell_by_ends
     vertices = dst.cells(0)
-    domains = [label_targets if kind == "label" else [dst.initial] if x == src.initial else vertices
-               for kind, x in slots]
+    position = {v: k for k, v in enumerate(vertices)}
+    # the other ends of dst's edges by (end, label, end is the source), STAR at the end itself
+    ends = {(v, STAR, forward): [v] for v in vertices for forward in (True, False)}
+    for e in dst.cells(1):
+        (s, t), a = dst.zero_ends[e], dst.labeling[e][0]
+        ends.setdefault((s, a, True), []).append(t)
+        ends.setdefault((t, a, False), []).append(s)
+    for others in ends.values():
+        others.sort(key=position.__getitem__)
+    # an edge reaching each vertex slot from an earlier one, as the slots
+    # of its other end and its label and whether that end is its source
+    via = [next(((s, word[0], True) if t == pos else (t, word[0], False)
+                 for word, s, t in checks[pos] if len(word) == 1 and s != t), None)
+           for pos in range(len(slots))]
 
     def fits(values, pos):
         return all((values[s], values[t], tuple(a for a in (values[i] for i in word) if a != STAR))
                    in index for word, s, t in checks[pos])
 
     def options(pos, partial):
-        return [v for v in domains[pos] if fits(partial + [v], pos)]
+        kind, x = slots[pos]
+        if kind == "label":
+            return [v for v in labels[x] if fits(partial + [v], pos)]
+        if x == src.initial:
+            values = [dst.initial]
+        elif via[pos] is None:
+            values = vertices
+        else:
+            end, label, forward = via[pos]
+            values = ends.get((partial[end], partial[label], forward), ())
+        if one_to_one:
+            used = set(partial)
+            values = [v for v in values if v not in used]
+        return [v for v in values if fits(partial + [v], pos)]
 
-    out = []
     for found, values in enumerate(backtrack(slots, options), 1):
         if found > HDA_MEMBER_BUDGET:
             raise SizeLimit(f"more than {HDA_MEMBER_BUDGET} automaton morphisms")
@@ -426,8 +454,7 @@ def enumerate_hda_morphisms(src: Hda, dst: Hda):
                              {x: v for (kind, x), v in zip(slots, values) if kind == "vertex"},
                              {x: v for (kind, x), v in zip(slots, values) if kind == "label"})
         if validate_hda_morphism(m, src, dst).ok:
-            out.append(m)
-    return out
+            yield m
 
 
 def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
@@ -532,17 +559,20 @@ def iso_check(a, b, node_limit: int = 600):
     """Structure-preserving bijection, or None after exhausting the search.
 
     Labels and events are observable and must match exactly; states,
-    places, and cells are matched up to bijection.  Automata are searched
-    cell by cell, and ``node_limit`` bounds the cells of ``a`` (beyond it
-    ``SizeLimit``).  Transition systems and concurrency automata are
-    compared as their automata (``ts_to_hda1``, ``acr_to_hda2``), and the
-    state map is read back through the vertex keys.  A system carrying the
-    idle event is read as a completion (``ts_to_hda1(t, idle=True)``) and
-    must have the idle loop at every state, or ``StarClash``; an ACR raises
+    places, and cells are matched up to bijection.  Automata are matched
+    by the first morphism of the hom-set search that fixes labels and is
+    one to one on vertices; each must have one cell per (0-source,
+    0-target, word), or ``Hda.cell_by_ends``'s ValueError.  ``node_limit``
+    bounds the cells of ``a`` (beyond it ``SizeLimit``).  Transition
+    systems and concurrency automata are compared as their automata
+    (``ts_to_hda1``, ``acr_to_hda2``), and the state map is read back
+    through the vertex keys.  A system carrying the idle event is read as
+    a completion (``ts_to_hda1(t, idle=True)``) and must have the idle
+    loop at every state, or ``StarClash``; an ACR raises
     ``SquareIncomplete`` when it fails ``validate_acr`` and ``StarClash``
-    when the idle event is one of its events.  Event structures
-    are isomorphic exactly when equal, the events being their labels.
-    Nets are matched by grouping places on their columns, without search.
+    when the idle event is one of its events.  Event structures are
+    isomorphic exactly when equal, the events being their labels.  Nets
+    are matched by grouping places on their columns, without search.
     """
     if isinstance(a, Hda) and isinstance(b, Hda):
         return _iso_hda(a, b, node_limit)
@@ -585,69 +615,13 @@ def _iso_pn(a: PetriNet, b: PetriNet, node_limit: int):
 
 
 def _iso_hda(a: Hda, b: Hda, node_limit: int):
-    cells = list(a.skeleton.all_cells())
-    if len(cells) > node_limit:
+    if len(list(a.skeleton.all_cells())) > node_limit:
         raise SizeLimit("too many cells")
-    top = max(a.max_dim, b.max_dim)
+    a.cell_by_ends, b.cell_by_ends  # ValueError on two cells sharing their 0-ends and word
     if set(a.alphabet) != set(b.alphabet) or \
-       any(len(a.cells(n)) != len(b.cells(n)) for n in range(top + 1)):
+       any(len(a.cells(n)) != len(b.cells(n)) for n in range(max(a.max_dim, b.max_dim) + 1)):
         return None
-
-    # every face relation (cell, i, sign, face) of a; the cofaces of each
-    # cell of b at each (i, sign)
-    a_faces = [(c, i, sign, a.skeleton.face(c, i, sign))
-               for c in cells for i in range(c.dim) for sign in SIGNS]
-    b_cofaces: dict = {}
-    for c in b.skeleton.all_cells():
-        for i in range(c.dim):
-            for sign in SIGNS:
-                b_cofaces.setdefault((b.skeleton.face(c, i, sign), i, sign), []).append(c)
-
-    # slots breadth-first over faces and cofaces, from the initial cell and
-    # then from each cell not yet reached; ``via`` keeps the face relation
-    # that reached a cell, whose other end is assigned first
-    neighbours: dict = {c: [] for c in cells}
-    for rel in a_faces:
-        coface, _, _, face = rel
-        neighbours[coface].append((rel, face))
-        neighbours[face].append((rel, coface))
-    via: dict = {}
-    roots = [c for c in [a.initial, *cells] if c in neighbours]
-    for _, rel, c, new in breadth_first(roots, neighbours.__getitem__):
-        if new:
-            via[c] = rel
-    order = list(via)
-    slot = {c: k for k, c in enumerate(order)}
-    # each face relation is checked at the later slot of its two cells
-    closed_by: dict = {c: [] for c in order}
-    for rel in a_faces:
-        closed_by[max(rel[0], rel[3], key=slot.__getitem__)].append(rel)
-
-    def options(pos, partial):
-        cell = order[pos]
-        if via[cell] is None:
-            candidates = b.cells(cell.dim)
-        else:
-            coface, i, sign, face = via[cell]
-            if coface == cell:  # a coface of its face's image
-                candidates = b_cofaces.get((partial[slot[face]], i, sign), ())
-            else:  # the face of its coface's image
-                candidates = [b.skeleton.face(partial[slot[coface]], i, sign)]
-        used = set(partial)
-
-        def image(x, t):
-            return t if x == cell else partial[slot[x]]
-
-        return [t for t in candidates
-                if t not in used and b.labeling[t] == a.labeling[cell]
-                and (cell == a.initial) == (t == b.initial)
-                and all(b.skeleton.face(image(c, t), i, sign) == image(f, t)
-                        for c, i, sign, f in closed_by[cell])]
-
-    for values in backtrack(order, options):
-        m = dict(zip(order, values))
-        # transpositions must commute with the bijection
-        if all(m[a.complex.transpose(cell, i)] == b.complex.transpose(m[cell], i)
-               for cell in cells for i in range(cell.dim - 1)):
-            return m
-    return None
+    # one cell per key on each side: fixing labels, a map one to one on vertices
+    # is one to one on cells, so by the counts a bijection, with a natural inverse
+    m = next(_hda_morphisms(a, b, {x: [x] for x in a.alphabet}, True), None)
+    return None if m is None else {cell: image.base for cell, image in m.cell_map.items()}

@@ -24,6 +24,10 @@ the morphism validators (``validate_morphism``), and the net searches by
 brute force: every event map times every place map, filtered by
 ``validate_pn_morphism`` (``pn_morphisms``), and every place bijection
 (``pn_isomorphisms``).
+
+Automaton isomorphisms: ``iso_by_cells`` assigns every cell by a
+breadth-first walk over faces and cofaces, checking each face relation
+at the later of its two cells and the transpositions at the end.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from hdabridge.errors import (
     NotEnabled,
     NotLinear,
     NotPartialOrder,
+    SizeLimit,
 )
 from hdabridge.functors import Region
 from hdabridge.models import (
@@ -462,7 +467,7 @@ def transposition_identities(c: SymmetricCubicalComplex, n: int) -> tuple:
 
 def walk_faces(c: Complex, n: int, report: ValidationReport) -> None:
     sk = skeleton_of(c)
-    present, below = set(sk.cells.get(n, ())), set(sk.cells.get(n - 1, ()))
+    present, below = dict.fromkeys(sk.cells.get(n, ())), set(sk.cells.get(n - 1, ()))
     for i in range(n):
         for sign in SIGNS:
             table = sk.faces.get((n, i, sign))
@@ -480,7 +485,7 @@ def walk_faces(c: Complex, n: int, report: ValidationReport) -> None:
 def walk_face_identities(c: Complex, n: int, report: ValidationReport) -> None:
     sk = skeleton_of(c)
     identities = face_identities(sk.faces, n)
-    for idx in set(sk.cells.get(n, ())):
+    for idx in dict.fromkeys(sk.cells.get(n, ())):
         for i, j, a, b, outer_j, inner_i, outer_i, inner_j in identities:
             try:
                 left = inner_i[outer_j[idx]]
@@ -495,7 +500,7 @@ def walk_face_identities(c: Complex, n: int, report: ValidationReport) -> None:
 
 
 def walk_transpositions(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
-    present = set(c.skeleton.cells.get(n, ()))
+    present = dict.fromkeys(c.skeleton.cells.get(n, ()))
     for i in range(n - 1):
         table = c.transpositions.get((n, i))
         if table is None:
@@ -515,7 +520,7 @@ def walk_transpositions(c: SymmetricCubicalComplex, n: int, report: ValidationRe
 
 def walk_slides(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
     sliding, braids, distant = transposition_identities(c, n)
-    for idx in set(c.skeleton.cells.get(n, ())):
+    for idx in dict.fromkeys(c.skeleton.cells.get(n, ())):
         for i, a, t, here, there, slides in sliding:
             try:
                 s = t[idx]
@@ -730,3 +735,75 @@ def pn_isomorphisms(a: PetriNet, b: PetriNet) -> list:
                     for e in a.events):
             out.append(rename)
     return out
+
+
+def iso_by_cells(a: Hda, b: Hda, node_limit: int = 600):
+    """A bijection from the cells of ``a`` to those of ``b`` that keeps
+    the initial cell, labels, faces and transpositions, or None; beyond
+    ``node_limit`` cells of ``a``, SizeLimit."""
+    cells = list(a.skeleton.all_cells())
+    if len(cells) > node_limit:
+        raise SizeLimit("too many cells")
+    top = max(a.max_dim, b.max_dim)
+    if set(a.alphabet) != set(b.alphabet) or \
+       any(len(a.cells(n)) != len(b.cells(n)) for n in range(top + 1)):
+        return None
+
+    # every face relation (cell, i, sign, face) of a; the cofaces of each
+    # cell of b at each (i, sign)
+    a_faces = [(c, i, sign, a.skeleton.face(c, i, sign))
+               for c in cells for i in range(c.dim) for sign in SIGNS]
+    b_cofaces: dict = {}
+    for c in b.skeleton.all_cells():
+        for i in range(c.dim):
+            for sign in SIGNS:
+                b_cofaces.setdefault((b.skeleton.face(c, i, sign), i, sign), []).append(c)
+
+    # slots breadth-first over faces and cofaces, from the initial cell and
+    # then from each cell not yet reached; ``via`` keeps the face relation
+    # that reached a cell, whose other end is assigned first
+    neighbours: dict = {c: [] for c in cells}
+    for rel in a_faces:
+        coface, _, _, face = rel
+        neighbours[coface].append((rel, face))
+        neighbours[face].append((rel, coface))
+    via: dict = {}
+    roots = [c for c in [a.initial, *cells] if c in neighbours]
+    for _, rel, c, new in breadth_first(roots, neighbours.__getitem__):
+        if new:
+            via[c] = rel
+    order = list(via)
+    slot = {c: k for k, c in enumerate(order)}
+    # each face relation is checked at the later slot of its two cells
+    closed_by: dict = {c: [] for c in order}
+    for rel in a_faces:
+        closed_by[max(rel[0], rel[3], key=slot.__getitem__)].append(rel)
+
+    def options(pos, partial):
+        cell = order[pos]
+        if via[cell] is None:
+            candidates = b.cells(cell.dim)
+        else:
+            coface, i, sign, face = via[cell]
+            if coface == cell:  # a coface of its face's image
+                candidates = b_cofaces.get((partial[slot[face]], i, sign), ())
+            else:  # the face of its coface's image
+                candidates = [b.skeleton.face(partial[slot[coface]], i, sign)]
+        used = set(partial)
+
+        def image(x, t):
+            return t if x == cell else partial[slot[x]]
+
+        return [t for t in candidates
+                if t not in used and b.labeling[t] == a.labeling[cell]
+                and (cell == a.initial) == (t == b.initial)
+                and all(b.skeleton.face(image(c, t), i, sign) == image(f, t)
+                        for c, i, sign, f in closed_by[cell])]
+
+    for values in backtrack(order, options):
+        m = dict(zip(order, values))
+        # transpositions must commute with the bijection
+        if all(m[a.complex.transpose(cell, i)] == b.complex.transpose(m[cell], i)
+               for cell in cells for i in range(cell.dim - 1)):
+            return m
+    return None

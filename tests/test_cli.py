@@ -42,6 +42,20 @@ def test_validate_reports_violation(tmp_path, capsys):
     assert "independence square" in out
 
 
+def test_validate_reports_sparse_cells_in_document_order(tmp_path, capsys):
+    # 8 comes before 1 in the iteration order of {1, 8}
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({
+        "kind": "hda", "format_version": 1, "alphabet": ["a"], "cells": {"0": [0, 1], "1": [1, 8]},
+        "faces": {"1,0,-": {"1": 0, "8": 0}, "1,0,+": {}},
+        "labels": {"1": {"1": ["a"], "8": ["a"]}}, "initial": 0}))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 5
+    assert out.splitlines() == ["hda: 2 violation(s)",
+                                "  - face (1,0,+) undefined on cell 1",
+                                "  - face (1,0,+) undefined on cell 8"]
+
+
 def test_validate_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -3,8 +3,18 @@ import random
 
 import pytest
 
-from hdabridge.cubical import STAR, CellId, DegeneracyWitness, Hda, index_complex, validate_hda
-from hdabridge.errors import SizeLimit, SquareIncomplete, StarClash
+from hdabridge.cubical import (
+    SIGNS,
+    STAR,
+    CellId,
+    DegeneracyWitness,
+    Hda,
+    PrecubicalComplex,
+    SymmetricCubicalComplex,
+    index_complex,
+    validate_hda,
+)
+from hdabridge.errors import ExplosionLimit, SizeLimit, SquareIncomplete, StarClash
 from hdabridge.functors import (
     HdaMorphism,
     acr_to_hda2,
@@ -35,7 +45,7 @@ from hdabridge.laws import (
 from hdabridge.models import Acr, idle_completion, make_event_structure, make_pn, make_ts
 from hdabridge.util import sorted_by_key
 from hdabridge import laws, zoo
-from reference import pn_isomorphisms, pn_morphism_space, pn_morphisms
+from reference import iso_by_cells, pn_isomorphisms, pn_morphism_space, pn_morphisms
 
 
 CFG = GeneratorConfig(seed=0, count=30)
@@ -399,7 +409,12 @@ def test_hda_morphism_enumeration_bounds_its_members():
         enumerate_hda_morphisms(source, target)
 
 
-def test_hda_morphism_enumeration_rejects_target_with_twin_cells():
+@pytest.mark.parametrize("search, twins_as", [(enumerate_hda_morphisms, "target"),
+                                               (iso_check, "source"), (iso_check, "target")])
+def test_hda_morphism_enumeration_rejects_target_with_twin_cells(search, twins_as):
+    """A target with two a-edges from x to y makes the hom-set search and
+    the isomorphism check raise, naming both edges; the isomorphism check
+    also raises on such a source, whose cell map would not be one to one."""
     complex_, keys = index_complex(
         {0: ["x", "y"], 1: [("x", "a", "y", 0), ("x", "a", "y", 1)]},
         lambda n, key, i, sign: key[0] if sign == "-" else key[2],
@@ -410,7 +425,7 @@ def test_hda_morphism_enumeration_rejects_target_with_twin_cells():
                 initial=by_key["x"], cell_keys=keys)
     single_edge = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
     with pytest.raises(ValueError) as err:
-        enumerate_hda_morphisms(single_edge, twins)
+        search(*((single_edge, twins) if twins_as == "target" else (twins, single_edge)))
     assert str(CellId(1, 0)) in str(err.value) and str(CellId(1, 1)) in str(err.value)
 
 
@@ -458,6 +473,30 @@ def test_iso_check_deep_chain():
     m = iso_check(make_ts(states, "s0", ["a"], trans), make_ts(states, "s0", ["a"], trans),
                   node_limit=5000)
     assert m == {s: s for s in states}
+
+
+def test_iso_check_reversed_deep_chain_looks_up_few_keys():
+    """Each vertex of the chain takes its candidates from the image of the
+    edge that reaches it, so the search looks up about three keys per
+    edge: one slot check, and the vertex and the edge in
+    ``induced_morphism`` (721,799 lookups with every vertex a candidate)."""
+    class Counting(dict):
+        lookups = 0
+
+        def __contains__(self, key):
+            Counting.lookups += 1
+            return super().__contains__(key)
+
+    n = 1200
+    states = [f"s{i}" for i in range(n)]
+    trans = [(f"s{i}", "a", f"s{i + 1}") for i in range(n - 1)]
+    rev = {f"s{i}": f"s{n - 1 - i}" for i in range(n)}
+    a = ts_to_hda1(make_ts(states, "s0", ["a"], trans))
+    b = ts_to_hda1(make_ts(states, rev["s0"], ["a"], [(rev[p], e, rev[q]) for p, e, q in trans]))
+    b.__dict__["cell_by_ends"] = Counting(b.cell_by_ends)
+    m = iso_check(a, b, node_limit=5000)
+    assert {a.key(c): b.key(d) for c, d in m.items() if c.dim == 0} == rev
+    assert Counting.lookups <= 3600
 
 
 def test_iso_check_renamed_chain():
@@ -529,6 +568,63 @@ def test_iso_check_generated_systems_against_renamings(seed):
         assert m is not None and m[a.ts.initial] == renamed.ts.initial, i
         assert {(m[p], e, m[q]) for p, e, q in a.ts.trans} == renamed.ts.trans, i
         assert {(m[s], x, y) for s, x, y in a.indep} == renamed.indep, i
+
+
+def _shuffled_cells(h: Hda, rng: random.Random) -> Hda:
+    """``h`` with the cells of each dimension renumbered by a shuffle."""
+    sk = h.skeleton
+    new = {n: dict(zip(ids, rng.sample(ids, len(ids)))) for n, ids in sk.cells.items()}
+    faces = {key: {new[key[0]][k]: new[key[0] - 1][v] for k, v in table.items()}
+             for key, table in sk.faces.items()}
+    swaps = {key: {new[key[0]][k]: new[key[0]][v] for k, v in table.items()}
+             for key, table in h.complex.transpositions.items()}
+    return Hda(SymmetricCubicalComplex(PrecubicalComplex(sk.cells, faces, sk.max_dim), swaps),
+               h.alphabet, {CellId(c.dim, new[c.dim][c.index]): w for c, w in h.labeling.items()},
+               CellId(0, new[0][h.initial.index]))
+
+
+def _assert_isomorphism(m: dict, a: Hda, b: Hda):
+    """``m`` is a bijection on each dimension, pointed, that keeps labels,
+    faces and transpositions."""
+    for n in range(max(a.max_dim, b.max_dim) + 1):
+        assert sorted(m[c] for c in a.cells(n)) == sorted(b.cells(n))
+    assert m[a.initial] == b.initial
+    for c, d in m.items():
+        assert b.labeling[d] == a.labeling[c]
+        assert all(m[a.skeleton.face(c, i, sign)] == b.skeleton.face(d, i, sign)
+                   for i in range(c.dim) for sign in SIGNS)
+        assert all(m[a.complex.transpose(c, i)] == b.complex.transpose(d, i) for i in range(c.dim - 1))
+
+
+def test_iso_check_on_automata_agrees_with_the_search_over_cells():
+    """Seed-0 automata of every translation against cell-shuffled copies
+    of themselves and against automata of the same alphabet and cell
+    counts: ``iso_check`` finds an isomorphism exactly when the
+    cell-by-cell search of ``reference.py`` does, and each it finds is one."""
+    cfg = GeneratorConfig(seed=0)
+    automata = []
+    for i in range(cfg.count):
+        automata += [es_to_hda(gen_es(i, cfg)), ts_to_hda1(gen_ts(i, cfg)), acr_to_hda2(gen_acr(i, cfg))]
+        try:
+            automata.append(pn_to_hda(gen_pn(i, cfg), 200, 3, truncate_cells=True))
+        except ExplosionLimit:
+            pass
+    rng = random.Random(0)
+    by_shape: dict = {}
+    for h in automata:
+        shape = (frozenset(h.alphabet), tuple(len(h.cells(n)) for n in range(h.max_dim + 1)))
+        by_shape.setdefault(shape, []).append(h)
+    pairs = found = 0
+    for same_shape in by_shape.values():
+        for a in same_shape:
+            for b in [_shuffled_cells(a, rng)] + [b for b in same_shape[:4] if b is not a]:
+                m = iso_check(a, b)
+                assert (m is None) == (iso_by_cells(a, b) is None)
+                pairs += 1
+                if m is not None:
+                    _assert_isomorphism(m, a, b)
+                    found += 1
+    assert len(automata) < found < pairs
 
 
 def test_iso_check_acr_independence_must_match():

@@ -661,7 +661,7 @@ def generated(source, index, seed):
 def sparse(h, step=8):
     """``h`` with every cell index k renumbered to k * step + 1, so that a
     set of five or more indices no longer iterates in the order of
-    cells(n)."""
+    cells(n), which the reports follow."""
     def renumber(tables):
         return {key: {k * step + 1: v * step + 1 for k, v in table.items()}
                 for key, table in tables.items()}
@@ -754,11 +754,11 @@ def walked_labels(h):
        data=st.data())
 def test_table_checks_report_what_the_walk_reports(source, index, seed, renumbered, faults, data):
     """Up to three faults at once, on the automaton as numbered or with
-    sparse indices, where the complex sections report cells in set order
-    and the labels in the order of cells(n); the bare skeleton is checked
-    against the walk's faces and face identities.  A generated automaton
-    is pointed and its alphabet idle-free, so ``validate_hda`` adds
-    nothing between the complex's messages and the labels'."""
+    sparse indices, where every section reports each cell once, in the
+    order of cells(n); the bare skeleton is checked against the walk's
+    faces and face identities.  A generated automaton is pointed and its
+    alphabet idle-free, so ``validate_hda`` adds nothing between the
+    complex's messages and the labels'."""
     h = generated(source, index, seed)
     if renumbered:
         h = sparse(h)
