@@ -10,7 +10,6 @@ from .cubical import (
     cell_face,
     check_deterministic,
     check_linear_labeling,
-    check_strong_labeling,
     truncate,
     validate_complex,
     validate_hda,

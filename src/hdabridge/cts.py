@@ -16,10 +16,12 @@ the dimension below.  A CTS carries no labels: each event is its own
 label, so no event may be the idle symbol ``*``, which names only
 degenerate cells.
 
-Three systems instantiate it: an event structure's configurations
-(``es_to_cts``), a net's reachable markings (``pn_to_cts``), and the
+Four systems instantiate it: an event structure's configurations
+(``es_to_cts``), a net's reachable markings (``pn_to_cts``), the states of
+an automaton with concurrency relations (``acr_to_cts``), and the
 vertices of a deterministic automaton acted on by its edges and squares,
-whose automaton is the 2-coskeletal fill (``coskeleton_fill``).
+whose automaton is the 2-coskeletal fill (``coskeleton_fill``).  Each
+cell is keyed ``(state, word)``: its 0-source state and its word.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .cubical import (
     check_deterministic,
 )
 from .errors import DimensionCapExceeded, NotOneDeterministic, StarClash
-from .models import EventStructure, PetriNet, configurations, reachable_markings
+from .models import Acr, EventStructure, PetriNet, configurations, reachable_markings
 from .util import sorted_by_key
 
 Multiset = tuple  # events in canonical sorted order, repeats allowed
@@ -55,7 +57,8 @@ class Cts:
     """States, events, steps and an enabling predicate on multisets.
 
     The automaton builder relies on three properties, which every CTS
-    that ``es_to_cts``, ``pn_to_cts`` and ``coskeleton_fill`` build has:
+    that ``es_to_cts``, ``pn_to_cts``, ``acr_to_cts`` (of a valid ACR) and
+    ``coskeleton_fill`` build has:
     enabling is closed under sub-multisets, ``delta`` is defined for every
     event enabled at a state, and the faces of an enabled cube are enabled
     at the fired state (if ``m + (e,)`` is enabled at x, ``m`` is enabled at
@@ -292,6 +295,21 @@ def pn_to_cts(n: PetriNet, max_states: int) -> Cts:
         delta=delta,
         enabled=enabled,
     )
+
+
+def acr_to_cts(a: Acr) -> Cts:
+    """States and steps are the ACR's transitions; a multiset is enabled
+    when it is empty, a single event with a step, or a sorted pair whose
+    events are independent at the state."""
+    t = a.ts
+    delta = {(s, e): s2 for s, e, s2 in t.trans}
+
+    def enabled(x, m: Multiset) -> bool:
+        if len(m) == 2:
+            return (x, *m) in a.indep
+        return len(m) < 2 and x in t.states and (not m or (x, *m) in delta)
+
+    return Cts(states=t.states, initial=t.initial, events=t.events, delta=delta, enabled=enabled)
 
 
 def coskeleton_fill(h: Hda, max_dim: int) -> Hda:

@@ -453,8 +453,10 @@ class Hda:
     STAR is always implicitly the basepoint.  ``labeling`` assigns to each
     skeleton cell a STAR-free word of its dimension; labels of degenerate
     cells are derived by inserting STAR at the collapsed positions.
-    ``cell_keys`` optionally remembers what each cell denotes in the model
-    the automaton was built from.
+    ``cell_keys`` optionally keys each cell by what it denotes in the model
+    the automaton was built from: ``(state, word)``, its 0-source state and
+    its label word, so a vertex is ``(state, ())``.  An automaton parsed
+    from a document has no keys.
     """
 
     complex: SymmetricCubicalComplex
@@ -481,17 +483,17 @@ class Hda:
             out = word_degeneracy(out, p)
         return out
 
-    def key(self, cell: CellId):
-        if self.cell_keys is None:
-            return cell
-        return self.cell_keys.get(cell, cell)
+    def state(self, v: CellId):
+        """The model state the vertex ``v`` denotes: the vertex itself in an
+        automaton without keys."""
+        return v if self.cell_keys is None else self.cell_keys[v][0]
 
     # Tables read by every morphism into or out of the automaton.  Each is
     # built on first use and kept in the instance dict, outside the fields.
 
     @cached_property
-    def vertex_by_key(self) -> dict:
-        return {self.key(v): v for v in self.cells(0)}
+    def vertex_by_state(self) -> dict:
+        return {self.state(v): v for v in self.cells(0)}
 
     @cached_property
     def zero_ends(self) -> dict:
@@ -643,26 +645,6 @@ def truncate(h: Hda, n: int) -> Hda:
 # Labeling predicates
 # ---------------------------------------------------------------------------
 
-def _unique_by_faces(h: Hda, dims: Iterable[int], signs: tuple) -> bool:
-    """No two distinct cells of one of ``dims`` share their faces of the
-    given signs and their label."""
-    sk = h.skeleton
-    for n in dims:
-        seen = set()
-        for cell in sk.cell_ids(n):
-            sig = (tuple(sk.face(cell, i, sign) for i in range(n) for sign in signs),
-                   h.labeling[cell])
-            if sig in seen:
-                return False
-            seen.add(sig)
-    return True
-
-
-def check_strong_labeling(h: Hda) -> bool:
-    """No two distinct same-dimension cells share all faces and the label."""
-    return _unique_by_faces(h, range(1, h.max_dim + 1), SIGNS)
-
-
 def check_linear_labeling(h: Hda) -> bool:
     # labels are read by (n, index) keys; a word with no repeated letter
     # is linear, so only a dimension with a repeat is read again
@@ -681,4 +663,12 @@ def check_deterministic(h: Hda, n: Optional[int] = None) -> bool:
     ``n=None`` checks every dimension (0-cells have no sources, so any two
     distinct 0-cells already fail, matching the blunt reading).
     """
-    return _unique_by_faces(h, range(h.max_dim + 1) if n is None else (n,), ("-",))
+    sk = h.skeleton
+    for d in range(h.max_dim + 1) if n is None else (n,):
+        seen = set()
+        for cell in sk.cell_ids(d):
+            sig = (tuple(sk.face(cell, i, "-") for i in range(d)), h.labeling[cell])
+            if sig in seen:
+                return False
+            seen.add(sig)
+    return True

@@ -32,13 +32,15 @@ def _repr(value) -> str:
 
 
 def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
-    """Vertices and labeled edges as a digraph; the initial state is
-    double-circled.  Squares appear once per unordered pair, either as a
-    dashed diagonal edge or as annotation clusters."""
+    """Vertices and labeled edges as a digraph, each vertex named by the
+    state it denotes (``Hda.state``); the initial state is double-circled.
+    Squares appear once per unordered pair, either as a dashed diagonal
+    edge or as annotation clusters; labels are spelled as names are, so
+    events may be numbers."""
     if dim2 not in DIM2_STYLES:
         raise ValueError(f"dim2 style must be one of {DIM2_STYLES}")
     lines = ["digraph model {"]
-    names = {v: h.key(v) for v in h.cells(0)}
+    names = {v: h.state(v) for v in h.cells(0)}
     for v in sorted_by_key(h.cells(0)):
         shape = "doublecircle" if v == h.initial else "circle"
         lines.append(f"  {_quote(names[v])} [shape={shape}];")
@@ -65,10 +67,10 @@ def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
             if dim2 == "diagonals":
                 lines.append(
                     f"  {_quote(src)} -> {_quote(tgt)} "
-                    f"[style=dashed, dir=none, label={_quote(a + '||' + b)}];")
+                    f"[style=dashed, dir=none, label={_quote(_text(a) + '||' + _text(b))}];")
             else:
                 lines.append(f"  subgraph cluster_square_{i} {{")
-                lines.append(f"    label={_quote(a + '||' + b + ' at ' + _text(src))};")
+                lines.append(f"    label={_quote(_text(a) + '||' + _text(b) + ' at ' + _text(src))};")
                 lines.append(f"    {_quote(f'square_{i}')} [shape=point];")
                 lines.append("  }")
     lines.append("}")

@@ -2,9 +2,10 @@
 automata, region synthesis, and the net/automaton transposition.
 
 Each direction of each adjunction is a standalone function; the
-round-trip identities they satisfy are exercised by the law suite.  All
-outputs carry ``cell_keys`` naming the model elements each cell came
-from, which is what makes the round trips land on the original names.
+round-trip identities they satisfy are exercised by the law suite.  Every
+automaton built from a model keys each cell ``(state, word)``, its
+0-source state and its word, and a vertex's state (``Hda.state``) is what
+makes the round trips land on the original names.
 """
 
 from __future__ import annotations
@@ -15,19 +16,20 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
-from .cts import cts_to_hda, es_to_cts, pn_to_cts
+from .cts import acr_to_cts, cts_to_hda, es_to_cts, pn_to_cts
 from .cubical import (
     STAR,
     CellId,
     DegeneracyWitness,
     Hda,
     LabelWord,
+    PrecubicalComplex,
+    SymmetricCubicalComplex,
     as_witness,
     cell_face,
     cell_transpose,
     check_deterministic,
     check_linear_labeling,
-    index_complex,
     nest_witness,
     truncate,
 )
@@ -155,7 +157,7 @@ def induced_morphism(src: Hda, dst: Hda, vertex_map: Mapping, label_map: Mapping
         key = (vertex_map[s], vertex_map[t], kept)
         if key not in index:
             raise OutOfReachableFragment(
-                f"cell over {kept!r} at {dst.key(key[0])!r} is outside the target")
+                f"cell over {kept!r} at {dst.state(key[0])!r} is outside the target")
         cell_map[cell] = DegeneracyWitness(index[key], tuple(i for i, e in enumerate(word) if e == STAR))
     return HdaMorphism(cell_map=cell_map,
                        label_map={a: label_map.get(a, STAR) for a in src.alphabet})
@@ -164,37 +166,6 @@ def induced_morphism(src: Hda, dst: Hda, vertex_map: Mapping, label_map: Mapping
 # ---------------------------------------------------------------------------
 # Transition systems <-> 1-dimensional automata
 # ---------------------------------------------------------------------------
-
-def _automaton(states, initial, alphabet, edges, squares=None) -> Hda:
-    """The automaton with the states as vertices, an edge ``(s, e, s2)``
-    labeled ``e`` and, for an ACR, a square ``(s, x, y)`` labeled ``(x, y)``
-    glued on the closing edges (2-dimensional even with no squares).  The
-    idle symbol names only degenerate cells: it may not be in the alphabet.
-    """
-    if STAR in alphabet:
-        raise StarClash("the idle event * is reserved for degenerate cells")
-    cells_by_dim = {0: sorted_by_key(states), 1: sorted_by_key(edges)}
-    if squares is not None:
-        cells_by_dim[2] = sorted_by_key(squares)
-        step = {(s, e): s2 for s, e, s2 in edges}
-
-    def face_key(n, key, i, sign):
-        if n == 1:
-            return key[0] if sign == "-" else key[2]
-        # dropping letter i keeps the other; the + side starts at the step by the dropped one
-        s, *word = key
-        start = s if sign == "-" else step[s, word[i]]
-        return (start, word[1 - i], step[start, word[1 - i]])
-
-    complex_, keys = index_complex(cells_by_dim, face_key, lambda n, k, i: (k[0], k[2], k[1]))
-    return Hda(
-        complex=complex_,
-        alphabet=tuple(sorted_by_key(alphabet)),
-        labeling={c: k[1:c.dim + 1] if c.dim else () for c, k in keys.items()},
-        initial=CellId(0, cells_by_dim[0].index(initial)),
-        cell_keys=keys,
-    )
-
 
 def ts_to_hda1(t: TransitionSystem, idle: bool = False) -> Hda:
     """States become vertices, transitions become labeled edges.
@@ -210,7 +181,25 @@ def ts_to_hda1(t: TransitionSystem, idle: bool = False) -> Hda:
             raise StarClash("idle transition in a plain system")
         if e == STAR and s != s2:
             raise StarClash(f"idle transition {(s, e, s2)!r} is not a self-loop")
-    return _automaton(t.states, t.initial, t.events - {STAR}, [tr for tr in t.trans if tr[1] != STAR])
+    # a transition system may be nondeterministic, which a CTS cannot hold,
+    # so the edges are built here, in canonical (source, event, target) order
+    states = sorted_by_key(t.states)
+    edges = sorted_by_key(tr for tr in t.trans if tr[1] != STAR)
+    vertex = dict(zip(states, itertools.count()))
+    skeleton = PrecubicalComplex(
+        cells={0: tuple(range(len(states))), 1: tuple(range(len(edges)))},
+        faces={(1, 0, sign): {i: vertex[edge[end]] for i, edge in enumerate(edges)}
+               for sign, end in (("-", 0), ("+", 2))},
+        max_dim=1)
+    keys = {**{CellId(0, i): (s, ()) for i, s in enumerate(states)},
+            **{CellId(1, i): (s, (e,)) for i, (s, e, _) in enumerate(edges)}}
+    return Hda(
+        complex=SymmetricCubicalComplex(skeleton=skeleton, transpositions={}),
+        alphabet=tuple(sorted_by_key(t.events - {STAR})),
+        labeling={cell: word for cell, (_, word) in keys.items()},
+        initial=CellId(0, states.index(t.initial)),
+        cell_keys=keys,
+    )
 
 
 def hda1_to_ts(h: Hda, idle: bool = False) -> TransitionSystem:
@@ -220,19 +209,19 @@ def hda1_to_ts(h: Hda, idle: bool = False) -> TransitionSystem:
     idle symbol induce no transition.  With ``idle`` set the result is the
     completed system: the idle event returns with a loop at every state.
     """
-    states = {h.key(c) for c in h.cells(0)}
+    states = {h.state(c) for c in h.cells(0)}
     trans, ends = set(), h.zero_ends
     for edge in h.cells(1):
         (label,) = h.labeling[edge]
         if label != STAR:
-            trans.add((h.key(ends[edge][0]), label, h.key(ends[edge][1])))
+            trans.add((h.state(ends[edge][0]), label, h.state(ends[edge][1])))
     events = set(h.alphabet)
     if idle:
         events.add(STAR)
         trans |= {(s, STAR, s) for s in states}
     return TransitionSystem(
         states=frozenset(states),
-        initial=h.key(h.initial),
+        initial=h.state(h.initial),
         events=frozenset(events),
         trans=frozenset(trans),
     )
@@ -243,13 +232,12 @@ def hda1_to_ts(h: Hda, idle: bool = False) -> TransitionSystem:
 # ---------------------------------------------------------------------------
 
 def acr_to_hda2(a: Acr) -> Hda:
-    """One square per ordered independent pair, glued on the closing
-    transitions that the axioms make unique."""
+    """The automaton of the ACR's CTS: one square per ordered independent
+    pair, glued on the closing transitions that the axioms make unique."""
     report = validate_acr(a)
     if not report.ok:
         raise SquareIncomplete(str(report))
-    t = a.ts
-    return _automaton(t.states, t.initial, t.events, t.trans, a.indep)
+    return cts_to_hda(acr_to_cts(a), 2)
 
 
 def hda2_to_acr(h: Hda) -> Acr:
@@ -259,7 +247,7 @@ def hda2_to_acr(h: Hda) -> Acr:
         raise NotOneDeterministic("two edges share source and label")
     ts = hda1_to_ts(low)
     ends = low.zero_ends
-    indep = {(low.key(ends[cell][0]), *low.labeling[cell]) for cell in low.cells(2)}
+    indep = {(low.state(ends[cell][0]), *low.labeling[cell]) for cell in low.cells(2)}
     a = Acr(ts=ts, indep=frozenset(indep))
     report = validate_acr(a)
     if not report.ok:
@@ -577,7 +565,7 @@ def transpose_to_hda(f: PnMorphism, synth: SynthesizedNet, net: PetriNet, target
         return Marking.over(places, [region.tokens_at(v) for region in regions])
 
     source = synth.hda
-    vertex_map = _vertex_map(source, target, lambda v: (marking(v), ()))
+    vertex_map = _vertex_map(source, target, marking)
     return induced_morphism(source, target, vertex_map, f.psi)
 
 
@@ -591,7 +579,7 @@ def transpose_to_pn(g: HdaMorphism, synth: SynthesizedNet, net: PetriNet, target
     """
     return _place_map(g, synth, sorted_by_key(net.places),
                       lambda p, a: (net.pre[a].get(p), net.post[a].get(p)),
-                      lambda p, v: target.cell_keys[v][0].get(p))
+                      lambda p, v: target.state(v).get(p))
 
 
 # ---------------------------------------------------------------------------
@@ -608,21 +596,21 @@ def map_morphism(functor: str, m, src, dst):
     """
     if functor in ("ts_to_hda1", "acr_to_hda2"):
         base = m.base if isinstance(m, AcrMorphism) else m
-        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: base.sigma[src.key(v)]),
+        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: base.sigma[src.state(v)]),
                                 base.tau)
     if functor in ("hda1_to_ts", "hda2_to_acr"):
-        sigma = {src.key(c): dst.key(m.cell_map[c].base) for c in src.cells(0)}
+        sigma = {src.state(c): dst.state(m.cell_map[c].base) for c in src.cells(0)}
         tau = {a: b for a, b in m.label_map.items() if b != STAR}
         base = TsMorphism(sigma=sigma, tau=tau)
         return base if functor == "hda1_to_ts" else AcrMorphism(base)
     if functor == "es_to_hda":
-        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: (
-            frozenset(m.mapping[e] for e in src.key(v)[0] if e in m.mapping), ())), m.mapping)
+        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: frozenset(
+            m.mapping[e] for e in src.state(v) if e in m.mapping)), m.mapping)
     if functor == "hda_to_es":
         return EsMorphism({a: b for a, b in m.label_map.items() if b != STAR})
     if functor == "pn_to_hda":
-        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: (
-            Marking.of({p: src.key(v)[0].get(q) for p, q in m.phi.items()}), ())), m.psi)
+        return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: Marking.of(
+            {p: src.state(v).get(q) for p, q in m.phi.items()})), m.psi)
     if functor == "hda_to_pn":
         return _place_map(m, src, dst.regions,
                           lambda name, a: dst.regions[name].flow(a),
@@ -631,13 +619,13 @@ def map_morphism(functor: str, m, src, dst):
 
 
 def _vertex_map(src: Hda, dst: Hda, image) -> dict:
-    """Each vertex of ``src`` to the vertex of ``dst`` keyed ``image(vertex)``."""
+    """Each vertex of ``src`` to the vertex of ``dst`` whose state is ``image(vertex)``."""
     vertex_map = {}
     for v in src.cells(0):
-        key = image(v)
-        if key not in dst.vertex_by_key:
-            raise OutOfReachableFragment(f"image {key!r} of vertex {src.key(v)!r} is not reachable")
-        vertex_map[v] = dst.vertex_by_key[key]
+        state = image(v)
+        if state not in dst.vertex_by_state:
+            raise OutOfReachableFragment(f"image {state!r} of vertex {src.state(v)!r} is not reachable")
+        vertex_map[v] = dst.vertex_by_state[state]
     return vertex_map
 
 

@@ -565,8 +565,8 @@ def iso_check(a, b, node_limit: int = 600):
     0-target, word), or ``Hda.cell_by_ends``'s ValueError.  ``node_limit``
     bounds the cells of ``a`` (beyond it ``SizeLimit``).  Transition
     systems and concurrency automata are compared as their automata
-    (``ts_to_hda1``, ``acr_to_hda2``), and the state map is read back
-    through the vertex keys.  A system carrying the idle event is read as
+    (``ts_to_hda1``, ``acr_to_hda2``), whose cells are keyed ``(state,
+    word)``, and the state map is read back through ``Hda.state``.  A system carrying the idle event is read as
     a completion (``ts_to_hda1(t, idle=True)``) and must have the idle
     loop at every state, or ``StarClash``; an ACR raises
     ``SquareIncomplete`` when it fails ``validate_acr`` and ``StarClash``
@@ -584,7 +584,7 @@ def iso_check(a, b, node_limit: int = 600):
         m = _iso_hda(ha, hb, node_limit)
         if m is None:
             return None
-        return {ha.cell_keys[c]: hb.cell_keys[d] for c, d in m.items() if c.dim == 0}
+        return {ha.state(c): hb.state(d) for c, d in m.items() if c.dim == 0}
     if isinstance(a, EventStructure) and isinstance(b, EventStructure):
         return {e: e for e in a.events} if a == b else None
     if isinstance(a, PetriNet) and isinstance(b, PetriNet):

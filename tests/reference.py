@@ -10,6 +10,10 @@ cubical transition system on every small multiset, and
 ``cts_to_hda_by_keys`` builds its automaton from sorted keys through
 ``index_complex``.
 
+Transition systems and ACRs: ``automaton_by_keys`` builds their automata
+from sorted keys through ``index_complex``, as the package did before it
+built TS edges directly and ACRs through their CTS.
+
 Cubical sets: the solid ``standard_cube``, the shell search
 ``shell_fill`` that filled higher cells before ``coskeleton_fill``, the
 actions of degeneracies and permutations on cells and words, and the
@@ -28,6 +32,8 @@ brute force: every event map times every place map, filtered by
 Automaton isomorphisms: ``iso_by_cells`` assigns every cell by a
 breadth-first walk over faces and cofaces, checking each face relation
 at the later of its two cells and the transpositions at the end.
+``check_strong_labeling``, which no translation needs, tells whether two
+cells of one dimension share all their faces and their label.
 """
 
 from __future__ import annotations
@@ -275,6 +281,40 @@ def cts_to_hda_by_keys(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hd
 
 
 # ---------------------------------------------------------------------------
+# Transition systems and ACRs
+# ---------------------------------------------------------------------------
+
+def automaton_by_keys(states, initial, alphabet, edges, squares=None) -> Hda:
+    """The automaton with the states as vertices, an edge ``(s, e, s2)``
+    labeled ``e`` and, for an ACR, a square ``(s, x, y)`` labeled ``(x, y)``
+    glued on the closing edges (2-dimensional even with no squares), each
+    dimension's keys sorted and numbered by ``index_complex``.  The cells
+    are then keyed ``(state, word)``, as the package keys them."""
+    cells_by_dim = {0: sorted_by_key(states), 1: sorted_by_key(edges)}
+    if squares is not None:
+        cells_by_dim[2] = sorted_by_key(squares)
+        step = {(s, e): s2 for s, e, s2 in edges}
+
+    def face_key(n, key, i, sign):
+        if n == 1:
+            return key[0] if sign == "-" else key[2]
+        # dropping letter i keeps the other; the + side starts at the step by the dropped one
+        s, *word = key
+        start = s if sign == "-" else step[s, word[i]]
+        return (start, word[1 - i], step[start, word[1 - i]])
+
+    complex_, keys = index_complex(cells_by_dim, face_key, lambda n, k, i: (k[0], k[2], k[1]))
+    labeling = {c: k[1:c.dim + 1] if c.dim else () for c, k in keys.items()}
+    return Hda(
+        complex=complex_,
+        alphabet=tuple(sorted_by_key(alphabet)),
+        labeling=labeling,
+        initial=CellId(0, cells_by_dim[0].index(initial)),
+        cell_keys={c: (k[0] if c.dim else k, labeling[c]) for c, k in keys.items()},
+    )
+
+
+# ---------------------------------------------------------------------------
 # Cubical sets
 # ---------------------------------------------------------------------------
 
@@ -420,8 +460,19 @@ def word_action(w: LabelWord, descriptor) -> LabelWord:
 
 
 def cells_by_key(h: Hda) -> dict:
-    """Each cell of ``h`` under the key it denotes in the model it was built from."""
-    return {h.key(c): c for c in h.skeleton.all_cells()}
+    """Each cell of ``h`` under its key ``(state, word)`` in the model it
+    was built from."""
+    return {h.cell_keys[c]: c for c in h.skeleton.all_cells()}
+
+
+def check_strong_labeling(h: Hda) -> bool:
+    """No two distinct same-dimension cells share all faces and the label."""
+    for n in range(1, h.max_dim + 1):
+        signatures = [(tuple(h.skeleton.face(cell, i, sign) for i in range(n) for sign in SIGNS),
+                       h.labeling[cell]) for cell in h.cells(n)]
+        if len(set(signatures)) != len(signatures):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

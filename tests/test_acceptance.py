@@ -100,10 +100,10 @@ def test_a2_region_synthesis():
     with timed(5.0) as t:
         h = ts_to_hda1(zoo.mutex_square_ts())
         regions = enumerate_regions(h, 1)
-        by_key = {h.key(c): c for c in h.cells(0)}
+        by_state = h.vertex_by_state
 
         def reg(flows, tokens):
-            return Region.of(flows, {by_key[k]: v for k, v in tokens.items()})
+            return Region.of(flows, {by_state[k]: v for k, v in tokens.items()})
 
         zero = (0, 0)
         stated = reg({"e1": (1, 0), "e2": zero}, {"x": 1, "y1": 0, "y2": 1, "z": 0})
@@ -123,9 +123,9 @@ def test_a2_region_synthesis():
         assert stated in regions
 
         squared = acr_to_hda2(zoo.mutex_square_acr(independent=True))
-        by_key2 = {squared.key(c): c for c in squared.cells(0)}
+        by_state2 = squared.vertex_by_state
         shared = Region.of({"e1": (1, 1), "e2": (1, 1)},
-                           {by_key2[k]: 1 for k in ("x", "y1", "y2", "z")})
+                           {by_state2[k]: 1 for k in ("x", "y1", "y2", "z")})
         assert not region_check(squared, shared)
         square_cell = squared.cells(2)[0]
         pre_needed, _ = word_flow(shared, squared.labeling[square_cell])

@@ -502,6 +502,22 @@ def test_export_dot_names_do_not_depend_on_string_hashing(hash_seed):
     assert out == (GOLDEN / "es_three_free_events.clusters.dot").read_text()
 
 
+@pytest.mark.parametrize("events", [[1, 2], [0, "b", "c"]])
+@pytest.mark.parametrize("style", ["diagonals", "clusters"])
+def test_export_dot_spells_number_named_events(events, style):
+    """JSON names may be numbers: each square's label is spelled like an
+    edge's, so int and mixed event names render without a traceback."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    doc = json.dumps({"kind": "es", "format_version": 1, "events": events,
+                      "causality": [], "conflict": []})
+    run = subprocess.run([sys.executable, "-m", "hdabridge.cli", "export-dot", "-", "--dim2", style],
+                         input=doc, env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert ('label="1||2' if events == [1, 2] else 'label="0||b') in run.stdout
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
 def test_validate_es_violations_do_not_depend_on_string_hashing(tmp_path, hash_seed):
     """Transitivity and heredity violations are listed in canonical order

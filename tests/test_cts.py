@@ -151,8 +151,7 @@ def induced_by(sigma, tau, h_src, h_dst):
     """The automaton morphism that a map of CTS states ``sigma`` and a
     partial map of events ``tau`` induce on the automata they generate:
     vertices by sigma, letters by tau."""
-    vertices = {h_dst.key(v): v for v in h_dst.cells(0)}
-    vertex_map = {v: vertices[(sigma[h_src.key(v)[0]], ())] for v in h_src.cells(0)}
+    vertex_map = {v: h_dst.vertex_by_state[sigma[h_src.state(v)]] for v in h_src.cells(0)}
     return induced_morphism(h_src, h_dst, vertex_map, tau)
 
 
@@ -318,7 +317,7 @@ def assert_numbered_as_grown(c: Cts, max_dim: int):
     the grown cells; labels, faces and transpositions act on the keys."""
     h = cts_to_hda(c, max_dim, truncate_cells=True)
     grown = grown_cells(c, max_dim)
-    assert h.key(h.initial) == (c.initial, ())
+    assert h.cell_keys[h.initial] == (c.initial, ())
     for n in range(max_dim + 1):
         keys = [h.cell_keys[cell] for cell in h.cells(n)]
         assert keys == grown[n]
@@ -326,11 +325,11 @@ def assert_numbered_as_grown(c: Cts, max_dim: int):
             assert h.labeling[cell] == w  # each event is its own label
             for i in range(n):
                 rest = w[:i] + w[i + 1:]
-                assert h.key(h.skeleton.face(cell, i, "-")) == (x, rest)
-                assert h.key(h.skeleton.face(cell, i, "+")) == (c.delta[(x, w[i])], rest)
+                assert h.cell_keys[h.skeleton.face(cell, i, "-")] == (x, rest)
+                assert h.cell_keys[h.skeleton.face(cell, i, "+")] == (c.delta[(x, w[i])], rest)
             for i in range(n - 1):
                 swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                assert h.key(h.complex.transpose(cell, i)) == (x, swapped)
+                assert h.cell_keys[h.complex.transpose(cell, i)] == (x, swapped)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -9,7 +9,6 @@ from hdabridge.cubical import (
     DegeneracyWitness,
     check_deterministic,
     check_linear_labeling,
-    check_strong_labeling,
     truncate,
     validate_hda,
 )
@@ -63,7 +62,7 @@ from hdabridge.models import (
 from hdabridge import zoo
 from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn, gen_ts
 from helpers import brute_force_es_cells, brute_force_regions, reference_net, reference_places
-from reference import cells_by_key, covers, fire, region_check
+from reference import automaton_by_keys, cells_by_key, check_strong_labeling, covers, fire, region_check
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +106,46 @@ def test_system_automata_number_cells_in_canonical_key_order(seed):
             for n in range(h.max_dim + 1):
                 keys = [h.cell_keys[cell] for cell in h.cells(n)]
                 assert keys == sorted_by_key(keys)
+
+
+def assert_built_as_by_keys(h, expected):
+    """``h`` is the automaton that ``index_complex`` numbers from the sorted
+    keys: complex, labeling, alphabet, initial cell and keys, with every
+    table filed in the same order."""
+    assert h.complex == expected.complex
+    assert list(h.skeleton.faces) == list(expected.skeleton.faces)
+    assert list(h.complex.transpositions) == list(expected.complex.transpositions)
+    assert h.labeling == expected.labeling and list(h.labeling) == list(expected.labeling)
+    assert (h.alphabet, h.initial) == (expected.alphabet, expected.initial)
+    assert h.cell_keys == expected.cell_keys
+
+
+def ts_by_keys(t):
+    return automaton_by_keys(t.states, t.initial, t.events - {STAR},
+                             [tr for tr in t.trans if tr[1] != STAR])
+
+
+def acr_by_keys(a):
+    return automaton_by_keys(a.ts.states, a.ts.initial, a.ts.events, a.ts.trans, a.indep)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_system_automata_are_the_automata_by_keys_on_generated_models(seed):
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(100):
+        t, a = gen_ts(index, cfg), gen_acr(index, cfg)
+        assert_built_as_by_keys(ts_to_hda1(t), ts_by_keys(t))
+        assert_built_as_by_keys(acr_to_hda2(a), acr_by_keys(a))
+
+
+def test_system_automata_are_the_automata_by_keys_on_the_zoo():
+    for a in (zoo.triple_diamond_acr(), zoo.full_cube_acr(),
+              zoo.mutex_square_acr(True), zoo.mutex_square_acr(False)):
+        assert_built_as_by_keys(acr_to_hda2(a), acr_by_keys(a))
+    fork = make_ts(["x", "p", "q"], "x", ["a", "b"], [("x", "a", "p"), ("x", "a", "q"), ("p", "b", "x")])
+    assert_built_as_by_keys(ts_to_hda1(fork), ts_by_keys(fork))
+    completed = idle_completion(zoo.mutex_square_ts())
+    assert_built_as_by_keys(ts_to_hda1(completed, idle=True), ts_by_keys(completed))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +420,8 @@ def test_hda_to_es_reports_the_event_no_run_fires():
 # nets and regions
 # ---------------------------------------------------------------------------
 
-def region_by_keys(h, flows, tokens_by_key):
-    by_key = {h.key(c): c for c in h.cells(0)}
-    return Region.of(flows, {by_key[k]: v for k, v in tokens_by_key.items()})
+def region_by_keys(h, flows, tokens_by_state):
+    return Region.of(flows, {h.vertex_by_state[k]: v for k, v in tokens_by_state.items()})
 
 
 def expected_nine_regions(h):
@@ -500,9 +538,9 @@ def test_region_antitone_in_cells():
     r0 = enumerate_regions(h0, 1)
     r2 = enumerate_regions(h2, 1)
 
-    # compare on flow/token data transported through the shared vertex keys
+    # compare on flow/token data transported through the shared vertex states
     def portable(h, rs):
-        names = {c: h.key(c) for c in h.cells(0)}
+        names = {c: h.state(c) for c in h.cells(0)}
         return {(r.flows, tuple(sorted((names[c], v) for c, v in r.tokens))) for r in rs}
     assert portable(h2, r2) <= portable(h0, r0)
 
@@ -603,7 +641,7 @@ def test_transpose_roundtrip_small_pair():
     net = make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
     f = PnMorphism(phi={"p": synth.places[
-        Region.of({"a": (1, 0)}, {v: 1 if h.key(v) == "x" else 0 for v in h.cells(0)})]},
+        Region.of({"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]},
         psi={"a": "u"})
     assert validate_pn_morphism(f, synth.net, net).ok
     g = transpose_to_hda(f, synth, net, target)
@@ -623,7 +661,7 @@ def test_transpose_to_hda_rejects_unreachable_marking():
     net = make_pn(["p"], {}, ["u"], {"u": {"p": 1}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
     f = PnMorphism(phi={"p": synth.places[
-        Region.of({"a": (1, 0)}, {v: 1 if h.key(v) == "x" else 0 for v in h.cells(0)})]},
+        Region.of({"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]},
         psi={"a": "u"})
     with pytest.raises(OutOfReachableFragment, match="of vertex 'x' is not reachable"):
         transpose_to_hda(f, synth, net, target)
@@ -637,7 +675,7 @@ def test_transpose_to_pn_cap_exceeded():
     by_key = cells_by_key(target)
     g = HdaMorphism(
         cell_map={
-            c: DegeneracyWitness(by_key[(Marking.of({"p": 2}) if h.key(c) == "x" else Marking.of({}), ())])
+            c: DegeneracyWitness(by_key[(Marking.of({"p": 2}) if h.state(c) == "x" else Marking.of({}), ())])
             for c in h.cells(0)
         } | {
             c: DegeneracyWitness(by_key[(Marking.of({"p": 2}), ("u",))])
@@ -658,7 +696,7 @@ def test_transpose_to_pn_cap_exceeded_by_a_produced_count():
     net = make_pn(["p", "q"], {"q": 1}, ["u"], {"u": {"q": 1}}, {"u": {"p": 2}})
     target = pn_to_hda(net, 50, 2)
     image = {"x": Marking.of({"q": 1}), "y": Marking.of({"p": 2})}
-    g = induced_morphism(h, target, {v: target.vertex_by_key[(image[h.key(v)], ())]
+    g = induced_morphism(h, target, {v: target.vertex_by_state[image[h.state(v)]]
                                      for v in h.cells(0)}, {"a": "u"})
     assert validate_hda_morphism(g, h, target).ok
     with pytest.raises(CapExceeded, match="place 'p' pulls back to a region that is not a place"):
@@ -699,7 +737,7 @@ def test_map_morphism_collapsing_diamond():
     h_src, h_dst = ts_to_hda1(src), ts_to_hda1(dst)
     image = map_morphism("ts_to_hda1", m, h_src, h_dst)
     assert validate_hda_morphism(image, h_src, h_dst).ok
-    dropped = next(c for c in h_src.cells(1) if h_src.cell_keys[c][1] == "e2")
+    dropped = next(c for c in h_src.cells(1) if h_src.cell_keys[c][1] == ("e2",))
     assert image.cell_map[dropped].stars == (0,)
 
 
@@ -757,7 +795,9 @@ def test_map_morphism_into_nondeterministic_target():
     for end in ("q", "p"):
         m = TsMorphism(sigma={"u": "x", "w": end}, tau={"a": "a"})
         image = map_morphism("ts_to_hda1", m, h_src, h_dst)
-        assert h_dst.key(image.cell_map[edge].base) == ("x", "a", end)
+        base = image.cell_map[edge].base
+        assert h_dst.cell_keys[base] == ("x", ("a",))
+        assert h_dst.state(h_dst.zero_ends[base][1]) == end
         assert validate_hda_morphism(image, h_src, h_dst).ok
 
 
@@ -790,12 +830,12 @@ def test_map_morphism_hda_to_pn_keeps_composites():
 def test_automaton_tables_are_built_once_and_stay_out_of_equality():
     h = es_to_hda(make_event_structure("ab"))
     fresh = es_to_hda(make_event_structure("ab"))
-    top = h.vertex_by_key[(frozenset("ab"), ())]
+    top = h.vertex_by_state[frozenset("ab")]
     square = h.cells(2)[0]
     assert h.zero_ends[square] == (h.initial, top)
     assert h.cell_by_ends[(h.initial, top, h.labeling[square])] == square
     assert h.zero_ends is h.zero_ends and h.cell_by_ends is h.cell_by_ends
-    assert h.vertex_by_key is h.vertex_by_key
+    assert h.vertex_by_state is h.vertex_by_state
     assert h == fresh and repr(h) == repr(fresh)
 
 
@@ -811,7 +851,7 @@ def test_induced_morphism_refuses_ambiguous_target():
 
     _, dst = jsonio.document_to_model(doc)
     src = ts_to_hda1(make_ts(["u", "w"], "u", ["a"], [("u", "a", "w")]))
-    vertex_map = {v: CellId(0, 0 if src.key(v) == "u" else 1) for v in src.cells(0)}
+    vertex_map = {v: CellId(0, 0 if src.state(v) == "u" else 1) for v in src.cells(0)}
     with pytest.raises(ValueError, match="share their 0-ends and label"):
         induced_morphism(src, dst, vertex_map, {"a": "a"})
 

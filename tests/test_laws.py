@@ -45,7 +45,7 @@ from hdabridge.laws import (
 from hdabridge.models import Acr, idle_completion, make_event_structure, make_pn, make_ts
 from hdabridge.util import sorted_by_key
 from hdabridge import laws, zoo
-from reference import iso_by_cells, pn_isomorphisms, pn_morphism_space, pn_morphisms
+from reference import check_strong_labeling, iso_by_cells, pn_isomorphisms, pn_morphism_space, pn_morphisms
 
 
 CFG = GeneratorConfig(seed=0, count=30)
@@ -291,7 +291,7 @@ def test_functor_outputs_valid_on_random_corpus():
     """Every translation output passes its target's validator on the
     generated corpus, translations are strongly labeled where promised,
     and concurrency automata stay 1-deterministic."""
-    from hdabridge.cubical import check_deterministic, check_linear_labeling, check_strong_labeling, validate_hda
+    from hdabridge.cubical import check_deterministic, check_linear_labeling, validate_hda
     from hdabridge.functors import es_to_hda, hda_to_es, ts_to_hda1
     from hdabridge.models import validate_es
 
@@ -449,9 +449,9 @@ def test_hda_morphism_enumeration_validates_members_into_a_nondeterministic_targ
         else sides[key[2 - i]][sign == "+"],
         transpose_key=lambda n, key, i: (key[0], key[2], key[1]))
     by_key = {k: c for c, k in keys.items()}
-    target = Hda(complex=complex_, alphabet=("a", "b"),
-                 labeling={c: k[1:c.dim + 1] if c.dim else () for c, k in keys.items()},
-                 initial=by_key["x"], cell_keys=keys)
+    words = {c: k[1:c.dim + 1] if c.dim else () for c, k in keys.items()}
+    target = Hda(complex=complex_, alphabet=("a", "b"), labeling=words, initial=by_key["x"],
+                 cell_keys={c: (k if c.dim == 0 else k[0], words[c]) for c, k in keys.items()})
     assert validate_hda(target).ok
     built, validate = [], laws.validate_hda_morphism
     monkeypatch.setattr(laws, "validate_hda_morphism",
@@ -459,7 +459,7 @@ def test_hda_morphism_enumeration_validates_members_into_a_nondeterministic_targ
     kept = enumerate_hda_morphisms(source, target)
     assert (len(built), len(kept)) == (11, 9)
     dropped = [m for m in built if m not in kept]
-    images = [{source.cell_keys[c]: target.cell_keys[w.base] for c, w in m.cell_map.items()
+    images = [{source.state(c): target.state(w.base) for c, w in m.cell_map.items()
                if c.dim == 0} for m in dropped]
     assert images == [{"s": "x", "p": "q", "q": "r2", "w": "t"},
                       {"s": "x", "p": "r2", "q": "q", "w": "t"}]
@@ -495,7 +495,7 @@ def test_iso_check_reversed_deep_chain_looks_up_few_keys():
     b = ts_to_hda1(make_ts(states, rev["s0"], ["a"], [(rev[p], e, rev[q]) for p, e, q in trans]))
     b.__dict__["cell_by_ends"] = Counting(b.cell_by_ends)
     m = iso_check(a, b, node_limit=5000)
-    assert {a.key(c): b.key(d) for c, d in m.items() if c.dim == 0} == rev
+    assert {a.state(c): b.state(d) for c, d in m.items() if c.dim == 0} == rev
     assert Counting.lookups <= 3600
 
 
@@ -524,8 +524,9 @@ def test_iso_check_renamed_chain_automata():
     b = ts_to_hda1(make_ts(states, rev["s0"], ["a"], [(rev[p], e, rev[q]) for p, e, q in trans]))
     m = iso_check(a, b)
     assert m is not None
-    assert {a.key(c): b.key(d) for c, d in m.items()} == {
-        **rev, **{(p, e, q): (rev[p], e, rev[q]) for p, e, q in trans}}
+    assert {a.cell_keys[c]: b.cell_keys[d] for c, d in m.items()} == {
+        **{(p, ()): (q, ()) for p, q in rev.items()},
+        **{(p, (e,)): (rev[p], (e,)) for p, e, q in trans}}
 
 
 def test_iso_check_event_structures_match_on_events():
