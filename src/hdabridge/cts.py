@@ -27,7 +27,7 @@ cell is keyed ``(state, word)``: its 0-source state and its word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain, repeat, starmap
 from operator import add, ge
 from typing import Callable, Mapping
@@ -39,6 +39,7 @@ from .cubical import (
     Hda,
     PrecubicalComplex,
     SymmetricCubicalComplex,
+    cells_of_dim,
     check_deterministic,
 )
 from .errors import DimensionCapExceeded, NotOneDeterministic, StarClash
@@ -147,12 +148,6 @@ def enabled_cells_by_dim(c: Cts, max_dim: int) -> tuple:
     return tree, beyond
 
 
-def _cell_ids(n: int, count: int) -> list:
-    """``[CellId(n, j) for j in range(count)]``, built without a Python
-    call per cell."""
-    return list(map(partial(tuple.__new__, CellId), zip(repeat(n), range(count))))
-
-
 def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
     """The automaton with one n-cell per enabled word of length n.
 
@@ -184,22 +179,20 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
     def child_keys(parents, ranks):
         return map(add, map(size.__mul__, parents), ranks)
 
-    state_rank = dict(zip(states, range(len(states))))
-    event_rank = dict(zip(events, range(size)))
-    step = {state_rank[x] * size + event_rank[e]: state_rank[y] for (x, e), y in c.delta.items()}
-    single = [(e,) for e in events]
-
-    ids = _cell_ids(0, len(states))
-    cells, faces, transpositions = {0: tuple(range(len(states)))}, {}, {}
-    labeling = dict.fromkeys(ids, ())
-    cell_keys = dict(zip(ids, zip(states, repeat(()))))
-    at, words = range(len(states)), [()] * len(states)  # each cell's state rank and word
+    rank = dict(zip(states, range(len(states))))
+    single = list(zip(events))
+    cells, faces, transpositions = {0: range(len(states))}, {}, {}
+    labeling = dict.fromkeys(cells_of_dim(0, len(states)), ())
+    at, words, ats = cells[0], [()] * len(states), [cells[0]]  # each cell's state rank and word
+    # the top dimension with cells: none above it has any
+    top = next((n for n, (parents, _) in enumerate(tree) if not parents), max_dim)
     child = None  # child[p * size + r]: the cell that extends cell p by event rank r
-    for n, (parents, lasts) in enumerate(tree, 1):
+    for n, (parents, lasts) in enumerate(tree[:top], 1):
         count = len(parents)
         below, child = child, dict(zip(child_keys(parents, lasts), range(count)))
         if n == 1:
-            swaps, last_plus = [], list(map(step.__getitem__, child_keys(parents, lasts)))
+            steps = zip(map(states.__getitem__, parents), map(events.__getitem__, lasts))
+            swaps, last_plus = [], list(map(rank.__getitem__, map(c.delta.__getitem__, steps)))
         else:
             up, ups = tree[n - 2]
             grand, before = list(map(up.__getitem__, parents)), list(map(ups.__getitem__, parents))
@@ -213,24 +206,25 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
         for i in reversed(range(n - 1)):
             for sign in SIGNS:
                 columns[i, sign] = list(map(columns[i + 1, sign].__getitem__, swaps[i]))
-        cells[n] = tuple(range(count))
-        for i in range(n):
-            for sign in SIGNS:
-                faces[(n, i, sign)] = dict(enumerate(columns[i, sign]))
-        for i, swap in enumerate(swaps):
-            transpositions[(n, i)] = dict(enumerate(swap))
-        ids = _cell_ids(n, count)
+        cells[n] = range(count)
+        faces.update(((n, i, sign), columns[i, sign]) for i in range(n) for sign in SIGNS)
+        transpositions.update(((n, i), swap) for i, swap in enumerate(swaps))
         at = list(map(at.__getitem__, parents))
+        ats.append(at)
         words = list(map(add, map(words.__getitem__, parents), map(single.__getitem__, lasts)))
-        labeling.update(zip(ids, words))
-        cell_keys.update(zip(ids, zip(map(states.__getitem__, at), words)))
+        labeling.update(zip(cells_of_dim(n, count), words))
+    for n in range(top + 1, max_dim + 1):
+        cells[n] = range(0)
+        faces.update(((n, i, sign), []) for i in range(n) for sign in SIGNS)
+        transpositions.update(((n, i), []) for i in range(n - 1))
     skeleton = PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim)
     return Hda(
         complex=SymmetricCubicalComplex(skeleton=skeleton, transpositions=transpositions),
         alphabet=tuple(events),
         labeling=labeling,
-        initial=CellId(0, state_rank[c.initial]),
-        cell_keys=cell_keys,
+        initial=CellId(0, rank[c.initial]),
+        cell_keys=dict(zip(labeling, zip(map(states.__getitem__, chain.from_iterable(ats)),
+                                         labeling.values()))),
     )
 
 

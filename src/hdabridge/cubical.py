@@ -3,13 +3,19 @@ label words, and higher dimensional automata.
 
 Representation
 --------------
-Only non-degenerate cells are materialized.  A complex stores, per
-dimension, a finite tuple of cell indices together with total face maps
-``faces[(n, i, sign)] : cells(n) -> cells(n-1)`` for ``0 <= i <= n-1``.
-Degenerate cells exist as :class:`DegeneracyWitness` values: a base cell
-plus the strictly sorted positions of the collapsed directions in the
-final coordinate word.  This normal form is unique, so equality of
-arbitrary cells is a tuple comparison.
+Only non-degenerate cells are materialized: ``CellId(n, j)`` is position
+j of cells(n).  A complex stores, per dimension, the index of each
+position (``range(N)`` unless a parsed document numbered its cells
+otherwise), which only messages and printed documents read, and a column
+per face map ``faces[(n, i, sign)] : cells(n) -> cells(n-1)``,
+``0 <= i <= n-1``, and per transposition: a list whose entry j is the
+position of the image of cell j, or None where the map is undefined.  An
+entry that is no position (negative, past the cells, or
+:class:`Unlisted`) names no cell.  Degenerate cells exist as
+:class:`DegeneracyWitness` values: a base cell plus the strictly sorted
+positions of the collapsed directions in the final coordinate word.  This
+normal form is unique, so equality of arbitrary cells is a tuple
+comparison.
 
 Index conventions (pinned by the exhaustive n-cube tests; ``.`` composes
 with the right-hand map applied first):
@@ -29,9 +35,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArityMismatch, IndexOutOfRange
 from .util import ValidationReport
@@ -42,10 +49,29 @@ SIGNS = ("-", "+")
 
 
 class CellId(NamedTuple):
-    """A non-degenerate cell, identified by dimension and per-dimension index."""
+    """A non-degenerate cell, identified by dimension and position."""
 
     dim: int
     index: int
+
+
+def cells_of_dim(n: int, count: int) -> Iterable[CellId]:
+    """``CellId(n, j)`` for j < count, without a Python call per cell."""
+    return map(partial(tuple.__new__, CellId), zip(repeat(n), range(count)))
+
+
+class Unlisted(NamedTuple):
+    """A document's value naming no listed cell; it prints as written."""
+
+    index: int
+
+    def __repr__(self) -> str:
+        return repr(self.index)
+
+
+def is_position(value, size: int) -> bool:
+    """Whether a column entry names one of ``size`` cells."""
+    return type(value) is int and 0 <= value < size
 
 
 @dataclass(frozen=True)
@@ -88,33 +114,32 @@ def as_witness(cell: Cell) -> DegeneracyWitness:
 
 @dataclass(frozen=True)
 class PrecubicalComplex:
-    """Finite precubical set: cells per dimension plus total face maps."""
+    """Finite precubical set: the indices of cells(n) and the face columns."""
 
-    cells: Mapping[int, tuple[int, ...]]
-    faces: Mapping[tuple[int, int, str], Mapping[int, int]]
+    cells: Mapping[int, Sequence[int]]
+    faces: Mapping[tuple[int, int, str], Sequence]
     max_dim: int
-
-    def cell_ids(self, dim: int) -> list[CellId]:
-        return [CellId(dim, i) for i in self.cells.get(dim, ())]
 
     def all_cells(self) -> Iterable[CellId]:
         for n in range(self.max_dim + 1):
-            yield from self.cell_ids(n)
+            yield from cells_of_dim(n, len(self.cells.get(n, ())))
 
     def has_cell(self, cell: CellId) -> bool:
-        return cell.index in self._index_sets.get(cell.dim, ())
+        return is_position(cell.index, len(self.cells.get(cell.dim, ())))
 
-    @cached_property
-    def _index_sets(self) -> dict:
-        return {n: frozenset(indices) for n, indices in self.cells.items()}
+    def index_of(self, dim: int, value):
+        """The document index of ``value``, a column entry naming a cell of
+        dimension ``dim``; an entry that names no cell is itself."""
+        ids = self.cells.get(dim, ())
+        return ids[value] if is_position(value, len(ids)) else value
 
     def face(self, cell: CellId, i: int, sign: str) -> CellId:
         if not 0 <= i < cell.dim:
             raise IndexOutOfRange(f"face index {i} out of range for dimension {cell.dim}")
         if sign not in SIGNS:
             raise IndexOutOfRange(f"bad face sign {sign!r}")
-        table = self.faces.get((cell.dim, i, sign))
-        if table is None or cell.index not in table:
+        table = self.faces.get((cell.dim, i, sign)) or ()
+        if not is_position(cell.index, len(table)) or table[cell.index] is None:
             raise KeyError(f"no face map entry for {cell} at ({i},{sign})")
         return CellId(cell.dim - 1, table[cell.index])
 
@@ -123,18 +148,18 @@ class PrecubicalComplex:
 class SymmetricCubicalComplex:
     """Cubical set with adjacent-transposition maps on each dimension n >= 2.
 
-    ``transpositions[(n, i)]`` is a total map on the indices of ``cells(n)``
-    for ``0 <= i <= n-2``.
+    ``transpositions[(n, i)]`` is a column over cells(n), a total map for
+    ``0 <= i <= n-2``.
     """
 
     skeleton: PrecubicalComplex
-    transpositions: Mapping[tuple[int, int], Mapping[int, int]]
+    transpositions: Mapping[tuple[int, int], Sequence]
 
     def transpose(self, cell: CellId, i: int) -> CellId:
         if not 0 <= i <= cell.dim - 2:
             raise IndexOutOfRange(f"transposition index {i} out of range for dimension {cell.dim}")
-        table = self.transpositions.get((cell.dim, i))
-        if table is None or cell.index not in table:
+        table = self.transpositions.get((cell.dim, i)) or ()
+        if not is_position(cell.index, len(table)) or table[cell.index] is None:
             raise KeyError(f"no transposition entry for {cell} at {i}")
         return CellId(cell.dim, table[cell.index])
 
@@ -216,13 +241,6 @@ def nest_witness(outer_stars: tuple[int, ...], inner: DegeneracyWitness) -> Dege
 LabelWord = tuple  # entries are labels or STAR; length == cell dimension
 
 
-def word_face(w: LabelWord, k: int) -> LabelWord:
-    """Remove the entry at position ``k`` (both face signs agree)."""
-    if not 0 <= k < len(w):
-        raise ArityMismatch(f"face position {k} out of range for word of length {len(w)}")
-    return w[:k] + w[k + 1:]
-
-
 def word_degeneracy(w: LabelWord, k: int) -> LabelWord:
     """Insert STAR at position ``k``."""
     if not 0 <= k <= len(w):
@@ -239,18 +257,12 @@ def word_is_linear(w: LabelWord) -> bool:
 # Construction helper
 # ---------------------------------------------------------------------------
 
-def _name_missing_image(n, keys_n, below, same, face_key, transpose_key):
-    """Raise a KeyError naming the first key of ``keys_n`` whose
-    transposition, or else whose face looked up by key, is not a cell."""
-    for i in range(n - 1 if transpose_key else 0):
-        for k in keys_n:
-            if (image := transpose_key(n, k, i)) not in same:
-                raise KeyError(f"transposition of {k!r} at {i} is not a cell: {image!r}") from None
-    for i in range(n - 1 if transpose_key else 0, n):
-        for sign in SIGNS:
-            for k in keys_n:
-                if (image := face_key(n, k, i, sign)) not in below:
-                    raise KeyError(f"face of {k!r} at ({i},{sign}) is not a cell: {image!r}") from None
+def _look(index: dict, image, what: str, key, at) -> int:
+    """``index[image]``, or a KeyError naming the key whose image it is."""
+    if image not in index:
+        raise KeyError(f"{what} of {key!r} at {at if what == 'transposition' else '(%s,%s)' % at}"
+                       f" is not a cell: {image!r}")
+    return index[image]
 
 
 def index_complex(
@@ -274,28 +286,22 @@ def index_complex(
     max_dim = max(cells_by_dim, default=0)
     ordered = [list(cells_by_dim.get(n, ())) for n in range(max_dim + 1)]
     index_of = [dict(zip(keys_n, itertools.count())) for keys_n in ordered]
-    cells = {n: tuple(range(len(keys_n))) for n, keys_n in enumerate(ordered)}
+    cells = {n: range(len(keys_n)) for n, keys_n in enumerate(ordered)}
     keys = {CellId(n, i): k for n, keys_n in enumerate(ordered) for i, k in enumerate(keys_n)}
     faces, transpositions = {}, {}
     for n in range(1, max_dim + 1):
         below, same, keys_n = index_of[n - 1], index_of[n], ordered[n]
-        try:
-            swaps = [[same[transpose_key(n, k, i)] for k in keys_n]
-                     for i in range(n - 1)] if transpose_key else ()
-            columns = {}  # with transpositions, face(i) = face(i+1) . transposition(i) for i < n-1
+        swaps = [[_look(same, transpose_key(n, k, i), "transposition", k, i) for k in keys_n]
+                 for i in range(n - 1)] if transpose_key else ()
+        columns = {}  # with transpositions, face(i) = face(i+1) . transposition(i) for i < n-1
+        for i in reversed(range(n)):
             for sign in SIGNS:
-                for i in reversed(range(n)):
-                    columns[i, sign] = (list(map(columns[i + 1, sign].__getitem__, swaps[i]))
-                                        if i < len(swaps) else
-                                        [below[face_key(n, k, i, sign)] for k in keys_n])
-        except KeyError:
-            _name_missing_image(n, keys_n, below, same, face_key, transpose_key)
-            raise
-        for i in range(n):
-            for sign in SIGNS:
-                faces[(n, i, sign)] = dict(enumerate(columns[i, sign]))
-        for i, swap in enumerate(swaps):
-            transpositions[(n, i)] = dict(enumerate(swap))
+                columns[i, sign] = (list(map(columns[i + 1, sign].__getitem__, swaps[i]))
+                                    if i < len(swaps) else
+                                    [_look(below, face_key(n, k, i, sign), "face", k, (i, sign))
+                                     for k in keys_n])
+        faces.update(((n, i, sign), columns[i, sign]) for i in range(n) for sign in SIGNS)
+        transpositions.update(((n, i), swap) for i, swap in enumerate(swaps))
     skeleton = PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim)
     if transpose_key is None:
         return skeleton, keys
@@ -316,14 +322,13 @@ def validate_complex(c: Complex) -> ValidationReport:
     each one swaps faces i and i+1 and slides the distant faces through
     the transposition below; adjacent ones braid and distant ones commute.
 
-    Each table of dimension n is read as one column over cells(n), and an
-    identity composes columns and compares lists.  Only where the lists
-    differ are their positions read, one message per failing cell; a cell
-    missing an entry of the identity is passed over, as the missing entry
-    has its own message.  Messages go by section in the order above, then
-    by dimension; then table by table and cell by cell in the faces and
-    transpositions sections, cell by cell and identity by identity in the
-    others, with each cell once, in the order of cells(n).
+    An identity composes the columns of its tables and compares lists.
+    Only where the lists differ are their positions read, one message per
+    failing cell; a cell missing an entry of the identity is passed over,
+    as the missing entry has its own message.  Messages go by section in
+    the order above, then by dimension; then table by table and cell by
+    cell in the faces and transpositions sections, cell by cell and
+    identity by identity in the others, cells in the order of cells(n).
     """
     report = ValidationReport(subject=type(c).__name__)
     for messages in _complex_messages(c).values():
@@ -331,95 +336,109 @@ def validate_complex(c: Complex) -> ValidationReport:
     return report
 
 
-def _column(table, col) -> list:
-    """``table`` read at each entry of ``col``: None where the entry is
-    None or the table has none, and everywhere when the table is None."""
+def _column(table, col, lands=False) -> list:
+    """The column ``table`` read at each entry of ``col``, by one ``map``
+    when every entry ``lands`` on a position of it, else None where one
+    names none (no negative one reads from the end); Nones for no table."""
     if table is None:
         return [None] * len(col)
-    return list(map(table.get, col))
+    if lands:
+        return list(map(table.__getitem__, col))
+    return [table[v] if is_position(v, len(table)) else None for v in col]
 
 
-def _mismatches(ids, lefts: list, rights: list, template: str) -> dict:
-    """Each cell of ``ids`` where every column of ``lefts`` and ``rights``,
-    lists of columns over ``ids``, has an entry and the left entries differ
-    from the right ones, with its message: ``template`` formatted with the
-    cell, then its left entries, then its right ones."""
-    rows = zip(ids, zip(*lefts), zip(*rights))
-    return {idx: [template.format(idx, *left, *right)] for idx, left, right in rows
+def all_positions(col, size: int) -> bool:
+    """Whether every entry of the column ``col`` names one of ``size`` cells."""
+    try:
+        return not col or (min(col) >= 0 and max(col) < size)
+    except TypeError:  # None or an Unlisted entry
+        return False
+
+
+def _mismatches(ids, lefts: list, rights: list, template: str, spell=str) -> dict:
+    """Each position of ``ids`` where every column of ``lefts`` and
+    ``rights``, lists of columns over ``ids``, has an entry and the left
+    entries differ from the right ones, with its message: ``template``
+    formatted with the cell's index, then those entries by ``spell``."""
+    rows = zip(itertools.count(), ids, zip(*lefts), zip(*rights))
+    return {j: [template.format(idx, *map(spell, left + right))]
+            for j, idx, left, right in rows
             if None not in left and None not in right and left != right}
 
 
-def _by_cell(cells, failing: list) -> list:
-    """The messages of ``failing``, dicts from a cell to its messages, cell
-    by cell in the order of ``cells``, then dict by dict."""
+def _by_cell(size: int, failing: list) -> list:
+    """The messages of ``failing``, dicts from a position to its messages,
+    position by position up to ``size``, then dict by dict."""
     failing = [found for found in failing if found]
-    return [message for idx in cells for found in failing
-            for message in found.get(idx, ())] if failing else []
+    return [message for j in range(size) for found in failing
+            for message in found.get(j, ())] if failing else []
 
 
 def _complex_messages(c: Complex) -> dict:
     """The messages of each section of :func:`validate_complex`, by section
-    in report order.  The columns of one dimension are built, checked and
-    dropped before the next."""
+    in report order.  The columns of one dimension are composed (where all
+    name cells, each by one ``map``), checked and dropped before the next."""
     sk = skeleton_of(c)
     F, T = sk.faces, c.transpositions if isinstance(c, SymmetricCubicalComplex) else None
     sections = {"faces": [], "face identities": [], "transpositions": [], "slides": []}
     for n in range(1, sk.max_dim + 1):
         ids = sk.cells.get(n, ())
-        if not ids:
+        size, low = len(ids), len(sk.cells.get(n - 1, ()))
+        if not size:
             continue
-        present, below = set(ids), set(sk.cells.get(n - 1, ()))
-        cells = dict.fromkeys(ids)  # each cell once, in the order of cells(n)
-        face = {}
+        face, faces_land = {}, True
         for i in range(n):
             for a in SIGNS:
                 table = F.get((n, i, a))
-                face[i, a] = col = _column(table, ids)
+                face[i, a] = col = [None] * size if table is None else table
+                lands = table is not None and all_positions(col, low)
+                faces_land = faces_land and lands
                 if table is None:
                     sections["faces"].append(f"missing face map ({n},{i},{a})")
-                elif not below.issuperset(col):
+                elif not lands:
                     sections["faces"] += [
-                        f"face ({n},{i},{a}) undefined on cell {idx}" if table.get(idx) is None else
+                        f"face ({n},{i},{a}) undefined on cell {idx}" if v is None else
                         f"face ({n},{i},{a}) of cell {idx} lands outside cells({n - 1})"
-                        for idx in cells if table.get(idx) not in below]
-        failing = []
+                        for idx, v in zip(ids, col) if not is_position(v, low)]
+        failing, spell, read = [], partial(sk.index_of, n - 2), partial(_column, lands=faces_land)
         for j in range(1, n):
             for i in range(j):
                 for a in SIGNS:
                     for b in SIGNS:
-                        left = _column(F.get((n - 1, i, a)), face[j, b])
-                        right = _column(F.get((n - 1, j - 1, b)), face[i, a])
+                        left = read(F.get((n - 1, i, a)), face[j, b])
+                        right = read(F.get((n - 1, j - 1, b)), face[i, a])
                         if left != right:
                             failing.append(_mismatches(
                                 ids, [left], [right],
                                 f"dim {n} cell {{0}}: face({i},{a}).face({j},{b}) = {{1}} "
-                                f"but face({j - 1},{b}).face({i},{a}) = {{2}}"))
-        sections["face identities"] += _by_cell(cells, failing)
+                                f"but face({j - 1},{b}).face({i},{a}) = {{2}}", spell))
+        sections["face identities"] += _by_cell(size, failing)
         if T is None:
             continue
-        swaps, order = [], list(ids)
+        swaps, order, swaps_land = [], list(range(size)), True
         for i in range(n - 1):
             table = T.get((n, i))
-            swaps.append(col := _column(table, ids))
+            swaps.append(col := [None] * size if table is None else table)
+            lands = table is not None and all_positions(col, size)
+            swaps_land = swaps_land and lands
             if table is None:
                 sections["transpositions"].append(f"missing transposition map ({n},{i})")
-            elif not (present.issuperset(col) and _column(table, col) == order):
-                image = dict(zip(ids, col))
+            elif not (lands and _column(col, col, True) == order):
                 sections["transpositions"] += [
-                    f"transposition ({n},{i}) undefined on cell {idx}" if image[idx] is None else
+                    f"transposition ({n},{i}) undefined on cell {idx}" if v is None else
                     f"transposition ({n},{i}) of cell {idx} lands outside cells({n})"
-                    if image[idx] not in present else
+                    if not is_position(v, size) else
                     f"transposition ({n},{i}) is not an involution at cell {idx}"
-                    for idx in cells
-                    if image[idx] not in present or table.get(image[idx]) != idx]
-        failing = []
+                    for j, idx, v in zip(order, ids, col)
+                    if not is_position(v, size) or col[v] != j]
+        failing, read = [], partial(_column, lands=faces_land and swaps_land)
         for i in range(n - 1):
             for a in SIGNS:
                 # faces i and i+1 swap, and each distant face j slides
                 # through the transposition below
-                lefts = [_column(F.get((n, j, a)), swaps[i]) for j in range(n)]
+                lefts = [read(F.get((n, j, a)), swaps[i]) for j in range(n)]
                 rights = [face[i + 1, a] if j == i else face[i, a] if j == i + 1 else
-                          _column(T.get((n - 1, i - 1 if j < i else i)), face[j, a])
+                          read(T.get((n - 1, i - 1 if j < i else i)), face[j, a])
                           for j in range(n)]
                 if lefts != rights:
                     failing.append(_mismatches(
@@ -427,17 +446,17 @@ def _complex_messages(c: Complex) -> dict:
                         f"dim {n} cell {{0}}: transposition {i} incompatible with faces of sign {a}"))
         for i in range(n - 2):
             t, u = T.get((n, i)), T.get((n, i + 1))
-            left, right = _column(t, _column(u, swaps[i])), _column(u, _column(t, swaps[i + 1]))
+            left, right = read(t, read(u, swaps[i])), read(u, read(t, swaps[i + 1]))
             if left != right:
                 failing.append(_mismatches(ids, [left], [right],
                                            f"dim {n} cell {{0}}: braid relation fails at {i}"))
         for i in range(n - 1):
             for k in range(i + 2, n - 1):
-                left, right = _column(T.get((n, i)), swaps[k]), _column(T.get((n, k)), swaps[i])
+                left, right = read(T.get((n, i)), swaps[k]), read(T.get((n, k)), swaps[i])
                 if left != right:
                     failing.append(_mismatches(ids, [left], [right], f"dim {n} cell {{0}}: "
                                                f"distant transpositions {i},{k} do not commute"))
-        sections["slides"] += _by_cell(cells, failing)
+        sections["slides"] += _by_cell(size, failing)
     return sections
 
 
@@ -474,7 +493,7 @@ class Hda:
         return self.skeleton.max_dim
 
     def cells(self, dim: int) -> list[CellId]:
-        return self.skeleton.cell_ids(dim)
+        return list(cells_of_dim(dim, len(self.skeleton.cells.get(dim, ()))))
 
     def label(self, cell: Cell) -> LabelWord:
         w = as_witness(cell)
@@ -484,9 +503,10 @@ class Hda:
         return out
 
     def state(self, v: CellId):
-        """The model state the vertex ``v`` denotes: the vertex itself in an
-        automaton without keys."""
-        return v if self.cell_keys is None else self.cell_keys[v][0]
+        """The model state the vertex ``v`` denotes: in an automaton without
+        keys, the vertex under its index."""
+        return CellId(0, self.skeleton.index_of(0, v.index)) if self.cell_keys is None else \
+            self.cell_keys[v][0]
 
     # Tables read by every morphism into or out of the automaton.  Each is
     # built on first use and kept in the instance dict, outside the fields.
@@ -498,14 +518,16 @@ class Hda:
     @cached_property
     def zero_ends(self) -> dict:
         """Each cell's 0-source and 0-target vertices, in one pass per
-        dimension over the face tables (n,0,-) and (n,0,+)."""
-        ends = {v: (v, v) for v in self.cells(0)}
+        dimension over the face columns (n,0,-) and (n,0,+)."""
+        vertices = self.cells(0)
+        ends = dict(zip(vertices, zip(vertices, vertices)))
+        low = high = range(len(vertices))  # each cell's ends, by position
+        faces = self.skeleton.faces
         for n in range(1, self.max_dim + 1):
-            low = self.skeleton.faces.get((n, 0, "-"), {})
-            high = self.skeleton.faces.get((n, 0, "+"), {})
-            for cell in self.cells(n):
-                ends[cell] = (ends[CellId(n - 1, low[cell.index])][0],
-                              ends[CellId(n - 1, high[cell.index])][1])
+            low = list(map(low.__getitem__, faces.get((n, 0, "-"), ())))
+            high = list(map(high.__getitem__, faces.get((n, 0, "+"), ())))
+            ends.update(zip(self.cells(n), zip(map(vertices.__getitem__, low),
+                                               map(vertices.__getitem__, high))))
         return ends
 
     @cached_property
@@ -556,89 +578,81 @@ def _picked(words: list, positions: list) -> list:
 
 def _label_messages(h: Hda, n: int, below: dict) -> tuple:
     """The messages of :func:`validate_hda` on the labels of cells(n), and
-    the words of cells(n) by index; ``below`` holds those of cells(n-1)."""
-    cells = h.skeleton.cells.get(n, ())
-    ids, words = cells, list(map(h.labeling.get, zip(itertools.repeat(n), cells)))
-    own = dict(zip(cells, words))
-    failing = []
+    the words of cells(n) by position; ``below`` holds those of cells(n-1)."""
+    ids = h.skeleton.cells.get(n, ())
+    size = len(ids)
+    words = list(map(h.labeling.get, zip(repeat(n), range(size))))
+    own = dict(zip(range(size), words))
+    failing, kept = [], None
     if not (set(map(type, words)) <= {tuple} and set(map(len, words)) <= {n}
             and (set(h.alphabet) - {STAR}).issuperset(itertools.chain.from_iterable(words))):
-        failing.append(_word_messages(h, n, cells, words))
+        failing.append(_word_messages(h, n, ids, words))
         # a cell without a word of length n has no naturality to check
         kept = [k for k, w in enumerate(words) if w is not None and len(w) == n]
-        ids, words = [cells[k] for k in kept], [words[k] for k in kept]
+        words = [words[k] for k in kept]
+    positions = range(size) if kept is None else kept
     for i in range(n):
         expected = _picked(words, [k for k in range(n) if k != i])  # for both signs
         for sign in SIGNS:
             table = h.skeleton.faces.get((n, i, sign))
-            col = _column(table, ids)
-            if table is not None and _column(below, col) != expected:
-                failing.append(_unnatural(h, n, ids, col, n - 1, expected, f"face ({i},{sign})"))
+            col = table if kept is None or table is None else _column(table, kept, True)
+            if table is not None and list(map(below.get, col)) != expected:
+                failing.append(_unnatural(h, n, positions, col, n - 1, expected, f"face ({i},{sign})"))
     for i in range(n - 1):
         order = list(range(n))
         order[i], order[i + 1] = i + 1, i
         table = h.complex.transpositions.get((n, i))
-        col = _column(table, ids)
+        col = table if kept is None or table is None else _column(table, kept, True)
         # not kept: one list of picked words is alive at a time
-        if table is not None and _column(own, col) != _picked(words, order):
-            failing.append(_unnatural(h, n, ids, col, n, _picked(words, order),
+        if table is not None and list(map(own.get, col)) != _picked(words, order):
+            failing.append(_unnatural(h, n, positions, col, n, _picked(words, order),
                                       f"transposition {i}"))
-    return _by_cell(cells, failing), own
+    return _by_cell(size, failing), own
 
 
-def _word_messages(h: Hda, n: int, cells, words: list) -> dict:
-    """Each of ``cells`` whose word is missing, not of length n or not over
-    the idle-free alphabet, with its messages."""
+def _word_messages(h: Hda, n: int, ids, words: list) -> dict:
+    """Each position of cells(n) whose word is missing, not of length n or
+    not over the idle-free alphabet, with its messages."""
     alphabet = set(h.alphabet)
     found = {}
-    for idx, w in zip(cells, words):
+    for j, idx, w in zip(itertools.count(), ids, words):
         cell = CellId(n, idx)
         if w is None:
-            found[idx] = [f"cell {cell} has no label"]
+            found[j] = [f"cell {cell} has no label"]
         elif len(w) != n:
-            found[idx] = [f"cell {cell} labeled by word of length {len(w)}"]
+            found[j] = [f"cell {cell} labeled by word of length {len(w)}"]
         elif messages := [f"cell {cell} label contains the idle symbol" if e == STAR else
                           f"cell {cell} label {e!r} outside the alphabet"
                           for e in w if e == STAR or e not in alphabet]:
-            found[idx] = messages
+            found[j] = messages
     return found
 
 
-def _unnatural(h: Hda, n: int, ids, col: list, d: int, expected: list, where: str) -> dict:
-    """Each n-cell of ``ids`` whose image in ``col``, a column of d-cells,
-    has a word in ``h.labeling`` other than the ``expected`` one, with its
-    message; ``where`` names the map.  Reading ``h.labeling`` counts a
-    label on a cell outside the cell lists."""
-    got = map(h.labeling.get, zip(itertools.repeat(d), col))
-    return {idx: [f"labeling not natural at {where} of {CellId(n, idx)}"]
-            for idx, image, word, want in zip(ids, col, got, expected)
+def _unnatural(h: Hda, n: int, positions, col: list, d: int, expected: list, where: str) -> dict:
+    """Each n-cell of ``positions`` whose image in ``col``, a column of
+    d-cells, has a word in ``h.labeling`` other than the ``expected`` one,
+    with its message; ``where`` names the map.  Reading ``h.labeling``
+    counts a label on a cell outside the cell lists."""
+    got = map(h.labeling.get, zip(repeat(d), col))
+    ids = h.skeleton.cells[n]
+    return {j: [f"labeling not natural at {where} of {CellId(n, ids[j])}"]
+            for j, image, word, want in zip(positions, col, got, expected)
             if image is not None and word != want}
 
 
 def truncate(h: Hda, n: int) -> Hda:
-    """Drop every cell above dimension ``n``; restrict all structure."""
+    """Drop every cell above dimension ``n``; restrict all structure.  The
+    columns kept are shared with ``h``."""
     n = max(n, 0)
     sk = h.skeleton
     top = min(n, sk.max_dim)
-    cells = {d: tuple(sk.cells.get(d, ())) for d in range(top + 1)}
-    faces = {key: dict(tbl) for key, tbl in sk.faces.items() if key[0] <= top}
-    transpositions = {
-        key: dict(tbl) for key, tbl in h.complex.transpositions.items() if key[0] <= top
-    }
+    cells = {d: sk.cells.get(d, ()) for d in range(top + 1)}
+    faces = {key: col for key, col in sk.faces.items() if key[0] <= top}
+    transpositions = {key: col for key, col in h.complex.transpositions.items() if key[0] <= top}
     labeling = {c: w for c, w in h.labeling.items() if c.dim <= top}
-    keys = None
-    if h.cell_keys is not None:
-        keys = {c: k for c, k in h.cell_keys.items() if c.dim <= top}
-    return Hda(
-        complex=SymmetricCubicalComplex(
-            skeleton=PrecubicalComplex(cells=cells, faces=faces, max_dim=n),
-            transpositions=transpositions,
-        ),
-        alphabet=h.alphabet,
-        labeling=labeling,
-        initial=h.initial,
-        cell_keys=keys,
-    )
+    keys = None if h.cell_keys is None else {c: k for c, k in h.cell_keys.items() if c.dim <= top}
+    skeleton = PrecubicalComplex(cells=cells, faces=faces, max_dim=n)
+    return Hda(SymmetricCubicalComplex(skeleton, transpositions), h.alphabet, labeling, h.initial, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +660,10 @@ def truncate(h: Hda, n: int) -> Hda:
 # ---------------------------------------------------------------------------
 
 def check_linear_labeling(h: Hda) -> bool:
-    # labels are read by (n, index) keys; a word with no repeated letter
+    # labels are read by (n, position) keys; a word with no repeated letter
     # is linear, so only a dimension with a repeat is read again
     for n in range(h.max_dim + 1):
-        keys = zip(itertools.repeat(n), h.skeleton.cells.get(n, ()))
+        keys = zip(repeat(n), range(len(h.skeleton.cells.get(n, ()))))
         words = list(map(h.labeling.__getitem__, keys))
         if sum(map(len, map(set, words))) != sum(map(len, words)) and \
                 not all(map(word_is_linear, words)):
@@ -665,10 +679,9 @@ def check_deterministic(h: Hda, n: Optional[int] = None) -> bool:
     """
     sk = h.skeleton
     for d in range(h.max_dim + 1) if n is None else (n,):
-        seen = set()
-        for cell in sk.cell_ids(d):
-            sig = (tuple(sk.face(cell, i, "-") for i in range(d)), h.labeling[cell])
-            if sig in seen:
-                return False
-            seen.add(sig)
+        size = len(sk.cells.get(d, ()))
+        sources = zip(*[sk.faces.get((d, i, "-"), ()) for i in range(d)]) if d else repeat((), size)
+        words = map(h.labeling.__getitem__, zip(repeat(d), range(size)))
+        if len(set(zip(sources, words))) < size:
+            return False
     return True

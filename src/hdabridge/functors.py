@@ -187,8 +187,8 @@ def ts_to_hda1(t: TransitionSystem, idle: bool = False) -> Hda:
     edges = sorted_by_key(tr for tr in t.trans if tr[1] != STAR)
     vertex = dict(zip(states, itertools.count()))
     skeleton = PrecubicalComplex(
-        cells={0: tuple(range(len(states))), 1: tuple(range(len(edges)))},
-        faces={(1, 0, sign): {i: vertex[edge[end]] for i, edge in enumerate(edges)}
+        cells={0: range(len(states)), 1: range(len(edges))},
+        faces={(1, 0, sign): [vertex[edge[end]] for edge in edges]
                for sign, end in (("-", 0), ("+", 2))},
         max_dim=1)
     keys = {**{CellId(0, i): (s, ()) for i, s in enumerate(states)},
@@ -292,10 +292,10 @@ def hda_to_es(h: Hda) -> EventStructure:
     n = len(events)
     rank = dict(zip(events, range(n)))  # a label outside the alphabet ranks after them
 
-    # vertices by index, each edge's ends read from the (1,0,-)/(1,0,+) tables
-    src, tgt = (h.skeleton.faces.get((1, 0, sign), {}) for sign in ("-", "+"))
+    # vertices by position, each edge's ends read from the (1,0,-)/(1,0,+) columns
+    src, tgt = (h.skeleton.faces.get((1, 0, sign), ()) for sign in ("-", "+"))
     edges_at = {}
-    for i in h.skeleton.cells.get(1, ()):
+    for i in range(len(h.skeleton.cells.get(1, ()))):
         (label,) = h.labeling[1, i]
         if label != STAR:
             r = rank.setdefault(label, len(rank))

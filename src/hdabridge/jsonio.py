@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import itemgetter
 
 from .cubical import (
     STAR,
@@ -32,6 +33,9 @@ from .cubical import (
     Hda,
     PrecubicalComplex,
     SymmetricCubicalComplex,
+    Unlisted,
+    all_positions,
+    cells_of_dim,
 )
 from .errors import ParseError, UnknownKind
 from .models import (
@@ -103,42 +107,69 @@ def model_to_document(kind: str, model) -> dict:
             "pre": {str(e): dict(model.pre[e].items) for e in sorted_by_key(model.events)},
             "post": {str(e): dict(model.post[e].items) for e in sorted_by_key(model.events)},
         }
-    elif kind == "hda":
-        sk = model.skeleton
-        dims = range(sk.max_dim + 1)
-        # every table of dimension n is keyed by cells(n), so each
-        # dimension's key strings are spelled once and shared by its tables
-        keys = {n: list(map(str, sk.cells.get(n, ()))) for n in dims}
-        spelled = {n: dict(zip(sk.cells.get(n, ()), keys[n])) for n in dims}
-
-        def by_key(n, table):
-            names = list(map(spelled.get(n, {}).get, table))
-            if None in names:  # a key outside cells(n)
-                names = list(map(str, table))
-            return dict(zip(names, table.values()))
-
-        body = {
-            "alphabet": sorted_by_key(model.alphabet),
-            "dims": list(dims),
-            "cells": {str(n): sorted(sk.cells.get(n, ())) for n in dims},
-            "faces": {f"{n},{i},{sign}": by_key(n, table)
-                      for (n, i, sign), table in sorted(sk.faces.items())},
-            "sym": {f"{n},{i}": by_key(n, table)
-                    for (n, i), table in sorted(model.complex.transpositions.items())},
-            "labels": {str(n): dict(zip(keys[n], map(list, map(
-                model.labeling.__getitem__, zip(itertools.repeat(n), sk.cells.get(n, ()))))))
-                for n in dims[1:]},
-            "initial": model.initial.index,
-        }
     else:
         raise UnknownKind(f"cannot serialize kind {kind!r}")
     return {"kind": kind, "format_version": FORMAT_VERSION, **body}
 
 
 def print_document(kind: str, model) -> str:
+    if kind == "hda":
+        return _print_hda(model)
     return format_json(model_to_document(kind, model)) + "\n"
 
 
+def _print_hda(h: Hda) -> str:
+    """The ``hda`` document of ``h`` from its columns: as every table of
+    dimension n is keyed by cells(n), its key texts and their printed order
+    are spelled once and each table is one join; so is each label word."""
+    sk = h.skeleton
+    dims = range(sk.max_dim + 1)
+    texts = {n: list(map(str, sk.cells.get(n, ()))) for n in dims}
+    order = {n: sorted(range(len(texts[n])), key=texts[n].__getitem__) for n in dims}
+    heads = {n: list(map(f',{_DEEPER}"{{}}": '.format, _pick(texts[n], order[n]))) for n in dims}
+
+    def table(col, n: int, d: int, spell=None) -> _Text:
+        """The column ``col`` over cells(n) as an object of d-cells, or of ``spell``'s."""
+        names, values = heads[n], _pick(col, order[n])
+        if spell is None and all_positions(col, len(texts[d])):
+            values = _pick(texts[d], values)
+        else:  # label words, or a map undefined somewhere (no entry) or naming no cell
+            if None in values:
+                kept = [(k, v) for k, v in zip(names, values) if v is not None]
+                names, values = zip(*kept) if kept else ((), ())
+            values = list(map(spell or (lambda v: str(sk.index_of(d, v))), values))
+        parts = list(names) * 2
+        parts[0::2], parts[1::2] = names, values
+        return _Text("{" + "".join(parts)[1:] + _INNER + "}" if parts else "{}")
+
+    def labels(n: int) -> _Text:
+        words = list(map(h.labeling.__getitem__, zip(itertools.repeat(n), range(len(texts[n])))))
+        spelled = {w: _format(list(w), _DEEPER) for w in set(words)}
+        return table(words, n, n, spelled.__getitem__)
+
+    return format_json({
+        "alphabet": sorted_by_key(h.alphabet),
+        "cells": {str(n): sorted(sk.cells.get(n, ())) for n in dims},
+        "dims": list(dims),
+        "faces": {f"{n},{i},{sign}": table(col, n, n - 1) for (n, i, sign), col in sk.faces.items()},
+        "format_version": FORMAT_VERSION,
+        "initial": _Text(repr(sk.index_of(0, h.initial.index))),
+        "kind": "hda",
+        "labels": {str(n): labels(n) for n in dims[1:]},
+        "sym": {f"{n},{i}": table(col, n, n) for (n, i), col in h.complex.transpositions.items()},
+    }) + "\n"
+
+
+def _pick(seq, positions):
+    """``seq`` at each of ``positions``, by one ``itemgetter`` call."""
+    return itemgetter(*positions)(seq) if len(positions) > 1 else [seq[p] for p in positions]
+
+
+class _Text(str):
+    """Printed document text, which ``_format`` writes as it stands."""
+
+
+_INNER, _DEEPER = "\n    ", "\n      "  # the indents of a table's key and of its entries
 _string = json.encoder.encode_basestring_ascii
 
 
@@ -148,9 +179,7 @@ def format_json(value) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
     a list of only ints or only strings, and an object of only ints, are
-    each written with one ``str.join``, and an object whose values are all
-    lists of only strings (a table of label words) with one per value.  A
-    non-string key raises TypeError.
+    each written with one ``str.join``.  A non-string key raises TypeError.
     """
     return _format(value, "\n")
 
@@ -158,6 +187,8 @@ def format_json(value) -> str:
 def _format(value, newline: str) -> str:
     """``value`` printed at the indent that ``newline`` carries after its
     line break."""
+    if type(value) is _Text:
+        return value
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -180,11 +211,6 @@ def _format(value, newline: str) -> str:
         kinds = set(map(type, value.values()))
         if kinds == {int}:
             texts = [f"{_string(key)}: {item!r}" for key, item in items]
-        elif kinds == {list} and \
-                set(map(type, itertools.chain.from_iterable(value.values()))) <= {str}:
-            deeper = inner + "  "
-            texts = [f"{_string(key)}: [{deeper}{(',' + deeper).join(map(_string, item))}{inner}]"
-                     if item else f"{_string(key)}: []" for key, item in items]
         else:
             texts = [f"{_string(key)}: {_format(item, inner)}" for key, item in items]
         return "{" + inner + ("," + inner).join(texts) + newline + "}"
@@ -308,28 +334,34 @@ def document_to_model(doc: dict):
     return kind, _parse_hda(doc)
 
 
-def _int_table(table, what: str, keys) -> dict:
-    """An object from the cells of one dimension to integers; ``keys`` are
-    those cells as printed, the pair (key strings, their ints), or None
-    when ``cells`` lists no such dimension.  A table listing them as
-    printed reuses the ints.  Any other is read in bulk (entry by entry
-    once found bad, to name its first bad entry), then its keys are
-    checked to be cells."""
+def _int_column(table, what: str, ids, texts, below) -> list:
+    """A column over the cells ``ids``, spelled ``texts`` (None when
+    ``cells`` lists no such dimension), read from an object from those
+    cells to integers by one lookup per cell; any other table is read in
+    bulk (entry by entry once found bad, to name its first bad entry) and
+    its keys checked to be cells.  ``below`` maps the indices the values
+    name to positions (None for 0..N-1)."""
     obj = _object(table, what)
-    if keys is None:
+    if texts is None:
         raise ParseError(f"{what} names no dimension of cells")
-    ints = set(map(type, obj.values())) <= {int}
-    if ints and list(obj) == keys[0]:
-        return dict(zip(keys[1], obj.values()))
     try:
-        out = dict(zip(map(int, obj), obj.values())) if ints else \
-            {int(a): _int(b, f"{what}[{a}]") for a, b in obj.items()}
-    except ValueError as err:
-        raise ParseError(f"bad {what}: {err}") from err
-    if not out.keys() <= set(keys[1]):
-        key = next(a for a in obj if int(a) not in keys[1])
-        raise ParseError(f"{what} key {key!r} is not a cell of its dimension")
-    return out
+        col = list(map(obj.__getitem__, texts)) if len(obj) == len(texts) else None
+    except KeyError:
+        col = None
+    if col is None or not set(map(type, col)) <= {int}:
+        values = list(obj.values())
+        try:
+            out = dict(zip(map(int, obj), values)) if set(map(type, values)) <= {int} else \
+                {int(a): _int(b, f"{what}[{a}]") for a, b in obj.items()}
+        except ValueError as err:
+            raise ParseError(f"bad {what}: {err}") from err
+        if not out.keys() <= set(ids):
+            key = next(a for a in obj if int(a) not in set(ids))
+            raise ParseError(f"{what} key {key!r} is not a cell of its dimension")
+        col = list(map(out.get, ids))
+    if below is None:
+        return col
+    return [v if v is None else below[v] if v in below else Unlisted(v) for v in col]
 
 
 def _cell_indices(ids, what: str) -> tuple:
@@ -339,15 +371,15 @@ def _cell_indices(ids, what: str) -> tuple:
     return tuple(sorted(ids))
 
 
-def _label_words(labels_doc: dict, n: int, ids: tuple) -> list:
-    """The label words of the n-cells ``ids``, in order, read in bulk; only
-    a table found bad, or with more entries than ``ids``, is read again
-    cell by cell, to name its first bad cell, and then its keys are
-    checked to be cells."""
+def _label_words(labels_doc: dict, n: int, ids, texts: list) -> list:
+    """The label words of the n-cells ``ids``, spelled ``texts``, in order,
+    read in bulk; only a table found bad, or with more entries than
+    ``ids``, is read again cell by cell, to name its first bad cell, and
+    then its keys are checked to be cells."""
     if n == 0:
         return [()] * len(ids)
     table = _object(labels_doc.get(str(n), {}), f"labels[{n}]")
-    words = [table.get(key) for key in map(str, ids)]
+    words = list(map(table.get, texts))
     if len(table) == len(ids) and set(map(type, words)) <= {list} and \
             set(map(type, itertools.chain.from_iterable(words))) <= {str, int, float}:
         return list(map(tuple, words))
@@ -372,10 +404,14 @@ def _parse_hda(doc: dict) -> Hda:
     if min(cells, default=0) < 0:
         raise ParseError(f"cells key {str(min(cells))!r} is not a dimension: needs n >= 0")
     max_dim = max(cells, default=0)
+    # a dimension listing 0..N-1 has its indices as positions; any other
+    # maps each index to its position
+    positions = {n: dict(zip(ids, range(len(ids)))) for n, ids in cells.items()
+                 if ids != tuple(range(len(ids)))}
+    cells = {n: ids if n in positions else range(len(ids)) for n, ids in cells.items()}
     # every table of dimension n is keyed by cells(n), so each dimension's
-    # keys are spelled once, in the order a printed table lists them
-    printed = {str(n): sorted(ids, key=str) for n, ids in cells.items()}
-    spelled = {n: (list(map(str, ints)), ints) for n, ints in printed.items()}
+    # keys are spelled once
+    texts = {n: list(map(str, ids)) for n, ids in cells.items()}
     faces = {}
     for key, table in _object(_need(doc, "faces"), "faces").items():
         try:
@@ -387,7 +423,8 @@ def _parse_hda(doc: dict) -> Hda:
             raise ParseError(f"bad face sign in key {key!r}")
         if not 0 <= pos <= dim - 1:
             raise ParseError(f"face key {key!r} is out of range: needs 0 <= i <= n-1")
-        faces[(dim, pos, sign)] = _int_table(table, f"face table {key!r}", spelled.get(str(dim)))
+        faces[(dim, pos, sign)] = _int_column(table, f"face table {key!r}", cells.get(dim),
+                                              texts.get(dim), positions.get(dim - 1))
     sym = {}
     for key, table in _object(doc.get("sym", {}), "sym").items():
         try:
@@ -397,19 +434,19 @@ def _parse_hda(doc: dict) -> Hda:
             raise ParseError(f"bad sym key {key!r}: {err}") from err
         if not (dim >= 2 and 0 <= pos <= dim - 2):
             raise ParseError(f"sym key {key!r} is out of range: needs n >= 2 and 0 <= i <= n-2")
-        sym[(dim, pos)] = _int_table(table, f"sym table {key!r}", spelled.get(str(dim)))
+        sym[(dim, pos)] = _int_column(table, f"sym table {key!r}", cells.get(dim),
+                                      texts.get(dim), positions.get(dim))
     labels_doc = _object(doc.get("labels", {}), "labels")
-    if stray := [key for key in labels_doc if key not in printed or key == "0"]:
+    if stray := [key for key in labels_doc if key not in set(map(str, cells)) - {"0"}]:
         raise ParseError(f"labels key {stray[0]!r} is not a dimension of cells above 0")
-    words, labeling = {}, {}
-    for n in range(max_dim + 1):
-        ids = cells.get(n, ())
-        words[n] = _label_words(labels_doc, n, ids)
-        labeling.update(zip([CellId(n, idx) for idx in ids], words[n]))
-    if len(labeling) < sum(map(len, cells.values())):
-        n, idx = next((n, a) for n, ids in cells.items() for a, b in zip(ids, ids[1:]) if a == b)
-        raise ParseError(f"cells[{n}] lists index {idx} twice")
-    initial = CellId(0, _int(_need(doc, "initial"), "initial"))
+    words = {n: _label_words(labels_doc, n, cells.get(n, ()), texts.get(n, []))
+             for n in range(max_dim + 1)}
+    for n, ids in cells.items():
+        if len(positions.get(n, ids)) < len(ids):
+            idx = next(a for a, b in zip(ids, ids[1:]) if a == b)
+            raise ParseError(f"cells[{n}] lists index {idx} twice")
+    initial = _int(_need(doc, "initial"), "initial")
+    initial = positions[0].get(initial, Unlisted(initial)) if 0 in positions else initial
 
     # ingestion normalization: a lone idle-labeled self-loop denotes the
     # degenerate edge over its endpoint and is dropped; any other idle
@@ -419,44 +456,51 @@ def _parse_hda(doc: dict) -> Hda:
     def idle_in(n):
         return STAR in itertools.chain.from_iterable(words.get(n, ()))
 
-    droppable = set()
-    for idx in cells.get(1, ()) if idle_in(1) else ():
-        word = labeling[CellId(1, idx)]
-        if STAR in word:
-            if word != (STAR,):
-                raise ParseError(f"cell (1,{idx}) mixes idle and ordinary labels")
-            src = faces.get((1, 0, "-"), {}).get(idx)
-            tgt = faces.get((1, 0, "+"), {}).get(idx)
-            if src != tgt:
-                raise ParseError(f"idle-labeled cell (1,{idx}) is not a self-loop")
-            droppable.add(idx)
+    def entry(key, j):
+        return faces[key][j] if key in faces else None
+
+    edges, droppable = cells.get(1, ()), set()
+    for j in range(len(edges)) if idle_in(1) else ():
+        if STAR in words[1][j]:
+            if words[1][j] != (STAR,):
+                raise ParseError(f"cell (1,{edges[j]}) mixes idle and ordinary labels")
+            if entry((1, 0, "-"), j) != entry((1, 0, "+"), j):
+                raise ParseError(f"idle-labeled cell (1,{edges[j]}) is not a self-loop")
+            droppable.add(j)
     for n in range(2, max_dim + 1):
         faces_below = droppable and n == 2
-        for idx in cells.get(n, ()) if faces_below or idle_in(n) else ():
-            if STAR in labeling[CellId(n, idx)]:
+        for j in range(len(cells.get(n, ()))) if faces_below or idle_in(n) else ():
+            idx = cells[n][j]
+            if STAR in words[n][j]:
                 raise ParseError(
                     f"cell ({n},{idx}) lists an idle label; degeneracies are implicit")
             for i in range(n) if faces_below else ():
                 for sign in ("-", "+"):
-                    if faces.get((n, i, sign), {}).get(idx) in droppable:
+                    if entry((n, i, sign), j) in droppable:
                         raise ParseError(
                             f"cell ({n},{idx}) has an idle-labeled face; "
                             "replace it with the degenerate edge")
-    if droppable:
-        cells[1] = tuple(i for i in cells.get(1, ()) if i not in droppable)
-        for sign in ("-", "+"):
-            table = faces.get((1, 0, sign))
-            if table:
-                faces[(1, 0, sign)] = {a: b for a, b in table.items() if a not in droppable}
-        for idx in droppable:
-            labeling.pop(CellId(1, idx))
+    if droppable:  # the kept edges move up to fill the positions of the dropped
+        kept = [j for j in range(len(edges)) if j not in droppable]
+        moved = dict(zip(kept, range(len(kept))))
+        ids, words[1] = tuple(map(edges.__getitem__, kept)), list(map(words[1].__getitem__, kept))
+        cells[1] = range(len(ids)) if ids == tuple(range(len(ids))) else ids
+        for key, col in faces.items():
+            if key[0] == 1:
+                faces[key] = list(map(col.__getitem__, kept))
+            elif key[0] == 2:
+                faces[key] = [moved.get(v, v) if type(v) is int else v for v in col]
 
+    labeling = {}
+    for n, words_n in words.items():
+        labeling.update(zip(cells_of_dim(n, len(words_n)), words_n))
     alphabet = tuple(sorted_by_key(set(_names(doc, "alphabet")) - {STAR}))
     complex_ = SymmetricCubicalComplex(
         skeleton=PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim),
         transpositions=sym,
     )
-    return Hda(complex=complex_, alphabet=alphabet, labeling=labeling, initial=initial)
+    return Hda(complex=complex_, alphabet=alphabet, labeling=labeling,
+               initial=CellId(0, initial))
 
 
 def parse_document(text: str):

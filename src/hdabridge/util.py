@@ -124,9 +124,6 @@ class ValidationReport:
     def add(self, message: str) -> None:
         self.violations.append(message)
 
-    def extend(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
-
     def __str__(self) -> str:
         if self.ok:
             return f"{self.subject}: ok"

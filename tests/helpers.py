@@ -136,23 +136,24 @@ def brute_force_es_cells(es, dim):
 
 
 def reference_faces(cells_by_dim, face_key):
-    """Oracle: every face table of the keyed cells, by calling ``face_key``
-    on each key, in the order ``index_complex`` files its tables."""
+    """Oracle: every face column of the keyed cells, by calling
+    ``face_key`` on each key, in the order ``index_complex`` files its
+    tables."""
     from hdabridge.cubical import SIGNS
 
     ordered = [list(cells_by_dim.get(n, ())) for n in range(max(cells_by_dim, default=0) + 1)]
     number = [{k: i for i, k in enumerate(keys)} for keys in ordered]
-    return {(n, i, sign): {j: number[n - 1][face_key(n, k, i, sign)] for j, k in enumerate(ordered[n])}
+    return {(n, i, sign): [number[n - 1][face_key(n, k, i, sign)] for k in ordered[n]]
             for n in range(1, len(ordered)) for i in range(n) for sign in SIGNS}
 
 
 def reference_transpositions(cells_by_dim, transpose_key):
-    """Oracle: every transposition table of the keyed cells, by calling
+    """Oracle: every transposition column of the keyed cells, by calling
     ``transpose_key`` on each key, in the order ``index_complex`` files
     its tables."""
     ordered = [list(cells_by_dim.get(n, ())) for n in range(max(cells_by_dim, default=0) + 1)]
     number = [{k: i for i, k in enumerate(keys)} for keys in ordered]
-    return {(n, i): {j: number[n][transpose_key(n, k, i)] for j, k in enumerate(ordered[n])}
+    return {(n, i): [number[n][transpose_key(n, k, i)] for k in ordered[n]]
             for n in range(2, len(ordered)) for i in range(n - 1)}
 
 

@@ -16,8 +16,8 @@ built TS edges directly and ACRs through their CTS.
 
 Cubical sets: the solid ``standard_cube``, the shell search
 ``shell_fill`` that filled higher cells before ``coskeleton_fill``, the
-actions of degeneracies and permutations on cells and words, and the
-per-cell walks: the reports of ``validate_complex`` and
+actions of faces, degeneracies and permutations on cells and words, and
+the per-cell walks: the reports of ``validate_complex`` and
 ``validate_hda``, which check a table at a time, must equal theirs
 message for message.
 
@@ -58,7 +58,6 @@ from hdabridge.cubical import (
     index_complex,
     skeleton_of,
     word_degeneracy,
-    word_face,
 )
 from hdabridge.errors import (
     ArityMismatch,
@@ -342,7 +341,7 @@ def pad_skeleton(c: Complex, max_dim: int) -> Complex:
     sk = skeleton_of(c)
     if max_dim < sk.max_dim:
         raise IndexOutOfRange(f"cannot pad down from {sk.max_dim} to {max_dim}")
-    cells = {n: tuple(sk.cells.get(n, ())) for n in range(max_dim + 1)}
+    cells = {n: sk.cells.get(n, range(0)) for n in range(max_dim + 1)}
     padded = PrecubicalComplex(cells=cells, faces=dict(sk.faces), max_dim=max_dim)
     if isinstance(c, PrecubicalComplex):
         return padded
@@ -359,9 +358,9 @@ def shell_fill(c: SymmetricCubicalComplex, from_dim: int, max_dim: int) -> Symme
     letter; where one does, the fold test can skip a shell but keep its
     transposed shell, and the lookup raises KeyError."""
     sk = c.skeleton
-    cells = {n: tuple(sk.cells.get(n, ())) for n in range(max(sk.max_dim, max_dim) + 1)}
-    faces = {key: dict(tbl) for key, tbl in sk.faces.items()}
-    transpositions = {key: dict(tbl) for key, tbl in c.transpositions.items()}
+    cells = {n: range(len(sk.cells.get(n, ()))) for n in range(max(sk.max_dim, max_dim) + 1)}
+    faces = {key: list(col) for key, col in sk.faces.items()}
+    transpositions = {key: list(col) for key, col in c.transpositions.items()}
     for k in range(from_dim + 1, max_dim + 1):
         slots = [(i, sign) for i in range(k) for sign in SIGNS]
 
@@ -378,13 +377,13 @@ def shell_fill(c: SymmetricCubicalComplex, from_dim: int, max_dim: int) -> Symme
         fresh = [sig for sig in sorted(set(backtrack(slots, options))) if sig not in shell_cell
                  and not any(sig[2 * i:2 * i + 2] == sig[2 * j:2 * j + 2]  # folded
                              for i, j in itertools.combinations(range(k), 2))]
-        added = list(zip(fresh, itertools.count(max(cells[k], default=-1) + 1)))
+        added = list(zip(fresh, itertools.count(len(cells[k]))))  # new cells go last
         shell_cell.update(added)
-        cells[k] += tuple(idx for _, idx in added)
+        cells[k] = range(len(cells[k]) + len(added))
         for pos, (i, sign) in enumerate(slots):
-            faces.setdefault((k, i, sign), {}).update((idx, sig[pos]) for sig, idx in added)
+            faces.setdefault((k, i, sign), []).extend(sig[pos] for sig, _ in added)
         for i in range(k - 1):
-            table = transpositions.setdefault((k, i), {})
+            table = transpositions.setdefault((k, i), [])
             for sig, idx in added:
                 moved = {}
                 for (j, sign), val in zip(slots, sig):
@@ -392,7 +391,7 @@ def shell_fill(c: SymmetricCubicalComplex, from_dim: int, max_dim: int) -> Symme
                         moved[2 * i + 1 - j, sign] = val
                     else:  # a distant face is transposed one dimension down
                         moved[j, sign] = transpositions[k - 1, i - 1 if j < i else i][val]
-                table[idx] = shell_cell[tuple(map(moved.__getitem__, slots))]
+                table.append(shell_cell[tuple(map(moved.__getitem__, slots))])
     return SymmetricCubicalComplex(
         PrecubicalComplex(cells=cells, faces=faces, max_dim=max(sk.max_dim, max_dim)), transpositions)
 
@@ -431,6 +430,13 @@ def apply_permutation(c: Complex, cell: Cell, perm: tuple[int, ...]) -> Degenera
     for k in reversed(swaps):
         out = cell_transpose(c, out, k)
     return out
+
+
+def word_face(w: LabelWord, k: int) -> LabelWord:
+    """Remove the entry at position ``k`` (both face signs agree)."""
+    if not 0 <= k < len(w):
+        raise ArityMismatch(f"face position {k} out of range for word of length {len(w)}")
+    return w[:k] + w[k + 1:]
 
 
 def word_permute(w: LabelWord, perm: tuple[int, ...]) -> LabelWord:
@@ -516,67 +522,82 @@ def transposition_identities(c: SymmetricCubicalComplex, n: int) -> tuple:
     return sliding, braids, distant
 
 
+def entry(table, v):
+    """The entry of the column ``table`` at ``v``; KeyError where ``v``
+    names no position of it or the entry is None."""
+    if type(v) is int and 0 <= v < len(table) and table[v] is not None:
+        return table[v]
+    raise KeyError(v)
+
+
+def spell(sk: PrecubicalComplex, d: int, v):
+    """``v`` as its index among the d-cells, or itself if it names none."""
+    ids = sk.cells.get(d, ())
+    return ids[v] if type(v) is int and 0 <= v < len(ids) else v
+
+
 def walk_faces(c: Complex, n: int, report: ValidationReport) -> None:
     sk = skeleton_of(c)
-    present, below = dict.fromkeys(sk.cells.get(n, ())), set(sk.cells.get(n - 1, ()))
+    ids, below = sk.cells.get(n, ()), len(sk.cells.get(n - 1, ()))
     for i in range(n):
         for sign in SIGNS:
             table = sk.faces.get((n, i, sign))
             if table is None:
-                if present:
+                if ids:
                     report.add(f"missing face map ({n},{i},{sign})")
                 continue
-            for idx in present:
-                if idx not in table:
+            for j, idx in enumerate(ids):
+                if table[j] is None:
                     report.add(f"face ({n},{i},{sign}) undefined on cell {idx}")
-                elif table[idx] not in below:
+                elif not (type(table[j]) is int and 0 <= table[j] < below):
                     report.add(f"face ({n},{i},{sign}) of cell {idx} lands outside cells({n - 1})")
 
 
 def walk_face_identities(c: Complex, n: int, report: ValidationReport) -> None:
     sk = skeleton_of(c)
     identities = face_identities(sk.faces, n)
-    for idx in dict.fromkeys(sk.cells.get(n, ())):
-        for i, j, a, b, outer_j, inner_i, outer_i, inner_j in identities:
+    for j, idx in enumerate(sk.cells.get(n, ())):
+        for i, jj, a, b, outer_j, inner_i, outer_i, inner_j in identities:
             try:
-                left = inner_i[outer_j[idx]]
-                right = inner_j[outer_i[idx]]
+                left = entry(inner_i, entry(outer_j, j))
+                right = entry(inner_j, entry(outer_i, j))
             except KeyError:
                 continue  # already reported as missing
             if left != right:
                 report.add(
-                    f"dim {n} cell {idx}: face({i},{a}).face({j},{b}) = {left} "
-                    f"but face({j - 1},{b}).face({i},{a}) = {right}"
+                    f"dim {n} cell {idx}: face({i},{a}).face({jj},{b}) = {spell(sk, n - 2, left)} "
+                    f"but face({jj - 1},{b}).face({i},{a}) = {spell(sk, n - 2, right)}"
                 )
 
 
 def walk_transpositions(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
-    present = dict.fromkeys(c.skeleton.cells.get(n, ()))
+    ids = c.skeleton.cells.get(n, ())
     for i in range(n - 1):
         table = c.transpositions.get((n, i))
         if table is None:
-            if present:
+            if ids:
                 report.add(f"missing transposition map ({n},{i})")
             continue
-        for idx in present:
-            if idx not in table:
+        for j, idx in enumerate(ids):
+            if table[j] is None:
                 report.add(f"transposition ({n},{i}) undefined on cell {idx}")
                 continue
-            if table[idx] not in present:
+            if not (type(table[j]) is int and 0 <= table[j] < len(ids)):
                 report.add(f"transposition ({n},{i}) of cell {idx} lands outside cells({n})")
                 continue
-            if table.get(table[idx]) != idx:
+            if table[table[j]] != j:
                 report.add(f"transposition ({n},{i}) is not an involution at cell {idx}")
 
 
 def walk_slides(c: SymmetricCubicalComplex, n: int, report: ValidationReport) -> None:
     sliding, braids, distant = transposition_identities(c, n)
-    for idx in dict.fromkeys(c.skeleton.cells.get(n, ())):
+    for j, idx in enumerate(c.skeleton.cells.get(n, ())):
         for i, a, t, here, there, slides in sliding:
             try:
-                s = t[idx]
-                lhs = [here[s], there[s]] + [f[s] for _, f, _ in slides]
-                rhs = [there[idx], here[idx]] + [below[f[idx]] for _, f, below in slides]
+                s = entry(t, j)
+                lhs = [entry(here, s), entry(there, s)] + [entry(f, s) for _, f, _ in slides]
+                rhs = [entry(there, j), entry(here, j)] + \
+                    [entry(below, entry(f, j)) for _, f, below in slides]
             except KeyError:
                 continue
             if lhs != rhs:
@@ -584,16 +605,16 @@ def walk_slides(c: SymmetricCubicalComplex, n: int, report: ValidationReport) ->
                            f"incompatible with faces of sign {a}")
         for i, t, u in braids:
             try:
-                lhs = t[u[t[idx]]]
-                rhs = u[t[u[idx]]]
+                lhs = entry(t, entry(u, entry(t, j)))
+                rhs = entry(u, entry(t, entry(u, j)))
             except KeyError:
                 continue
             if lhs != rhs:
                 report.add(f"dim {n} cell {idx}: braid relation fails at {i}")
         for i, k, t, u in distant:
             try:
-                lhs = t[u[idx]]
-                rhs = u[t[idx]]
+                lhs = entry(t, entry(u, j))
+                rhs = entry(u, entry(t, j))
             except KeyError:
                 continue
             if lhs != rhs:
@@ -622,8 +643,8 @@ def walk_labels(h: Hda, n: int, report: ValidationReport) -> None:
              for i in range(n) for sign in SIGNS if (n, i, sign) in sk.faces]
     swaps = [(i, h.complex.transpositions[(n, i)])
              for i in range(n - 1) if (n, i) in h.complex.transpositions]
-    for idx in sk.cells.get(n, ()):
-        w = own.get(idx)
+    for j, idx in enumerate(sk.cells.get(n, ())):
+        w = own.get(j)
         if w is None:
             report.add(f"cell {CellId(n, idx)} has no label")
             continue
@@ -636,14 +657,14 @@ def walk_labels(h: Hda, n: int, report: ValidationReport) -> None:
             elif e not in alphabet:
                 report.add(f"cell {CellId(n, idx)} label {e!r} outside the alphabet")
         for i, sign, table in faces:
-            if idx in table and below.get(table[idx]) != w[:i] + w[i + 1:]:
+            if table[j] is not None and below.get(table[j]) != w[:i] + w[i + 1:]:
                 report.add(f"labeling not natural at face ({i},{sign}) of {CellId(n, idx)}")
         for i, table in swaps:
-            if idx not in table:
+            if table[j] is None:
                 continue
             swapped = list(w)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if own.get(table[idx]) != tuple(swapped):
+            if own.get(table[j]) != tuple(swapped):
                 report.add(f"labeling not natural at transposition {i} of {CellId(n, idx)}")
 
 

@@ -268,3 +268,28 @@ def test_a10_hollow_cube():
         assert iso_check(hollow, solid) is None
         assert iso_check(filled, solid) is not None
         t.finish("A10 hollow cube")
+
+
+def test_a10_hollow_cube_through_the_cli(capsys, tmp_path):
+    """The fixtures of the semaphore net with 2 and 3 tokens, run as the
+    README shows: their automata differ at --max-dim 3, their ACRs print
+    the same bytes."""
+    import json
+    import pathlib
+
+    from hdabridge.cli import main
+
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    acrs = []
+    for tokens, counts in ((2, [8, 12, 12, 0]), (3, [8, 12, 12, 6])):
+        path = fixtures / f"pnet_semaphore_{tokens}.json"
+        assert path.read_text() == print_document("pnet", semaphore_net(tokens))
+        assert main(["translate", str(path), "--to", "hda", "--max-dim", "3"]) == 0
+        text = capsys.readouterr().out
+        cells = json.loads(text)["cells"]
+        assert [len(cells[n]) for n in sorted(cells, key=int)] == counts
+        automaton = tmp_path / f"automaton_{tokens}.json"
+        automaton.write_text(text)
+        assert main(["translate", str(automaton), "--to", "acr"]) == 0
+        acrs.append(capsys.readouterr().out)
+    assert acrs[0] == acrs[1]

@@ -337,7 +337,7 @@ def _string_cell_index(doc):
 def test_large_bad_table_names_its_first_bad_entry(tmp_path, capsys, mutate, message):
     # tables are read in bulk; a bad one still gets the message of its
     # first bad entry, as when every entry was read on its own
-    doc = jsonio.model_to_document("hda", es_to_hda(make_event_structure("abcde")))
+    doc = json.loads(jsonio.print_document("hda", es_to_hda(make_event_structure("abcde"))))
     assert len(doc["faces"]["3,1,+"]) == 240
     mutate(doc)
     path = tmp_path / "malformed.json"

@@ -192,8 +192,8 @@ def test_hda1_to_ts_collapses_parallel_edges_with_same_event():
 
     complex_ = SymmetricCubicalComplex(
         skeleton=PrecubicalComplex(
-            cells={0: (0, 1), 1: (0, 1)},
-            faces={(1, 0, "-"): {0: 0, 1: 0}, (1, 0, "+"): {0: 1, 1: 1}},
+            cells={0: range(2), 1: range(2)},
+            faces={(1, 0, "-"): [0, 0], (1, 0, "+"): [1, 1]},
             max_dim=1,
         ),
         transpositions={},
@@ -924,18 +924,17 @@ def test_hda2_to_acr_square_incomplete_on_mutated_complex():
     # vertices: x=0, y1=1, y2=2, z=3, w=4
     # edges: a=(x,e1,y1)=0, b=(x,e2,y2)=1, c=(y1,e2,z)=2, d=(w,e1,w)=3
     faces = {
-        (1, 0, "-"): {0: 0, 1: 0, 2: 1, 3: 4},
-        (1, 0, "+"): {0: 1, 1: 2, 2: 3, 3: 4},
-        (2, 0, "-"): {0: 1, 1: 0},
-        (2, 0, "+"): {0: 2, 1: 3},   # cell 1's positive face is the stray loop
-        (2, 1, "-"): {0: 0, 1: 1},
-        (2, 1, "+"): {0: 3, 1: 2},
+        (1, 0, "-"): [0, 0, 1, 4],
+        (1, 0, "+"): [1, 2, 3, 4],
+        (2, 0, "-"): [1, 0],
+        (2, 0, "+"): [2, 3],   # cell 1's positive face is the stray loop
+        (2, 1, "-"): [0, 1],
+        (2, 1, "+"): [3, 2],
     }
     complex_ = SymmetricCubicalComplex(
-        skeleton=PrecubicalComplex(
-            cells={0: (0, 1, 2, 3, 4), 1: (0, 1, 2, 3), 2: (0, 1)},
-            faces=faces, max_dim=2),
-        transpositions={(2, 0): {0: 1, 1: 0}},
+        skeleton=PrecubicalComplex(cells={0: range(5), 1: range(4), 2: range(2)},
+                                   faces=faces, max_dim=2),
+        transpositions={(2, 0): [1, 0]},
     )
     labeling = {CellId(0, i): () for i in range(5)}
     labeling |= {CellId(1, 0): ("e1",), CellId(1, 1): ("e2",),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdabridge import jsonio, zoo
 from hdabridge.cubical import STAR, validate_hda
-from hdabridge.errors import ParseError, UnknownKind
+from hdabridge.errors import ExplosionLimit, ParseError, UnknownKind
 from hdabridge.functors import es_to_hda
 from hdabridge.models import make_event_structure
 
@@ -48,6 +48,55 @@ def test_hda_document_round_trip():
     assert h2.initial == h.initial
     assert validate_hda(h2).ok
     assert jsonio.print_document("hda", h2) == text
+
+
+def _automata_of(kind: str, model) -> list:
+    """The automata a test builds from a model of each kind."""
+    from hdabridge.functors import acr_to_hda2, pn_to_hda, ts_to_hda1
+
+    if kind == "hda":
+        return [model]
+    if kind == "ts":
+        return [ts_to_hda1(model)]
+    if kind == "acr":
+        return [acr_to_hda2(model)]
+    if kind == "es":
+        return [es_to_hda(model), es_to_hda(model, max_dim=2, truncate_cells=True)]
+    try:
+        return [pn_to_hda(model, 200, 3, truncate_cells=True)]
+    except ExplosionLimit:
+        return []
+
+
+def _round_trip_automata():
+    """Every fixture's automata, and those of the first 40 models of each
+    generator at seed 0."""
+    from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn, gen_ts
+
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield from ((path.name, h) for h in _automata_of(*jsonio.parse_document(path.read_text())))
+    cfg = GeneratorConfig(seed=0)
+    for kind, gen in (("ts", gen_ts), ("acr", gen_acr), ("es", gen_es), ("pnet", gen_pn)):
+        for i in range(40):
+            yield from ((f"{kind}{i}", h) for h in _automata_of(kind, gen(i, cfg)))
+
+
+def test_hda_documents_round_trip_with_a_column_per_table():
+    """Each face and transposition table of dimension n, built or parsed,
+    is a list over cells(n), and printing the parse of a printed automaton
+    gives the same bytes and the same complex."""
+    count = 0
+    for name, h in _round_trip_automata():
+        text = jsonio.print_document("hda", h)
+        _, h2 = jsonio.parse_document(text)
+        for automaton in (h, h2):
+            sk = automaton.skeleton
+            for (n, *_), col in [*sk.faces.items(), *automaton.complex.transpositions.items()]:
+                assert type(col) is list and len(col) == len(sk.cells.get(n, ())), name
+        assert h2.complex == h.complex and h2.labeling == h.labeling, name
+        assert jsonio.print_document("hda", h2) == text, name
+        count += 1
+    assert count > 160
 
 
 def test_lts_document_round_trip():
@@ -117,7 +166,7 @@ def test_idle_nonloop_rejected():
 
 def test_idle_in_higher_label_rejected():
     h = es_to_hda(make_event_structure("ab"))
-    doc = jsonio.model_to_document("hda", h)
+    doc = json.loads(jsonio.print_document("hda", h))
     doc["labels"]["2"][next(iter(doc["labels"]["2"]))] = ["a", STAR]
     with pytest.raises(ParseError):
         jsonio.parse_document(json.dumps(doc))

@@ -574,11 +574,16 @@ def test_iso_check_generated_systems_against_renamings(seed):
 def _shuffled_cells(h: Hda, rng: random.Random) -> Hda:
     """``h`` with the cells of each dimension renumbered by a shuffle."""
     sk = h.skeleton
-    new = {n: dict(zip(ids, rng.sample(ids, len(ids)))) for n, ids in sk.cells.items()}
-    faces = {key: {new[key[0]][k]: new[key[0] - 1][v] for k, v in table.items()}
-             for key, table in sk.faces.items()}
-    swaps = {key: {new[key[0]][k]: new[key[0]][v] for k, v in table.items()}
-             for key, table in h.complex.transpositions.items()}
+    new = {n: rng.sample(ids, len(ids)) for n, ids in sk.cells.items()}  # position k goes to new[n][k]
+
+    def shuffled(col, n, d):  # a column over cells(n) of d-cells
+        out = [None] * len(col)
+        for k, v in enumerate(col):
+            out[new[n][k]] = new[d][v]
+        return out
+
+    faces = {key: shuffled(col, key[0], key[0] - 1) for key, col in sk.faces.items()}
+    swaps = {key: shuffled(col, key[0], key[0]) for key, col in h.complex.transpositions.items()}
     return Hda(SymmetricCubicalComplex(PrecubicalComplex(sk.cells, faces, sk.max_dim), swaps),
                h.alphabet, {CellId(c.dim, new[c.dim][c.index]): w for c, w in h.labeling.items()},
                CellId(0, new[0][h.initial.index]))

@@ -35,36 +35,31 @@ def cube():
     return es_to_hda(make_event_structure("abc"))
 
 
-def edit(h, faces=(), transpositions=(), cells=(), labeling=(), alphabet=None, initial=None):
-    """A copy of ``h`` with table entries replaced.
+def edit(h, faces=(), transpositions=(), labeling=(), alphabet=None, initial=None):
+    """A copy of ``h`` with column entries replaced.
 
-    ``faces`` and ``transpositions`` list (table key, cell index, value),
-    where index None with DROP removes the whole table; ``cells`` lists
-    (dim, indices); ``labeling`` lists (cell, word).  DROP as a value
-    removes the entry.
+    ``faces`` and ``transpositions`` list (table key, cell position,
+    value), where position None with DROP removes the whole table;
+    ``labeling`` lists (cell, word).  DROP as a value clears the entry.
     """
     sk = h.skeleton
 
     def apply(tables, edits):
-        out = {k: dict(v) for k, v in tables.items()}
-        for key, idx, value in edits:
-            if idx is None:
+        out = {k: list(v) for k, v in tables.items()}
+        for key, j, value in edits:
+            if j is None:
                 out.pop(key)
-            elif value is DROP:
-                out[key].pop(idx)
             else:
-                out[key][idx] = value
+                out[key][j] = None if value is DROP else value
         return out
 
-    new_cells = dict(sk.cells)
-    new_cells.update(cells)
     new_labeling = dict(h.labeling)
     for cell, word in labeling:
         if word is DROP:
             new_labeling.pop(cell)
         else:
             new_labeling[cell] = word
-    skeleton = PrecubicalComplex(cells=new_cells, faces=apply(sk.faces, faces), max_dim=sk.max_dim)
+    skeleton = PrecubicalComplex(cells=sk.cells, faces=apply(sk.faces, faces), max_dim=sk.max_dim)
     return Hda(
         complex=SymmetricCubicalComplex(skeleton, apply(h.complex.transpositions, transpositions)),
         alphabet=h.alphabet if alphabet is None else alphabet,
@@ -73,25 +68,50 @@ def edit(h, faces=(), transpositions=(), cells=(), labeling=(), alphabet=None, i
     )
 
 
+def insert_cell(h, n, at, idx, like=None):
+    """``h`` with a cell listed as ``idx`` put at position ``at`` of
+    cells(n): a copy of the cell at position ``like`` (its entries and
+    label, if it has one), or a cell with no entries and no label.  Every entry and label
+    naming an n-cell at or past ``at`` moves up one."""
+    sk = h.skeleton
+
+    def moved(col):  # a column whose values are n-cells
+        return [v + 1 if type(v) is int and v >= at else v for v in col]
+
+    def put(col):  # a column over cells(n)
+        return col[:at] + [None if like is None else col[like]] + col[at:]
+
+    faces = {key: put(list(col)) if key[0] == n else moved(col) if key[0] == n + 1 else col
+             for key, col in sk.faces.items()}
+    swaps = {key: put(moved(col)) if key[0] == n else col
+             for key, col in h.complex.transpositions.items()}
+    labeling = {CellId(c.dim, c.index + (c.dim == n and c.index >= at)): w
+                for c, w in h.labeling.items()}
+    if CellId(n, like) in h.labeling:
+        labeling[CellId(n, at)] = h.labeling[CellId(n, like)]
+    cells = dict(sk.cells)
+    ids = list(sk.cells.get(n, ()))
+    cells[n] = tuple(ids[:at] + [idx] + ids[at:])
+    initial = h.initial
+    if n == 0 and initial.index >= at:
+        initial = CellId(0, initial.index + 1)
+    return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, faces, sk.max_dim), swaps),
+               h.alphabet, labeling, initial)
+
+
 def twins(h):
     """``h`` with every top cell doubled: the twin of cell k is k + N, with
     k's faces and label, and its transpositions stay among the twins.  A
     transposition re-paired across twins keeps every slide."""
     sk, n = h.skeleton, h.max_dim
-    ids = sk.cells[n]
-    shift = len(ids)
-    faces = {key: dict(table) for key, table in sk.faces.items()}
-    swaps = {key: dict(table) for key, table in h.complex.transpositions.items()}
-    for key, table in faces.items():
-        if key[0] == n:
-            table.update({k + shift: table[k] for k in ids})
-    for key, table in swaps.items():
-        if key[0] == n:
-            table.update({k + shift: table[k] + shift for k in ids})
+    shift = len(sk.cells[n])
+    faces = {key: col + col if key[0] == n else col for key, col in sk.faces.items()}
+    swaps = {key: col + [v + shift for v in col] if key[0] == n else col
+             for key, col in h.complex.transpositions.items()}
     labeling = dict(h.labeling)
-    labeling.update({CellId(n, k + shift): h.labeling[CellId(n, k)] for k in ids})
+    labeling.update({CellId(n, k + shift): h.labeling[CellId(n, k)] for k in range(shift)})
     cells = dict(sk.cells)
-    cells[n] = ids + tuple(k + shift for k in ids)
+    cells[n] = range(2 * shift)
     return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, faces, n), swaps),
                h.alphabet, labeling, h.initial)
 
@@ -111,7 +131,7 @@ CASES = {
     "face undefined on a cell": lambda: edit(square(), faces=[((2, 1, "+"), 0, DROP)]),
     "face lands outside": lambda: edit(square(), faces=[((1, 0, "+"), 1, 9)]),
     "face rewired": lambda: edit(square(), faces=[((2, 0, "-"), 0, 3)]),
-    "cell without tables": lambda: edit(square(), cells=[(2, (0, 1, 2))]),
+    "cell without tables": lambda: insert_cell(square(), 2, 2, 2),
     "missing transposition map": lambda: edit(cube(), transpositions=[((3, 1), None, DROP)]),
     "transposition undefined on a cell": lambda: edit(cube(), transpositions=[((2, 0), 0, DROP)]),
     "transposition lands outside": lambda: edit(cube(), transpositions=[((2, 0), 1, 99)]),
@@ -134,10 +154,9 @@ CASES = {
         cube(), faces=[((2, 1, "+"), 3, 0)], transpositions=[((3, 0), 4, DROP)],
         labeling=[(CellId(1, 2), ("a",))]),
     "everything at once": lambda: edit(
-        cube(),
+        insert_cell(cube(), 3, 6, 6),
         faces=[((3, 2, "+"), None, DROP), ((2, 1, "-"), 4, 0), ((1, 0, "-"), 2, 50)],
         transpositions=[((3, 0), 2, DROP), ((2, 0), 3, 3)],
-        cells=[(3, (0, 1, 2, 3, 4, 5, 6))],
         labeling=[(CellId(2, 1), ("a", "a")), (CellId(0, 0), ("a",))],
         alphabet=("a", "b"), initial=CellId(2, 0)),
 }
@@ -659,19 +678,15 @@ def generated(source, index, seed):
 
 
 def sparse(h, step=8):
-    """``h`` with every cell index k renumbered to k * step + 1, so that a
-    set of five or more indices no longer iterates in the order of
-    cells(n), which the reports follow."""
-    def renumber(tables):
-        return {key: {k * step + 1: v * step + 1 for k, v in table.items()}
-                for key, table in tables.items()}
-
+    """``h`` with every cell index k listed as k * step + 1, so that a set
+    of five or more indices no longer iterates in the order of cells(n),
+    which the reports follow.  Columns and labels go by position, so they
+    stay as they are."""
     sk = h.skeleton
-    cells = {n: tuple(k * step + 1 for k in ids) for n, ids in sk.cells.items()}
-    skeleton = PrecubicalComplex(cells, renumber(sk.faces), sk.max_dim)
-    labeling = {CellId(c.dim, c.index * step + 1): w for c, w in h.labeling.items()}
-    return Hda(SymmetricCubicalComplex(skeleton, renumber(h.complex.transpositions)),
-               h.alphabet, labeling, CellId(0, h.initial.index * step + 1))
+    cells = {n: tuple(k * step + 1 for k in range(len(ids))) for n, ids in sk.cells.items()}
+    return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, sk.faces, sk.max_dim),
+                                       h.complex.transpositions),
+               h.alphabet, h.labeling, h.initial)
 
 
 FAULTS = ["drop", "redirect", "non-involutive", "swap letters", "drop table", "extra index",
@@ -682,8 +697,8 @@ def corrupt(h, how, draw):
     """``h`` with one fault of kind ``how``: an entry dropped or redirected
     (to a cell outside the lists that may carry the label of the cell it
     replaces), a transposition made non-involutive, two letters of a word
-    swapped, a whole table dropped, or an index added to or repeated in
-    some cells(n) at a drawn position."""
+    swapped, a whole table dropped, or an index added to some cells(n),
+    new or a copy of a listed cell, at a drawn position."""
     sk, swaps = h.skeleton, h.complex.transpositions
     tables = [("faces", key) for key, table in sorted(sk.faces.items()) if table] + \
         [("transpositions", key) for key, table in sorted(swaps.items()) if table]
@@ -698,13 +713,13 @@ def corrupt(h, how, draw):
     if how in ("extra index", "duplicate index"):
         n = draw(st.integers(0, h.max_dim))
         ids = sk.cells.get(n, ())
+        at = draw(st.integers(0, len(ids)))
         if how == "extra index":
             idx = draw(st.sampled_from(sorted(set(range(max(ids, default=0) + 2)) - set(ids))))
-        else:
-            assume(ids)
-            idx = draw(st.sampled_from(ids))
-        at = draw(st.integers(0, len(ids)))
-        return edit(h, cells=[(n, ids[:at] + (idx,) + ids[at:])])
+            return insert_cell(h, n, at, idx)
+        assume(ids)
+        like = draw(st.integers(0, len(ids) - 1))
+        return insert_cell(h, n, at, ids[like], like)
     if how == "non-involutive":
         tables = [entry for entry in tables if entry[0] == "transpositions"]
     assume(tables)
@@ -712,22 +727,23 @@ def corrupt(h, how, draw):
     if how == "drop table":
         return edit(h, **{kind: [(key, None, DROP)]})
     table = (sk.faces if kind == "faces" else swaps)[key]
-    idx = draw(st.sampled_from(sorted(table)))
+    entries = [j for j, v in enumerate(table) if v is not None]
+    assume(entries)
+    j = draw(st.sampled_from(entries))
+    dim = key[0] - (kind == "faces")
+    size = len(sk.cells.get(dim, ()))
     if how == "drop":
         value = DROP
     elif how == "stray label":  # one past them all, labeled as the cell it replaces
-        dim = key[0] - (kind == "faces")
-        value = max(sk.cells.get(dim, ()), default=0) + 1
-        return edit(h, **{kind: [(key, idx, value)]},
-                    labeling=[(CellId(dim, value), h.labeling.get(CellId(dim, table[idx]), ()))])
+        return edit(h, **{kind: [(key, j, size)]},
+                    labeling=[(CellId(dim, size), h.labeling.get(CellId(dim, table[j]), ()))])
     else:  # another cell of the table's codomain, or one past them all
-        codomain = sk.cells.get(key[0] - (kind == "faces"), ())
-        others = sorted(set(codomain) - {table[idx]})
+        others = sorted(set(range(size)) - {table[j]})
         if how == "redirect":
-            others.append(max(codomain) + 1)
+            others.append(size)
         assume(others)
         value = draw(st.sampled_from(others))
-    return edit(h, **{kind: [(key, idx, value)]})
+    return edit(h, **{kind: [(key, j, value)]})
 
 
 def walked(c):
@@ -779,10 +795,10 @@ def test_table_checks_report_what_the_walk_reports(source, index, seed, renumber
 
 def test_a_repeated_cell_reports_its_labels_as_often_as_it_is_listed():
     h = sparse(cube())
-    cell = CellId(2, h.skeleton.cells[2][3])
+    cell, named = CellId(2, 3), CellId(2, h.skeleton.cells[2][3])
     swapped = edit(h, labeling=[(cell, h.labeling[cell][::-1])])
-    broken = edit(swapped, cells=[(2, h.skeleton.cells[2] + (cell.index,))])
+    broken = insert_cell(swapped, 2, len(h.skeleton.cells[2]), named.index, like=3)
     messages = walked(broken.complex) + walked_labels(broken)
     assert validate_hda(broken).violations == messages
-    once = [m for m in validate_hda(swapped).violations if m.endswith(f"of {cell}")]
-    assert once and [m for m in messages if m.endswith(f"of {cell}")] == once + once
+    once = [m for m in validate_hda(swapped).violations if m.endswith(f"of {named}")]
+    assert once and [m for m in messages if m.endswith(f"of {named}")] == once + once
