@@ -322,6 +322,25 @@ def validate_complex(c: Complex) -> ValidationReport:
     each one swaps faces i and i+1 and slides the distant faces through
     the transposition below; adjacent ones braid and distant ones commute.
 
+    A symmetric complex is first checked on a generating set, and in full
+    only if that fails, so every report is the full check's.  With d_j a
+    face of either sign (a, b name signs) and t_i a transposition of
+    n-cells, composed right to left, the set is, per dimension n: (G1)
+    every table present, total and landing, every t_i an involution;
+    (G2) the adjacent slides d_{i+1} t_i = d_i; (G3) the last-face slides
+    d_{n-1} t_k = t_k d_{n-1} for k < n-2; (G4) every braid and distant
+    commutation; (G5) the face pair d_{n-2}^a d_{n-1}^b = d_{n-2}^b d_{n-2}^a.
+    They imply the rest; write r_j = t_{n-2} ... t_j and s_i = t_{n-3} ... t_i.
+    (a) By G2, d_j = d_{n-1} r_j, and by G1 also d_i t_i = d_{i+1}.
+    (b) By G4, r_j t_i = t_i r_j for i <= j-2, and r_j t_i = t_{i-1} r_j
+        for j < i <= n-2 (a braid at t_i t_{i-1} t_i); so (a) and G3 give
+        every distant slide d_j t_i.
+    (c) By G3, d_{n-1} s_i = s_i d_{n-1}, and one dimension down s_i is
+        r_i; so by (a) there and by G2, G5 at s_i c is the face identity
+        (i, n-1) at c, and that identity at r_j c is, by (a) and (b), the
+        identity (i, j).
+    A complex without transpositions is always checked in full.
+
     An identity composes the columns of its tables and compares lists.
     Only where the lists differ are their positions read, one message per
     failing cell; a cell missing an entry of the identity is passed over,
@@ -331,28 +350,36 @@ def validate_complex(c: Complex) -> ValidationReport:
     identity by identity in the others, cells in the order of cells(n).
     """
     report = ValidationReport(subject=type(c).__name__)
-    for messages in _complex_messages(c).values():
+    generators = isinstance(c, SymmetricCubicalComplex)
+    sections = _complex_messages(c, generators)
+    if generators and any(sections.values()):
+        sections = _complex_messages(c)
+    for messages in sections.values():
         report.violations += messages
     return report
 
 
+def pick(seq, positions):
+    """``seq`` at each of ``positions``, by one ``itemgetter`` call."""
+    return itemgetter(*positions)(seq) if len(positions) > 1 else [seq[p] for p in positions]
+
+
 def _column(table, col, lands=False) -> list:
-    """The column ``table`` read at each entry of ``col``, by one ``map``
-    when every entry ``lands`` on a position of it, else None where one
-    names none (no negative one reads from the end); Nones for no table."""
+    """The column ``table`` read at each entry of ``col``, by one
+    :func:`pick` when every entry ``lands`` on a position of it, else None
+    where one names none (no negative one reads from the end); Nones for
+    no table."""
     if table is None:
         return [None] * len(col)
     if lands:
-        return list(map(table.__getitem__, col))
+        return list(pick(table, col))
     return [table[v] if is_position(v, len(table)) else None for v in col]
 
 
 def all_positions(col, size: int) -> bool:
-    """Whether every entry of the column ``col`` names one of ``size`` cells."""
-    try:
-        return not col or (min(col) >= 0 and max(col) < size)
-    except TypeError:  # None or an Unlisted entry
-        return False
+    """Whether every entry of the column ``col`` names one of ``size`` cells:
+    is an ``int`` (no None, bool, float or :class:`Unlisted`) in range."""
+    return not col or ({*map(type, col)} == {int} and min(col) >= 0 and max(col) < size)
 
 
 def _mismatches(ids, lefts: list, rights: list, template: str, spell=str) -> dict:
@@ -374,10 +401,11 @@ def _by_cell(size: int, failing: list) -> list:
             for message in found.get(j, ())] if failing else []
 
 
-def _complex_messages(c: Complex) -> dict:
+def _complex_messages(c: Complex, generators: bool = False) -> dict:
     """The messages of each section of :func:`validate_complex`, by section
-    in report order.  The columns of one dimension are composed (where all
-    name cells, each by one ``map``), checked and dropped before the next."""
+    in report order, or with ``generators`` those of its generating set
+    only.  The columns of one dimension are composed (where all name
+    cells, each by one :func:`pick`), checked and dropped before the next."""
     sk = skeleton_of(c)
     F, T = sk.faces, c.transpositions if isinstance(c, SymmetricCubicalComplex) else None
     sections = {"faces": [], "face identities": [], "transpositions": [], "slides": []}
@@ -402,7 +430,7 @@ def _complex_messages(c: Complex) -> dict:
                         for idx, v in zip(ids, col) if not is_position(v, low)]
         failing, spell, read = [], partial(sk.index_of, n - 2), partial(_column, lands=faces_land)
         for j in range(1, n):
-            for i in range(j):
+            for i in range(n - 2, j) if generators else range(j):
                 for a in SIGNS:
                     for b in SIGNS:
                         left = read(F.get((n - 1, i, a)), face[j, b])
@@ -433,20 +461,21 @@ def _complex_messages(c: Complex) -> dict:
                     if not is_position(v, size) or col[v] != j]
         failing, read = [], partial(_column, lands=faces_land and swaps_land)
         for i in range(n - 1):
+            # faces i and i+1 swap, and each distant face j slides through
+            # the transposition below
+            slid = sorted({i + 1, n - 1}) if generators else range(n)
             for a in SIGNS:
-                # faces i and i+1 swap, and each distant face j slides
-                # through the transposition below
-                lefts = [read(F.get((n, j, a)), swaps[i]) for j in range(n)]
+                lefts = [read(F.get((n, j, a)), swaps[i]) for j in slid]
                 rights = [face[i + 1, a] if j == i else face[i, a] if j == i + 1 else
                           read(T.get((n - 1, i - 1 if j < i else i)), face[j, a])
-                          for j in range(n)]
+                          for j in slid]
                 if lefts != rights:
                     failing.append(_mismatches(
                         ids, lefts, rights,
                         f"dim {n} cell {{0}}: transposition {i} incompatible with faces of sign {a}"))
         for i in range(n - 2):
-            t, u = T.get((n, i)), T.get((n, i + 1))
-            left, right = read(t, read(u, swaps[i])), read(u, read(t, swaps[i + 1]))
+            u, tu = T.get((n, i + 1)), read(T.get((n, i)), swaps[i + 1])
+            left, right = read(tu, swaps[i]), read(u, tu)  # t.u.t and u.t.u
             if left != right:
                 failing.append(_mismatches(ids, [left], [right],
                                            f"dim {n} cell {{0}}: braid relation fails at {i}"))
@@ -552,16 +581,24 @@ def validate_hda(h: Hda) -> ValidationReport:
     transposition column they must read as their letters picked by one
     itemgetter per face index or transposition.  Messages go cell by cell
     in the order of cells(n): the word, then each face and transposition.
+
+    Once the complex is valid, a dimension's labels are first checked
+    through its last faces and its transpositions only, and in full only
+    if that fails.  (d), after (a)-(c) of :func:`validate_complex`: by G2
+    the word of d_i c is that of d_{i+1} t_i c, which by induction downward
+    from i = n-1 is the word of t_i c without letter i+1, that is the word
+    of c without letter i.
     """
     report = validate_complex(h.complex)
     report.subject = "hda"
+    generators = report.ok
     if not h.skeleton.has_cell(h.initial) or h.initial.dim != 0:
         report.add(f"initial cell {h.initial} is not a 0-cell of the complex")
     if STAR in h.alphabet:
         report.add("alphabet must not contain the idle symbol")
-    below = {}
+    below = []
     for n in range(h.max_dim + 1):
-        messages, below = _label_messages(h, n, below)
+        messages, below = _label_messages(h, n, below, generators)
         report.violations += messages
     return report
 
@@ -576,14 +613,15 @@ def _picked(words: list, positions: list) -> list:
     return list(map(itemgetter(*positions), words))
 
 
-def _label_messages(h: Hda, n: int, below: dict) -> tuple:
+def _label_messages(h: Hda, n: int, below: list, generators: bool = False) -> tuple:
     """The messages of :func:`validate_hda` on the labels of cells(n), and
-    the words of cells(n) by position; ``below`` holds those of cells(n-1)."""
+    the words of cells(n) by position; ``below`` holds those of cells(n-1).
+    With ``generators``, for a valid complex, only the last faces are read
+    unless that finds a fault."""
     ids = h.skeleton.cells.get(n, ())
     size = len(ids)
-    words = list(map(h.labeling.get, zip(repeat(n), range(size))))
-    own = dict(zip(range(size), words))
-    failing, kept = [], None
+    own = words = list(map(h.labeling.get, zip(repeat(n), range(size))))
+    failing, kept, read = [], None, partial(_column, lands=generators)
     if not (set(map(type, words)) <= {tuple} and set(map(len, words)) <= {n}
             and (set(h.alphabet) - {STAR}).issuperset(itertools.chain.from_iterable(words))):
         failing.append(_word_messages(h, n, ids, words))
@@ -591,12 +629,12 @@ def _label_messages(h: Hda, n: int, below: dict) -> tuple:
         kept = [k for k, w in enumerate(words) if w is not None and len(w) == n]
         words = [words[k] for k in kept]
     positions = range(size) if kept is None else kept
-    for i in range(n):
+    for i in range(n)[-1:] if generators else range(n):
         expected = _picked(words, [k for k in range(n) if k != i])  # for both signs
         for sign in SIGNS:
             table = h.skeleton.faces.get((n, i, sign))
             col = table if kept is None or table is None else _column(table, kept, True)
-            if table is not None and list(map(below.get, col)) != expected:
+            if table is not None and read(below, col) != expected:
                 failing.append(_unnatural(h, n, positions, col, n - 1, expected, f"face ({i},{sign})"))
     for i in range(n - 1):
         order = list(range(n))
@@ -604,9 +642,11 @@ def _label_messages(h: Hda, n: int, below: dict) -> tuple:
         table = h.complex.transpositions.get((n, i))
         col = table if kept is None or table is None else _column(table, kept, True)
         # not kept: one list of picked words is alive at a time
-        if table is not None and list(map(own.get, col)) != _picked(words, order):
+        if table is not None and read(own, col) != _picked(words, order):
             failing.append(_unnatural(h, n, positions, col, n, _picked(words, order),
                                       f"transposition {i}"))
+    if failing and generators:
+        return _label_messages(h, n, below)
     return _by_cell(size, failing), own
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import itemgetter
 
 from .cubical import (
     STAR,
@@ -36,6 +35,7 @@ from .cubical import (
     Unlisted,
     all_positions,
     cells_of_dim,
+    pick,
 )
 from .errors import ParseError, UnknownKind
 from .models import (
@@ -126,13 +126,13 @@ def _print_hda(h: Hda) -> str:
     dims = range(sk.max_dim + 1)
     texts = {n: list(map(str, sk.cells.get(n, ()))) for n in dims}
     order = {n: sorted(range(len(texts[n])), key=texts[n].__getitem__) for n in dims}
-    heads = {n: list(map(f',{_DEEPER}"{{}}": '.format, _pick(texts[n], order[n]))) for n in dims}
+    heads = {n: list(map(f',{_DEEPER}"{{}}": '.format, pick(texts[n], order[n]))) for n in dims}
 
     def table(col, n: int, d: int, spell=None) -> _Text:
         """The column ``col`` over cells(n) as an object of d-cells, or of ``spell``'s."""
-        names, values = heads[n], _pick(col, order[n])
+        names, values = heads[n], pick(col, order[n])
         if spell is None and all_positions(col, len(texts[d])):
-            values = _pick(texts[d], values)
+            values = pick(texts[d], values)
         else:  # label words, or a map undefined somewhere (no entry) or naming no cell
             if None in values:
                 kept = [(k, v) for k, v in zip(names, values) if v is not None]
@@ -158,11 +158,6 @@ def _print_hda(h: Hda) -> str:
         "labels": {str(n): labels(n) for n in dims[1:]},
         "sym": {f"{n},{i}": table(col, n, n) for (n, i), col in h.complex.transpositions.items()},
     }) + "\n"
-
-
-def _pick(seq, positions):
-    """``seq`` at each of ``positions``, by one ``itemgetter`` call."""
-    return itemgetter(*positions)(seq) if len(positions) > 1 else [seq[p] for p in positions]
 
 
 class _Text(str):

@@ -21,7 +21,7 @@ from hdabridge.cubical import (
     word_degeneracy,
     word_is_linear,
 )
-from hdabridge import zoo
+from hdabridge import cubical, zoo
 from hdabridge.cts import acr_to_cts, coskeleton_fill, es_to_cts, pn_to_cts
 from hdabridge.errors import ArityMismatch, DimensionCapExceeded, ExplosionLimit, IndexOutOfRange
 from hdabridge.functors import acr_to_hda2, es_to_hda, pn_to_hda
@@ -291,6 +291,24 @@ def test_symmetric_square_valid():
     assert validate_complex(sym).ok
 
 
+@pytest.mark.parametrize("make", [lambda: es_to_hda(make_event_structure("abcdef"), 6),
+                                  lambda: pn_to_hda(pipeline_net(), 100, 6)],
+                         ids=["six free events", "six-token pipeline"])
+def test_a_valid_automaton_composes_only_its_generating_set(monkeypatch, make):
+    """Both automata have cells up to dimension 6, so ``validate_hda`` of
+    either composes columns through ``_column`` 202 times: at each
+    dimension n >= 2, 8 for the top face pair, n-1 for the involutions,
+    2(3(n-2)+1) for the slides, 3(n-2) for the braids and (n-2)(n-3) for
+    the distant commutations; at each n >= 1, 2 for the last faces' labels
+    and n-1 for the transpositions'.  Checking every identity made 575
+    calls (and read the labels of 57 more compositions by ``dict.get``)."""
+    h, calls = make(), []
+    column = cubical._column
+    monkeypatch.setattr(cubical, "_column", lambda *args, **kw: calls.append(1) or column(*args, **kw))
+    assert validate_hda(h).ok
+    assert len(calls) == 202
+
+
 def test_symmetric_violations_detected():
     sym, _ = symmetric_square()
     bad = {k: list(v) for k, v in sym.transpositions.items()}
@@ -417,7 +435,7 @@ def test_operation_sequences_stay_valid():
 def test_truncate_hda_examples():
     from hdabridge.functors import acr_to_hda2, es_to_hda
     from hdabridge.cubical import truncate, validate_hda
-    from hdabridge import zoo
+    from hdabridge import cubical, zoo
     from hdabridge.models import make_event_structure
 
     h = acr_to_hda2(zoo.mutex_square_acr(True))

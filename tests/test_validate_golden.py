@@ -10,6 +10,9 @@ equal the per-cell walk of ``reference.py`` run on every section and
 dimension, message for message and in the same order.
 """
 
+import itertools
+import pathlib
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -17,14 +20,16 @@ from hdabridge.cubical import STAR, CellId, Hda, PrecubicalComplex, SymmetricCub
     validate_complex, validate_hda
 from hdabridge.errors import ExplosionLimit
 from hdabridge.functors import es_to_hda, pn_to_hda
+from hdabridge.jsonio import parse_document
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.models import make_event_structure
 from hdabridge.util import ValidationReport
 
-from helpers import loops4
+from helpers import loops4, token_net
 from reference import walk_labels, walks
 
 DROP = object()  # removes a table entry, or a whole table
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def square():
@@ -99,11 +104,12 @@ def insert_cell(h, n, at, idx, like=None):
                h.alphabet, labeling, initial)
 
 
-def twins(h):
-    """``h`` with every top cell doubled: the twin of cell k is k + N, with
-    k's faces and label, and its transpositions stay among the twins.  A
-    transposition re-paired across twins keeps every slide."""
-    sk, n = h.skeleton, h.max_dim
+def twins(h, n):
+    """``h`` with every n-cell doubled: the twin of cell k is k + N, with
+    k's faces and label, and its transpositions stay among the twins; no
+    face names a twin.  A transposition re-paired across twins keeps every
+    slide of its dimension."""
+    sk = h.skeleton
     shift = len(sk.cells[n])
     faces = {key: col + col if key[0] == n else col for key, col in sk.faces.items()}
     swaps = {key: col + [v + shift for v in col] if key[0] == n else col
@@ -112,16 +118,16 @@ def twins(h):
     labeling.update({CellId(n, k + shift): h.labeling[CellId(n, k)] for k in range(shift)})
     cells = dict(sk.cells)
     cells[n] = range(2 * shift)
-    return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, faces, n), swaps),
+    return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, faces, sk.max_dim), swaps),
                h.alphabet, labeling, h.initial)
 
 
 def repaired(h, key, x):
-    """``twins(h)`` with transposition ``key`` sending x and its twin to
-    each other's partners."""
+    """``twins(h, n)``, n the dimension of transposition ``key``, with
+    that transposition sending x and its twin to each other's partners."""
     t = h.complex.transpositions[key]
     y, shift = t[x], len(h.skeleton.cells[key[0]])
-    h = twins(h)
+    h = twins(h, key[0])
     return edit(h, transpositions=[(key, x, y + shift), (key, y + shift, x),
                                    (key, x + shift, y), (key, y, x + shift)])
 
@@ -802,3 +808,74 @@ def test_a_repeated_cell_reports_its_labels_as_often_as_it_is_listed():
     assert validate_hda(broken).violations == messages
     once = [m for m in validate_hda(swapped).violations if m.endswith(f"of {named}")]
     assert once and [m for m in messages if m.endswith(f"of {named}")] == once + once
+
+
+# ---------------------------------------------------------------------------
+# Every single fault of small automata against the per-cell walk
+# ---------------------------------------------------------------------------
+
+SMALL = {
+    "three free events": lambda: parse_document(
+        (FIXTURES / "hda_three_free_events.json").read_text(encoding="utf-8"))[1],
+    "causality and conflict": lambda: es_to_hda(make_event_structure("abcd", [("a", "b")], [("b", "c")])),
+    "token pipeline": lambda: pn_to_hda(
+        token_net(3, {"t0": {"p0": 1}, "t1": {"p1": 1}}, {"t0": {"p1": 1}, "t1": {"p2": 1}}), 100, 3),
+    "generated net": lambda: pn_to_hda(gen_pn(16, GeneratorConfig(seed=0, max_events=4, max_places=3)),
+                                       30, 3, truncate_cells=True),
+}
+
+
+def single_faults(h):
+    """Every automaton one fault away from ``h``: each face and
+    transposition entry redirected to every other cell of its codomain,
+    each pair of distinct letters of a word swapped, and a vertex with no
+    label put at each position of cells(0).  Then the fault no single
+    entry makes: each transposition entry re-paired across twins, which
+    at a dimension below the top breaks only the slides of the last faces
+    one dimension up, or at the top only a braid."""
+    sk = h.skeleton
+    for kind, tables, shift in (("faces", sk.faces, 1), ("transpositions", h.complex.transpositions, 0)):
+        for key, col in sorted(tables.items()):
+            for j, value in enumerate(col):
+                for other in range(len(sk.cells.get(key[0] - shift, ()))):
+                    if other != value:
+                        yield edit(h, **{kind: [(key, j, other)]})
+    for cell, word in sorted(h.labeling.items()):
+        for p, q in itertools.combinations(range(len(word)), 2):
+            if word[p] != word[q]:
+                swapped = list(word)
+                swapped[p], swapped[q] = word[q], word[p]
+                yield edit(h, labeling=[(cell, tuple(swapped))])
+    fresh = max(sk.cells[0]) + 1
+    for at in range(len(sk.cells[0]) + 1):
+        yield insert_cell(h, 0, at, fresh)
+    for key, col in sorted(h.complex.transpositions.items()):
+        for x in range(len(col)):
+            yield repaired(h, key, x)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_every_single_fault_reports_what_the_walk_reports(name):
+    """``validate_hda`` checks a generating set of the identities first
+    and everything only when one fails; each mutant's report must be the
+    walk's, which checks every identity on every cell.  The token pipeline
+    and the generated net repeat letters, and the net's one vertex carries
+    loops, so faces of one cell coincide."""
+    h = SMALL[name]()
+    assert validate_hda(h).ok
+    valid = faulty = 0
+    for broken in single_faults(h):
+        messages = walked(broken.complex) + walked_labels(broken)
+        assert validate_hda(broken).violations == messages
+        valid, faulty = valid + (not messages), faulty + bool(messages)
+    assert faulty > 100  # and some redirections keep every identity
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_a_face_entry_that_is_no_int_lands_outside(value):
+    """An in-memory entry equal to a cell's position but not an ``int``
+    names no cell, as the walk reads it; a document cannot carry one."""
+    broken = edit(square(), faces=[((2, 0, "-"), 0, value)])
+    messages = walked(broken.complex) + walked_labels(broken)
+    assert "face (2,0,-) of cell 0 lands outside cells(1)" in messages
+    assert validate_hda(broken).violations == messages
