@@ -11,8 +11,8 @@ and an enabled multiset), and laid out along the word prefix tree: an
 n-cell is an (n-1)-cell followed by one event, and a cell's children
 follow it in increasing event rank, which is the canonical (state, word)
 order over the states and events in canonical order.  Every face,
-transposition, label and key of an n-cell is composed from the tables of
-the dimension below.  A CTS carries no labels: each event is its own
+transposition and word of an n-cell is composed from the tables of the
+dimension below.  A CTS carries no labels: each event is its own
 label, so no event may be the idle symbol ``*``, which names only
 degenerate cells.
 
@@ -20,8 +20,8 @@ Four systems instantiate it: an event structure's configurations
 (``es_to_cts``), a net's reachable markings (``pn_to_cts``), the states of
 an automaton with concurrency relations (``acr_to_cts``), and the
 vertices of a deterministic automaton acted on by its edges and squares,
-whose automaton is the 2-coskeletal fill (``coskeleton_fill``).  Each
-cell is keyed ``(state, word)``: its 0-source state and its word.
+whose automaton is the 2-coskeletal fill (``coskeleton_fill``).  Vertex j
+of the automaton is the state of rank j (``Hda.states``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .cubical import (
     Hda,
     PrecubicalComplex,
     SymmetricCubicalComplex,
-    cells_of_dim,
     check_deterministic,
 )
 from .errors import DimensionCapExceeded, NotOneDeterministic, StarClash
@@ -182,8 +181,7 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
     rank = dict(zip(states, range(len(states))))
     single = list(zip(events))
     cells, faces, transpositions = {0: range(len(states))}, {}, {}
-    labeling = dict.fromkeys(cells_of_dim(0, len(states)), ())
-    at, words, ats = cells[0], [()] * len(states), [cells[0]]  # each cell's state rank and word
+    words = [[()] * len(states)]  # per dimension, each cell's word
     # the top dimension with cells: none above it has any
     top = next((n for n, (parents, _) in enumerate(tree) if not parents), max_dim)
     child = None  # child[p * size + r]: the cell that extends cell p by event rank r
@@ -209,22 +207,20 @@ def cts_to_hda(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hda:
         cells[n] = range(count)
         faces.update(((n, i, sign), columns[i, sign]) for i in range(n) for sign in SIGNS)
         transpositions.update(((n, i), swap) for i, swap in enumerate(swaps))
-        at = list(map(at.__getitem__, parents))
-        ats.append(at)
-        words = list(map(add, map(words.__getitem__, parents), map(single.__getitem__, lasts)))
-        labeling.update(zip(cells_of_dim(n, count), words))
+        words.append(list(map(add, map(words[-1].__getitem__, parents),
+                              map(single.__getitem__, lasts))))
     for n in range(top + 1, max_dim + 1):
         cells[n] = range(0)
+        words.append([])
         faces.update(((n, i, sign), []) for i in range(n) for sign in SIGNS)
         transpositions.update(((n, i), []) for i in range(n - 1))
     skeleton = PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim)
     return Hda(
         complex=SymmetricCubicalComplex(skeleton=skeleton, transpositions=transpositions),
         alphabet=tuple(events),
-        labeling=labeling,
+        words=words,
         initial=CellId(0, rank[c.initial]),
-        cell_keys=dict(zip(labeling, zip(map(states.__getitem__, chain.from_iterable(ats)),
-                                         labeling.values()))),
+        states=states,
     )
 
 
@@ -325,9 +321,9 @@ def coskeleton_fill(h: Hda, max_dim: int) -> Hda:
     """
     if not (check_deterministic(h, 1) and check_deterministic(h, 2)):
         raise NotOneDeterministic("two edges or two squares share their source faces and label")
-    ends, labeling = h.zero_ends, h.labeling
-    delta = {(ends[c][0], labeling[c][0]): ends[c][1] for c in h.cells(1)}
-    low = {(ends[c][0], multiset(labeling[c])) for n in range(3) for c in h.cells(n)}
+    ends = h.zero_ends
+    delta = {(ends[c][0], h.label(c)[0]): ends[c][1] for c in h.cells(1)}
+    low = {(ends[c][0], multiset(h.label(c))) for n in range(3) for c in h.cells(n)}
 
     @cache
     def enabled(x, m: Multiset) -> bool:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -498,20 +498,19 @@ class Hda:
     """Pointed labeled symmetric cubical complex.
 
     ``alphabet`` lists the labels without the distinguished idle symbol;
-    STAR is always implicitly the basepoint.  ``labeling`` assigns to each
-    skeleton cell a STAR-free word of its dimension; labels of degenerate
-    cells are derived by inserting STAR at the collapsed positions.
-    ``cell_keys`` optionally keys each cell by what it denotes in the model
-    the automaton was built from: ``(state, word)``, its 0-source state and
-    its label word, so a vertex is ``(state, ())``.  An automaton parsed
-    from a document has no keys.
+    STAR is always implicitly the basepoint.  ``words`` holds a column per
+    dimension 0..max_dim: ``words[n][j]`` is the STAR-free word of length
+    n labeling ``CellId(n, j)``; labels of degenerate cells are derived by
+    inserting STAR at the collapsed positions.  ``states`` is a column over
+    cells(0): the state of the model each vertex denotes, or None for an
+    automaton parsed from a document, whose vertices denote themselves.
     """
 
     complex: SymmetricCubicalComplex
     alphabet: tuple
-    labeling: Mapping[CellId, LabelWord]
+    words: Sequence[Sequence[LabelWord]]
     initial: CellId
-    cell_keys: Optional[Mapping[CellId, object]] = None
+    states: Optional[Sequence] = None
 
     @property
     def skeleton(self) -> PrecubicalComplex:
@@ -525,17 +524,17 @@ class Hda:
         return list(cells_of_dim(dim, len(self.skeleton.cells.get(dim, ()))))
 
     def label(self, cell: Cell) -> LabelWord:
-        w = as_witness(cell)
-        out = self.labeling[w.base]
-        for p in w.stars:
-            out = word_degeneracy(out, p)
-        return out
+        if isinstance(cell, DegeneracyWitness):
+            return reduce(word_degeneracy, cell.stars, self.label(cell.base))
+        n, j = cell
+        return self.words[n][j]
 
     def state(self, v: CellId):
-        """The model state the vertex ``v`` denotes: in an automaton without
-        keys, the vertex under its index."""
-        return CellId(0, self.skeleton.index_of(0, v.index)) if self.cell_keys is None else \
-            self.cell_keys[v][0]
+        """The model state the vertex ``v`` denotes: in a parsed automaton,
+        the vertex under its index."""
+        if self.states is None:
+            return CellId(0, self.skeleton.index_of(0, v.index))
+        return self.states[v.index]
 
     # Tables read by every morphism into or out of the automaton.  Each is
     # built on first use and kept in the instance dict, outside the fields.
@@ -543,6 +542,16 @@ class Hda:
     @cached_property
     def vertex_by_state(self) -> dict:
         return {self.state(v): v for v in self.cells(0)}
+
+    @cached_property
+    def cell_keys(self) -> Optional[dict]:
+        """Each cell under ``(state, word)``, its 0-source state and its
+        word, in dimension and position order; None for a parsed automaton."""
+        if self.states is None:
+            return None
+        states, words = self.states, self.words
+        return {cell: (states[s], words[cell.dim][cell.index])
+                for cell, ((_, s), _) in self.zero_ends.items()}
 
     @cached_property
     def zero_ends(self) -> dict:
@@ -563,9 +572,9 @@ class Hda:
     def cell_by_ends(self) -> dict:
         """Each cell under its (0-source, 0-target, label word); raises
         ValueError when two cells share that key."""
-        index = {}
+        index, words = {}, self.words
         for cell, (s, t) in self.zero_ends.items():
-            key = (s, t, self.labeling[cell])
+            key = (s, t, words[cell.dim][cell.index])
             if key in index:
                 raise ValueError(f"cells {index[key]} and {cell} share their 0-ends and label")
             index[key] = cell
@@ -620,7 +629,8 @@ def _label_messages(h: Hda, n: int, below: list, generators: bool = False) -> tu
     unless that finds a fault."""
     ids = h.skeleton.cells.get(n, ())
     size = len(ids)
-    own = words = list(map(h.labeling.get, zip(repeat(n), range(size))))
+    column = h.words[n]  # a missing word is None
+    own = words = column if len(column) == size else _column(column, range(size))
     failing, kept, read = [], None, partial(_column, lands=generators)
     if not (set(map(type, words)) <= {tuple} and set(map(len, words)) <= {n}
             and (set(h.alphabet) - {STAR}).issuperset(itertools.chain.from_iterable(words))):
@@ -670,10 +680,9 @@ def _word_messages(h: Hda, n: int, ids, words: list) -> dict:
 
 def _unnatural(h: Hda, n: int, positions, col: list, d: int, expected: list, where: str) -> dict:
     """Each n-cell of ``positions`` whose image in ``col``, a column of
-    d-cells, has a word in ``h.labeling`` other than the ``expected`` one,
-    with its message; ``where`` names the map.  Reading ``h.labeling``
-    counts a label on a cell outside the cell lists."""
-    got = map(h.labeling.get, zip(repeat(d), col))
+    d-cells, has a word other than the ``expected`` one, with its message;
+    ``where`` names the map.  An image that names no cell has no word."""
+    got = _column(h.words[d], col)
     ids = h.skeleton.cells[n]
     return {j: [f"labeling not natural at {where} of {CellId(n, ids[j])}"]
             for j, image, word, want in zip(positions, col, got, expected)
@@ -689,10 +698,10 @@ def truncate(h: Hda, n: int) -> Hda:
     cells = {d: sk.cells.get(d, ()) for d in range(top + 1)}
     faces = {key: col for key, col in sk.faces.items() if key[0] <= top}
     transpositions = {key: col for key, col in h.complex.transpositions.items() if key[0] <= top}
-    labeling = {c: w for c, w in h.labeling.items() if c.dim <= top}
-    keys = None if h.cell_keys is None else {c: k for c, k in h.cell_keys.items() if c.dim <= top}
+    words = [*h.words[:top + 1], *([] for _ in range(top, n))]
     skeleton = PrecubicalComplex(cells=cells, faces=faces, max_dim=n)
-    return Hda(SymmetricCubicalComplex(skeleton, transpositions), h.alphabet, labeling, h.initial, keys)
+    return Hda(SymmetricCubicalComplex(skeleton, transpositions), h.alphabet, words, h.initial,
+               h.states)
 
 
 # ---------------------------------------------------------------------------
@@ -700,28 +709,20 @@ def truncate(h: Hda, n: int) -> Hda:
 # ---------------------------------------------------------------------------
 
 def check_linear_labeling(h: Hda) -> bool:
-    # labels are read by (n, position) keys; a word with no repeated letter
-    # is linear, so only a dimension with a repeat is read again
-    for n in range(h.max_dim + 1):
-        keys = zip(repeat(n), range(len(h.skeleton.cells.get(n, ()))))
-        words = list(map(h.labeling.__getitem__, keys))
+    # a word with no repeated letter is linear, so only a dimension with a
+    # repeat is read again
+    for words in h.words:
         if sum(map(len, map(set, words))) != sum(map(len, words)) and \
                 not all(map(word_is_linear, words)):
             return False
     return True
 
 
-def check_deterministic(h: Hda, n: Optional[int] = None) -> bool:
-    """Cells of dimension n with equal source faces and label coincide.
-
-    ``n=None`` checks every dimension (0-cells have no sources, so any two
-    distinct 0-cells already fail, matching the blunt reading).
-    """
+def check_deterministic(h: Hda, n: int) -> bool:
+    """Cells of dimension n with equal source faces and label coincide."""
     sk = h.skeleton
-    for d in range(h.max_dim + 1) if n is None else (n,):
-        size = len(sk.cells.get(d, ()))
-        sources = zip(*[sk.faces.get((d, i, "-"), ()) for i in range(d)]) if d else repeat((), size)
-        words = map(h.labeling.__getitem__, zip(repeat(d), range(size)))
-        if len(set(zip(sources, words))) < size:
-            return False
-    return True
+    size = len(sk.cells.get(n, ()))
+    if not size:
+        return True
+    sources = zip(*[sk.faces.get((n, i, "-"), ()) for i in range(n)]) if n else repeat((), size)
+    return len(set(zip(sources, h.words[n]))) == size

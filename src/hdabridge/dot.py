@@ -48,7 +48,7 @@ def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
     edge_lines = []
     for e in h.cells(1):
         src, tgt = (names[v] for v in ends[e])
-        (label,) = h.labeling[e]
+        (label,) = h.label(e)
         edge_lines.append(f"  {_quote(src)} -> {_quote(tgt)} [label={_quote(label)}];")
     lines.extend(sorted(edge_lines))
 
@@ -60,7 +60,7 @@ def hda_to_dot(h: Hda, dim2: str = "diagonals") -> str:
             if orbit in seen:
                 continue
             seen.add(orbit)
-            a, b = sorted_by_key(h.labeling[cell][:2])
+            a, b = sorted_by_key(h.label(cell)[:2])
             src, tgt = (names[v] for v in ends[cell])
             squares.append((src, tgt, a, b))
         for i, (src, tgt, a, b) in enumerate(sorted_by_key(squares)):

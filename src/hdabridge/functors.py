@@ -3,9 +3,9 @@ automata, region synthesis, and the net/automaton transposition.
 
 Each direction of each adjunction is a standalone function; the
 round-trip identities they satisfy are exercised by the law suite.  Every
-automaton built from a model keys each cell ``(state, word)``, its
-0-source state and its word, and a vertex's state (``Hda.state``) is what
-makes the round trips land on the original names.
+automaton built from a model keeps the model state of each vertex
+(``Hda.states``), and a vertex's state (``Hda.state``) is what makes the
+round trips land on the original names.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def validate_hda_morphism(m: HdaMorphism, src: Hda, dst: Hda) -> ValidationRepor
         if not dst.skeleton.has_cell(image.base):
             report.add(f"image base of {cell} is not a cell of the target")
             continue
-        if dst.label(image) != m.word_image(src.labeling[cell]):
+        if dst.label(image) != m.word_image(src.label(cell)):
             report.add(f"label square fails at {cell}")
         for i in range(cell.dim):
             for sign in ("-", "+"):
@@ -149,10 +149,10 @@ def induced_morphism(src: Hda, dst: Hda, vertex_map: Mapping, label_map: Mapping
     Both automata keep their 0-ends and ``dst`` its index of cells by key,
     so a hom-set builds them once, not once per member.
     """
-    index = dst.cell_by_ends
+    index, words = dst.cell_by_ends, src.words
     cell_map = {}
     for cell, (s, t) in src.zero_ends.items():
-        word = [label_map.get(e, STAR) for e in src.labeling[cell]]
+        word = [label_map.get(e, STAR) for e in words[cell.dim][cell.index]]
         kept = tuple(e for e in word if e != STAR)
         key = (vertex_map[s], vertex_map[t], kept)
         if key not in index:
@@ -191,14 +191,12 @@ def ts_to_hda1(t: TransitionSystem, idle: bool = False) -> Hda:
         faces={(1, 0, sign): [vertex[edge[end]] for edge in edges]
                for sign, end in (("-", 0), ("+", 2))},
         max_dim=1)
-    keys = {**{CellId(0, i): (s, ()) for i, s in enumerate(states)},
-            **{CellId(1, i): (s, (e,)) for i, (s, e, _) in enumerate(edges)}}
     return Hda(
         complex=SymmetricCubicalComplex(skeleton=skeleton, transpositions={}),
         alphabet=tuple(sorted_by_key(t.events - {STAR})),
-        labeling={cell: word for cell, (_, word) in keys.items()},
+        words=[[()] * len(states), [(e,) for _, e, _ in edges]],
         initial=CellId(0, states.index(t.initial)),
-        cell_keys=keys,
+        states=states,
     )
 
 
@@ -212,7 +210,7 @@ def hda1_to_ts(h: Hda, idle: bool = False) -> TransitionSystem:
     states = {h.state(c) for c in h.cells(0)}
     trans, ends = set(), h.zero_ends
     for edge in h.cells(1):
-        (label,) = h.labeling[edge]
+        (label,) = h.label(edge)
         if label != STAR:
             trans.add((h.state(ends[edge][0]), label, h.state(ends[edge][1])))
     events = set(h.alphabet)
@@ -247,7 +245,7 @@ def hda2_to_acr(h: Hda) -> Acr:
         raise NotOneDeterministic("two edges share source and label")
     ts = hda1_to_ts(low)
     ends = low.zero_ends
-    indep = {(low.state(ends[cell][0]), *low.labeling[cell]) for cell in low.cells(2)}
+    indep = {(low.state(ends[cell][0]), *low.label(cell)) for cell in low.cells(2)}
     a = Acr(ts=ts, indep=frozenset(indep))
     report = validate_acr(a)
     if not report.ok:
@@ -296,7 +294,7 @@ def hda_to_es(h: Hda) -> EventStructure:
     src, tgt = (h.skeleton.faces.get((1, 0, sign), ()) for sign in ("-", "+"))
     edges_at = {}
     for i in range(len(h.skeleton.cells.get(1, ()))):
-        (label,) = h.labeling[1, i]
+        (label,) = h.label((1, i))
         if label != STAR:
             r = rank.setdefault(label, len(rank))
             edges_at.setdefault(src[i], []).append((r, 1 << r, tgt[i]))
@@ -422,8 +420,8 @@ def skeleton_slots(h: Hda):
     adjacent = {v: [] for v in h.cells(0)}
     for e in h.cells(1):
         s, t = zero_ends[e]
-        adjacent[s].append((h.labeling[e], t))
-        adjacent[t].append((h.labeling[e], s))
+        adjacent[s].append((h.label(e), t))
+        adjacent[t].append((h.label(e), s))
     for v, word, u, new in breadth_first(adjacent, adjacent.__getitem__):
         if v is not None:
             slots.setdefault(("label", word[0]), len(slots))
@@ -434,8 +432,8 @@ def skeleton_slots(h: Hda):
 
     checks = [[] for _ in slots]
     for n in range(1, h.max_dim + 1):
-        for cell in h.cells(n):
-            word = [slots[("label", a)] for a in h.labeling[cell]]
+        for cell, letters in zip(h.cells(n), h.words[n]):
+            word = [slots[("label", a)] for a in letters]
             ends = tuple(slots[("vertex", v)] for v in zero_ends[cell])
             checks[max(*word, *ends)].append((word, *ends))
     return list(slots), checks

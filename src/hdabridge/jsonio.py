@@ -34,7 +34,6 @@ from .cubical import (
     SymmetricCubicalComplex,
     Unlisted,
     all_positions,
-    cells_of_dim,
     pick,
 )
 from .errors import ParseError, UnknownKind
@@ -143,9 +142,8 @@ def _print_hda(h: Hda) -> str:
         return _Text("{" + "".join(parts)[1:] + _INNER + "}" if parts else "{}")
 
     def labels(n: int) -> _Text:
-        words = list(map(h.labeling.__getitem__, zip(itertools.repeat(n), range(len(texts[n])))))
-        spelled = {w: _format(list(w), _DEEPER) for w in set(words)}
-        return table(words, n, n, spelled.__getitem__)
+        spelled = {w: _format(list(w), _DEEPER) for w in set(h.words[n])}
+        return table(h.words[n], n, n, spelled.__getitem__)
 
     return format_json({
         "alphabet": sorted_by_key(h.alphabet),
@@ -434,8 +432,8 @@ def _parse_hda(doc: dict) -> Hda:
     labels_doc = _object(doc.get("labels", {}), "labels")
     if stray := [key for key in labels_doc if key not in set(map(str, cells)) - {"0"}]:
         raise ParseError(f"labels key {stray[0]!r} is not a dimension of cells above 0")
-    words = {n: _label_words(labels_doc, n, cells.get(n, ()), texts.get(n, []))
-             for n in range(max_dim + 1)}
+    words = [_label_words(labels_doc, n, cells.get(n, ()), texts.get(n, []))
+             for n in range(max_dim + 1)]
     for n, ids in cells.items():
         if len(positions.get(n, ids)) < len(ids):
             idx = next(a for a, b in zip(ids, ids[1:]) if a == b)
@@ -449,7 +447,7 @@ def _parse_hda(doc: dict) -> Hda:
     # labels hold the idle symbol, or dimension 2 when some edge is
     # dropped, is walked cell by cell.
     def idle_in(n):
-        return STAR in itertools.chain.from_iterable(words.get(n, ()))
+        return n <= max_dim and STAR in itertools.chain.from_iterable(words[n])
 
     def entry(key, j):
         return faces[key][j] if key in faces else None
@@ -486,16 +484,12 @@ def _parse_hda(doc: dict) -> Hda:
             elif key[0] == 2:
                 faces[key] = [moved.get(v, v) if type(v) is int else v for v in col]
 
-    labeling = {}
-    for n, words_n in words.items():
-        labeling.update(zip(cells_of_dim(n, len(words_n)), words_n))
     alphabet = tuple(sorted_by_key(set(_names(doc, "alphabet")) - {STAR}))
     complex_ = SymmetricCubicalComplex(
         skeleton=PrecubicalComplex(cells=cells, faces=faces, max_dim=max_dim),
         transpositions=sym,
     )
-    return Hda(complex=complex_, alphabet=alphabet, labeling=labeling,
-               initial=CellId(0, initial))
+    return Hda(complex=complex_, alphabet=alphabet, words=words, initial=CellId(0, initial))
 
 
 def parse_document(text: str):

@@ -416,7 +416,7 @@ def _hda_morphisms(src: Hda, dst: Hda, labels: dict, one_to_one: bool):
     # the other ends of dst's edges by (end, label, end is the source), STAR at the end itself
     ends = {(v, STAR, forward): [v] for v in vertices for forward in (True, False)}
     for e in dst.cells(1):
-        (s, t), a = dst.zero_ends[e], dst.labeling[e][0]
+        (s, t), a = dst.zero_ends[e], dst.label(e)[0]
         ends.setdefault((s, a, True), []).append(t)
         ends.setdefault((t, a, False), []).append(s)
     for others in ends.values():
@@ -565,10 +565,11 @@ def iso_check(a, b, node_limit: int = 600):
     0-target, word), or ``Hda.cell_by_ends``'s ValueError.  ``node_limit``
     bounds the cells of ``a`` (beyond it ``SizeLimit``).  Transition
     systems and concurrency automata are compared as their automata
-    (``ts_to_hda1``, ``acr_to_hda2``), whose cells are keyed ``(state,
-    word)``, and the state map is read back through ``Hda.state``.  A system carrying the idle event is read as
-    a completion (``ts_to_hda1(t, idle=True)``) and must have the idle
-    loop at every state, or ``StarClash``; an ACR raises
+    (``ts_to_hda1``, ``acr_to_hda2``), whose vertices keep their states,
+    and the state map is read back through ``Hda.state``.  A system
+    carrying the idle event is read as a completion
+    (``ts_to_hda1(t, idle=True)``) and must have the idle loop at every
+    state, or ``StarClash``; an ACR raises
     ``SquareIncomplete`` when it fails ``validate_acr`` and ``StarClash``
     when the idle event is one of its events.  Event structures are
     isomorphic exactly when equal, the events being their labels.  Nets

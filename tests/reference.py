@@ -134,7 +134,7 @@ def hda_to_es(h) -> EventStructure:
     src, tgt = (h.skeleton.faces.get((1, 0, sign), {}) for sign in ("-", "+"))
     edges_at = {}
     for edge in h.cells(1):
-        (label,) = h.labeling[edge]
+        (label,) = h.label(edge)
         if label != STAR:
             edges_at.setdefault(src[edge.index], []).append((label, tgt[edge.index]))
 
@@ -268,14 +268,13 @@ def cts_to_hda_by_keys(c: Cts, max_dim: int, truncate_cells: bool = False) -> Hd
         x, w = key
         return (x, w[:i] + (w[i + 1], w[i]) + w[i + 2:])
 
-    complex_, keys = index_complex(cells_by_dim, face_key, transpose_key)
-    words = [tuple(events[r] for r in w) for _, w in keys.values()]
+    complex_, _ = index_complex(cells_by_dim, face_key, transpose_key)
     return Hda(
         complex=complex_,
         alphabet=tuple(events),
-        labeling=dict(zip(keys, words)),
+        words=[[tuple(events[r] for r in w) for _, w in keys_n] for keys_n in cells_by_dim.values()],
         initial=CellId(0, state_rank[c.initial]),
-        cell_keys={cell: (states[s], w) for (cell, (s, _)), w in zip(keys.items(), words)},
+        states=[states[s] for s, _ in cells_by_dim[0]],
     )
 
 
@@ -287,8 +286,8 @@ def automaton_by_keys(states, initial, alphabet, edges, squares=None) -> Hda:
     """The automaton with the states as vertices, an edge ``(s, e, s2)``
     labeled ``e`` and, for an ACR, a square ``(s, x, y)`` labeled ``(x, y)``
     glued on the closing edges (2-dimensional even with no squares), each
-    dimension's keys sorted and numbered by ``index_complex``.  The cells
-    are then keyed ``(state, word)``, as the package keys them."""
+    dimension's keys sorted and numbered by ``index_complex``.  The words
+    and the vertices' states are read off the keys."""
     cells_by_dim = {0: sorted_by_key(states), 1: sorted_by_key(edges)}
     if squares is not None:
         cells_by_dim[2] = sorted_by_key(squares)
@@ -302,14 +301,13 @@ def automaton_by_keys(states, initial, alphabet, edges, squares=None) -> Hda:
         start = s if sign == "-" else step[s, word[i]]
         return (start, word[1 - i], step[start, word[1 - i]])
 
-    complex_, keys = index_complex(cells_by_dim, face_key, lambda n, k, i: (k[0], k[2], k[1]))
-    labeling = {c: k[1:c.dim + 1] if c.dim else () for c, k in keys.items()}
+    complex_, _ = index_complex(cells_by_dim, face_key, lambda n, k, i: (k[0], k[2], k[1]))
     return Hda(
         complex=complex_,
         alphabet=tuple(sorted_by_key(alphabet)),
-        labeling=labeling,
+        words=[[k[1:n + 1] if n else () for k in keys_n] for n, keys_n in cells_by_dim.items()],
         initial=CellId(0, cells_by_dim[0].index(initial)),
-        cell_keys={c: (k[0] if c.dim else k, labeling[c]) for c, k in keys.items()},
+        states=cells_by_dim[0],
     )
 
 
@@ -475,7 +473,7 @@ def check_strong_labeling(h: Hda) -> bool:
     """No two distinct same-dimension cells share all faces and the label."""
     for n in range(1, h.max_dim + 1):
         signatures = [(tuple(h.skeleton.face(cell, i, sign) for i in range(n) for sign in SIGNS),
-                       h.labeling[cell]) for cell in h.cells(n)]
+                       h.label(cell)) for cell in h.cells(n)]
         if len(set(signatures)) != len(signatures):
             return False
     return True
@@ -637,14 +635,17 @@ def walks(c: Complex) -> list:
 def walk_labels(h: Hda, n: int, report: ValidationReport) -> None:
     sk = h.skeleton
     alphabet = set(h.alphabet)
-    own, below = ({cell.index: w for cell, w in h.labeling.items() if cell.dim == d}
-                  for d in (n, n - 1))
+
+    def word(d, v):  # the word of the d-cell at position v, None where v names no cell
+        column = h.words[d]
+        return column[v] if type(v) is int and 0 <= v < len(column) else None
+
     faces = [(i, sign, sk.faces[(n, i, sign)])
              for i in range(n) for sign in SIGNS if (n, i, sign) in sk.faces]
     swaps = [(i, h.complex.transpositions[(n, i)])
              for i in range(n - 1) if (n, i) in h.complex.transpositions]
     for j, idx in enumerate(sk.cells.get(n, ())):
-        w = own.get(j)
+        w = word(n, j)
         if w is None:
             report.add(f"cell {CellId(n, idx)} has no label")
             continue
@@ -657,14 +658,14 @@ def walk_labels(h: Hda, n: int, report: ValidationReport) -> None:
             elif e not in alphabet:
                 report.add(f"cell {CellId(n, idx)} label {e!r} outside the alphabet")
         for i, sign, table in faces:
-            if table[j] is not None and below.get(table[j]) != w[:i] + w[i + 1:]:
+            if table[j] is not None and word(n - 1, table[j]) != w[:i] + w[i + 1:]:
                 report.add(f"labeling not natural at face ({i},{sign}) of {CellId(n, idx)}")
         for i, table in swaps:
             if table[j] is None:
                 continue
             swapped = list(w)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if own.get(table[j]) != tuple(swapped):
+            if word(n, table[j]) != tuple(swapped):
                 report.add(f"labeling not natural at transposition {i} of {CellId(n, idx)}")
 
 
@@ -750,7 +751,7 @@ def region_check(h: Hda, reg: Region) -> bool:
         if v not in tokens:
             return False
     for cell, (s, t) in h.zero_ends.items():
-        pre, post = word_flow(reg, h.labeling[cell])
+        pre, post = word_flow(reg, h.label(cell))
         if not (tokens[s] >= pre and tokens[t] >= post and tokens[s] - pre == tokens[t] - post):
             return False
     return True
@@ -867,7 +868,7 @@ def iso_by_cells(a: Hda, b: Hda, node_limit: int = 600):
             return t if x == cell else partial[slot[x]]
 
         return [t for t in candidates
-                if t not in used and b.labeling[t] == a.labeling[cell]
+                if t not in used and b.label(t) == a.label(cell)
                 and (cell == a.initial) == (t == b.initial)
                 and all(b.skeleton.face(image(c, t), i, sign) == image(f, t)
                         for c, i, sign, f in closed_by[cell])]

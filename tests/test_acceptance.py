@@ -128,7 +128,7 @@ def test_a2_region_synthesis():
                            {by_state2[k]: 1 for k in ("x", "y1", "y2", "z")})
         assert not region_check(squared, shared)
         square_cell = squared.cells(2)[0]
-        pre_needed, _ = word_flow(shared, squared.labeling[square_cell])
+        pre_needed, _ = word_flow(shared, squared.label(square_cell))
         assert pre_needed == 2  # the square needs two tokens at once
         assert shared not in enumerate_regions(squared, 1)
         t.finish("A2 region synthesis")
@@ -145,7 +145,7 @@ def test_a3_net_dynamics():
         squares = free.cells(2)
         assert len(squares) == 2
         assert free.complex.transpose(squares[0], 0) == squares[1]
-        assert {free.labeling[c] for c in squares} == {("e1", "e2"), ("e2", "e1")}
+        assert {free.label(c) for c in squares} == {("e1", "e2"), ("e2", "e1")}
         t.finish("A3 net dynamics")
 
 
@@ -222,7 +222,7 @@ def test_a6_cubical_identity_suite():
 def test_a7_multiset_concurrency():
     with timed(1.0) as t:
         h = pn_to_hda(zoo.double_token_net(), 50, 2)
-        labels = {h.labeling[c] for c in h.cells(2)}
+        labels = {h.label(c) for c in h.cells(2)}
         assert ("e", "e") in labels
         t.finish("A7 multiset self-concurrency")
 

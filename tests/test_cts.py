@@ -67,7 +67,7 @@ def test_cts_to_hda_two_concurrent():
     assert validate_hda(h).ok
     two = h.cells(2)
     assert h.complex.transpose(two[0], 0) == two[1]
-    labels = {h.labeling[c] for c in two}
+    labels = {h.label(c) for c in two}
     assert labels == {("a", "b"), ("b", "a")}
 
 
@@ -98,7 +98,7 @@ def test_pn_cts_double_token_square():
     c = pn_to_cts(n, 100)
     assert c.enabled(n.m0, multiset(["e", "e"]))
     h = cts_to_hda(c, 2)
-    squares = [h.labeling[cell] for cell in h.cells(2)]
+    squares = [h.label(cell) for cell in h.cells(2)]
     assert ("e", "e") in squares
     assert validate_hda(h).ok
 
@@ -171,7 +171,7 @@ def test_cts_morphism_dropping_event():
     h_dst = cts_to_hda(dst, 1)
     hm = induced_by({x: x & {"a"} for x in src.states}, {"a": "a"}, h_src, h_dst)
     # the square maps to a degenerate cell over the a-edge
-    square = next(c for c in h_src.cells(2) if h_src.labeling[c] == ("a", "b"))
+    square = next(c for c in h_src.cells(2) if h_src.label(c) == ("a", "b"))
     image = hm.cell_map[square]
     assert image.stars == (1,)
     assert h_dst.cell_keys[image.base] == (frozenset(), ("a",))
@@ -322,7 +322,7 @@ def assert_numbered_as_grown(c: Cts, max_dim: int):
         keys = [h.cell_keys[cell] for cell in h.cells(n)]
         assert keys == grown[n]
         for cell, (x, w) in zip(h.cells(n), keys):
-            assert h.labeling[cell] == w  # each event is its own label
+            assert h.label(cell) == w  # each event is its own label
             for i in range(n):
                 rest = w[:i] + w[i + 1:]
                 assert h.cell_keys[h.skeleton.face(cell, i, "-")] == (x, rest)
@@ -373,7 +373,6 @@ def assert_built_as_by_keys(c: Cts, caps):
             assert h == expected, (max_dim, truncate)
             if h is None:
                 continue
-            assert list(h.labeling) == list(expected.labeling)
             assert list(h.cell_keys) == list(expected.cell_keys)
             assert list(h.skeleton.faces) == list(expected.skeleton.faces)
             assert list(h.complex.transpositions) == list(expected.complex.transpositions)

@@ -449,6 +449,10 @@ def test_truncate_hda_examples():
     two = truncate(cube, 2)
     assert [len(two.cells(n)) for n in range(3)] == [8, 12, 12]
     assert validate_hda(two).ok
+    # the word and state columns are shared, and the cell keys derived from them
+    assert all(a is b for a, b in zip(two.words, cube.words)) and two.states is cube.states
+    assert two.cell_keys == {c: k for c, k in cube.cell_keys.items() if c.dim <= 2}
+    assert validate_hda(truncate(two, 4)).ok and len(truncate(two, 4).words) == 5
 
 
 @given(st.data())
@@ -485,7 +489,7 @@ def test_symmetric_coskeleton_fill_links_orientations():
             orbit.add(cell)
             todo += [filled.complex.transpose(cell, i) for i in range(2)]
     assert orbit == set(filled.cells(3))
-    assert sorted(filled.labeling[c] for c in orbit) == sorted(itertools.permutations("abc"))
+    assert sorted(filled.label(c) for c in orbit) == sorted(itertools.permutations("abc"))
     assert validate_hda(filled).ok
 
 
@@ -493,7 +497,7 @@ def test_symmetric_cube_fill_adds_all_orderings():
     cube = acr_to_hda2(zoo.full_cube_acr())
     filled = coskeleton_fill(cube, 3)
     assert len(filled.cells(3)) == 6  # one top cell per ordering
-    assert {filled.labeling[c] for c in filled.cells(3)} == set(itertools.permutations("abc"))
+    assert {filled.label(c) for c in filled.cells(3)} == set(itertools.permutations("abc"))
     assert validate_hda(filled).ok
     assert print_document("hda", truncate(filled, 2)) == print_document("hda", cube)
 

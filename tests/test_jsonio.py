@@ -43,7 +43,7 @@ def test_hda_document_round_trip():
     kind, h2 = jsonio.parse_document(text)
     assert kind == "hda"
     assert h2.complex == h.complex
-    assert h2.labeling == h.labeling
+    assert h2.words == h.words
     assert h2.alphabet == h.alphabet
     assert h2.initial == h.initial
     assert validate_hda(h2).ok
@@ -93,7 +93,7 @@ def test_hda_documents_round_trip_with_a_column_per_table():
             sk = automaton.skeleton
             for (n, *_), col in [*sk.faces.items(), *automaton.complex.transpositions.items()]:
                 assert type(col) is list and len(col) == len(sk.cells.get(n, ())), name
-        assert h2.complex == h.complex and h2.labeling == h.labeling, name
+        assert h2.complex == h.complex and h2.words == h.words, name
         assert jsonio.print_document("hda", h2) == text, name
         count += 1
     assert count > 160
@@ -146,7 +146,7 @@ def test_idle_loop_normalized_on_ingestion():
     }
     kind, h = jsonio.parse_document(json.dumps(doc))
     assert len(h.cells(1)) == 1
-    assert h.labeling[h.cells(1)[0]] == ("a",)
+    assert h.label(h.cells(1)[0]) == ("a",)
 
 
 def test_idle_nonloop_rejected():

@@ -420,9 +420,8 @@ def test_hda_morphism_enumeration_rejects_target_with_twin_cells(search, twins_a
         lambda n, key, i, sign: key[0] if sign == "-" else key[2],
         transpose_key=lambda n, key, i: key)
     by_key = {k: c for c, k in keys.items()}
-    twins = Hda(complex=complex_, alphabet=("a",),
-                labeling={c: ((k[1],) if c.dim == 1 else ()) for c, k in keys.items()},
-                initial=by_key["x"], cell_keys=keys)
+    twins = Hda(complex=complex_, alphabet=("a",), words=[[(), ()], [("a",), ("a",)]],
+                initial=by_key["x"], states=["x", "y"])
     single_edge = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
     with pytest.raises(ValueError) as err:
         search(*((single_edge, twins) if twins_as == "target" else (twins, single_edge)))
@@ -449,9 +448,9 @@ def test_hda_morphism_enumeration_validates_members_into_a_nondeterministic_targ
         else sides[key[2 - i]][sign == "+"],
         transpose_key=lambda n, key, i: (key[0], key[2], key[1]))
     by_key = {k: c for c, k in keys.items()}
-    words = {c: k[1:c.dim + 1] if c.dim else () for c, k in keys.items()}
-    target = Hda(complex=complex_, alphabet=("a", "b"), labeling=words, initial=by_key["x"],
-                 cell_keys={c: (k if c.dim == 0 else k[0], words[c]) for c, k in keys.items()})
+    words = [[()] * 5, [(a,) for _, a, _ in edges], [("a", "b"), ("b", "a")]]
+    target = Hda(complex=complex_, alphabet=("a", "b"), words=words, initial=by_key["x"],
+                 states=["q", "r1", "r2", "t", "x"])
     assert validate_hda(target).ok
     built, validate = [], laws.validate_hda_morphism
     monkeypatch.setattr(laws, "validate_hda_morphism",
@@ -576,16 +575,17 @@ def _shuffled_cells(h: Hda, rng: random.Random) -> Hda:
     sk = h.skeleton
     new = {n: rng.sample(ids, len(ids)) for n, ids in sk.cells.items()}  # position k goes to new[n][k]
 
-    def shuffled(col, n, d):  # a column over cells(n) of d-cells
+    def moved(col, n):  # a column over cells(n), each entry at its cell's new position
         out = [None] * len(col)
         for k, v in enumerate(col):
-            out[new[n][k]] = new[d][v]
+            out[new[n][k]] = v
         return out
 
-    faces = {key: shuffled(col, key[0], key[0] - 1) for key, col in sk.faces.items()}
-    swaps = {key: shuffled(col, key[0], key[0]) for key, col in h.complex.transpositions.items()}
+    faces = {key: moved([new[key[0] - 1][v] for v in col], key[0]) for key, col in sk.faces.items()}
+    swaps = {key: moved([new[key[0]][v] for v in col], key[0])
+             for key, col in h.complex.transpositions.items()}
     return Hda(SymmetricCubicalComplex(PrecubicalComplex(sk.cells, faces, sk.max_dim), swaps),
-               h.alphabet, {CellId(c.dim, new[c.dim][c.index]): w for c, w in h.labeling.items()},
+               h.alphabet, [moved(col, n) for n, col in enumerate(h.words)],
                CellId(0, new[0][h.initial.index]))
 
 
@@ -596,7 +596,7 @@ def _assert_isomorphism(m: dict, a: Hda, b: Hda):
         assert sorted(m[c] for c in a.cells(n)) == sorted(b.cells(n))
     assert m[a.initial] == b.initial
     for c, d in m.items():
-        assert b.labeling[d] == a.labeling[c]
+        assert b.label(d) == a.label(c)
         assert all(m[a.skeleton.face(c, i, sign)] == b.skeleton.face(d, i, sign)
                    for i in range(c.dim) for sign in SIGNS)
         assert all(m[a.complex.transpose(c, i)] == b.complex.transpose(d, i) for i in range(c.dim - 1))

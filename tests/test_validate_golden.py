@@ -40,12 +40,12 @@ def cube():
     return es_to_hda(make_event_structure("abc"))
 
 
-def edit(h, faces=(), transpositions=(), labeling=(), alphabet=None, initial=None):
+def edit(h, faces=(), transpositions=(), words=(), alphabet=None, initial=None):
     """A copy of ``h`` with column entries replaced.
 
     ``faces`` and ``transpositions`` list (table key, cell position,
     value), where position None with DROP removes the whole table;
-    ``labeling`` lists (cell, word).  DROP as a value clears the entry.
+    ``words`` lists (cell, word).  DROP as a value clears the entry.
     """
     sk = h.skeleton
 
@@ -58,17 +58,14 @@ def edit(h, faces=(), transpositions=(), labeling=(), alphabet=None, initial=Non
                 out[key][j] = None if value is DROP else value
         return out
 
-    new_labeling = dict(h.labeling)
-    for cell, word in labeling:
-        if word is DROP:
-            new_labeling.pop(cell)
-        else:
-            new_labeling[cell] = word
+    new_words = [list(column) for column in h.words]
+    for (n, j), word in words:
+        new_words[n][j] = None if word is DROP else word
     skeleton = PrecubicalComplex(cells=sk.cells, faces=apply(sk.faces, faces), max_dim=sk.max_dim)
     return Hda(
         complex=SymmetricCubicalComplex(skeleton, apply(h.complex.transpositions, transpositions)),
         alphabet=h.alphabet if alphabet is None else alphabet,
-        labeling=new_labeling,
+        words=new_words,
         initial=h.initial if initial is None else initial,
     )
 
@@ -76,8 +73,8 @@ def edit(h, faces=(), transpositions=(), labeling=(), alphabet=None, initial=Non
 def insert_cell(h, n, at, idx, like=None):
     """``h`` with a cell listed as ``idx`` put at position ``at`` of
     cells(n): a copy of the cell at position ``like`` (its entries and
-    label, if it has one), or a cell with no entries and no label.  Every entry and label
-    naming an n-cell at or past ``at`` moves up one."""
+    word), or a cell with no entries and no word.  Every entry naming an
+    n-cell at or past ``at`` moves up one."""
     sk = h.skeleton
 
     def moved(col):  # a column whose values are n-cells
@@ -90,10 +87,7 @@ def insert_cell(h, n, at, idx, like=None):
              for key, col in sk.faces.items()}
     swaps = {key: put(moved(col)) if key[0] == n else col
              for key, col in h.complex.transpositions.items()}
-    labeling = {CellId(c.dim, c.index + (c.dim == n and c.index >= at)): w
-                for c, w in h.labeling.items()}
-    if CellId(n, like) in h.labeling:
-        labeling[CellId(n, at)] = h.labeling[CellId(n, like)]
+    words = [put(list(column)) if d == n else column for d, column in enumerate(h.words)]
     cells = dict(sk.cells)
     ids = list(sk.cells.get(n, ()))
     cells[n] = tuple(ids[:at] + [idx] + ids[at:])
@@ -101,12 +95,12 @@ def insert_cell(h, n, at, idx, like=None):
     if n == 0 and initial.index >= at:
         initial = CellId(0, initial.index + 1)
     return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, faces, sk.max_dim), swaps),
-               h.alphabet, labeling, initial)
+               h.alphabet, words, initial)
 
 
 def twins(h, n):
     """``h`` with every n-cell doubled: the twin of cell k is k + N, with
-    k's faces and label, and its transpositions stay among the twins; no
+    k's faces and word, and its transpositions stay among the twins; no
     face names a twin.  A transposition re-paired across twins keeps every
     slide of its dimension."""
     sk = h.skeleton
@@ -114,12 +108,11 @@ def twins(h, n):
     faces = {key: col + col if key[0] == n else col for key, col in sk.faces.items()}
     swaps = {key: col + [v + shift for v in col] if key[0] == n else col
              for key, col in h.complex.transpositions.items()}
-    labeling = dict(h.labeling)
-    labeling.update({CellId(n, k + shift): h.labeling[CellId(n, k)] for k in range(shift)})
+    words = [list(column) * 2 if d == n else column for d, column in enumerate(h.words)]
     cells = dict(sk.cells)
     cells[n] = range(2 * shift)
     return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, faces, sk.max_dim), swaps),
-               h.alphabet, labeling, h.initial)
+               h.alphabet, words, h.initial)
 
 
 def repaired(h, key, x):
@@ -149,21 +142,21 @@ CASES = {
     "initial is not a cell": lambda: edit(square(), initial=CellId(0, 99)),
     "idle symbol in the alphabet": lambda: edit(square(), alphabet=("a", "b", STAR)),
     "letters outside the alphabet": lambda: edit(cube(), alphabet=("a", "b")),
-    "idle symbol in an edge label": lambda: edit(square(), labeling=[(CellId(1, 0), (STAR,))]),
-    "labels broken": lambda: edit(cube(), labeling=[
+    "idle symbol in an edge label": lambda: edit(square(), words=[(CellId(1, 0), (STAR,))]),
+    "labels broken": lambda: edit(cube(), words=[
         (CellId(1, 0), DROP), (CellId(1, 1), ("a", "b")), (CellId(1, 2), (STAR,)),
         (CellId(1, 3), ("z",)), (CellId(2, 0), ("b", "b")), (CellId(3, 5), ("c", "a", "b"))]),
     "slide at dim 3, label at dim 2": lambda: edit(
         cube(), transpositions=[((3, 1), 0, 2), ((3, 1), 2, 0), ((3, 1), 1, 3), ((3, 1), 3, 1)],
-        labeling=[(CellId(2, 6), ("c", "b"))]),
+        words=[(CellId(2, 6), ("c", "b"))]),
     "faces at dim 2, transposition at dim 3, label at dim 1": lambda: edit(
         cube(), faces=[((2, 1, "+"), 3, 0)], transpositions=[((3, 0), 4, DROP)],
-        labeling=[(CellId(1, 2), ("a",))]),
+        words=[(CellId(1, 2), ("a",))]),
     "everything at once": lambda: edit(
         insert_cell(cube(), 3, 6, 6),
         faces=[((3, 2, "+"), None, DROP), ((2, 1, "-"), 4, 0), ((1, 0, "-"), 2, 50)],
         transpositions=[((3, 0), 2, DROP), ((2, 0), 3, 3)],
-        labeling=[(CellId(2, 1), ("a", "a")), (CellId(0, 0), ("a",))],
+        words=[(CellId(2, 1), ("a", "a")), (CellId(0, 0), ("a",))],
         alphabet=("a", "b"), initial=CellId(2, 0)),
 }
 
@@ -686,36 +679,37 @@ def generated(source, index, seed):
 def sparse(h, step=8):
     """``h`` with every cell index k listed as k * step + 1, so that a set
     of five or more indices no longer iterates in the order of cells(n),
-    which the reports follow.  Columns and labels go by position, so they
+    which the reports follow.  Columns and words go by position, so they
     stay as they are."""
     sk = h.skeleton
     cells = {n: tuple(k * step + 1 for k in range(len(ids))) for n, ids in sk.cells.items()}
     return Hda(SymmetricCubicalComplex(PrecubicalComplex(cells, sk.faces, sk.max_dim),
                                        h.complex.transpositions),
-               h.alphabet, h.labeling, h.initial)
+               h.alphabet, h.words, h.initial)
 
 
 FAULTS = ["drop", "redirect", "non-involutive", "swap letters", "drop table", "extra index",
-          "duplicate index", "stray label"]
+          "duplicate index", "same word"]
 
 
 def corrupt(h, how, draw):
     """``h`` with one fault of kind ``how``: an entry dropped or redirected
-    (to a cell outside the lists that may carry the label of the cell it
-    replaces), a transposition made non-involutive, two letters of a word
-    swapped, a whole table dropped, or an index added to some cells(n),
-    new or a copy of a listed cell, at a drawn position."""
+    (to any other cell, one past them all, or a cell whose word is that of
+    the cell it replaces), a transposition made non-involutive, two
+    letters of a word swapped, a whole table dropped, or an index added to
+    some cells(n), new or a copy of a listed cell, at a drawn position."""
     sk, swaps = h.skeleton, h.complex.transpositions
     tables = [("faces", key) for key, table in sorted(sk.faces.items()) if table] + \
         [("transpositions", key) for key, table in sorted(swaps.items()) if table]
     if how == "swap letters":
-        cells = [(cell, (p, q)) for cell, w in sorted(h.labeling.items())
+        cells = [(CellId(n, j), (p, q)) for n, column in enumerate(h.words)
+                 for j, w in enumerate(column) if w is not None
                  for p in range(len(w)) for q in range(p + 1, len(w)) if w[p] != w[q]]
         assume(cells)
         cell, (p, q) = draw(st.sampled_from(cells))
-        word = list(h.labeling[cell])
+        word = list(h.label(cell))
         word[p], word[q] = word[q], word[p]
-        return edit(h, labeling=[(cell, tuple(word))])
+        return edit(h, words=[(cell, tuple(word))])
     if how in ("extra index", "duplicate index"):
         n = draw(st.integers(0, h.max_dim))
         ids = sk.cells.get(n, ())
@@ -740,13 +734,14 @@ def corrupt(h, how, draw):
     size = len(sk.cells.get(dim, ()))
     if how == "drop":
         value = DROP
-    elif how == "stray label":  # one past them all, labeled as the cell it replaces
-        return edit(h, **{kind: [(key, j, size)]},
-                    labeling=[(CellId(dim, size), h.labeling.get(CellId(dim, table[j]), ()))])
     else:  # another cell of the table's codomain, or one past them all
         others = sorted(set(range(size)) - {table[j]})
         if how == "redirect":
             others.append(size)
+        elif how == "same word":  # a fault that the words alone cannot see
+            column = h.words[dim]
+            others = [v for v in others
+                      if table[j] in range(size) and column[v] == column[table[j]]]
         assume(others)
         value = draw(st.sampled_from(others))
     return edit(h, **{kind: [(key, j, value)]})
@@ -802,7 +797,7 @@ def test_table_checks_report_what_the_walk_reports(source, index, seed, renumber
 def test_a_repeated_cell_reports_its_labels_as_often_as_it_is_listed():
     h = sparse(cube())
     cell, named = CellId(2, 3), CellId(2, h.skeleton.cells[2][3])
-    swapped = edit(h, labeling=[(cell, h.labeling[cell][::-1])])
+    swapped = edit(h, words=[(cell, h.label(cell)[::-1])])
     broken = insert_cell(swapped, 2, len(h.skeleton.cells[2]), named.index, like=3)
     messages = walked(broken.complex) + walked_labels(broken)
     assert validate_hda(broken).violations == messages
@@ -828,8 +823,8 @@ SMALL = {
 def single_faults(h):
     """Every automaton one fault away from ``h``: each face and
     transposition entry redirected to every other cell of its codomain,
-    each pair of distinct letters of a word swapped, and a vertex with no
-    label put at each position of cells(0).  Then the fault no single
+    each pair of distinct letters of a word swapped, and a cell with no
+    entries and no word put at each position of every cells(n).  Then the fault no single
     entry makes: each transposition entry re-paired across twins, which
     at a dimension below the top breaks only the slides of the last faces
     one dimension up, or at the top only a braid."""
@@ -840,15 +835,17 @@ def single_faults(h):
                 for other in range(len(sk.cells.get(key[0] - shift, ()))):
                     if other != value:
                         yield edit(h, **{kind: [(key, j, other)]})
-    for cell, word in sorted(h.labeling.items()):
-        for p, q in itertools.combinations(range(len(word)), 2):
-            if word[p] != word[q]:
-                swapped = list(word)
-                swapped[p], swapped[q] = word[q], word[p]
-                yield edit(h, labeling=[(cell, tuple(swapped))])
-    fresh = max(sk.cells[0]) + 1
-    for at in range(len(sk.cells[0]) + 1):
-        yield insert_cell(h, 0, at, fresh)
+    for n, column in enumerate(h.words):
+        for j, word in enumerate(column):
+            for p, q in itertools.combinations(range(len(word)), 2):
+                if word[p] != word[q]:
+                    swapped = list(word)
+                    swapped[p], swapped[q] = word[q], word[p]
+                    yield edit(h, words=[(CellId(n, j), tuple(swapped))])
+    for n in range(h.max_dim + 1):
+        fresh = max(sk.cells.get(n, ()), default=-1) + 1
+        for at in range(len(sk.cells.get(n, ())) + 1):
+            yield insert_cell(h, n, at, fresh)
     for key, col in sorted(h.complex.transpositions.items()):
         for x in range(len(col)):
             yield repaired(h, key, x)
