@@ -55,7 +55,7 @@ from .models import (
     validate_acr,
     validate_es,
 )
-from .util import ValidationReport, backtrack, breadth_first, canon_key, sorted_by_key
+from .util import ValidationReport, breadth_first, canon_key, level_search, sorted_by_key
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +358,6 @@ class Region:
     tokens: tuple  # ((CellId, count), ...)
 
     @staticmethod
-    def of(flows: Mapping, tokens: Mapping) -> "Region":
-        return Region(
-            flows=tuple(sorted(((e, (int(a), int(b))) for e, (a, b) in flows.items()),
-                               key=lambda kv: canon_key(kv[0]))),
-            tokens=tuple(sorted(((c, int(v)) for c, v in tokens.items()),
-                                key=lambda kv: canon_key(kv[0]))),
-        )
-
-    @staticmethod
     def builder(labels: Mapping, vertices: Mapping):
         """The constructor of the regions read from one list of values, at the
         positions ``labels`` and ``vertices`` give each label's flow and each
@@ -441,10 +432,12 @@ def skeleton_slots(h: Hda):
 
 def _region_search(h: Hda, cap: int):
     """The search behind region synthesis, over the slots of
-    ``skeleton_slots``: a vertex takes a token count, a label a (consumed,
-    produced) flow, and each cell is tested for coherence at its last slot.
-    Returns each label's and each vertex's slot position and an iterator
-    over every cap-bounded region's slot values."""
+    ``skeleton_slots``, one level per slot: a vertex takes a token count, a
+    label a (consumed, produced) flow, and each cell is tested for coherence
+    at its last slot.  A slot's options are worked out once per reading of
+    the earlier slots its checks read.  Returns each label's and each
+    vertex's slot position and the list of every cap-bounded region's slot
+    values."""
     names, checks = skeleton_slots(h)
     tokens = range(cap + 1)
     flows = [(a, b) for a in tokens for b in tokens]
@@ -455,6 +448,8 @@ def _region_search(h: Hda, cap: int):
     plans = [[([i for i in word if i != pos], word.count(pos), s, t)
               for word, s, t in slot_checks]
              for pos, slot_checks in enumerate(checks)]
+    reads = [sorted({i for fixed, _, s, t in plan for i in (*fixed, s, t)} - {pos})
+             for pos, plan in enumerate(plans)]
 
     def options(pos, partial):
         fits = domains[pos]
@@ -482,7 +477,7 @@ def _region_search(h: Hda, cap: int):
 
     labels = {a: i for i, (kind, a) in enumerate(names) if kind == "label"}
     vertices = {v: i for i, (kind, v) in enumerate(names) if kind == "vertex"}
-    return labels, vertices, backtrack(names, options)
+    return labels, vertices, level_search(reads, options)
 
 
 def enumerate_regions(h: Hda, cap: int) -> frozenset:

@@ -93,19 +93,6 @@ def model_to_document(kind: str, model) -> dict:
             "conflict": sorted_by_key(
                 [[a, b] for (a, b) in model.conflict if canon_key(a) < canon_key(b)]),
         }
-    elif kind == "pnet":
-        for p in model.places:
-            if not isinstance(p, str):
-                raise ParseError(f"net documents need string place names, got {p!r}")
-        # every place is a string, so plain sorting is canonical and a
-        # marking's pairs are its JSON object as they stand
-        body = {
-            "places": sorted(model.places),
-            "m0": dict(model.m0.items),
-            "events": sorted_by_key(model.events),
-            "pre": {str(e): dict(model.pre[e].items) for e in sorted_by_key(model.events)},
-            "post": {str(e): dict(model.post[e].items) for e in sorted_by_key(model.events)},
-        }
     else:
         raise UnknownKind(f"cannot serialize kind {kind!r}")
     return {"kind": kind, "format_version": FORMAT_VERSION, **body}
@@ -114,7 +101,34 @@ def model_to_document(kind: str, model) -> dict:
 def print_document(kind: str, model) -> str:
     if kind == "hda":
         return _print_hda(model)
+    if kind == "pnet":
+        return _print_pnet(model)
     return format_json(model_to_document(kind, model)) + "\n"
+
+
+def _print_pnet(n: PetriNet) -> str:
+    """The ``pnet`` document of ``n``, each marking printed from its items:
+    every place is a string, so plain sorting is canonical and the items
+    come in JSON key order."""
+    for p in n.places:
+        if not isinstance(p, str):
+            raise ParseError(f"net documents need string place names, got {p!r}")
+
+    def marking(m: Marking, newline: str) -> _Text:
+        inner = newline + "  "
+        entries = [f"{_string(p)}: {count!r}" for p, count in m.items]
+        return _Text("{" + inner + ("," + inner).join(entries) + newline + "}" if entries else "{}")
+
+    events = sorted_by_key(n.events)
+    return format_json({
+        "events": events,
+        "format_version": FORMAT_VERSION,
+        "kind": "pnet",
+        "m0": marking(n.m0, "\n  "),
+        "places": sorted(n.places),
+        "post": {str(e): marking(n.post[e], _INNER) for e in events},
+        "pre": {str(e): marking(n.pre[e], _INNER) for e in events},
+    }) + "\n"
 
 
 def _print_hda(h: Hda) -> str:

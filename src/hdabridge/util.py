@@ -1,11 +1,14 @@
-"""Small shared helpers: deterministic ordering, the one depth-first search
-and the one breadth-first walk, and validation reports."""
+"""Small shared helpers: deterministic ordering, the lazy depth-first search
+(for searches that stop early), the level-by-level search that asks each
+slot's options once per reading, the one breadth-first walk, and
+validation reports."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
 
 def canon_key(value):
@@ -82,6 +85,24 @@ def backtrack(slots, options):
             stack.pop()
             if partial:
                 partial.pop()
+
+
+def level_search(reads, options) -> list:
+    """Every full assignment of values to the slots, built a level at a time.
+
+    ``reads[pos]`` lists the earlier positions that ``options(pos,
+    partial)`` reads; the values it allows at ``pos`` must depend on those
+    alone.  Each level extends every partial assignment of the one before,
+    and ``options`` is called once per distinct reading, with any partial
+    that reads so.  Assignments come out as tuples in slot order, in the
+    order a depth-first search would yield them.
+    """
+    level = [()]
+    for pos, read in enumerate(reads):
+        keys = list(map(itemgetter(*read), level)) if read else [()] * len(level)
+        fits = {k: options(pos, partial) for k, partial in dict(zip(keys, level)).items()}
+        level = [p + (v,) for p, k in zip(level, keys) for v in fits[k]]
+    return level
 
 
 def breadth_first(roots, successors):

@@ -196,8 +196,7 @@ def fork_join_net():
 
 def brute_force_regions(h, cap):
     """Oracle: test every bounded assignment directly."""
-    from hdabridge.functors import Region
-    from reference import region_check
+    from reference import region_check, region_of
 
     labels = sorted(h.alphabet)
     vertices = h.cells(0)
@@ -206,7 +205,7 @@ def brute_force_regions(h, cap):
     for combo in itertools.product(itertools.product(values, values), repeat=len(labels)):
         flows = dict(zip(labels, combo))
         for token_combo in itertools.product(values, repeat=len(vertices)):
-            reg = Region.of(flows, dict(zip(vertices, token_combo)))
+            reg = region_of(flows, dict(zip(vertices, token_combo)))
             if region_check(h, reg):
                 out.add(reg)
     return out
@@ -214,11 +213,11 @@ def brute_force_regions(h, cap):
 
 def reference_places(regions):
     """Oracle: the place names of ``regions``, p0, p1, ... in the order of
-    the regions' values, each region rebuilt by ``Region.of`` from its
+    the regions' values, each region rebuilt by ``region_of`` from its
     flows and tokens."""
-    from hdabridge.functors import Region
+    from reference import region_of
 
-    regions = [Region.of(dict(r.flows), dict(r.tokens)) for r in regions]
+    regions = [region_of(dict(r.flows), dict(r.tokens)) for r in regions]
     regions.sort(key=lambda r: (tuple(v for _, v in r.flows), tuple(n for _, n in r.tokens)))
     return {f"p{i}": reg for i, reg in enumerate(regions)}
 

@@ -23,6 +23,8 @@ message for message.
 
 Nets and regions: firing a word on ``Marking``s (``fire``, with
 ``marking_plus``, ``marking_minus``, ``covers`` and ``deficient_place``),
+a region built from its flow and token tables (``region_of``), a net's
+document as the dict that ``json.dumps`` printed (``pnet_document``),
 the region rule on every cell (``region_check``), one dispatch over
 the morphism validators (``validate_morphism``), and the net searches by
 brute force: every event map times every place map, filtered by
@@ -80,7 +82,7 @@ from hdabridge.models import (
     validate_pn_morphism,
     validate_ts_morphism,
 )
-from hdabridge.util import ValidationReport, backtrack, breadth_first, sorted_by_key
+from hdabridge.util import ValidationReport, backtrack, breadth_first, canon_key, sorted_by_key
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +729,34 @@ def fire(n: PetriNet, m: Marking, w: LabelWord) -> Marking:
     if lack is not None:
         raise NotEnabled(*lack)
     return marking_plus(marking_minus(m, need), word_post(n, w))
+
+
+def region_of(flows, tokens) -> Region:
+    """The region with these flows per label and token counts per vertex,
+    each table sorted by ``canon_key``: the constructor the package had
+    before regions were built from slot values (``Region.builder``)."""
+    return Region(
+        flows=tuple(sorted(((e, (int(a), int(b))) for e, (a, b) in flows.items()),
+                           key=lambda kv: canon_key(kv[0]))),
+        tokens=tuple(sorted(((c, int(v)) for c, v in tokens.items()),
+                            key=lambda kv: canon_key(kv[0]))),
+    )
+
+
+def pnet_document(n: PetriNet) -> dict:
+    """The ``pnet`` document of ``n`` as a dict, the form the package
+    printed through ``json.dumps`` before it printed nets from their
+    markings' items."""
+    events = sorted_by_key(n.events)
+    return {
+        "kind": "pnet",
+        "format_version": 1,
+        "places": sorted(n.places),
+        "m0": dict(n.m0.items),
+        "events": events,
+        "pre": {str(e): dict(n.pre[e].items) for e in events},
+        "post": {str(e): dict(n.post[e].items) for e in events},
+    }
 
 
 def word_flow(reg: Region, w: LabelWord) -> tuple[int, int]:

@@ -13,7 +13,6 @@ from hdabridge.cubical import (
     validate_hda,
 )
 from hdabridge.functors import (
-    Region,
     acr_to_hda2,
     enumerate_regions,
     es_to_hda,
@@ -32,7 +31,7 @@ from hdabridge.laws import (
 )
 from hdabridge.models import make_pn, make_ts
 from helpers import brute_force_es_cells
-from reference import region_check, standard_cube, word_flow
+from reference import region_check, region_of, standard_cube, word_flow
 
 
 def timed(budget_seconds):
@@ -103,7 +102,7 @@ def test_a2_region_synthesis():
         by_state = h.vertex_by_state
 
         def reg(flows, tokens):
-            return Region.of(flows, {by_state[k]: v for k, v in tokens.items()})
+            return region_of(flows, {by_state[k]: v for k, v in tokens.items()})
 
         zero = (0, 0)
         stated = reg({"e1": (1, 0), "e2": zero}, {"x": 1, "y1": 0, "y2": 1, "z": 0})
@@ -124,7 +123,7 @@ def test_a2_region_synthesis():
 
         squared = acr_to_hda2(zoo.mutex_square_acr(independent=True))
         by_state2 = squared.vertex_by_state
-        shared = Region.of({"e1": (1, 1), "e2": (1, 1)},
+        shared = region_of({"e1": (1, 1), "e2": (1, 1)},
                            {by_state2[k]: 1 for k in ("x", "y1", "y2", "z")})
         assert not region_check(squared, shared)
         square_cell = squared.cells(2)[0]

@@ -24,7 +24,6 @@ from hdabridge.errors import (
 )
 from hdabridge.functors import (
     HdaMorphism,
-    Region,
     acr_to_hda2,
     compose_hda_morphisms,
     enumerate_regions,
@@ -59,10 +58,19 @@ from hdabridge.models import (
     validate_pn_morphism,
     validate_ts,
 )
-from hdabridge import zoo
+from hdabridge import functors, zoo
 from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn, gen_ts
+from hdabridge.util import level_search
 from helpers import brute_force_es_cells, brute_force_regions, reference_net, reference_places
-from reference import automaton_by_keys, cells_by_key, check_strong_labeling, covers, fire, region_check
+from reference import (
+    automaton_by_keys,
+    cells_by_key,
+    check_strong_labeling,
+    covers,
+    fire,
+    region_check,
+    region_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +429,7 @@ def test_hda_to_es_reports_the_event_no_run_fires():
 # ---------------------------------------------------------------------------
 
 def region_by_keys(h, flows, tokens_by_state):
-    return Region.of(flows, {h.vertex_by_state[k]: v for k, v in tokens_by_state.items()})
+    return region_of(flows, {h.vertex_by_state[k]: v for k, v in tokens_by_state.items()})
 
 
 def expected_nine_regions(h):
@@ -471,29 +479,75 @@ def test_enumerate_regions_matches_brute_force():
 
 # generated automata small enough for the brute force: at most 3^8
 # assignments to test
-SMALL_CFG = GeneratorConfig(max_states=3, max_events=2)
+SMALL_CFG = GeneratorConfig(max_states=3, max_events=2, max_places=3)
 
 
 @st.composite
 def small_automata(draw):
-    """(automaton, cap): a generated 1-dimensional automaton, or a
-    2-dimensional one from a generated concurrency automaton, at cap 1 or 2."""
+    """(automaton, cap): a generated 1-dimensional automaton, a
+    2-dimensional one from a generated concurrency automaton or event
+    structure, or one of up to 3 dimensions from a generated net, whose
+    cells may repeat a letter, at cap 1 or 2."""
     cfg = dataclasses.replace(SMALL_CFG, seed=draw(st.integers(0, 20)))
     index = draw(st.integers(0, 12))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["ts", "acr", "es", "pn"]))
+    if kind == "ts":
         h = ts_to_hda1(gen_ts(index, cfg))
-    else:
+    elif kind == "acr":
         h = acr_to_hda2(gen_acr(index, cfg))
+    elif kind == "es":
+        h = es_to_hda(gen_es(index, cfg))
+    else:
+        try:
+            h = pn_to_hda(gen_pn(index, cfg), 5, 3, truncate_cells=True)
+        except ExplosionLimit:
+            assume(False)
     cap = draw(st.sampled_from([1, 2]))
     assume((cap + 1) ** (2 * len(h.alphabet) + len(h.cells(0))) <= 3 ** 8)
     return h, cap
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+def token_automaton(tokens: int):
+    """The automaton of one event on ``tokens`` tokens: its n-cells fire
+    the event n times at once, up to n = ``tokens``."""
+    return pn_to_hda(make_pn(["p", "q"], {"p": tokens}, ["e"], {"e": {"p": 1}}, {"e": {"q": 1}}),
+                     10, tokens)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
 @given(small_automata())
+# a square and a cube over one repeated letter, and two free events' square
+@example((token_automaton(2), 2))
+@example((token_automaton(3), 2))
+@example((es_to_hda(make_event_structure("ab")), 2))
 def test_enumerate_regions_matches_brute_force_on_generated_automata(case):
     h, cap = case
     assert enumerate_regions(h, cap) == brute_force_regions(h, cap)
+
+
+@pytest.mark.parametrize("h,calls,count", [
+    (ts_to_hda1(make_ts(range(5), 0, "abcd", [(i, a, i + 1) for i, a in enumerate("abcd")])), 113, 1782),
+    # a filled square on a and b, then c and d
+    (es_to_hda(make_event_structure("abcd", causes=[("a", "c"), ("b", "c"), ("c", "d")])), 183, 874),
+], ids=["chain", "square"])
+def test_region_search_asks_each_slot_once_per_reading(monkeypatch, h, calls, count):
+    """``options`` is called once per slot and distinct reading of the
+    slots it reads (a depth-first search made 4,401 and 2,311 calls), and
+    it reads nothing else: every other earlier slot is hidden from it."""
+    readings = []
+
+    def spy(reads, options):
+        def counted(pos, partial):
+            readings.append((pos, tuple(partial[i] for i in reads[pos])))
+            return options(pos, [partial[i] if i in reads[pos] else None for i in range(pos)])
+        return level_search(reads, counted)
+
+    monkeypatch.setattr(functors, "level_search", spy)
+    regions = enumerate_regions(h, 2)
+    assert len(readings) == len(set(readings)) == calls
+    monkeypatch.undo()
+    assert regions == enumerate_regions(h, 2)
+    assert len(regions) == count
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -547,7 +601,7 @@ def test_region_antitone_in_cells():
 
 def test_all_zero_region_always_valid():
     h = acr_to_hda2(zoo.triple_diamond_acr())
-    reg = Region.of({a: (0, 0) for a in h.alphabet}, {v: 0 for v in h.cells(0)})
+    reg = region_of({a: (0, 0) for a in h.alphabet}, {v: 0 for v in h.cells(0)})
     assert region_check(h, reg)
 
 
@@ -555,7 +609,7 @@ def test_region_lookups_stay_out_of_equality():
     h = acr_to_hda2(zoo.triple_diamond_acr())
     flows = {a: (i, 1) for i, a in enumerate(h.alphabet)}
     tokens = {v: i for i, v in enumerate(h.cells(0))}
-    used, fresh = Region.of(flows, tokens), Region.of(flows, tokens)
+    used, fresh = region_of(flows, tokens), region_of(flows, tokens)
     assert [used.tokens_at(v) for v in h.cells(0)] == list(range(len(tokens)))
     assert [used.flow(a) for a in h.alphabet] == [flows[a] for a in h.alphabet]
     assert used.flow(STAR) == (0, 0) and used.flow("absent") == (0, 0)
@@ -641,7 +695,7 @@ def test_transpose_roundtrip_small_pair():
     net = make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
     f = PnMorphism(phi={"p": synth.places[
-        Region.of({"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]},
+        region_of({"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]},
         psi={"a": "u"})
     assert validate_pn_morphism(f, synth.net, net).ok
     g = transpose_to_hda(f, synth, net, target)
@@ -661,7 +715,7 @@ def test_transpose_to_hda_rejects_unreachable_marking():
     net = make_pn(["p"], {}, ["u"], {"u": {"p": 1}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
     f = PnMorphism(phi={"p": synth.places[
-        Region.of({"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]},
+        region_of({"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]},
         psi={"a": "u"})
     with pytest.raises(OutOfReachableFragment, match="of vertex 'x' is not reachable"):
         transpose_to_hda(f, synth, net, target)

@@ -190,6 +190,44 @@ def test_fixture_files_match_zoo():
         assert (root / name).read_text() == jsonio.print_document(kind, model), name
 
 
+def test_nets_print_as_json_dumps_printed_their_documents():
+    """Every pnet fixture, the first 40 generated nets at seed 0, the
+    synthesized nets of a chain, a cycle and a filled square, and nets
+    with int-named events or empty markings."""
+    from hdabridge.functors import acr_to_hda2, hda_to_pn, ts_to_hda1
+    from hdabridge.laws import GeneratorConfig, gen_pn
+    from hdabridge.models import make_pn, make_ts
+    from reference import pnet_document
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    nets = [(path.name, jsonio.parse_document(path.read_text())[1])
+            for path in sorted(root.glob("pnet_*.json"))]
+    nets += [(f"gen_pn {i}", gen_pn(i, GeneratorConfig(seed=0))) for i in range(40)]
+    chain = make_ts(range(4), 0, "abc", [(i, a, i + 1) for i, a in enumerate("abc")])
+    cycle = make_ts(range(4), 0, "abcd", [(i, a, (i + 1) % 4) for i, a in enumerate("abcd")])
+    for name, h, cap in (("chain", ts_to_hda1(chain), 2), ("cycle", ts_to_hda1(cycle), 1),
+                         ("square", acr_to_hda2(zoo.mutex_square_acr(True)), 2)):
+        nets.append((f"synthesized {name}", hda_to_pn(h, cap).net))
+    nets += [
+        ("int events", make_pn(["p", "q"], {"p": 1}, [1, 2, 10], {1: {"p": 1}, 2: {}, 10: {"q": 2}},
+                               {1: {"q": 1}, 2: {"p": 1}, 10: {}})),
+        ("mixed events", make_pn(["p"], {}, [3, "a"], {3: {"p": 1}, "a": {}}, {3: {}, "a": {"p": 1}})),
+        ("empty markings", make_pn(["p", "q"], {}, ["e"], {"e": {}}, {"e": {}})),
+        ("nothing", make_pn([], {}, [], {}, {})),
+    ]
+    for name, net in nets:
+        want = json.dumps(pnet_document(net), sort_keys=True, indent=2) + "\n"
+        assert jsonio.print_document("pnet", net) == want, name
+
+
+def test_a_net_with_a_place_that_is_no_string_is_not_printed():
+    from hdabridge.models import make_pn
+
+    for places in ([1], ["p", 2], [("p", 0)]):
+        with pytest.raises(ParseError, match="string place names"):
+            jsonio.print_document("pnet", make_pn(places, {}, ["e"], {}, {}))
+
+
 def test_documented_examples_validate():
     """Every JSON block in the format docs parses and validates."""
     import pathlib

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdabridge.cubical import CellId
 from hdabridge.models import Marking
-from hdabridge.util import breadth_first, canon_key, sorted_by_key
+from hdabridge.util import backtrack, breadth_first, canon_key, level_search, sorted_by_key
 
 # a -> b -> d, a -> c -> d, d -> a; e -> a; f alone
 GRAPH = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": ["a"], "e": ["a"], "f": []}
@@ -45,6 +45,25 @@ def test_breadth_first_new_nodes_come_out_level_by_level():
         return [(None, j) for j in (2 * i + 1, 2 * i + 2) if j < 15]
 
     assert [y for _, _, y, new in breadth_first([0], children) if new] == list(range(15))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 5)), max_size=6).map(
+    lambda reads: [sorted(i for i in read if i < pos) for pos, read in enumerate(reads)]))
+def test_level_search_yields_what_backtrack_yields_asking_once_per_reading(reads):
+    # a slot allows the values below 3 that differ from the sum of what it reads
+    calls = []
+
+    def options(pos, partial):
+        calls.append((pos, tuple(partial[i] for i in reads[pos])))
+        return [v for v in range(3) if v != sum(partial[i] for i in reads[pos]) % 3]
+
+    want = list(backtrack(reads, options))
+    del calls[:]
+    assert level_search(reads, options) == want
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(pos, tuple(values[i] for i in reads[pos]))
+                          for values in want for pos in range(len(reads))}
 
 
 names = st.text("abc", max_size=3)
