@@ -358,16 +358,16 @@ class Region:
     tokens: tuple  # ((CellId, count), ...)
 
     @staticmethod
-    def builder(labels: Mapping, vertices: Mapping):
-        """The constructor of the regions read from one list of values, at the
-        positions ``labels`` and ``vertices`` give each label's flow and each
-        vertex's count.  Both are put in canonical order once, here."""
+    def builder(labels: Mapping, vertices: Mapping, flows):
+        """The constructor of the regions read from one list of values: a
+        label's flow is ``flows[code]`` for the code at ``labels[label]``, a
+        vertex's count is at ``vertices[vertex]``; both are sorted once, here."""
         label_names, vertex_names = sorted_by_key(labels), sorted_by_key(vertices)
         label_at, vertex_at = [labels[a] for a in label_names], [vertices[v] for v in vertex_names]
 
         def build(values) -> "Region":
             get = values.__getitem__
-            return Region(flows=tuple(zip(label_names, map(get, label_at))),
+            return Region(flows=tuple(zip(label_names, map(flows.__getitem__, map(get, label_at)))),
                           tokens=tuple(zip(vertex_names, map(get, vertex_at))))
         return build
 
@@ -390,9 +390,8 @@ class Region:
 
 
 def _coherent(pre: int, post: int, source_tokens: int, target_tokens: int) -> bool:
-    """The region rule on one cell, from the tokens its word consumes and
-    produces in all and the tokens at its two ends: both ends hold enough
-    tokens and the token difference equals the word's flow."""
+    """The region rule on one cell, from the tokens its word consumes and produces
+    in all and at its ends: both ends hold enough, and their difference is the flow."""
     return source_tokens >= pre and target_tokens >= post and \
         source_tokens - pre == target_tokens - post
 
@@ -433,70 +432,73 @@ def skeleton_slots(h: Hda):
 def _region_search(h: Hda, cap: int):
     """The search behind region synthesis, over the slots of
     ``skeleton_slots``, one level per slot: a vertex takes a token count, a
-    label a (consumed, produced) flow, and each cell is tested for coherence
-    at its last slot.  A slot's options are worked out once per reading of
-    the earlier slots its checks read.  Returns each label's and each
-    vertex's slot position and the list of every cap-bounded region's slot
-    values."""
+    label a flow as its code, consumed * (cap + 1) + produced, and each cell
+    is tested for coherence at its last slot.  A label's flows are also
+    pruned at its own slot by each edge it labels that has one end fixed.
+    A slot's options are worked out once per reading of the earlier slots
+    they read.  Returns each label's and each vertex's slot position, the
+    flow of each code, and every cap-bounded region's slot values."""
     names, checks = skeleton_slots(h)
     tokens = range(cap + 1)
-    flows = [(a, b) for a in tokens for b in tokens]
-    domains = [tokens if kind == "vertex" else flows for kind, _ in names]
+    flows = [(a, b) for a in tokens for b in tokens]  # by code
+    consumed, produced = zip(*flows)
+    domains = [tokens if kind == "vertex" else range(len(flows)) for kind, _ in names]
+    bounds = [set() for _ in names]  # per label slot: (0 for a fixed source, 1 for a target, its slot)
+    for word, s, t in itertools.chain(*checks):
+        if len(word) == 1 and min(s, t) < word[0] < max(s, t):  # an edge, its label between its ends
+            bounds[word[0]].add((int(t < s), min(s, t)))
 
     # each check as the word positions fixed at earlier slots, how often the
     # slot itself is in the word (never, for a vertex) and the two ends
-    plans = [[([i for i in word if i != pos], word.count(pos), s, t)
-              for word, s, t in slot_checks]
+    plans = [[([i for i in word if i != pos], word.count(pos), s, t) for word, s, t in slot_checks]
              for pos, slot_checks in enumerate(checks)]
-    reads = [sorted({i for fixed, _, s, t in plan for i in (*fixed, s, t)} - {pos})
+    reads = [sorted({i for fixed, _, s, t in plan for i in (*fixed, s, t)} - {pos} |
+                    {end for _, end in bounds[pos]})
              for pos, plan in enumerate(plans)]
 
     def options(pos, partial):
         fits = domains[pos]
+        for i, end in bounds[pos]:  # both ends of an edge hold 0..cap tokens in every region
+            n = partial[end]  # the count at its fixed source (i = 0) or target (i = 1)
+            fits = [c for c in fits if flows[c][i] <= n and n - flows[c][i] + flows[c][1 - i] <= cap]
         for fixed, k, s, t in plans[pos]:
-            if not fits:
-                break
             pre = post = 0  # summed once per call, then the candidate's flow is added k times
             for i in fixed:
-                a, b = partial[i]
-                pre += a
-                post += b
+                pre += consumed[partial[i]]
+                post += produced[partial[i]]
             if k:  # a label slot: both ends are fixed
                 source, target = partial[s], partial[t]
-                fits = [(a, b) for a, b in fits
-                        if _coherent(pre + k * a, post + k * b, source, target)]
-            elif s != pos:  # the vertex is the target: the source's count fixes its own
-                count = partial[s] - pre + post
-                fits = [count] if count in fits and _coherent(pre, post, partial[s], count) else []
-            elif t != pos:  # the vertex is the source: the target's count fixes its own
-                count = partial[t] - post + pre
-                fits = [count] if count in fits and _coherent(pre, post, count, partial[t]) else []
+                fits = [c for c in fits
+                        if _coherent(pre + k * consumed[c], post + k * produced[c], source, target)]
+            elif s != t:  # the vertex is one end: the other end's count fixes its own
+                other, leaves, enters = (partial[s], pre, post) if t == pos else (partial[t], post, pre)
+                count = other - leaves + enters
+                fits = [count] if count in fits and other >= leaves else []
             else:  # a self-loop
                 fits = [count for count in fits if _coherent(pre, post, count, count)]
         return fits
 
     labels = {a: i for i, (kind, a) in enumerate(names) if kind == "label"}
     vertices = {v: i for i, (kind, v) in enumerate(names) if kind == "vertex"}
-    return labels, vertices, level_search(reads, options)
+    return labels, vertices, flows, level_search(reads, options)
 
 
 def enumerate_regions(h: Hda, cap: int) -> frozenset:
-    """All regions with every flow and token value bounded by ``cap``.
-    ``Region.builder`` sorts the labels and vertices once; every region is
-    built from its slot values in that order."""
-    labels, vertices, values = _region_search(h, cap)
-    return frozenset(map(Region.builder(labels, vertices), values))
+    """All regions with every flow and token value bounded by ``cap``, each
+    built from its slot values by one ``Region.builder``."""
+    labels, vertices, flows, values = _region_search(h, cap)
+    return frozenset(map(Region.builder(labels, vertices, flows), values))
 
 
 @dataclass(frozen=True)
 class SynthesizedNet:
-    """A net whose places are the regions of ``hda``.  The naming tables
-    are built from ``values`` on first read and kept in the instance dict,
-    outside the fields."""
+    """A net whose places are the regions of ``hda``.  The naming tables,
+    read only by the transpositions and ``map_morphism``, are built from
+    ``values`` on first read and kept in the instance dict, outside the fields."""
 
     net: PetriNet
     hda: Hda          # the automaton the net was synthesized from
-    values: tuple     # place p<i>'s region as its slot values, at index i
+    values: tuple     # place p<i>'s region as its slot values (flows as codes), at index i
     build: Callable   # slot values -> Region
 
     @cached_property
@@ -513,14 +515,15 @@ class SynthesizedNet:
 def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
     """Synthesize the net whose places are the cap-bounded regions.
 
-    The regions stay the search's slot values.  They are sorted once, on
-    the labels' values in canonical label order and then the vertices' in
-    canonical vertex order, which is the order of the built regions'
-    ``(flows, tokens)``; places are numbered in that order.  The initial
-    marking and each event's pre and post are columns of the values, read
-    in the places' (string) order, dropping zero counts.
+    The regions stay the search's slot values, each flow as its code, which
+    sorts as the flow does.  They are sorted once, on the labels' codes in
+    canonical label order and then the vertices' counts in canonical vertex
+    order, the order of the built regions' ``(flows, tokens)``; places are
+    numbered in that order.  The initial marking and each event's pre and
+    post are columns of the values, the latter read through two lookup
+    lists, in the places' (string) order, dropping zero counts.
     """
-    labels, vertices, values = _region_search(h, cap)
+    labels, vertices, flows, values = _region_search(h, cap)
     values = tuple(sorted(values, key=itemgetter(*[labels[a] for a in sorted_by_key(labels)],
                                                  *[vertices[v] for v in sorted_by_key(vertices)])))
     # "p<i>" sorts as str(i) does: the places in a Marking's order
@@ -528,15 +531,15 @@ def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
     places = [f"p{i}" for i in order]
     columns = list(zip(*[values[i] for i in order]))
     events = tuple(sorted_by_key(h.alphabet))
-    flows = {e: tuple(zip(*columns[labels[e]])) for e in events}  # e -> (pre counts, post counts)
+    consumed, produced = (counts.__getitem__ for counts in zip(*flows))
     net = PetriNet(
         places=frozenset(places),
         m0=Marking.over(places, columns[vertices[h.initial]]),
         events=frozenset(events),
-        pre={e: Marking.over(places, flows[e][0]) for e in events},
-        post={e: Marking.over(places, flows[e][1]) for e in events},
+        pre={e: Marking.over(places, list(map(consumed, columns[labels[e]]))) for e in events},
+        post={e: Marking.over(places, list(map(produced, columns[labels[e]]))) for e in events},
     )
-    return SynthesizedNet(net=net, hda=h, values=values, build=Region.builder(labels, vertices))
+    return SynthesizedNet(net=net, hda=h, values=values, build=Region.builder(labels, vertices, flows))
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +560,7 @@ def transpose_to_hda(f: PnMorphism, synth: SynthesizedNet, net: PetriNet, target
     def marking(v):
         return Marking.over(places, [region.tokens_at(v) for region in regions])
 
-    source = synth.hda
-    vertex_map = _vertex_map(source, target, marking)
-    return induced_morphism(source, target, vertex_map, f.psi)
+    return induced_morphism(synth.hda, target, _vertex_map(synth.hda, target, marking), f.psi)
 
 
 def transpose_to_pn(g: HdaMorphism, synth: SynthesizedNet, net: PetriNet, target: Hda) -> PnMorphism:
@@ -631,14 +632,13 @@ def _place_map(g: HdaMorphism, synth: SynthesizedNet, places, flow, tokens) -> P
     that is not one raises CapExceeded.  The labels map along ``g``.
     """
     source = synth.hda
-    labels = [(a, g.label_image(a)) for a in source.alphabet]
-    bases = [g.cell_map[v].base for v in source.cells(0)]
-    build = Region.builder({a: i for i, (a, _) in enumerate(labels)},
-                           {v: len(labels) + j for j, v in enumerate(source.cells(0))})
+    labels = [(a, g.label_image(a)) for a in sorted_by_key(source.alphabet)]
+    vertices = sorted_by_key(source.cells(0))
+    bases = [g.cell_map[v].base for v in vertices]
     phi = {}
     for p in places:
-        reg = build([(0, 0) if b == STAR else flow(p, b) for _, b in labels] +
-                    [tokens(p, base) for base in bases])
+        reg = Region(flows=tuple((a, (0, 0) if b == STAR else flow(p, b)) for a, b in labels),
+                     tokens=tuple(zip(vertices, [tokens(p, base) for base in bases])))
         if reg not in synth.places:
             raise CapExceeded(f"place {p!r} pulls back to a region that is not a place")
         phi[p] = synth.places[reg]

@@ -471,6 +471,23 @@ def test_enumerate_regions_matches_brute_force():
         (pn_to_hda(make_pn(["a", "p", "q"], {"a": 1}, ["c", "d", "t"],
                            {"c": {"a": 1}, "d": {"q": 2}, "t": {"p": 1}},
                            {"c": {"p": 2}, "d": {"a": 1}, "t": {"q": 1}}), 10, 2), (1,)),
+        # z's slot comes after r, x and y, so its three edges from them
+        # prune its flows by three source counts
+        (ts_to_hda1(make_ts(["r", "r2", "x", "x2", "y", "y2"], "r", "abz",
+                            [("r", "a", "x"), ("r", "b", "y"), ("r", "z", "r2"),
+                             ("x", "z", "x2"), ("y", "z", "y2")])), (1,)),
+        # a cycle reached the back way: b's slot follows its target r but
+        # precedes its source y, so r's count prunes b's flows
+        (ts_to_hda1(make_ts(["r", "x", "y"], "r", "abc",
+                            [("r", "a", "x"), ("x", "c", "y"), ("y", "b", "r")])), (1, 2)),
+        # a's flows are pruned by x's count on x -> y, then checked on y's self-loop
+        (ts_to_hda1(make_ts(["x", "y"], "x", "ab",
+                            [("x", "a", "y"), ("y", "a", "y"), ("y", "b", "x")])), (1, 2)),
+        # the (e, e) square of a 2-token net: e's slot follows the middle
+        # marking, the source of one e-edge and the target of the other,
+        # and the square is checked at the last slot with e counted twice
+        (pn_to_hda(make_pn(["p", "q"], {"p": 2}, ["e"], {"e": {"p": 1}}, {"e": {"q": 1}}), 10, 2),
+         (1, 2)),
     ]
     for h, caps in cases:
         for cap in caps:
@@ -526,14 +543,15 @@ def test_enumerate_regions_matches_brute_force_on_generated_automata(case):
 
 
 @pytest.mark.parametrize("h,calls,count", [
-    (ts_to_hda1(make_ts(range(5), 0, "abcd", [(i, a, i + 1) for i, a in enumerate("abcd")])), 113, 1782),
+    (ts_to_hda1(make_ts(range(5), 0, "abcd", [(i, a, i + 1) for i, a in enumerate("abcd")])), 69, 1782),
     # a filled square on a and b, then c and d
-    (es_to_hda(make_event_structure("abcd", causes=[("a", "c"), ("b", "c"), ("c", "d")])), 183, 874),
+    (es_to_hda(make_event_structure("abcd", causes=[("a", "c"), ("b", "c"), ("c", "d")])), 124, 874),
 ], ids=["chain", "square"])
 def test_region_search_asks_each_slot_once_per_reading(monkeypatch, h, calls, count):
     """``options`` is called once per slot and distinct reading of the
-    slots it reads (a depth-first search made 4,401 and 2,311 calls), and
-    it reads nothing else: every other earlier slot is hidden from it."""
+    slots it reads (a depth-first search made 4,401 and 2,311 calls; with
+    no pruning at a label's own slot, 113 and 183), and it reads nothing
+    else: every other earlier slot is hidden from it."""
     readings = []
 
     def spy(reads, options):
@@ -548,6 +566,26 @@ def test_region_search_asks_each_slot_once_per_reading(monkeypatch, h, calls, co
     monkeypatch.undo()
     assert regions == enumerate_regions(h, 2)
     assert len(regions) == count
+
+
+def test_region_search_prunes_a_label_as_the_vertex_after_it(monkeypatch):
+    """On the 4-label chain at cap 2 each label's edge has its source fixed,
+    so the label slot keeps just the flows its target count allows: every
+    label level is as large as the vertex level after it (without that
+    pruning the levels were 3, 27, 14, 126, 70, 630, 353, 3,177, 1,782)."""
+    h = ts_to_hda1(make_ts(range(5), 0, "abcd", [(i, a, i + 1) for i, a in enumerate("abcd")]))
+    sizes = []
+
+    def spy(reads, options):
+        # a prefix of the slots is searched as its own search, the level of its last slot
+        sizes.extend(len(level_search(reads[:n], options)) for n in range(1, len(reads) + 1))
+        return level_search(reads, options)
+
+    monkeypatch.setattr(functors, "level_search", spy)
+    assert len(enumerate_regions(h, 2)) == 1782
+    kinds = [kind for kind, _ in functors.skeleton_slots(h)[0]]
+    assert sizes == [3, 14, 14, 70, 70, 353, 353, 1782, 1782]
+    assert all(sizes[i] == sizes[i + 1] for i, kind in enumerate(kinds) if kind == "label")
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
