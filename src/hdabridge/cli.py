@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -54,8 +55,6 @@ def read_text(path: str) -> str:
             return fp.read()
     except UnicodeDecodeError as err:
         raise errors.ParseError(f"not UTF-8: {err}") from err
-    except OSError as err:
-        raise FileNotFoundError(str(err)) from err
 
 
 def write_text(path: str, text: str) -> None:
@@ -210,8 +209,13 @@ COMMANDS = {"validate": cmd_validate, "translate": cmd_translate, "laws": cmd_la
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # nothing the package builds is part of a reference cycle (tests/test_cli.py
+    # checks every command), so reference counting frees it all, and the
+    # cyclic collector would only rescan live tuples: pause it, then restore it
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _parser().parse_args(argv)
         code = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
@@ -225,9 +229,12 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return VALIDATION_FAILED
-    except FileNotFoundError as err:
+    except OSError as err:  # a path that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return IO_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

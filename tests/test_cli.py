@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 
 from hdabridge import errors, jsonio, zoo
 from hdabridge.cli import build_parser, main
-from hdabridge.functors import es_to_hda
+from hdabridge.functors import es_to_hda, ts_to_hda1
 from hdabridge.laws import LawReport
 from hdabridge.models import make_event_structure
 
@@ -647,3 +648,91 @@ def test_translate_hda_to_ts_with_idle(capsys):
     doc = json.loads(out)
     assert "*" in doc["events"]
     assert len(doc["trans"]) == 12 + 8
+
+
+@pytest.mark.parametrize("where", [".", "missing/out.json"], ids=["directory", "no-parent"])
+def test_unwritable_output_path_exits_18(tmp_path, capsys, where):
+    output = str(tmp_path / where)
+    code, out, err = run(capsys, "translate", ES_DOC, "--to", "hda", "-o", output)
+    assert (code, out) == (18, "")
+    assert err.startswith("error: ") and output in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the collector back as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+CHAIN4_TS = {"kind": "ts", "format_version": 1, "states": [f"s{i}" for i in range(5)],
+             "initial": "s0", "events": list("abcd"),
+             "trans": [[f"s{i}", a, f"s{i + 1}"] for i, a in enumerate("abcd")]}
+
+
+def _exits(tmp_path):
+    """(argv, exit code) for a success and for each way out of main."""
+    malformed, invalid = tmp_path / "malformed.json", tmp_path / "invalid.json"
+    malformed.write_text("{not json")
+    invalid.write_text(json.dumps({**CHAIN4_TS, "trans": [["s0", "a", "nowhere"]]}))
+    return [(["validate", ES_DOC], 0),
+            (["validate", str(malformed)], 3),
+            (["translate", str(invalid), "--to", "hda"], 5),
+            (["translate", ES_DOC, "--to", "hda", "-o", str(tmp_path)], 18)]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_restores_the_collector_on_every_exit(tmp_path, capsys, monkeypatch,
+                                                    collector_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    for argv, want in _exits(tmp_path):
+        assert run(capsys, *argv)[0] == want
+        assert gc.isenabled() is enabled, argv
+    monkeypatch.setenv("HDABRIDGE_SEED", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", "--suite", "comonad-es", "--count", "1"])
+    assert exc.value.code == 2
+    assert gc.isenabled() is enabled
+
+
+def test_region_synthesis_starts_no_collection(tmp_path, capsys, collector_state):
+    chain = tmp_path / "chain4.json"
+    chain.write_text(jsonio.print_document("hda", ts_to_hda1(jsonio.document_to_model(CHAIN4_TS)[1])))
+    starts = []
+
+    def spy(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(spy)
+    try:
+        code = main(["translate", str(chain), "--to", "pnet", "--cap", "2"])
+    finally:
+        gc.callbacks.remove(spy)
+    assert code == 0 and len(json.loads(capsys.readouterr().out)["places"]) == 1782
+    assert starts == []
+
+
+def _every_command(tmp_path):
+    """Each command on every fixture, error exits included."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield ["validate", str(path)]
+        yield ["export-dot", str(path)]
+        for to in ("ts", "acr", "es", "pnet", "hda"):
+            yield ["translate", str(path), "--to", to]
+    yield from (argv for argv, _ in _exits(tmp_path))
+    yield ["laws", "--suite", "all", "--count", "10"]
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys, collector_state):
+    """Why main may pause the collector: every object a command makes is
+    freed by reference counting, so a collection afterwards finds nothing."""
+    gc.disable()
+    run(capsys, "translate", ES_DOC, "--to", "hda")  # warm-up: caches, lazy imports
+    gc.collect()
+    for argv in _every_command(tmp_path):
+        run(capsys, *argv)
+        assert gc.collect() == 0, argv
