@@ -30,16 +30,6 @@ class StarClash(HdaBridgeError):
     exit_code = 15
 
 
-class NotEnabled(HdaBridgeError):
-    """A word is not enabled at a marking; carries the deficient place."""
-
-    def __init__(self, place, need, have):
-        super().__init__(f"place {place!r} holds {have} token(s), needs {need}")
-        self.place = place
-        self.need = need
-        self.have = have
-
-
 class ExplosionLimit(HdaBridgeError):
     """State-space exploration exceeded the configured bound."""
 

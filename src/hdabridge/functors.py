@@ -11,10 +11,10 @@ round trips land on the original names.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .cts import acr_to_cts, cts_to_hda, es_to_cts, pn_to_cts
 from .cubical import (
@@ -55,7 +55,7 @@ from .models import (
     validate_acr,
     validate_es,
 )
-from .util import ValidationReport, breadth_first, canon_key, level_search, sorted_by_key
+from .util import ValidationReport, breadth_first, level_search, sorted_by_key
 
 
 # ---------------------------------------------------------------------------
@@ -341,52 +341,15 @@ def pn_to_hda(n: PetriNet, max_states: int, max_dim: int,
     return cts_to_hda(pn_to_cts(n, max_states), max_dim, truncate_cells=truncate_cells)
 
 
-@dataclass(frozen=True)
-class Region:
-    """A place candidate: token flow per label plus a token count per vertex.
+class Region(NamedTuple):
+    """A place candidate, as ``enumerate_regions`` returns it: the token
+    flow of each label, ``((label, (consumed, produced)), ...)``, and the
+    count at each vertex, ``((CellId, count), ...)``, both in canonical
+    order.  The package itself reads a region as its slot values
+    (``SynthesizedNet``)."""
 
-    ``flows`` maps each label to (consumed, produced); ``tokens`` maps each
-    0-cell to its count.  Both are stored as sorted tuples so regions are
-    hashable and canonically ordered.  ``flow`` and ``tokens_at`` build
-    their dict on first use and keep it in the instance dict, outside the
-    fields, so it takes no part in equality, hashing or ``canon_key``.
-    (``functools.cached_property`` costs more than the dict itself on its
-    first use, and region synthesis reads most regions only once.)
-    """
-
-    flows: tuple   # ((label, (consumed, produced)), ...)
-    tokens: tuple  # ((CellId, count), ...)
-
-    @staticmethod
-    def builder(labels: Mapping, vertices: Mapping, flows):
-        """The constructor of the regions read from one list of values: a
-        label's flow is ``flows[code]`` for the code at ``labels[label]``, a
-        vertex's count is at ``vertices[vertex]``; both are sorted once, here."""
-        label_names, vertex_names = sorted_by_key(labels), sorted_by_key(vertices)
-        label_at, vertex_at = [labels[a] for a in label_names], [vertices[v] for v in vertex_names]
-
-        def build(values) -> "Region":
-            get = values.__getitem__
-            return Region(flows=tuple(zip(label_names, map(flows.__getitem__, map(get, label_at)))),
-                          tokens=tuple(zip(vertex_names, map(get, vertex_at))))
-        return build
-
-    def flow(self, label) -> tuple[int, int]:
-        if label == STAR:
-            return (0, 0)
-        lookup = self.__dict__.get("_flow_of")
-        if lookup is None:
-            lookup = self.__dict__["_flow_of"] = dict(self.flows)
-        return lookup.get(label, (0, 0))
-
-    def tokens_at(self, vertex: CellId) -> int:
-        lookup = self.__dict__.get("_tokens_of")
-        if lookup is None:
-            lookup = self.__dict__["_tokens_of"] = dict(self.tokens)
-        return lookup[vertex]
-
-    def canon_key(self):
-        return ("region", canon_key(self.flows), canon_key(self.tokens))
+    flows: tuple
+    tokens: tuple
 
 
 def _coherent(pre: int, post: int, source_tokens: int, target_tokens: int) -> bool:
@@ -436,8 +399,9 @@ def _region_search(h: Hda, cap: int):
     is tested for coherence at its last slot.  A label's flows are also
     pruned at its own slot by each edge it labels that has one end fixed.
     A slot's options are worked out once per reading of the earlier slots
-    they read.  Returns each label's and each vertex's slot position, the
-    flow of each code, and every cap-bounded region's slot values."""
+    they read.  Returns each label's and each vertex's slot position, both
+    in canonical order, the flow of each code, and every cap-bounded
+    region's slot values."""
     names, checks = skeleton_slots(h)
     tokens = range(cap + 1)
     flows = [(a, b) for a in tokens for b in tokens]  # by code
@@ -480,36 +444,47 @@ def _region_search(h: Hda, cap: int):
 
     labels = {a: i for i, (kind, a) in enumerate(names) if kind == "label"}
     vertices = {v: i for i, (kind, v) in enumerate(names) if kind == "vertex"}
+    labels, vertices = ({x: slots[x] for x in sorted_by_key(slots)} for slots in (labels, vertices))
     return labels, vertices, flows, level_search(reads, options)
 
 
 def enumerate_regions(h: Hda, cap: int) -> frozenset:
     """All regions with every flow and token value bounded by ``cap``, each
-    built from its slot values by one ``Region.builder``."""
+    decoded from its slot values."""
     labels, vertices, flows, values = _region_search(h, cap)
-    return frozenset(map(Region.builder(labels, vertices, flows), values))
+    return frozenset(Region(flows=tuple((a, flows[row[i]]) for a, i in labels.items()),
+                            tokens=tuple((v, row[i]) for v, i in vertices.items()))
+                     for row in values)
 
 
 @dataclass(frozen=True)
 class SynthesizedNet:
-    """A net whose places are the regions of ``hda``.  The naming tables,
-    read only by the transpositions and ``map_morphism``, are built from
-    ``values`` on first read and kept in the instance dict, outside the fields."""
+    """A net whose places are the regions of ``hda``, each kept as the
+    search found it: place ``p<i>`` is the row ``values[i]``, which holds
+    at a label's slot the code of its flow, ``flows[code]``, and at a
+    vertex's slot its token count.  ``labels`` and ``vertices`` give the
+    slots in canonical order, the order the rows are sorted in."""
 
     net: PetriNet
     hda: Hda          # the automaton the net was synthesized from
-    values: tuple     # place p<i>'s region as its slot values (flows as codes), at index i
-    build: Callable   # slot values -> Region
+    values: tuple     # the rows, sorted
+    labels: dict      # label -> slot
+    vertices: dict    # vertex -> slot
+    flows: list       # code -> (consumed, produced)
 
-    @cached_property
-    def regions(self) -> dict:
-        """Place name -> Region."""
-        return {f"p{i}": reg for i, reg in enumerate(map(self.build, self.values))}
+    def tokens(self, place: str, v: CellId) -> int:
+        """The count of ``place`` at vertex ``v``."""
+        return self.values[int(place[1:])][self.vertices[v]]
 
-    @cached_property
-    def places(self) -> dict:
-        """Region -> place name."""
-        return {reg: name for name, reg in self.regions.items()}
+    def flow(self, place: str, label) -> tuple[int, int]:
+        """The tokens ``label`` consumes from and produces at ``place``."""
+        return self.flows[self.values[int(place[1:])][self.labels[label]]]
+
+    def place(self, row: tuple) -> Optional[str]:
+        """The name of the place whose row is ``row``, or None."""
+        key = itemgetter(*self.labels.values(), *self.vertices.values())
+        i = bisect_left(self.values, key(row), key=key)
+        return f"p{i}" if i < len(self.values) and self.values[i] == row else None
 
 
 def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
@@ -518,14 +493,12 @@ def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
     The regions stay the search's slot values, each flow as its code, which
     sorts as the flow does.  They are sorted once, on the labels' codes in
     canonical label order and then the vertices' counts in canonical vertex
-    order, the order of the built regions' ``(flows, tokens)``; places are
-    numbered in that order.  The initial marking and each event's pre and
-    post are columns of the values, the latter read through two lookup
-    lists, in the places' (string) order, dropping zero counts.
+    order; places are numbered in that order.  The initial marking and each
+    event's pre and post are columns of the values, the latter read through
+    two lookup lists, in the places' (string) order, dropping zero counts.
     """
     labels, vertices, flows, values = _region_search(h, cap)
-    values = tuple(sorted(values, key=itemgetter(*[labels[a] for a in sorted_by_key(labels)],
-                                                 *[vertices[v] for v in sorted_by_key(vertices)])))
+    values = tuple(sorted(values, key=itemgetter(*labels.values(), *vertices.values())))
     # "p<i>" sorts as str(i) does: the places in a Marking's order
     order = sorted(range(len(values)), key=str)
     places = [f"p{i}" for i in order]
@@ -539,7 +512,7 @@ def hda_to_pn(h: Hda, cap: int) -> SynthesizedNet:
         pre={e: Marking.over(places, list(map(consumed, columns[labels[e]]))) for e in events},
         post={e: Marking.over(places, list(map(produced, columns[labels[e]]))) for e in events},
     )
-    return SynthesizedNet(net=net, hda=h, values=values, build=Region.builder(labels, vertices, flows))
+    return SynthesizedNet(net=net, hda=h, values=values, labels=labels, vertices=vertices, flows=flows)
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +524,14 @@ def transpose_to_hda(f: PnMorphism, synth: SynthesizedNet, net: PetriNet, target
     morphism into the net's automaton.
 
     A vertex goes to the marking that reads, at each place, the token count
-    of the place's pulled-back region; the labels follow the event map.
+    in the row of the place it pulls back to; the labels follow the event map.
     """
     # the places in a Marking's order, sorted once rather than per vertex
     places = sorted_by_key(net.places)
-    regions = [synth.regions[f.phi[p]] for p in places]
+    pulled = [f.phi[p] for p in places]
 
     def marking(v):
-        return Marking.over(places, [region.tokens_at(v) for region in regions])
+        return Marking.over(places, [synth.tokens(q, v) for q in pulled])
 
     return induced_morphism(synth.hda, target, _vertex_map(synth.hda, target, marking), f.psi)
 
@@ -606,9 +579,7 @@ def map_morphism(functor: str, m, src, dst):
         return induced_morphism(src, dst, _vertex_map(src, dst, lambda v: Marking.of(
             {p: src.state(v).get(q) for p, q in m.phi.items()})), m.psi)
     if functor == "hda_to_pn":
-        return _place_map(m, src, dst.regions,
-                          lambda name, a: dst.regions[name].flow(a),
-                          lambda name, v: dst.regions[name].tokens_at(v))
+        return _place_map(m, src, [f"p{i}" for i in range(len(dst.values))], dst.flow, dst.tokens)
     raise ValueError(f"no morphism action for functor {functor!r}")
 
 
@@ -625,22 +596,26 @@ def _vertex_map(src: Hda, dst: Hda, image) -> dict:
 
 def _place_map(g: HdaMorphism, synth: SynthesizedNet, places, flow, tokens) -> PnMorphism:
     """The net morphism out of ``synth`` along an automaton morphism ``g``
-    out of ``synth.hda``.  Each place ``p`` goes to the place of the region
-    that reads ``p`` through ``g``: a label's flow is ``flow(p, image)``,
-    (0, 0) when dropped, and a vertex's count is ``tokens(p, base)`` at the
-    base of its image.  Every cap-bounded region is a place, so a region
-    that is not one raises CapExceeded.  The labels map along ``g``.
+    out of ``synth.hda``.  Each place ``p`` goes to the place whose row
+    reads ``p`` through ``g``: at a label's slot the code of ``flow(p,
+    image)``, of (0, 0) when dropped, and at a vertex's slot ``tokens(p,
+    base)`` at the base of its image.  Every cap-bounded region is a place,
+    so a row that is not one raises CapExceeded: a count above the cap, or
+    a flow that has no code.  (Computing a code from the flow instead would
+    read (0, 2) at cap 1 as the code of (1, 0).)  The labels map along ``g``.
     """
-    source = synth.hda
-    labels = [(a, g.label_image(a)) for a in sorted_by_key(source.alphabet)]
-    vertices = sorted_by_key(source.cells(0))
-    bases = [g.cell_map[v].base for v in vertices]
+    labels = [(a, g.label_image(a)) for a in synth.labels]
+    code = {pair: c for c, pair in enumerate(synth.flows)}
+    bases = [(i, g.cell_map[v].base) for v, i in synth.vertices.items()]
+    row = [0] * (len(labels) + len(bases))
     phi = {}
     for p in places:
-        reg = Region(flows=tuple((a, (0, 0) if b == STAR else flow(p, b)) for a, b in labels),
-                     tokens=tuple(zip(vertices, [tokens(p, base) for base in bases])))
-        if reg not in synth.places:
+        for a, b in labels:
+            row[synth.labels[a]] = code.get((0, 0) if b == STAR else flow(p, b), -1)
+        for i, base in bases:
+            row[i] = tokens(p, base)
+        phi[p] = synth.place(tuple(row))
+        if phi[p] is None:
             raise CapExceeded(f"place {p!r} pulls back to a region that is not a place")
-        phi[p] = synth.places[reg]
     psi = {a: b for a, b in labels if b != STAR}
     return PnMorphism(phi=phi, psi=psi)

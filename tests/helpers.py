@@ -222,21 +222,34 @@ def reference_places(regions):
     return {f"p{i}": reg for i, reg in enumerate(regions)}
 
 
+def synthesized_regions(synth):
+    """Each place of ``synth`` (a ``SynthesizedNet``), p0, p1, ..., with
+    its region, read entry by entry through ``flow`` and ``tokens`` and
+    built by ``region_of``: the table the package kept before it read
+    regions as slot rows."""
+    from reference import region_of
+
+    return {p: region_of({a: synth.flow(p, a) for a in synth.labels},
+                         {v: synth.tokens(p, v) for v in synth.vertices})
+            for p in (f"p{i}" for i in range(len(synth.values)))}
+
+
 def reference_net(h, regions):
     """Oracle: the net whose places are ``regions``, built with a sort per
     region and per marking.  Places are named by ``reference_places``, and
     every marking is made by ``Marking.of`` from a dict over all places."""
     from hdabridge.models import Marking, PetriNet
     from hdabridge.util import sorted_by_key
+    from reference import flow, tokens_at
 
     names = reference_places(regions)
     events = sorted_by_key(h.alphabet)
     return PetriNet(
         places=frozenset(names),
-        m0=Marking.of({p: reg.tokens_at(h.initial) for p, reg in names.items()}),
+        m0=Marking.of({p: tokens_at(reg, h.initial) for p, reg in names.items()}),
         events=frozenset(events),
-        pre={e: Marking.of({p: reg.flow(e)[0] for p, reg in names.items()}) for e in events},
-        post={e: Marking.of({p: reg.flow(e)[1] for p, reg in names.items()}) for e in events},
+        pre={e: Marking.of({p: flow(reg, e)[0] for p, reg in names.items()}) for e in events},
+        post={e: Marking.of({p: flow(reg, e)[1] for p, reg in names.items()}) for e in events},
     )
 
 
@@ -246,9 +259,9 @@ def reference_markings(n, max_states):
     ExplosionLimit on reaching more than ``max_states`` markings."""
     from collections import deque
 
-    from hdabridge.errors import ExplosionLimit, NotEnabled
+    from hdabridge.errors import ExplosionLimit
     from hdabridge.util import sorted_by_key
-    from reference import fire
+    from reference import NotEnabled, fire
 
     events = sorted_by_key(n.events)
     seen, steps, queue = {n.m0}, set(), deque([n.m0])

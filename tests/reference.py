@@ -22,10 +22,13 @@ the per-cell walks: the reports of ``validate_complex`` and
 message for message.
 
 Nets and regions: firing a word on ``Marking``s (``fire``, with
-``marking_plus``, ``marking_minus``, ``covers`` and ``deficient_place``),
-a region built from its flow and token tables (``region_of``), a net's
-document as the dict that ``json.dumps`` printed (``pnet_document``),
-the region rule on every cell (``region_check``), one dispatch over
+``marking_plus``, ``marking_minus``, ``covers`` and ``deficient_place``;
+a word that is not enabled raises ``NotEnabled``), a region built from
+its flow and token tables (``region_of``) and read through them (``flow``,
+``tokens_at``), a net's document as the dict that ``json.dumps`` printed
+(``pnet_document``), the region rule on every cell (``region_check``),
+the pullback of regions along an automaton morphism by ``Region``
+objects (``place_map``), one dispatch over
 the morphism validators (``validate_morphism``), and the net searches by
 brute force: every event map times every place map, filtered by
 ``validate_pn_morphism`` (``pn_morphisms``), and every place bijection
@@ -64,8 +67,9 @@ from hdabridge.cubical import (
 from hdabridge.errors import (
     ArityMismatch,
     DimensionCapExceeded,
+    CapExceeded,
+    HdaBridgeError,
     IndexOutOfRange,
-    NotEnabled,
     NotLinear,
     NotPartialOrder,
     SizeLimit,
@@ -675,6 +679,16 @@ def walk_labels(h: Hda, n: int, report: ValidationReport) -> None:
 # Nets, regions and morphisms
 # ---------------------------------------------------------------------------
 
+class NotEnabled(HdaBridgeError):
+    """A word is not enabled at a marking; carries the deficient place."""
+
+    def __init__(self, place, need, have):
+        super().__init__(f"place {place!r} holds {have} token(s), needs {need}")
+        self.place = place
+        self.need = need
+        self.have = have
+
+
 def marking_plus(m: Marking, other: Marking) -> Marking:
     out = dict(m.items)
     for p, n in other.items:
@@ -734,7 +748,7 @@ def fire(n: PetriNet, m: Marking, w: LabelWord) -> Marking:
 def region_of(flows, tokens) -> Region:
     """The region with these flows per label and token counts per vertex,
     each table sorted by ``canon_key``: the constructor the package had
-    before regions were built from slot values (``Region.builder``)."""
+    before regions were decoded from slot values."""
     return Region(
         flows=tuple(sorted(((e, (int(a), int(b))) for e, (a, b) in flows.items()),
                            key=lambda kv: canon_key(kv[0]))),
@@ -759,11 +773,21 @@ def pnet_document(n: PetriNet) -> dict:
     }
 
 
+def flow(reg: Region, label) -> tuple[int, int]:
+    """The tokens ``label`` consumes and produces at the region; (0, 0) for
+    the idle symbol and for a label the region does not cover."""
+    return dict(reg.flows).get(label, (0, 0))
+
+
+def tokens_at(reg: Region, vertex: CellId) -> int:
+    return dict(reg.tokens)[vertex]
+
+
 def word_flow(reg: Region, w: LabelWord) -> tuple[int, int]:
     """The tokens the word consumes and produces in all at the region."""
     pre = post = 0
     for e in w:
-        a, b = reg.flow(e)
+        a, b = flow(reg, e)
         pre += a
         post += b
     return (pre, post)
@@ -785,6 +809,28 @@ def region_check(h: Hda, reg: Region) -> bool:
         if not (tokens[s] >= pre and tokens[t] >= post and tokens[s] - pre == tokens[t] - post):
             return False
     return True
+
+
+def place_map(g, source: Hda, regions: dict, places, flow_of, tokens_of) -> PnMorphism:
+    """The net morphism along ``g`` out of the net whose places are
+    ``regions`` (name -> Region), the regions of ``source``, by Region
+    objects, as the package built it before it read regions as slot rows.
+    Each name in ``places`` goes to the place of the region that reads it
+    through ``g``: a label's flow is ``flow_of(p, image)``, (0, 0) when
+    dropped, and a vertex's count is ``tokens_of(p, base)`` at the base of
+    its image.  A region that is not a place raises CapExceeded."""
+    names = {reg: name for name, reg in regions.items()}
+    labels = [(a, g.label_image(a)) for a in sorted_by_key(source.alphabet)]
+    vertices = sorted_by_key(source.cells(0))
+    bases = [g.cell_map[v].base for v in vertices]
+    phi = {}
+    for p in places:
+        reg = Region(flows=tuple((a, (0, 0) if b == STAR else flow_of(p, b)) for a, b in labels),
+                     tokens=tuple(zip(vertices, [tokens_of(p, base) for base in bases])))
+        if reg not in names:
+            raise CapExceeded(f"place {p!r} pulls back to a region that is not a place")
+        phi[p] = names[reg]
+    return PnMorphism(phi=phi, psi={a: b for a, b in labels if b != STAR})
 
 
 def validate_morphism(kind: str, m, src, dst) -> ValidationReport:

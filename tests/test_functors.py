@@ -59,17 +59,26 @@ from hdabridge.models import (
     validate_ts,
 )
 from hdabridge import functors, zoo
-from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn, gen_ts
+from hdabridge.laws import GeneratorConfig, enumerate_hda_morphisms, gen_acr, gen_es, gen_pn, gen_ts
 from hdabridge.util import level_search
-from helpers import brute_force_es_cells, brute_force_regions, reference_net, reference_places
+from helpers import (
+    brute_force_es_cells,
+    brute_force_regions,
+    reference_net,
+    reference_places,
+    synthesized_regions,
+)
 from reference import (
     automaton_by_keys,
     cells_by_key,
     check_strong_labeling,
     covers,
     fire,
+    flow,
+    place_map,
     region_check,
     region_of,
+    tokens_at,
 )
 
 
@@ -595,12 +604,10 @@ def test_region_search_prunes_a_label_as_the_vertex_after_it(monkeypatch):
 def test_synthesized_net_matches_the_net_built_region_by_region(case):
     h, cap = case
     synth = hda_to_pn(h, cap)
-    # the naming tables are built on first read, not by the synthesis
-    assert "regions" not in vars(synth) and "places" not in vars(synth)
     regions = brute_force_regions(h, cap)
     assert synth.net == reference_net(h, regions)
-    assert synth.regions == reference_places(regions)
-    assert synth.places == {reg: p for p, reg in synth.regions.items()}
+    assert synthesized_regions(synth) == reference_places(regions)
+    assert [synth.place(row) for row in synth.values] == [f"p{i}" for i in range(len(regions))]
 
 
 def test_nine_places_recovered():
@@ -643,18 +650,6 @@ def test_all_zero_region_always_valid():
     assert region_check(h, reg)
 
 
-def test_region_lookups_stay_out_of_equality():
-    h = acr_to_hda2(zoo.triple_diamond_acr())
-    flows = {a: (i, 1) for i, a in enumerate(h.alphabet)}
-    tokens = {v: i for i, v in enumerate(h.cells(0))}
-    used, fresh = region_of(flows, tokens), region_of(flows, tokens)
-    assert [used.tokens_at(v) for v in h.cells(0)] == list(range(len(tokens)))
-    assert [used.flow(a) for a in h.alphabet] == [flows[a] for a in h.alphabet]
-    assert used.flow(STAR) == (0, 0) and used.flow("absent") == (0, 0)
-    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-    assert used.canon_key() == fresh.canon_key()
-
-
 def test_single_vertex_regions():
     h = ts_to_hda1(make_ts(["s"], "s", [], []))
     regions = enumerate_regions(h, 1)
@@ -680,9 +675,9 @@ def test_hda_to_pn_synthesis():
     h = ts_to_hda1(zoo.mutex_square_ts())
     synth = hda_to_pn(h, 1)
     assert validate_pn(synth.net).ok
-    assert set(synth.regions) == set(synth.net.places)
+    assert set(synthesized_regions(synth)) == set(synth.net.places)
     expected = expected_nine_regions(h)
-    placed = set(synth.regions.values())
+    placed = set(synthesized_regions(synth).values())
     for reg in expected:
         assert reg in placed
     # single vertex: no events, two places
@@ -701,7 +696,7 @@ def test_synthesized_net_simulates_one_skeleton():
         synth = hda_to_pn(h, 1)
 
         def marking_of(vertex):
-            return Marking.of({p: synth.regions[p].tokens_at(vertex) for p in synth.net.places})
+            return Marking.of({p: synth.tokens(p, vertex) for p in synth.net.places})
 
         for edge in h.cells(1):
             (label,) = h.label(edge)
@@ -732,9 +727,9 @@ def test_transpose_roundtrip_small_pair():
     synth = hda_to_pn(h, 1)
     net = make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
-    f = PnMorphism(phi={"p": synth.places[
-        region_of({"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]},
-        psi={"a": "u"})
+    (place,) = [p for p, reg in synthesized_regions(synth).items() if reg == region_of(
+        {"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]
+    f = PnMorphism(phi={"p": place}, psi={"a": "u"})
     assert validate_pn_morphism(f, synth.net, net).ok
     g = transpose_to_hda(f, synth, net, target)
     assert validate_hda_morphism(g, h, target).ok
@@ -752,9 +747,9 @@ def test_transpose_to_hda_rejects_unreachable_marking():
     synth = hda_to_pn(h, 1)
     net = make_pn(["p"], {}, ["u"], {"u": {"p": 1}}, {"u": {}})
     target = pn_to_hda(net, 50, 2)
-    f = PnMorphism(phi={"p": synth.places[
-        region_of({"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]},
-        psi={"a": "u"})
+    (place,) = [p for p, reg in synthesized_regions(synth).items() if reg == region_of(
+        {"a": (1, 0)}, {v: 1 if h.state(v) == "x" else 0 for v in h.cells(0)})]
+    f = PnMorphism(phi={"p": place}, psi={"a": "u"})
     with pytest.raises(OutOfReachableFragment, match="of vertex 'x' is not reachable"):
         transpose_to_hda(f, synth, net, target)
 
@@ -790,6 +785,23 @@ def test_transpose_to_pn_cap_exceeded_by_a_produced_count():
     image = {"x": Marking.of({"q": 1}), "y": Marking.of({"p": 2})}
     g = induced_morphism(h, target, {v: target.vertex_by_state[image[h.state(v)]]
                                      for v in h.cells(0)}, {"a": "u"})
+    assert validate_hda_morphism(g, h, target).ok
+    with pytest.raises(CapExceeded, match="place 'p' pulls back to a region that is not a place"):
+        transpose_to_pn(g, synth, net, target)
+
+
+def test_transpose_to_pn_cap_exceeded_by_a_flow_on_no_cell():
+    # b labels no cell, so any flow of b is a region's; w produces two
+    # tokens at p, one more than the cap.  Coded as consumed * (cap + 1) +
+    # produced, (0, 2) would read as (1, 0), whose region is a place.
+    h = ts_to_hda1(make_ts(["x", "y"], "x", ["a", "b"], [("x", "a", "y")]))
+    synth = hda_to_pn(h, 1)
+    net = make_pn(["p", "q"], {"q": 1}, ["u", "w"], {"u": {"q": 1}, "w": {"q": 1}},
+                  {"u": {}, "w": {"p": 2}})
+    target = pn_to_hda(net, 50, 2)
+    image = {"x": Marking.of({"q": 1}), "y": Marking.of({})}
+    g = induced_morphism(h, target, {v: target.vertex_by_state[image[h.state(v)]]
+                                     for v in h.cells(0)}, {"a": "u", "b": "w"})
     assert validate_hda_morphism(g, h, target).ok
     with pytest.raises(CapExceeded, match="place 'p' pulls back to a region that is not a place"):
         transpose_to_pn(g, synth, net, target)
@@ -917,6 +929,39 @@ def test_map_morphism_hda_to_pn_keeps_composites():
     assert whole.psi == {"a": "e1"}
     assert whole == compose_pn_morphisms(map_morphism("hda_to_pn", f, sa, sb),
                                          map_morphism("hda_to_pn", g, sb, sc))
+
+
+def pullback_outcome(pullback):
+    """The net morphism ``pullback()`` returns, or its CapExceeded message."""
+    try:
+        return pullback()
+    except CapExceeded as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (1, 2), (2, 2)], ids=["cap1", "cap1-into-cap2", "cap2"])
+def test_map_morphism_hda_to_pn_matches_the_region_pullback(caps):
+    """On generated automata, ``map_morphism("hda_to_pn")`` pulls every
+    place of the target net back along each of the 309 automaton morphisms
+    as the pullback of ``Region`` objects does, places named by the regions'
+    order (``reference_places``).  From a net at cap 1 into one at cap 2
+    every pullback raises CapExceeded (the place holding 2 tokens everywhere
+    has no preimage), and both must name the same first place."""
+    cfg = GeneratorConfig(seed=0)
+    automata = [build(gen(i, cfg)) for i in range(5) for build, gen in ((ts_to_hda1, gen_ts),
+                                                                        (acr_to_hda2, gen_acr))]
+    nets = [[(hda_to_pn(h, cap), reference_places(enumerate_regions(h, cap))) for h in automata]
+            for cap in caps]
+    outcomes = set()
+    for src, src_regions in nets[0]:
+        for dst, dst_regions in nets[1]:
+            for u in enumerate_hda_morphisms(src.hda, dst.hda):
+                expected = pullback_outcome(lambda: place_map(
+                    u, src.hda, src_regions, list(dst_regions),
+                    lambda p, a: flow(dst_regions[p], a), lambda p, v: tokens_at(dst_regions[p], v)))
+                assert pullback_outcome(lambda: map_morphism("hda_to_pn", u, src, dst)) == expected
+                outcomes.add(type(expected))
+    assert outcomes == ({str} if caps == (1, 2) else {PnMorphism})
 
 
 def test_automaton_tables_are_built_once_and_stay_out_of_equality():

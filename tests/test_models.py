@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hdabridge import zoo
 from hdabridge.cts import pn_to_cts
 from hdabridge.cubical import STAR
-from hdabridge.errors import ExplosionLimit, NotEnabled, StarClash
+from hdabridge.errors import ExplosionLimit, StarClash
 from hdabridge.models import (
     AcrMorphism,
     EsMorphism,
@@ -36,7 +36,7 @@ from hdabridge.models import (
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.util import sorted_by_key
 from helpers import reference_markings
-from reference import covers, fire, marking_minus, marking_plus, validate_morphism, word_pre
+from reference import NotEnabled, covers, fire, marking_minus, marking_plus, validate_morphism, word_pre
 
 
 def diamond_acr():
