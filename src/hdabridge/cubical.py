@@ -629,6 +629,8 @@ def _label_messages(h: Hda, n: int, below: list, generators: bool = False) -> tu
     unless that finds a fault."""
     ids = h.skeleton.cells.get(n, ())
     size = len(ids)
+    if not size:  # nothing to label: skip the n face and transposition picks
+        return [], []
     column = h.words[n]  # a missing word is None
     own = words = column if len(column) == size else _column(column, range(size))
     failing, kept, read = [], None, partial(_column, lands=generators)

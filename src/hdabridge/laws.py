@@ -13,7 +13,7 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
-from . import jsonio, zoo
+from . import jsonio
 from .cubical import STAR, Hda
 from .errors import SizeLimit, StarClash
 from .functors import (
@@ -351,33 +351,25 @@ def _places_by_column(n: PetriNet, events) -> dict:
 
 
 def enumerate_pn_morphisms(src: PetriNet, dst: PetriNet):
-    """All net morphisms src -> dst, by backtracking over the event map and
-    then the place map: under each event map, a target place may take the
-    source places whose column (``_place_columns``) equals its own."""
+    """All net morphisms src -> dst: each event map, then under it each
+    place map, where a target place may take the source places whose
+    column (``_place_columns``) equals its own."""
     events = sorted_by_key(src.events)
     targets = [None] + sorted_by_key(dst.events)
     places = sorted_by_key(dst.places)
     if len(targets) ** len(events) * max(1, len(src.places)) > PN_HOM_BUDGET:
         raise SizeLimit("event-map space too large")
     by_column = _places_by_column(src, events)
-
-    # source places each target place may take under the current event map;
-    # recomputed whenever the search reaches the first place slot
-    candidates: list = []
-
-    def options(pos, partial):
-        if pos < len(events):
-            return targets
-        if pos == len(events):
-            images = _place_columns(dst, partial)
-            candidates[:] = [by_column.get(images[p], ()) for p in places]
-            if all(candidates) and math.prod(map(len, candidates)) > PN_HOM_BUDGET:
-                raise SizeLimit("place-map space too large")
-        return candidates[pos - len(events)]
-
-    return [PnMorphism(phi=dict(zip(places, values[len(events):])),
-                       psi={e: v for e, v in zip(events, values) if v is not None})
-            for values in backtrack(events + places, options)]
+    members = []
+    for event_map in itertools.product(targets, repeat=len(events)):
+        images = _place_columns(dst, event_map)
+        candidates = [by_column.get(images[p], ()) for p in places]
+        if all(candidates) and math.prod(map(len, candidates)) > PN_HOM_BUDGET:
+            raise SizeLimit("place-map space too large")
+        members += (PnMorphism(phi=dict(zip(places, place_map)),
+                               psi={e: v for e, v in zip(events, event_map) if v is not None})
+                    for place_map in itertools.product(*candidates))
+    return members
 
 
 def enumerate_hda_morphisms_into_net_hda(source: Hda, net: PetriNet, target: Hda):
@@ -527,11 +519,18 @@ def check_adjunction_pn_hda(pairs, cap: int = 1, max_states: int = 200,
 
 def _adjunction_pn(cfg: GeneratorConfig) -> LawReport:
     """The net adjunction on two fixed pairs, whatever the seed and count:
-    an edge against a one-event net, the mutex square against two mutexes."""
+    an edge against a one-event net, and the filled mutex square against
+    two mutexes, events with private places that share the marked place
+    ``h`` (fixtures/acr_mutex_square.json and pnet_two_mutex.json)."""
     pairs = [
         (ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")])),
          make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})),
-        (acr_to_hda2(zoo.mutex_square_acr(True)), zoo.two_mutex_net()),
+        (acr_to_hda2(make_acr(["x", "y1", "y2", "z"], "x", ["e1", "e2"],
+                              [("x", "e1", "y1"), ("x", "e2", "y2"),
+                               ("y1", "e2", "z"), ("y2", "e1", "z")], [("x", "e1", "e2")])),
+         make_pn("abcdefghi", {"a": 1, "b": 1, "c": 1, "f": 1, "g": 1, "h": 1}, ["e1", "e2"],
+                 {"e1": {"b": 1, "f": 1, "h": 1}, "e2": {"c": 1, "g": 1, "h": 1}},
+                 {"e1": {"d": 1, "f": 1, "h": 1}, "e2": {"e": 1, "g": 1, "h": 1}})),
     ]
     return check_adjunction_pn_hda(pairs, cap=1, max_states=200, max_dim=2)
 

@@ -1,7 +1,7 @@
-"""Independent oracles used to freeze expected values: the cube category,
-event-structure closures and cells, region synthesis by brute force,
-net reachability by ``Marking`` arithmetic, and face tables looked up key
-by key.
+"""The shipped fixture models, and independent oracles used to freeze
+expected values: the cube category, event-structure closures and cells,
+region synthesis by brute force, net reachability by ``Marking``
+arithmetic, and face tables looked up key by key.
 
 The cube-category term model represents a morphism n -> d as the tuple of
 its d output coordinates: each entry is a constant sign or a distinct
@@ -15,6 +15,17 @@ test.
 from __future__ import annotations
 
 import itertools
+import pathlib
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture(name):
+    """The model of the shipped document ``fixtures/<name>.json``."""
+    from hdabridge.jsonio import parse_document
+
+    return parse_document((FIXTURES / f"{name}.json").read_text())[1]
+
 
 MINUS = ("-",)
 PLUS = ("+",)

@@ -4,7 +4,6 @@ run reads as a checklist."""
 
 import time
 
-from hdabridge import zoo
 from hdabridge.cts import coskeleton_fill
 from hdabridge.cubical import (
     DegeneracyWitness,
@@ -30,7 +29,7 @@ from hdabridge.laws import (
     iso_check,
 )
 from hdabridge.models import make_pn, make_ts
-from helpers import brute_force_es_cells
+from helpers import FIXTURES, brute_force_es_cells, fixture
 from reference import region_check, region_of, standard_cube, word_flow
 
 
@@ -77,7 +76,7 @@ def orbit_counts(h):
 
 def test_a1_triple_diamond_pipeline():
     with timed(1.0) as t:
-        h = acr_to_hda2(zoo.triple_diamond_acr())
+        h = acr_to_hda2(fixture("acr_triple_diamond"))
         es = hda_to_es(h)
         assert es.events == frozenset("abc")
         assert es.leq == frozenset({(e, e) for e in "abc"})
@@ -90,14 +89,14 @@ def test_a1_triple_diamond_pipeline():
         assert orbit_counts(cube) == [8, 12, 6, 1]
 
         two = truncate(cube, 2)
-        right = acr_to_hda2(zoo.full_cube_acr())
+        right = acr_to_hda2(fixture("acr_full_cube"))
         assert iso_check(two, right) is not None
         t.finish("A1 triple-diamond pipeline")
 
 
 def test_a2_region_synthesis():
     with timed(5.0) as t:
-        h = ts_to_hda1(zoo.mutex_square_ts())
+        h = ts_to_hda1(fixture("ts_mutex_square"))
         regions = enumerate_regions(h, 1)
         by_state = h.vertex_by_state
 
@@ -121,7 +120,7 @@ def test_a2_region_synthesis():
             assert candidate in regions
         assert stated in regions
 
-        squared = acr_to_hda2(zoo.mutex_square_acr(independent=True))
+        squared = acr_to_hda2(fixture("acr_mutex_square"))
         by_state2 = squared.vertex_by_state
         shared = region_of({"e1": (1, 1), "e2": (1, 1)},
                            {by_state2[k]: 1 for k in ("x", "y1", "y2", "z")})
@@ -135,12 +134,11 @@ def test_a2_region_synthesis():
 
 def test_a3_net_dynamics():
     with timed(1.0) as t:
-        h = pn_to_hda(zoo.two_mutex_net(), 100, 2, truncate_cells=True)
+        h = pn_to_hda(fixture("pnet_two_mutex"), 100, 2, truncate_cells=True)
         assert len(h.cells(0)) == 4
         assert len(h.cells(2)) == 0
 
-        free = pn_to_hda(zoo.two_mutex_net(shared_place=False), 100, 2,
-                         truncate_cells=True)
+        free = pn_to_hda(fixture("pnet_two_free"), 100, 2, truncate_cells=True)
         squares = free.cells(2)
         assert len(squares) == 2
         assert free.complex.transpose(squares[0], 0) == squares[1]
@@ -160,14 +158,14 @@ def test_a4_comonad_identities():
 def test_a5_transposition_bijection():
     with timed(60.0) as t:
         single_edge = ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))
-        square = acr_to_hda2(zoo.mutex_square_acr(True))
+        square = acr_to_hda2(fixture("acr_mutex_square"))
         path2 = ts_to_hda1(make_ts(["x", "y", "z"], "x", ["a", "b"],
                                    [("x", "a", "y"), ("y", "b", "z")]))
         one_event_net = make_pn(["p"], {"p": 1}, ["u"], {"u": {"p": 1}}, {"u": {}})
         two_event_net = make_pn(["p", "q"], {"p": 1}, ["u", "v"],
                                 {"u": {"p": 1}, "v": {"q": 1}},
                                 {"u": {"q": 1}, "v": {}})
-        mutex = zoo.two_mutex_net()
+        mutex = fixture("pnet_two_mutex")
         pairs = [
             (single_edge, one_event_net),
             (single_edge, two_event_net),
@@ -184,14 +182,14 @@ def test_a5_transposition_bijection():
 def test_a6_cubical_identity_suite():
     with timed(10.0) as t:
         produced = [
-            acr_to_hda2(zoo.triple_diamond_acr()),
-            es_to_hda(zoo.three_free_events_es()),
-            acr_to_hda2(zoo.full_cube_acr()),
-            ts_to_hda1(zoo.mutex_square_ts()),
-            acr_to_hda2(zoo.mutex_square_acr(True)),
-            pn_to_hda(zoo.two_mutex_net(), 100, 2, truncate_cells=True),
-            pn_to_hda(zoo.two_mutex_net(False), 100, 2, truncate_cells=True),
-            pn_to_hda(zoo.double_token_net(), 50, 2, truncate_cells=True),
+            acr_to_hda2(fixture("acr_triple_diamond")),
+            es_to_hda(fixture("es_three_free_events")),
+            acr_to_hda2(fixture("acr_full_cube")),
+            ts_to_hda1(fixture("ts_mutex_square")),
+            acr_to_hda2(fixture("acr_mutex_square")),
+            pn_to_hda(fixture("pnet_two_mutex"), 100, 2, truncate_cells=True),
+            pn_to_hda(fixture("pnet_two_free"), 100, 2, truncate_cells=True),
+            pn_to_hda(fixture("pnet_double_token"), 50, 2, truncate_cells=True),
         ]
         for h in produced:
             report = validate_hda(h)
@@ -220,7 +218,7 @@ def test_a6_cubical_identity_suite():
 
 def test_a7_multiset_concurrency():
     with timed(1.0) as t:
-        h = pn_to_hda(zoo.double_token_net(), 50, 2)
+        h = pn_to_hda(fixture("pnet_double_token"), 50, 2)
         labels = {h.label(c) for c in h.cells(2)}
         assert ("e", "e") in labels
         t.finish("A7 multiset self-concurrency")
@@ -244,22 +242,16 @@ def test_a9_event_structure_automata_are_2_coskeletal():
         t.finish("A9 event structure automata are 2-coskeletal")
 
 
-def semaphore_net(tokens: int):
-    """Three processes share a semaphore p holding ``tokens`` tokens: event
-    e takes a token from p and the one token of its own place qe, and gives
-    the p token back."""
-    return make_pn(["p", "qa", "qb", "qc"], {"p": tokens, "qa": 1, "qb": 1, "qc": 1},
-                   list("abc"), {e: {"p": 1, f"q{e}": 1} for e in "abc"},
-                   {e: {"p": 1} for e in "abc"})
-
-
 def test_a10_hollow_cube():
-    """Two tokens let any two of the three events run together but not all
-    three: every face of the cube and no cube.  The ACR of its squares
-    cannot tell this from the solid cube of three tokens; the automata can."""
+    """Three processes share a semaphore p (fixtures/pnet_semaphore_*.json):
+    event e takes a token from p and the one token of its own place qe, and
+    gives the p token back.  Two tokens let any two of the three events run
+    together but not all three: every face of the cube and no cube.  The ACR
+    of its squares cannot tell this from the solid cube of three tokens; the
+    automata can."""
     with timed(1.0) as t:
-        hollow = pn_to_hda(semaphore_net(2), 100, 3)
-        solid = pn_to_hda(semaphore_net(3), 100, 3)
+        hollow = pn_to_hda(fixture("pnet_semaphore_2"), 100, 3)
+        solid = pn_to_hda(fixture("pnet_semaphore_3"), 100, 3)
         assert [len(hollow.cells(n)) for n in range(4)] == [8, 12, 12, 0]
         assert [len(solid.cells(n)) for n in range(4)] == [8, 12, 12, 6]
         filled = coskeleton_fill(truncate(hollow, 2), 3)
@@ -274,15 +266,12 @@ def test_a10_hollow_cube_through_the_cli(capsys, tmp_path):
     README shows: their automata differ at --max-dim 3, their ACRs print
     the same bytes."""
     import json
-    import pathlib
 
     from hdabridge.cli import main
 
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
     acrs = []
     for tokens, counts in ((2, [8, 12, 12, 0]), (3, [8, 12, 12, 6])):
-        path = fixtures / f"pnet_semaphore_{tokens}.json"
-        assert path.read_text() == print_document("pnet", semaphore_net(tokens))
+        path = FIXTURES / f"pnet_semaphore_{tokens}.json"
         assert main(["translate", str(path), "--to", "hda", "--max-dim", "3"]) == 0
         text = capsys.readouterr().out
         cells = json.loads(text)["cells"]

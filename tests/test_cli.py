@@ -8,13 +8,13 @@ import sys
 
 import pytest
 
-from hdabridge import errors, jsonio, zoo
+from hdabridge import errors, jsonio
 from hdabridge.cli import build_parser, main
 from hdabridge.functors import es_to_hda, ts_to_hda1
 from hdabridge.laws import LawReport
 from hdabridge.models import make_event_structure
+from helpers import FIXTURES, fixture
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 HDA_DOC = str(FIXTURES / "hda_three_free_events.json")
 ES_DOC = str(FIXTURES / "es_three_free_events.json")
@@ -34,7 +34,7 @@ def test_validate_ok(capsys):
 
 
 def test_validate_reports_violation(tmp_path, capsys):
-    doc = jsonio.model_to_document("acr", zoo.mutex_square_acr(True))
+    doc = jsonio.model_to_document("acr", fixture("acr_mutex_square"))
     doc["trans"] = [t for t in doc["trans"] if t != ["y1", "e2", "z"]]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -566,7 +566,7 @@ def test_laws_report_list_prints_as_json_dumps(capsys):
     text = out[out.index("\n[") + 1:]
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     report = LawReport(law="x", instances=2)
-    report.fail({"pairs": (0, 1), "model": jsonio.model_to_document("ts", zoo.mutex_square_ts())})
+    report.fail({"pairs": (0, 1), "model": jsonio.model_to_document("ts", fixture("ts_mutex_square"))})
     assert jsonio.format_json([report.to_json()]) == \
         json.dumps([report.to_json()], indent=2, sort_keys=True)
 

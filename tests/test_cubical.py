@@ -21,17 +21,18 @@ from hdabridge.cubical import (
     word_degeneracy,
     word_is_linear,
 )
-from hdabridge import cubical, zoo
+from hdabridge import cubical
 from hdabridge.cts import acr_to_cts, coskeleton_fill, es_to_cts, pn_to_cts
 from hdabridge.errors import ArityMismatch, DimensionCapExceeded, ExplosionLimit, IndexOutOfRange
 from hdabridge.functors import acr_to_hda2, es_to_hda, pn_to_hda
 from hdabridge.jsonio import print_document
 from hdabridge.laws import GeneratorConfig, gen_acr, gen_es, gen_pn
-from hdabridge.models import make_event_structure
+from hdabridge.models import Acr, make_event_structure
 from hdabridge.util import sorted_by_key
 
 from helpers import (
     cube_maps,
+    fixture,
     fork_join_net,
     loops4,
     loops4_cts,
@@ -309,6 +310,22 @@ def test_a_valid_automaton_composes_only_its_generating_set(monkeypatch, make):
     assert len(calls) == 202
 
 
+def test_an_empty_dimension_picks_no_words(monkeypatch):
+    """A dimension with no cells has no labels to check: validating a
+    document that lists dimension 300 empty picks no words.  Checking each
+    empty dimension n up to 300 made one pick for its last faces and built
+    n-1 transposition orders of length n, which grows with the cube of the
+    dimension."""
+    from hdabridge.jsonio import parse_document
+
+    _, h = parse_document('{"kind": "hda", "format_version": 1, "alphabet": [], '
+                          '"cells": {"0": [0], "300": []}, "faces": {}, "initial": 0}')
+    calls, picked = [], cubical._picked
+    monkeypatch.setattr(cubical, "_picked", lambda *args: calls.append(1) or picked(*args))
+    assert validate_hda(h).ok
+    assert calls == []
+
+
 def test_symmetric_violations_detected():
     sym, _ = symmetric_square()
     bad = {k: list(v) for k, v in sym.transpositions.items()}
@@ -378,7 +395,7 @@ def free_cube():
 def test_coskeleton_leaves_an_empty_square_empty():
     # the fill reads squares and never makes one: the four edges of two
     # mutually exclusive events stay a hollow square
-    hollow = acr_to_hda2(zoo.mutex_square_acr(False))
+    hollow = acr_to_hda2(Acr(ts=fixture("ts_mutex_square"), indep=frozenset()))
     filled = coskeleton_fill(hollow, 2)
     assert cell_counts(filled) == [4, 4, 0]
     assert validate_hda(filled).ok
@@ -386,7 +403,7 @@ def test_coskeleton_leaves_an_empty_square_empty():
 
 
 def test_coskeleton_idempotent_on_solid_square():
-    h = acr_to_hda2(zoo.mutex_square_acr(True))
+    h = acr_to_hda2(fixture("acr_mutex_square"))
     filled = coskeleton_fill(h, 2)
     assert print_document("hda", filled) == print_document("hda", h)
     assert coskeleton_fill(filled, 2) == filled
@@ -422,7 +439,7 @@ def test_coskeleton_requires_sane_bounds():
 def test_operation_sequences_stay_valid():
     # any mix of truncating (which pads above the top dimension) and
     # filling keeps every identity intact
-    square = acr_to_hda2(zoo.mutex_square_acr(True))
+    square = acr_to_hda2(fixture("acr_mutex_square"))
     two = truncate(free_cube(), 2)
     assert validate_hda(coskeleton_fill(truncate(square, 3), 3)).ok
     assert validate_hda(truncate(coskeleton_fill(square, 2), 4)).ok
@@ -435,10 +452,10 @@ def test_operation_sequences_stay_valid():
 def test_truncate_hda_examples():
     from hdabridge.functors import acr_to_hda2, es_to_hda
     from hdabridge.cubical import truncate, validate_hda
-    from hdabridge import cubical, zoo
+    from hdabridge import cubical
     from hdabridge.models import make_event_structure
 
-    h = acr_to_hda2(zoo.mutex_square_acr(True))
+    h = acr_to_hda2(fixture("acr_mutex_square"))
     boundary = truncate(h, 1)
     assert boundary.cells(1) == h.cells(1)
     assert len(boundary.cells(2)) == 0
@@ -494,7 +511,7 @@ def test_symmetric_coskeleton_fill_links_orientations():
 
 
 def test_symmetric_cube_fill_adds_all_orderings():
-    cube = acr_to_hda2(zoo.full_cube_acr())
+    cube = acr_to_hda2(fixture("acr_full_cube"))
     filled = coskeleton_fill(cube, 3)
     assert len(filled.cells(3)) == 6  # one top cell per ordering
     assert {filled.label(c) for c in filled.cells(3)} == set(itertools.permutations("abc"))
@@ -505,7 +522,7 @@ def test_symmetric_cube_fill_adds_all_orderings():
 @pytest.mark.parametrize("h", [
     free_cube(),
     es_to_hda(make_event_structure("abcd"), max_dim=3, truncate_cells=True),
-    acr_to_hda2(zoo.full_cube_acr()),
+    acr_to_hda2(fixture("acr_full_cube")),
 ], ids=["free3", "free4", "full-cube-acr"])
 def test_coskeleton_fill_counts_match_the_shell_search(h):
     # no word repeats a letter here, so the two definitions agree

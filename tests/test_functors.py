@@ -49,6 +49,7 @@ from hdabridge.models import (
     TsMorphism,
     compose_pn_morphisms,
     idle_completion,
+    make_acr,
     make_event_structure,
     make_pn,
     make_ts,
@@ -58,12 +59,13 @@ from hdabridge.models import (
     validate_pn_morphism,
     validate_ts,
 )
-from hdabridge import functors, zoo
+from hdabridge import functors
 from hdabridge.laws import GeneratorConfig, enumerate_hda_morphisms, gen_acr, gen_es, gen_pn, gen_ts
 from hdabridge.util import level_search
 from helpers import (
     brute_force_es_cells,
     brute_force_regions,
+    fixture,
     reference_net,
     reference_places,
     synthesized_regions,
@@ -95,10 +97,10 @@ PRINTED_AUTOMATA = {
     "acr mutex square": "d9d699fbfbbd895614fc16b2e5a963ccd82287a91dc2c90561318371804da789",
 }
 SYSTEM_AUTOMATA = {
-    "ts mutex square": lambda: ts_to_hda1(zoo.mutex_square_ts()),
-    "acr triple diamond": lambda: acr_to_hda2(zoo.triple_diamond_acr()),
-    "acr full cube": lambda: acr_to_hda2(zoo.full_cube_acr()),
-    "acr mutex square": lambda: acr_to_hda2(zoo.mutex_square_acr(True)),
+    "ts mutex square": lambda: ts_to_hda1(fixture("ts_mutex_square")),
+    "acr triple diamond": lambda: acr_to_hda2(fixture("acr_triple_diamond")),
+    "acr full cube": lambda: acr_to_hda2(fixture("acr_full_cube")),
+    "acr mutex square": lambda: acr_to_hda2(fixture("acr_mutex_square")),
 }
 
 
@@ -155,13 +157,13 @@ def test_system_automata_are_the_automata_by_keys_on_generated_models(seed):
         assert_built_as_by_keys(acr_to_hda2(a), acr_by_keys(a))
 
 
-def test_system_automata_are_the_automata_by_keys_on_the_zoo():
-    for a in (zoo.triple_diamond_acr(), zoo.full_cube_acr(),
-              zoo.mutex_square_acr(True), zoo.mutex_square_acr(False)):
+def test_system_automata_are_the_automata_by_keys_on_the_fixtures():
+    for a in (fixture("acr_triple_diamond"), fixture("acr_full_cube"),
+              fixture("acr_mutex_square"), Acr(ts=fixture("ts_mutex_square"), indep=frozenset())):
         assert_built_as_by_keys(acr_to_hda2(a), acr_by_keys(a))
     fork = make_ts(["x", "p", "q"], "x", ["a", "b"], [("x", "a", "p"), ("x", "a", "q"), ("p", "b", "x")])
     assert_built_as_by_keys(ts_to_hda1(fork), ts_by_keys(fork))
-    completed = idle_completion(zoo.mutex_square_ts())
+    completed = idle_completion(fixture("ts_mutex_square"))
     assert_built_as_by_keys(ts_to_hda1(completed, idle=True), ts_by_keys(completed))
 
 
@@ -179,7 +181,7 @@ def test_ts_to_hda1_single_edge():
 
 
 def test_ts_to_hda1_mutex_square():
-    h = ts_to_hda1(zoo.mutex_square_ts())
+    h = ts_to_hda1(fixture("ts_mutex_square"))
     assert [len(h.cells(n)) for n in range(2)] == [4, 4]
 
 
@@ -197,7 +199,7 @@ def test_ts_to_hda1_edge_count_random():
 
 
 def test_hda1_roundtrip_is_identity():
-    for t in [zoo.mutex_square_ts(), make_ts(["s"], "s", [], []),
+    for t in [fixture("ts_mutex_square"), make_ts(["s"], "s", [], []),
               make_ts(["s", "u"], "s", ["a", "b"],
                       [("s", "a", "u"), ("s", "b", "u"), ("u", "a", "u")])]:
         assert hda1_to_ts(ts_to_hda1(t)) == t
@@ -224,7 +226,7 @@ def test_hda1_to_ts_collapses_parallel_edges_with_same_event():
 
 
 def test_ts_idle_kleisli_ingestion():
-    t = zoo.mutex_square_ts()
+    t = fixture("ts_mutex_square")
     done = idle_completion(t)
     with pytest.raises(StarClash):
         ts_to_hda1(done)
@@ -245,7 +247,7 @@ def test_ts_to_hda1_rejects_non_loop_idle():
 
 def test_acr_to_hda2_triple_diamond():
     # 4 + 3 + 2 edges across the three overlapping squares
-    h = acr_to_hda2(zoo.triple_diamond_acr())
+    h = acr_to_hda2(fixture("acr_triple_diamond"))
     assert [len(h.cells(n)) for n in range(3)] == [7, 9, 6]
     assert validate_hda(h).ok
     assert check_deterministic(h, 1)
@@ -262,18 +264,18 @@ def test_ts_automaton_is_the_1_skeleton_of_its_acr_automaton(seed):
 
 
 def test_acr_to_hda2_empty_independence():
-    h = acr_to_hda2(zoo.mutex_square_acr(independent=False))
+    h = acr_to_hda2(Acr(ts=fixture("ts_mutex_square"), indep=frozenset()))
     assert len(h.cells(2)) == 0
 
 
 def test_acr_roundtrip_identity():
-    for a in [zoo.triple_diamond_acr(), zoo.full_cube_acr(),
-              zoo.mutex_square_acr(True), zoo.mutex_square_acr(False)]:
+    for a in [fixture("acr_triple_diamond"), fixture("acr_full_cube"),
+              fixture("acr_mutex_square"), Acr(ts=fixture("ts_mutex_square"), indep=frozenset())]:
         assert hda2_to_acr(acr_to_hda2(a)) == a
 
 
 def test_hda2_to_acr_single_square():
-    h = acr_to_hda2(zoo.mutex_square_acr(independent=True))
+    h = acr_to_hda2(fixture("acr_mutex_square"))
     a = hda2_to_acr(h)
     assert ("x", "e1", "e2") in a.indep and ("x", "e2", "e1") in a.indep
 
@@ -289,7 +291,7 @@ def test_hda2_to_acr_rejects_nondeterminism():
 # ---------------------------------------------------------------------------
 
 def test_es_to_hda_three_free_events_counts():
-    es = zoo.three_free_events_es()
+    es = fixture("es_three_free_events")
     h = es_to_hda(es)
     got = [len(h.cells(n)) for n in range(4)]
     assert got == [brute_force_es_cells(es, n) for n in range(4)]
@@ -310,7 +312,7 @@ def test_es_to_hda_empty():
 
 
 def test_hda_to_es_roundtrip_on_examples():
-    for es in [zoo.three_free_events_es(),
+    for es in [fixture("es_three_free_events"),
                make_event_structure("ab", causes=[("a", "b")]),
                make_event_structure("ab", conflicts=[("a", "b")]),
                make_event_structure("abc", causes=[("a", "b")], conflicts=[("b", "c")]),
@@ -319,7 +321,7 @@ def test_hda_to_es_roundtrip_on_examples():
 
 
 def test_hda_to_es_from_triple_diamond():
-    h = acr_to_hda2(zoo.triple_diamond_acr())
+    h = acr_to_hda2(fixture("acr_triple_diamond"))
     es = hda_to_es(h)
     assert es.events == frozenset("abc")
     assert es.leq == frozenset({(e, e) for e in "abc"})
@@ -364,10 +366,10 @@ def test_hda_to_es_words_oracle():
                     if e != e2 and not any(e in w and e2 in w for w in runs)}
         return leq, conflict
 
-    for build in [lambda: acr_to_hda2(zoo.triple_diamond_acr()),
+    for build in [lambda: acr_to_hda2(fixture("acr_triple_diamond")),
                   lambda: es_to_hda(make_event_structure("abc", causes=[("a", "b")])),
                   lambda: es_to_hda(make_event_structure("abc", conflicts=[("a", "c")])),
-                  lambda: ts_to_hda1(zoo.mutex_square_ts())]:
+                  lambda: ts_to_hda1(fixture("ts_mutex_square"))]:
         h = build()
         es = hda_to_es(h)
         leq, conflict = word_oracle(h)
@@ -413,7 +415,7 @@ def test_hda_to_es_matches_the_frozenset_walk_on_nets(seed):
 
 
 def test_hda_to_es_rejects_nonlinear():
-    h = pn_to_hda(zoo.double_token_net(), 50, 2)
+    h = pn_to_hda(fixture("pnet_double_token"), 50, 2)
     with pytest.raises(NotLinear):
         hda_to_es(h)
 
@@ -426,7 +428,7 @@ def test_hda_to_es_never_fired_events_conflict():
 
 def test_hda_to_es_reports_the_event_no_run_fires():
     # fixtures/hda_three_free_events.json, with a letter that labels no cell
-    h = es_to_hda(zoo.three_free_events_es())
+    h = es_to_hda(fixture("es_three_free_events"))
     with pytest.raises(NotPartialOrder) as exc:
         hda_to_es(dataclasses.replace(h, alphabet=(*h.alphabet, "z")))
     assert str(exc.value).splitlines() == ["event structure: 3 violation(s)", *(
@@ -462,8 +464,8 @@ def test_enumerate_regions_matches_brute_force():
     cycle4 = [(f"s{i}", a, f"s{(i + 1) % 4}") for i, a in enumerate("abcd")]
     # (automaton, caps at which the brute force is cheap enough)
     cases = [
-        (ts_to_hda1(zoo.mutex_square_ts()), (1, 2)),
-        (acr_to_hda2(zoo.mutex_square_acr(True)), (1, 2)),
+        (ts_to_hda1(fixture("ts_mutex_square")), (1, 2)),
+        (acr_to_hda2(fixture("acr_mutex_square")), (1, 2)),
         (ts_to_hda1(make_ts(["s"], "s", [], [])), (1, 2)),
         (es_to_hda(make_event_structure("ab", conflicts=[("a", "b")])), (1, 2)),
         # a self-loop
@@ -611,7 +613,7 @@ def test_synthesized_net_matches_the_net_built_region_by_region(case):
 
 
 def test_nine_places_recovered():
-    h = ts_to_hda1(zoo.mutex_square_ts())
+    h = ts_to_hda1(fixture("ts_mutex_square"))
     regions = enumerate_regions(h, 1)
     for reg in expected_nine_regions(h):
         assert reg in regions
@@ -619,21 +621,21 @@ def test_nine_places_recovered():
 
 
 def test_shared_place_region_dies_on_the_square():
-    h = acr_to_hda2(zoo.mutex_square_acr(independent=True))
+    h = acr_to_hda2(fixture("acr_mutex_square"))
     shared = region_by_keys(h, {"e1": (1, 1), "e2": (1, 1)},
                             {"x": 1, "y1": 1, "y2": 1, "z": 1})
     assert not region_check(h, shared)
     assert shared not in enumerate_regions(h, 1)
     # but it survives on the serialized automaton
-    h0 = ts_to_hda1(zoo.mutex_square_ts())
+    h0 = ts_to_hda1(fixture("ts_mutex_square"))
     shared0 = region_by_keys(h0, {"e1": (1, 1), "e2": (1, 1)},
                              {"x": 1, "y1": 1, "y2": 1, "z": 1})
     assert region_check(h0, shared0)
 
 
 def test_region_antitone_in_cells():
-    h0 = ts_to_hda1(zoo.mutex_square_ts())
-    h2 = acr_to_hda2(zoo.mutex_square_acr(independent=True))
+    h0 = ts_to_hda1(fixture("ts_mutex_square"))
+    h2 = acr_to_hda2(fixture("acr_mutex_square"))
     r0 = enumerate_regions(h0, 1)
     r2 = enumerate_regions(h2, 1)
 
@@ -645,7 +647,7 @@ def test_region_antitone_in_cells():
 
 
 def test_all_zero_region_always_valid():
-    h = acr_to_hda2(zoo.triple_diamond_acr())
+    h = acr_to_hda2(fixture("acr_triple_diamond"))
     reg = region_of({a: (0, 0) for a in h.alphabet}, {v: 0 for v in h.cells(0)})
     assert region_check(h, reg)
 
@@ -658,21 +660,21 @@ def test_single_vertex_regions():
 
 
 def test_pn_to_hda_mutex_and_free():
-    h = pn_to_hda(zoo.two_mutex_net(), 100, 3)
+    h = pn_to_hda(fixture("pnet_two_mutex"), 100, 3)
     assert [len(h.cells(n)) for n in (0, 1, 2)] == [4, 4, 0]
-    h2 = pn_to_hda(zoo.two_mutex_net(shared_place=False), 100, 3)
+    h2 = pn_to_hda(fixture("pnet_two_free"), 100, 3)
     assert len(h2.cells(2)) == 2
     sq = h2.cells(2)
     assert h2.complex.transpose(sq[0], 0) == sq[1]
 
 
 def test_pn_to_hda_double_token_square():
-    h = pn_to_hda(zoo.double_token_net(), 50, 2)
+    h = pn_to_hda(fixture("pnet_double_token"), 50, 2)
     assert ("e", "e") in {h.label(c) for c in h.cells(2)}
 
 
 def test_hda_to_pn_synthesis():
-    h = ts_to_hda1(zoo.mutex_square_ts())
+    h = ts_to_hda1(fixture("ts_mutex_square"))
     synth = hda_to_pn(h, 1)
     assert validate_pn(synth.net).ok
     assert set(synthesized_regions(synth)) == set(synth.net.places)
@@ -689,8 +691,8 @@ def test_hda_to_pn_synthesis():
 
 def test_synthesized_net_simulates_one_skeleton():
     """The marking graph of the synthesized net simulates the 1-skeleton."""
-    for build in [lambda: ts_to_hda1(zoo.mutex_square_ts()),
-                  lambda: acr_to_hda2(zoo.mutex_square_acr(True)),
+    for build in [lambda: ts_to_hda1(fixture("ts_mutex_square")),
+                  lambda: acr_to_hda2(fixture("acr_mutex_square")),
                   lambda: ts_to_hda1(make_ts(["x", "y"], "x", ["a"], [("x", "a", "y")]))]:
         h = build()
         synth = hda_to_pn(h, 1)
@@ -711,7 +713,7 @@ def test_synthesized_net_simulates_one_skeleton():
 # ---------------------------------------------------------------------------
 
 def test_transpose_identity_unit():
-    h = ts_to_hda1(zoo.mutex_square_ts())
+    h = ts_to_hda1(fixture("ts_mutex_square"))
     synth = hda_to_pn(h, 1)
     net = synth.net
     target = pn_to_hda(net, 500, 2)
@@ -820,7 +822,7 @@ def test_map_morphism_hda_to_pn_cap_exceeded():
 # ---------------------------------------------------------------------------
 
 def test_map_morphism_identities():
-    t = zoo.mutex_square_ts()
+    t = fixture("ts_mutex_square")
     ident = TsMorphism(sigma={s: s for s in t.states}, tau={e: e for e in t.events})
     h = ts_to_hda1(t)
     image = map_morphism("ts_to_hda1", ident, h, h)
@@ -829,7 +831,7 @@ def test_map_morphism_identities():
 
 
 def test_map_morphism_collapsing_diamond():
-    src = zoo.mutex_square_ts()
+    src = fixture("ts_mutex_square")
     dst = make_ts(["s", "t"], "s", ["e1"], [("s", "e1", "t")])
     m = TsMorphism(
         sigma={"x": "s", "y1": "t", "y2": "s", "z": "t"},
@@ -846,9 +848,9 @@ def test_map_morphism_collapsing_diamond():
 
 
 def test_map_morphism_acr_square_collapse():
-    src = zoo.mutex_square_acr(independent=True)
+    src = fixture("acr_mutex_square")
     dst_ts = make_ts(["s", "t"], "s", ["e1"], [("s", "e1", "t")])
-    dst = zoo.make_acr(dst_ts.states, "s", dst_ts.events, dst_ts.trans, [])
+    dst = make_acr(dst_ts.states, "s", dst_ts.events, dst_ts.trans, [])
     from hdabridge.models import AcrMorphism
 
     m = AcrMorphism(TsMorphism(
@@ -906,7 +908,7 @@ def test_map_morphism_into_nondeterministic_target():
 
 
 def test_map_morphism_hda_to_pn_keeps_identities():
-    h = ts_to_hda1(zoo.mutex_square_ts())
+    h = ts_to_hda1(fixture("ts_mutex_square"))
     synth = hda_to_pn(h, 1)
     image = map_morphism("hda_to_pn", identity_hda_morphism(h), synth, synth)
     assert image == PnMorphism(phi={p: p for p in synth.net.places},
@@ -917,7 +919,7 @@ def test_map_morphism_hda_to_pn_keeps_composites():
     # an edge into the mutex square, then the square onto one edge with e2
     # dropped: the image of the composite is the composite of the images
     edge = make_ts(["u", "w"], "u", ["a"], [("u", "a", "w")])
-    square = zoo.mutex_square_ts()
+    square = fixture("ts_mutex_square")
     line = make_ts(["s", "t"], "s", ["e1"], [("s", "e1", "t")])
     a, b, c = ts_to_hda1(edge), ts_to_hda1(square), ts_to_hda1(line)
     f = map_morphism("ts_to_hda1", TsMorphism(sigma={"u": "x", "w": "y1"}, tau={"a": "e1"}), a, b)
@@ -999,10 +1001,10 @@ def test_determinism_and_linearity_checks():
     assert not check_deterministic(fork, 1)
     single = ts_to_hda1(make_ts(["s"], "s", [], []))
     assert check_deterministic(single, 0) and check_deterministic(single, 1)
-    assert check_deterministic(acr_to_hda2(zoo.triple_diamond_acr()), 1)
+    assert check_deterministic(acr_to_hda2(fixture("acr_triple_diamond")), 1)
     one_dim = ts_to_hda1(make_ts(["s"], "s", ["a"], [("s", "a", "s")]))
     assert check_linear_labeling(one_dim)
-    doubled = pn_to_hda(zoo.double_token_net(), 50, 2)
+    doubled = pn_to_hda(fixture("pnet_double_token"), 50, 2)
     assert not check_linear_labeling(doubled)
     assert check_strong_labeling(single)
 
@@ -1028,21 +1030,19 @@ def test_linear_labeling_reads_as_cell_by_cell(seed):
 
 
 def test_functor_outputs_pass_target_validators():
-    assert validate_acr(hda2_to_acr(acr_to_hda2(zoo.triple_diamond_acr()))).ok
-    assert validate_es(hda_to_es(ts_to_hda1(zoo.mutex_square_ts()))).ok
-    assert validate_ts(hda1_to_ts(ts_to_hda1(zoo.mutex_square_ts()))).ok
-    assert validate_pn(hda_to_pn(ts_to_hda1(zoo.mutex_square_ts()), 1).net).ok
+    assert validate_acr(hda2_to_acr(acr_to_hda2(fixture("acr_triple_diamond")))).ok
+    assert validate_es(hda_to_es(ts_to_hda1(fixture("ts_mutex_square")))).ok
+    assert validate_ts(hda1_to_ts(ts_to_hda1(fixture("ts_mutex_square")))).ok
+    assert validate_pn(hda_to_pn(ts_to_hda1(fixture("ts_mutex_square")), 1).net).ok
     from hdabridge.cubical import validate_hda
 
-    for h in [ts_to_hda1(zoo.mutex_square_ts()), acr_to_hda2(zoo.full_cube_acr()),
-              es_to_hda(zoo.three_free_events_es()),
-              pn_to_hda(zoo.two_mutex_net(False), 100, 2)]:
+    for h in [ts_to_hda1(fixture("ts_mutex_square")), acr_to_hda2(fixture("acr_full_cube")),
+              es_to_hda(fixture("es_three_free_events")),
+              pn_to_hda(fixture("pnet_two_free"), 100, 2)]:
         assert validate_hda(h).ok
 
 
 def test_acr_to_hda2_rejects_invalid_acr():
-    from hdabridge.models import make_acr
-
     broken = make_acr(
         states=["x", "p", "q"], initial="x", events=["a", "b"],
         trans=[("x", "a", "p"), ("x", "b", "q")],

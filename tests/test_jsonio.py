@@ -4,21 +4,22 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdabridge import jsonio, zoo
+from hdabridge import jsonio
 from hdabridge.cubical import STAR, validate_hda
 from hdabridge.errors import ExplosionLimit, ParseError, UnknownKind
 from hdabridge.functors import es_to_hda
 from hdabridge.models import make_event_structure
+from helpers import FIXTURES, fixture
 
 
 ALL_FIXTURE_MODELS = [
-    ("ts", zoo.mutex_square_ts()),
-    ("acr", zoo.triple_diamond_acr()),
-    ("acr", zoo.full_cube_acr()),
-    ("es", zoo.three_free_events_es()),
+    ("ts", fixture("ts_mutex_square")),
+    ("acr", fixture("acr_triple_diamond")),
+    ("acr", fixture("acr_full_cube")),
+    ("es", fixture("es_three_free_events")),
     ("es", make_event_structure("abc", causes=[("a", "b")], conflicts=[("b", "c")])),
-    ("pnet", zoo.two_mutex_net()),
-    ("pnet", zoo.double_token_net()),
+    ("pnet", fixture("pnet_two_mutex")),
+    ("pnet", fixture("pnet_double_token")),
 ]
 
 
@@ -38,7 +39,7 @@ def test_print_after_parse_is_identity(kind, model):
 
 
 def test_hda_document_round_trip():
-    h = es_to_hda(zoo.three_free_events_es())
+    h = es_to_hda(fixture("es_three_free_events"))
     text = jsonio.print_document("hda", h)
     kind, h2 = jsonio.parse_document(text)
     assert kind == "hda"
@@ -103,7 +104,7 @@ def test_lts_document_round_trip():
     from hdabridge.models import LabeledTransitionSystem
 
     lts = LabeledTransitionSystem(
-        ts=zoo.mutex_square_ts(),
+        ts=fixture("ts_mutex_square"),
         labels=frozenset({"go", "stop"}),
         labeling={"e1": "go", "e2": "stop"},
     )
@@ -118,7 +119,7 @@ def test_unknown_kind_rejected():
 
 
 def test_truncated_document_rejected():
-    text = jsonio.print_document("ts", zoo.mutex_square_ts())
+    text = jsonio.print_document("ts", fixture("ts_mutex_square"))
     with pytest.raises(ParseError):
         jsonio.parse_document(text[: len(text) // 2])
 
@@ -172,22 +173,15 @@ def test_idle_in_higher_label_rejected():
         jsonio.parse_document(json.dumps(doc))
 
 
-def test_fixture_files_match_zoo():
-    import pathlib
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
+def test_fixture_file_parses_validates_and_prints_its_own_bytes(path):
+    from hdabridge.cli import VALIDATORS
 
-    root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    expected = {
-        "ts_mutex_square.json": ("ts", zoo.mutex_square_ts()),
-        "acr_triple_diamond.json": ("acr", zoo.triple_diamond_acr()),
-        "acr_full_cube.json": ("acr", zoo.full_cube_acr()),
-        "acr_mutex_square.json": ("acr", zoo.mutex_square_acr(True)),
-        "es_three_free_events.json": ("es", zoo.three_free_events_es()),
-        "pnet_two_mutex.json": ("pnet", zoo.two_mutex_net()),
-        "pnet_two_free.json": ("pnet", zoo.two_mutex_net(shared_place=False)),
-        "pnet_double_token.json": ("pnet", zoo.double_token_net()),
-    }
-    for name, (kind, model) in expected.items():
-        assert (root / name).read_text() == jsonio.print_document(kind, model), name
+    text = path.read_text()
+    kind, model = jsonio.parse_document(text)
+    assert path.name.startswith(f"{kind}_")
+    assert VALIDATORS[kind](model).ok
+    assert jsonio.print_document(kind, model) == text
 
 
 def test_nets_print_as_json_dumps_printed_their_documents():
@@ -199,14 +193,13 @@ def test_nets_print_as_json_dumps_printed_their_documents():
     from hdabridge.models import make_pn, make_ts
     from reference import pnet_document
 
-    root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
     nets = [(path.name, jsonio.parse_document(path.read_text())[1])
-            for path in sorted(root.glob("pnet_*.json"))]
+            for path in sorted(FIXTURES.glob("pnet_*.json"))]
     nets += [(f"gen_pn {i}", gen_pn(i, GeneratorConfig(seed=0))) for i in range(40)]
     chain = make_ts(range(4), 0, "abc", [(i, a, i + 1) for i, a in enumerate("abc")])
     cycle = make_ts(range(4), 0, "abcd", [(i, a, (i + 1) % 4) for i, a in enumerate("abcd")])
     for name, h, cap in (("chain", ts_to_hda1(chain), 2), ("cycle", ts_to_hda1(cycle), 1),
-                         ("square", acr_to_hda2(zoo.mutex_square_acr(True)), 2)):
+                         ("square", acr_to_hda2(fixture("acr_mutex_square")), 2)):
         nets.append((f"synthesized {name}", hda_to_pn(h, cap).net))
     nets += [
         ("int events", make_pn(["p", "q"], {"p": 1}, [1, 2, 10], {1: {"p": 1}, 2: {}, 10: {"q": 2}},
@@ -247,8 +240,6 @@ def test_documented_examples_validate():
 # ---------------------------------------------------------------------------
 # the printer's JSON emitter against json.dumps
 # ---------------------------------------------------------------------------
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 # strings that need escaping or are not ASCII, next to drawn ones
 STRINGS = st.one_of(

@@ -3,7 +3,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdabridge import zoo
 from hdabridge.cts import pn_to_cts
 from hdabridge.cubical import STAR
 from hdabridge.errors import ExplosionLimit, StarClash
@@ -35,7 +34,7 @@ from hdabridge.models import (
 )
 from hdabridge.laws import GeneratorConfig, gen_es, gen_pn
 from hdabridge.util import sorted_by_key
-from helpers import reference_markings
+from helpers import fixture, reference_markings
 from reference import NotEnabled, covers, fire, marking_minus, marking_plus, validate_morphism, word_pre
 
 
@@ -259,7 +258,7 @@ def test_reachable_markings_explosion():
 
 
 def test_reachable_markings_limit_is_the_number_of_markings():
-    n = zoo.double_token_net()  # p=2, then p=1 q=1, then q=2
+    n = fixture("pnet_double_token")  # p=2, then p=1 q=1, then q=2
     assert len(reachable_markings(n, 3).markings) == 3
     with pytest.raises(ExplosionLimit, match="more than 2 reachable markings"):
         reachable_markings(n, 2)
