@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 from .cubical import (
     STAR,
@@ -33,7 +34,6 @@ from .cubical import (
     PrecubicalComplex,
     SymmetricCubicalComplex,
     Unlisted,
-    all_positions,
     pick,
 )
 from .errors import ParseError, UnknownKind
@@ -140,13 +140,17 @@ def _print_hda(h: Hda) -> str:
     texts = {n: list(map(str, sk.cells.get(n, ()))) for n in dims}
     order = {n: sorted(range(len(texts[n])), key=texts[n].__getitem__) for n in dims}
     heads = {n: list(map(f',{_DEEPER}"{{}}": '.format, pick(texts[n], order[n]))) for n in dims}
+    # only string letters: a number would also find the letter it equals
+    letters = {a: f",{_DEEPER}  {_string(a)}" for a in h.alphabet if type(a) is str}
 
     def table(col, n: int, d: int, spell=None) -> _Text:
         """The column ``col`` over cells(n) as an object of d-cells, or of ``spell``'s."""
         names, values = heads[n], pick(col, order[n])
-        if spell is None and all_positions(col, len(texts[d])):
+        try:  # non-negative ints, of which one past the cells raises IndexError
+            if spell or not (set(map(type, col)) <= {int} and min(col, default=0) >= 0):
+                raise IndexError
             values = pick(texts[d], values)
-        else:  # label words, or a map undefined somewhere (no entry) or naming no cell
+        except IndexError:  # label words, or a map undefined somewhere (no entry) or naming no cell
             if None in values:
                 kept = [(k, v) for k, v in zip(names, values) if v is not None]
                 names, values = zip(*kept) if kept else ((), ())
@@ -156,7 +160,13 @@ def _print_hda(h: Hda) -> str:
         return _Text("{" + "".join(parts)[1:] + _INNER + "}" if parts else "{}")
 
     def labels(n: int) -> _Text:
-        spelled = {w: _format(list(w), _DEEPER) for w in set(h.words[n])}
+        words = set(h.words[n])
+        try:  # an empty word, or a letter outside the alphabet, is spelled by _format
+            if () in words:
+                raise KeyError
+            spelled = {w: "[" + "".join(map(letters.__getitem__, w))[1:] + _DEEPER + "]" for w in words}
+        except KeyError:
+            spelled = {w: _format(list(w), _DEEPER) for w in words}
         return table(h.words[n], n, n, spelled.__getitem__)
 
     return format_json({
@@ -255,11 +265,17 @@ def _int(value, what: str) -> int:
 def _name(value, what: str):
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ParseError(f"{what} must be a string or a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {value!r}")
     return value
 
 
 def _names(doc: dict, field: str) -> list:
-    return [_name(v, field) for v in _list(_need(doc, field), field)]
+    names = [_name(v, field) for v in _list(_need(doc, field), field)]
+    if len(set(names)) < len(names):
+        repeat = next(v for i, v in enumerate(names) if v in names[:i])
+        raise ParseError(f"{field} lists {repeat!r} twice")
+    return names
 
 
 def _tuples(doc: dict, field: str, size: int) -> list:
@@ -380,15 +396,16 @@ def _cell_indices(ids, what: str) -> tuple:
 
 def _label_words(labels_doc: dict, n: int, ids, texts: list) -> list:
     """The label words of the n-cells ``ids``, spelled ``texts``, in order,
-    read in bulk; only a table found bad, or with more entries than
-    ``ids``, is read again cell by cell, to name its first bad cell, and
-    then its keys are checked to be cells."""
+    read in bulk; only a table found bad, with a float letter (which must
+    be finite) or with more entries than ``ids``, is read again cell by
+    cell, to name its first bad cell, and then its keys are checked to be
+    cells."""
     if n == 0:
         return [()] * len(ids)
     table = _object(labels_doc.get(str(n), {}), f"labels[{n}]")
     words = list(map(table.get, texts))
     if len(table) == len(ids) and set(map(type, words)) <= {list} and \
-            set(map(type, itertools.chain.from_iterable(words))) <= {str, int, float}:
+            set(map(type, itertools.chain.from_iterable(words))) <= {str, int}:
         return list(map(tuple, words))
     words = []
     for idx in ids:

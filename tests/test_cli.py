@@ -243,6 +243,34 @@ def test_malformed_document_exits_3(tmp_path, capsys, fixture, mutate):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"kind": "es", "events": ["a", "a"], "causality": [], "conflict": []}, "events lists 'a' twice"),
+    ({"kind": "es", "events": [1, 1.0], "causality": [], "conflict": []}, "events lists 1.0 twice"),
+    ({"kind": "ts", "states": ["s", "s"], "initial": "s", "events": [], "trans": []},
+     "states lists 's' twice"),
+    ({"kind": "pnet", "places": ["p", "p"], "m0": {}, "events": [], "pre": {}, "post": {}},
+     "places lists 'p' twice"),
+    ({"kind": "hda", "alphabet": ["a", "a"], "cells": {"0": [0]}, "faces": {}, "initial": 0},
+     "alphabet lists 'a' twice"),
+], ids=["es-events", "es-events-equal-numbers", "ts-states", "pnet-places", "hda-alphabet"])
+def test_a_name_listed_twice_exits_3(tmp_path, capsys, doc, message):
+    # each was merged into one name, and the document passed
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"format_version": 1, **doc}))
+    assert run(capsys, "validate", str(path)) == (3, "", f"error: ParseError: {message}\n")
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "NaN"])
+def test_a_non_finite_number_name_exits_3(tmp_path, capsys, number):
+    # an infinite event was printed as Infinity, which strict JSON refuses
+    path = tmp_path / "events.json"
+    path.write_text('{"kind": "es", "format_version": 1, "events": [%s, "a"], '
+                    '"causality": [], "conflict": []}' % number)
+    code, out, err = run(capsys, "translate", str(path), "--to", "hda", "--max-dim", "1", "--truncate")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ParseError: events must be a finite number, got ")
+
+
 @pytest.mark.parametrize("raw", [b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}"],
                          ids=["deep-nesting", "not-utf8"])
 def test_undecodable_bytes_exit_3(tmp_path, capsys, monkeypatch, raw):

@@ -308,6 +308,48 @@ def test_fixtures_and_their_translations_print_as_json_dumps(name, capsys):
     assert printed
 
 
+@pytest.mark.parametrize("events", [[1, 2, 3], [0.5, 1.5, 2.5], [1.5, 2, "a"], ["é", '"', "\\", "1,0,-"]],
+                         ids=["ints", "floats", "mixed", "escaped"])
+@pytest.mark.parametrize("max_dim", ["1", "2", "3"])
+def test_automata_of_any_event_names_print_as_json_dumps(events, max_dim, tmp_path, capsys):
+    """Label words over string letters are joined from the letters' texts;
+    a word with a number in it is spelled by ``_format``."""
+    from hdabridge.cli import main
+
+    path = tmp_path / "es.json"
+    path.write_text(json.dumps({"kind": "es", "format_version": 1, "events": events,
+                                "causality": [], "conflict": []}))
+    assert main(["translate", str(path), "--to", "hda", "--max-dim", max_dim, "--truncate"]) == 0
+    out = capsys.readouterr().out
+    assert out == reference(json.loads(out)) + "\n"
+    assert sorted(json.loads(out)["alphabet"], key=str) == sorted(events, key=str)
+
+
+def test_words_empty_or_off_the_alphabet_print_as_json_dumps():
+    import dataclasses
+
+    h = es_to_hda(make_event_structure("abc"))
+    emptied = [h.words[0], [()] + list(h.words[1][1:]), *h.words[2:]]
+    for changed, word in ((dataclasses.replace(h, alphabet=("a", "b")), '[\n        "c"\n      ]'),
+                          (dataclasses.replace(h, words=emptied), '"0": []')):
+        text = jsonio.print_document("hda", changed)
+        assert text == reference(json.loads(text)) + "\n" and word in text
+
+
+@pytest.mark.parametrize("value,text", [(True, "True"), (False, "False"), (1.0, "1.0")])
+def test_a_face_entry_of_no_int_prints_as_written(value, text):
+    """No parser or builder makes such an entry; printed as written, it
+    names no vertex, even where it equals a position."""
+    import dataclasses
+
+    h = es_to_hda(make_event_structure("a"))
+    assert h.skeleton.faces[1, 0, "-"] == [0] and h.skeleton.faces[1, 0, "+"] == [1]
+    faces = {**h.skeleton.faces, (1, 0, "-"): [value]}
+    complex_ = dataclasses.replace(h.complex, skeleton=dataclasses.replace(h.skeleton, faces=faces))
+    printed = jsonio.print_document("hda", dataclasses.replace(h, complex=complex_))
+    assert f'"1,0,-": {{\n      "0": {text}\n    }}' in printed
+
+
 def test_documented_layout_example():
     import re
 
